@@ -16,7 +16,7 @@ When ``FORECO_BENCH_JSON=path.json`` is set, the session writes a
 machine-readable summary on exit: per-benchmark wall time (the ``call``
 phase of every test in this directory) plus whatever named metrics the
 benchmarks registered through :func:`record_metric` (speedup factors,
-throughputs).  CI runs the suite with ``FORECO_BENCH_JSON=BENCH_6.json``,
+throughputs).  CI runs the suite with ``FORECO_BENCH_JSON=BENCH_ci.json``,
 uploads the file as an artifact and diffs it against the committed
 ``benchmarks/baseline.json`` with ``scripts/compare_bench.py`` (warn-only),
 so the repository accumulates a benchmark trajectory instead of discarding

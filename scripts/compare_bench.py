@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Diff a benchmark-trajectory JSON against the committed baseline.
 
-CI runs the benchmark suite with ``FORECO_BENCH_JSON=BENCH_6.json`` (see
+CI runs the benchmark suite with ``FORECO_BENCH_JSON=BENCH_ci.json`` (see
 ``benchmarks/conftest.py``), uploads the file as an artifact, then runs::
 
-    python scripts/compare_bench.py BENCH_6.json benchmarks/baseline.json
+    python scripts/compare_bench.py BENCH_ci.json benchmarks/baseline.json
 
 The comparison is **warn-only**: CI hardware is noisy and shared, so a wall
 time more than ``--threshold`` (default 20%) over baseline — or a speedup

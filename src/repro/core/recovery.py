@@ -305,12 +305,14 @@ class ForecoRecovery:
         for slot in range(n_slots):
             command = commands[slot]
             missing = ~on_time[:, slot]
-            slot_executed = np.broadcast_to(command, (n_batch, n_joints)).copy()
+            slot_executed = executed[:, slot, :]
+            slot_executed[...] = command
             if missing.any():
                 if model_ready and filled >= record:
-                    forecasts = self.forecaster.predict_next_batch(history[missing])
+                    recent = history[missing]
+                    forecasts = self.forecaster.predict_next_batch(recent)
                     if max_step is not None:
-                        previous = history[missing, -1, :]
+                        previous = recent[:, -1, :]
                         step = np.clip(forecasts - previous, -max_step, max_step)
                         forecasts = previous + step
                     slot_executed[missing] = forecasts
@@ -319,7 +321,6 @@ class ForecoRecovery:
                     # Not enough history yet: repeat the previous effective
                     # command (the robot's native fallback behaviour).
                     slot_executed[missing] = history[missing, -1, :]
-            executed[:, slot, :] = slot_executed
             feedback = slot_executed
             if oracle:
                 feedback = np.where(missing[:, None], command, slot_executed)

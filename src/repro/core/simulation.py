@@ -292,8 +292,12 @@ class BatchedRemoteControlSimulation:
         # Both serial driver runs start from the raw first defined command
         # (RobotDriver.run resets to its stream's first row, which is
         # commands[0] for the FoReCo stream and for the baseline stream).
+        # The targets are clipped in place and released once executed, so
+        # a stacked pass makes no clipped copies of its ``(B, n, d)`` arrays.
+        on_time, stats = batch.on_time, batch.stats
         baseline_executed = self._execute_batch(baseline_targets, initial=commands[0])
         foreco_executed = self._execute_batch(batch.executed, initial=commands[0])
+        del batch, baseline_targets
 
         times = np.arange(n_slots) * (period_ms / 1000.0)
         # The defined trajectory is shared by every repetition and both
@@ -309,13 +313,13 @@ class BatchedRemoteControlSimulation:
 
         outcomes = []
         for index in range(n_batch):
-            late_fraction = float(1.0 - batch.on_time[index].mean())
+            late_fraction = float(1.0 - on_time[index].mean())
             outcomes.append(
                 SimulationOutcome(
                     rmse_no_forecast_mm=rmse_mm(baseline_executed[index]),
                     rmse_foreco_mm=rmse_mm(foreco_executed[index]),
                     late_fraction=late_fraction,
-                    recovery_fraction=batch.stats[index].recovery_fraction,
+                    recovery_fraction=stats[index].recovery_fraction,
                     defined=JointTrajectory(times, commands, label="defined"),
                     baseline=JointTrajectory(
                         times, baseline_executed[index], label="no-forecast"
@@ -335,9 +339,11 @@ class BatchedRemoteControlSimulation:
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
         the (raw, unclamped) joint state the serial driver resets to.
+        ``targets`` is clamped in place (the caller owns it and needs only
+        the clamped values).
         """
         limits = self.arm.limits
-        clamped = np.clip(targets, limits.position_min, limits.position_max)
+        clamped = np.clip(targets, limits.position_min, limits.position_max, out=targets)
         if not self.use_pid:
             return clamped
         n_batch, n_slots, n_joints = clamped.shape

@@ -595,9 +595,14 @@ class CapacityPlanner:
                     )
                     vector = (best_row.p99_violation, best_row.late_violation)
                     norm = vector[0] ** 2 + vector[1] ** 2
-                    alpha = max(0.0, gap) / norm
-                    lam = (lam[0] + alpha * vector[0], lam[1] + alpha * vector[1])
-                    best = max(candidates, key=lambda c: (self._lagrangian(run, c, lam), -c))
+                    # A violation below ~1e-154 squares to zero: no finite
+                    # jump exists, so keep plain ascent for this step.
+                    if norm > 0.0:
+                        alpha = max(0.0, gap) / norm
+                        lam = (lam[0] + alpha * vector[0], lam[1] + alpha * vector[1])
+                        best = max(
+                            candidates, key=lambda c: (self._lagrangian(run, c, lam), -c)
+                        )
                 nxt = best
             else:
                 # Quality gates are load-monotone: everything above a

@@ -35,6 +35,7 @@ from .engine import (
     SharedDatasets,
     build_datasets,
     compound_stage_seed,
+    kernel_group_key,
     repetition_seed,
     sample_channel_delays,
     sample_channel_delays_batch,
@@ -112,6 +113,7 @@ __all__ = [
     "get_scenario",
     "handover_channel",
     "jammer_channel",
+    "kernel_group_key",
     "loss_burst_channel",
     "markov_interference_channel",
     "p99_recovery",

@@ -13,7 +13,7 @@ needs:
 * finished :class:`SessionResult` objects, cached by the spec hash.
 
 All caches are guarded by locks so the :class:`~repro.scenarios.sweep.
-SweepExecutor` can call :meth:`SessionEngine.run` from worker threads.
+SweepExecutor` can call :meth:`SessionEngine.run_many` from worker threads.
 Determinism is by construction: every random draw is seeded from the spec
 hash and the repetition index, never from execution order, so a sweep
 produces bit-identical results with 1 or N workers.
@@ -23,7 +23,10 @@ of a spec's channel realisations advance as one stacked NumPy computation
 (:class:`repro.core.BatchedRemoteControlSimulation`) instead of a serial
 Python loop, which is several times faster at equal results — the serial
 path is kept behind the ``batch=False`` escape hatch and doubles as the
-bit-equality oracle in the tests.
+bit-equality oracle in the tests.  :meth:`SessionEngine.run_many` stacks
+further: specs sharing a :func:`kernel_group_key` (same command stream,
+recovery engine and robot stack; any channel) run their repetitions through
+one kernel pass, and each still gets its own result, cache entry and shard.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -72,6 +75,7 @@ from ..wireless import (
     sample_handover_delays_batch,
     sample_jammer_delays_batch,
     sample_markov_delays_batch,
+    sample_wireless_delays_batch,
 )
 from .spec import ChannelSpec, ExperimentScale, ScenarioSpec, _jsonify, get_scale
 
@@ -150,6 +154,27 @@ def repetition_seed(spec: ScenarioSpec, repetition: int, stage: int = 0) -> int:
     """
     identity = json.dumps(spec.channel_identity(), sort_keys=True, separators=(",", ":"))
     return _hash_seed(f"{identity}::{int(repetition)}::{int(stage)}")
+
+
+def kernel_group_key(spec: ScenarioSpec) -> tuple:
+    """The identity of the stacked kernel pass a spec can share with others.
+
+    Specs with equal keys replay the same command stream (scale, seed,
+    operator, run length) through the same recovery engine (the full FoReCo
+    spec, which includes the forecaster's training identity) and robot
+    stack (``use_pid``, ``fallback``); they differ at most in channel and
+    repetition count.  :meth:`SessionEngine.run_many` concatenates such
+    specs' repetitions into one ``(ΣB, n)`` kernel pass.
+    """
+    return (
+        spec.foreco,
+        spec.scale,
+        int(spec.seed),
+        spec.operator,
+        spec.resolved_run_seconds,
+        bool(spec.use_pid),
+        spec.fallback,
+    )
 
 
 def compound_stage_seed(seed: int, stage: ChannelSpec, occurrence: int = 0) -> int:
@@ -273,33 +298,71 @@ def sample_channel_delays(
 
 
 def sample_channel_delays_batch(
-    channel: ChannelSpec,
+    channel: ChannelSpec | Sequence[ChannelSpec],
     n_commands: int,
     seeds,
     command_period_ms: float = 20.0,
 ) -> np.ndarray:
     """Sample ``B`` independent delay realisations as one ``(B, n)`` array.
 
-    Row ``b`` is bit-identical to
-    ``sample_channel_delays(channel, n_commands, seeds[b], command_period_ms)``
-    — each repetition consumes its own seed's RNG stream exactly as the
-    serial path does — but the heavy samplers (the 802.11 AP queue, the
-    Markov chains, the loss injectors) advance every repetition in lockstep
-    NumPy arrays and expensive derived state (the Bianchi DCF fixed point,
-    service distributions) is built once per batch instead of once per
-    repetition.  This is the entry point :class:`SessionEngine` routes
-    batched repetitions through.
+    ``channel`` is one :class:`ChannelSpec` shared by every row, or a
+    sequence aligned with ``seeds`` (one channel per row).  Row ``b`` is
+    bit-identical to
+    ``sample_channel_delays(channels[b], n_commands, seeds[b], command_period_ms)``
+    — each row consumes its own seed's RNG stream exactly as the serial path
+    does — but the heavy samplers (the 802.11 AP queue, the Markov chains,
+    the loss injectors) advance every row in lockstep NumPy arrays and
+    expensive derived state (the Bianchi DCF fixed point, service
+    distributions) is built once per distinct channel instead of once per
+    row.  With per-row channels, every wireless row (whatever its station
+    count, interference or queue capacity) shares one AP-queue lockstep pass
+    (:func:`repro.wireless.sample_wireless_delays_batch`); rows of other
+    kinds are sampled once per distinct channel and scattered back into row
+    order.  This is the entry point :class:`SessionEngine` routes batched
+    repetitions through.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigurationError("sample_channel_delays_batch needs at least one seed")
+    channels = [channel] * len(seeds) if isinstance(channel, ChannelSpec) else list(channel)
+    if len(channels) != len(seeds):
+        raise ConfigurationError(
+            f"got {len(channels)} channels for {len(seeds)} seeds; pass one channel per seed"
+        )
+    rows_by_channel: dict[ChannelSpec, list[int]] = {}
+    for row, spec in enumerate(channels):
+        rows_by_channel.setdefault(spec, []).append(row)
+    delays = np.empty((len(seeds), n_commands))
+    wireless_rows: list[int] = []
+    wireless_models: list[WirelessChannel] = []
+    for spec, rows in rows_by_channel.items():
+        if spec.kind == "wireless":
+            model = _wireless_from_options(spec.options(), command_period_ms)
+            wireless_rows.extend(rows)
+            wireless_models.extend([model] * len(rows))
+        else:
+            delays[rows] = _sample_one_channel(
+                spec, n_commands, [seeds[row] for row in rows], command_period_ms
+            )
+    if wireless_rows:
+        delays[wireless_rows] = sample_wireless_delays_batch(
+            wireless_models, n_commands, [seeds[row] for row in wireless_rows]
+        )
+    return delays
+
+
+def _sample_one_channel(
+    channel: ChannelSpec, n_commands: int, seeds: list[int], command_period_ms: float
+) -> np.ndarray:
+    """``(B, n)`` realisations of one non-wireless channel.
+
+    Wireless rows never come here: :func:`sample_channel_delays_batch`
+    stacks all of them into one AP-queue pass.
+    """
     batch = len(seeds)
     options = channel.options()
     if channel.kind == "clean":
         return np.full((batch, n_commands), float(options.get("nominal_delay_ms", 1.0)))
-    if channel.kind == "wireless":
-        wireless = _wireless_from_options(options, command_period_ms)
-        return wireless.sample_delays_batch(n_commands, seeds)
     if channel.kind == "jammer":
         return sample_jammer_delays_batch(JammerConfig(**options), n_commands, seeds)
     if channel.kind == "loss-burst":
@@ -533,17 +596,53 @@ class SessionEngine:
     def run(self, spec: ScenarioSpec, batch: bool | None = None) -> SessionResult:
         """Run one scenario (all its repetitions) and return the result row.
 
-        Parameters
-        ----------
-        spec:
-            The scenario to execute.
-        batch:
-            Per-call override of the engine's :attr:`batch` setting:
-            ``False`` forces the serial repetition loop, ``True`` requests
-            the batched kernel (still subject to the forecaster supporting
-            it).  Both paths produce bit-identical results, so cached rows
-            are shared between them.
+        The one-spec case of :meth:`run_many`.  ``batch`` is a per-call
+        override of the engine's :attr:`batch` setting: ``False`` forces the
+        serial repetition loop, ``True`` requests the batched kernel (still
+        subject to the forecaster supporting it).  Both paths produce
+        bit-identical results, so cached rows are shared between them.
         """
+        return self.run_many([spec], batch=batch)[0]
+
+    def run_many(
+        self, specs: Sequence[ScenarioSpec], batch: bool | None = None
+    ) -> list[SessionResult]:
+        """Run several scenarios, one stacked kernel pass per kernel group.
+
+        Each spec is looked up on its own (memory cache, then store).  The
+        pending specs are grouped by :func:`kernel_group_key`; a group's
+        repetitions — across all its specs — are sampled in one
+        :func:`sample_channel_delays_batch` call with per-row channels and
+        run through one :class:`BatchedRemoteControlSimulation` pass over
+        the concatenated ``(ΣB, n)`` delays.  The outcomes are split back
+        into one :class:`SessionResult` per spec, each cached and stored
+        under its own spec hash.  The kernel is batch-invariant (every row
+        is bit-identical to its own serial run), so a spec's result does not
+        depend on which other specs shared its pass.
+
+        Returns the results in input order.
+        """
+        specs = list(specs)
+        results: list[SessionResult | None] = [None] * len(specs)
+        groups: dict[tuple, dict[str, list[int]]] = {}
+        for index, spec in enumerate(specs):
+            known = self._lookup(spec)
+            if known is not None:
+                results[index] = known
+            else:
+                group = groups.setdefault(kernel_group_key(spec), {})
+                group.setdefault(spec.spec_hash(), []).append(index)
+        use_batch = self.batch if batch is None else bool(batch)
+        for group in groups.values():
+            group_specs = [specs[indices[0]] for indices in group.values()]
+            computed = self._run_group(group_specs, use_batch)
+            for indices, result in zip(group.values(), computed):
+                for index in indices:
+                    results[index] = result
+        return results  # type: ignore[return-value]
+
+    def _lookup(self, spec: ScenarioSpec) -> SessionResult | None:
+        """The memoized result for this spec: memory cache, then store."""
         key = spec.spec_hash()
         if self.cache_results:
             with self._results_lock:
@@ -557,36 +656,43 @@ class SessionEngine:
                     with self._results_lock:
                         stored = self._results.setdefault(key, stored)
                 return stored
+        return None
 
-        commands = self.test_commands(spec)
-        master = self.trained_forecaster(spec)  # ensure the master is fitted once
-        use_batch = self.batch if batch is None else bool(batch)
+    def _run_group(self, specs: list[ScenarioSpec], use_batch: bool) -> list[SessionResult]:
+        """Compute one kernel group (distinct spec hashes) and memoize each row."""
+        first = specs[0]
+        commands = self.test_commands(first)
+        master = self.trained_forecaster(first)  # ensure the master is fitted once
         if (
             use_batch
-            and spec.repetitions > 1
+            and sum(spec.repetitions for spec in specs) > 1
             and getattr(master, "supports_batch_predict", False)
         ):
-            outcomes, delays = self._run_batched(spec, commands)
+            computed = self._run_batched(specs, commands)
         else:
-            outcomes, delays = self._run_serial(spec, commands)
+            computed = [self._run_serial(spec, commands) for spec in specs]
 
-        result = SessionResult(
-            spec=spec,
-            spec_hash=key,
-            n_commands=int(commands.shape[0]),
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
-            late_fraction=tuple(o.late_fraction for o in outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
-            outcome=outcomes[-1],
-            delays_ms=delays,
-        )
-        if self.cache_results:
-            with self._results_lock:
-                self._results.setdefault(key, result)
-        if self.store is not None:
-            self.store.put(spec, result)
-        return result
+        results = []
+        for spec, (outcomes, delays) in zip(specs, computed):
+            key = spec.spec_hash()
+            result = SessionResult(
+                spec=spec,
+                spec_hash=key,
+                n_commands=int(commands.shape[0]),
+                rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
+                rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
+                late_fraction=tuple(o.late_fraction for o in outcomes),
+                recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
+                outcome=outcomes[-1],
+                delays_ms=delays,
+            )
+            if self.cache_results:
+                with self._results_lock:
+                    self._results.setdefault(key, result)
+            if self.store is not None:
+                self.store.put(spec, result)
+            results.append(result)
+        return results
 
     def _sample_delays(self, spec: ScenarioSpec, n_commands: int, repetition: int) -> np.ndarray:
         """One repetition's channel realisation (seeded from the spec)."""
@@ -594,21 +700,6 @@ class SessionEngine:
             spec.channel,
             n_commands,
             seed=repetition_seed(spec, repetition),
-            command_period_ms=spec.foreco.command_period_ms,
-        )
-
-    def _sample_delays_batch(self, spec: ScenarioSpec, n_commands: int) -> np.ndarray:
-        """All repetitions' channel realisations as one ``(B, n)`` array.
-
-        Uses the same spec-derived per-repetition seeds as
-        :meth:`_sample_delays`, so the stacked realisations are bit-identical
-        to the serial loop's.
-        """
-        seeds = [repetition_seed(spec, repetition) for repetition in range(spec.repetitions)]
-        return sample_channel_delays_batch(
-            spec.channel,
-            n_commands,
-            seeds,
             command_period_ms=spec.foreco.command_period_ms,
         )
 
@@ -635,26 +726,43 @@ class SessionEngine:
         return outcomes, delays
 
     def _run_batched(
-        self, spec: ScenarioSpec, commands: np.ndarray
-    ) -> tuple[list[SimulationOutcome], np.ndarray]:
-        """The batched kernel: all repetitions as one stacked computation.
+        self, specs: list[ScenarioSpec], commands: np.ndarray
+    ) -> list[tuple[list[SimulationOutcome], np.ndarray]]:
+        """The batched kernel: every repetition of a kernel group in one pass.
 
-        Channel realisations come from the vectorized batch sampler with the
-        exact spec-derived per-repetition seeds, and one private fitted
-        forecaster serves the whole stack (the ``supports_batch_predict``
-        contract makes that equivalent to the serial path's per-repetition
-        deep copies), so the outcomes are bit-identical to
-        :meth:`_run_serial`.
+        Channel realisations come from the vectorized batch sampler with
+        each spec's own channel and spec-derived per-repetition seeds, and
+        one private fitted forecaster serves the whole stack (the
+        ``supports_batch_predict`` contract makes that equivalent to the
+        serial path's per-repetition deep copies), so every spec's outcomes
+        are bit-identical to :meth:`_run_serial`.  Returns ``(outcomes,
+        last repetition's delays)`` per spec.
         """
-        delays_batch = self._sample_delays_batch(spec, commands.shape[0])
+        first = specs[0]
+        channels: list[ChannelSpec] = []
+        seeds: list[int] = []
+        for spec in specs:
+            channels.extend([spec.channel] * spec.repetitions)
+            seeds.extend(repetition_seed(spec, rep) for rep in range(spec.repetitions))
+        delays_batch = sample_channel_delays_batch(
+            channels,
+            commands.shape[0],
+            seeds,
+            command_period_ms=first.foreco.command_period_ms,
+        )
         recovery = ForecoRecovery(
-            config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec)
+            config=first.foreco.to_config(), forecaster=self.session_forecaster(first)
         )
         simulation = BatchedRemoteControlSimulation(
-            recovery, use_pid=spec.use_pid, fallback=spec.fallback
+            recovery, use_pid=first.use_pid, fallback=first.fallback
         )
         outcomes = simulation.run(commands, delays_batch)
-        return outcomes, delays_batch[-1]
+        split = []
+        stop = 0
+        for spec in specs:
+            start, stop = stop, stop + spec.repetitions
+            split.append((outcomes[start:stop], delays_batch[stop - 1].copy()))
+        return split
 
     def cached_result(self, spec: ScenarioSpec) -> SessionResult | None:
         """The cached result for this spec, if any."""

@@ -8,10 +8,15 @@ other; the hybrid engine runs both the exact and the hybrid fleet tier), or
 :class:`~repro.service.ServiceSpec` values, which route through a
 :class:`~repro.service.ServiceEngine` the same way (live-service runs are
 spec-seeded too, so they stay bit-identical across worker counts).  The
-:class:`SweepExecutor` fans the list out over a thread pool (each session is
-NumPy-bound and self-contained, and the engine's caches are lock-guarded) or,
-with ``backend="process"``, over a process pool for true multi-core grids —
-preserving input order in the returned :class:`SweepResult` either way.
+:class:`SweepExecutor`'s unit of work is a **kernel group**: the pending
+scenario specs sharing a :func:`~repro.scenarios.engine.kernel_group_key`
+(e.g. every cell of the Fig. 8 grid, which differ only in channel) run as one
+stacked kernel pass through :meth:`SessionEngine.run_many`; each fleet or
+service spec is a unit of its own.  The executor fans the units out over a
+thread pool (each unit is NumPy-bound and self-contained, and the engine's
+caches are lock-guarded) or, with ``backend="process"``, over a process pool
+for true multi-core grids — placing every row back at its input index in the
+returned :class:`SweepResult` either way.
 Because every random draw is seeded from the spec itself (see
 :func:`repro.scenarios.engine.repetition_seed`), the result is bit-identical
 whether the sweep runs with 1 worker or N, threads or processes.
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..errors import ConfigurationError
-from .engine import SessionEngine, SessionResult
+from .engine import SessionEngine, SessionResult, kernel_group_key
 from .spec import ScenarioSpec
 from .store import ResultStore
 
@@ -169,9 +174,11 @@ _WORKER_FLEET_ENGINE = None
 _WORKER_SERVICE_ENGINE = None
 
 
-def _run_spec_in_worker(task: tuple[ScenarioSpec, tuple | None]):
-    """Run one spec in a pool worker; ``task`` is ``(spec, store_config)``.
+def _run_unit_in_worker(task: tuple[list, tuple | None]) -> list:
+    """Run one work unit in a pool worker; ``task`` is ``(specs, store_config)``.
 
+    A unit is one kernel group of scenario specs (run as one stacked pass
+    through :meth:`SessionEngine.run_many`) or a single fleet/service spec.
     ``store_config`` is ``(root, epoch, max_entries, max_bytes)`` or ``None``;
     each worker process opens its own :class:`ResultStore` handle on it, so
     results are persisted the moment a worker finishes them (per-key atomic
@@ -181,12 +188,13 @@ def _run_spec_in_worker(task: tuple[ScenarioSpec, tuple | None]):
     take the plain :class:`~repro.fleet.FleetEngine` path unchanged).
     """
     global _WORKER_ENGINE, _WORKER_FLEET_ENGINE, _WORKER_SERVICE_ENGINE
-    spec, store_config = task
+    specs, store_config = task
     if _WORKER_ENGINE is None:
         store = ResultStore(*store_config) if store_config is not None else None
         _WORKER_ENGINE = SessionEngine(store=store)
+    spec = specs[0]
     if isinstance(spec, ScenarioSpec):
-        return _WORKER_ENGINE.run(spec)
+        return _WORKER_ENGINE.run_many(specs)
     if getattr(spec, "store_kind", None) == "service":
         if _WORKER_SERVICE_ENGINE is None:
             from ..service import ServiceEngine  # deferred: service imports scenarios
@@ -194,14 +202,28 @@ def _run_spec_in_worker(task: tuple[ScenarioSpec, tuple | None]):
             _WORKER_SERVICE_ENGINE = ServiceEngine(
                 sessions=_WORKER_ENGINE, store=_WORKER_ENGINE.store
             )
-        return _WORKER_SERVICE_ENGINE.run(spec)
+        return [_WORKER_SERVICE_ENGINE.run(spec)]
     if _WORKER_FLEET_ENGINE is None:
         from ..fleet import HybridFleetEngine  # deferred: fleet imports scenarios
 
         _WORKER_FLEET_ENGINE = HybridFleetEngine(
             sessions=_WORKER_ENGINE, store=_WORKER_ENGINE.store
         )
-    return _WORKER_FLEET_ENGINE.run(spec)
+    return [_WORKER_FLEET_ENGINE.run(spec)]
+
+
+def _work_units(pending: Sequence[tuple[int, object]]) -> list[list[tuple[int, object]]]:
+    """Partition ``(index, spec)`` pairs into work units, in first-seen order.
+
+    Scenario specs sharing a :func:`~repro.scenarios.engine.kernel_group_key`
+    form one unit (one stacked kernel pass); every fleet or service spec is
+    a unit of its own.
+    """
+    units: dict[object, list[tuple[int, object]]] = {}
+    for index, spec in pending:
+        key = kernel_group_key(spec) if isinstance(spec, ScenarioSpec) else ("spec", index)
+        units.setdefault(key, []).append((index, spec))
+    return list(units.values())
 
 
 class SweepExecutor:
@@ -211,12 +233,14 @@ class SweepExecutor:
     ----------
     jobs:
         Worker count; ``1`` (default) runs serially in the calling thread.
+        Workers take whole kernel groups (see the module docs), so a sweep
+        with fewer groups than workers leaves the extra workers idle.
     engine:
         Shared :class:`SessionEngine`; a private one is created when omitted,
         so repeated ``run`` calls on one executor reuse its caches.  Ignored
         by the ``"process"`` backend (see below).
     backend:
-        ``"thread"`` (default) fans specs out over a thread pool sharing
+        ``"thread"`` (default) fans groups out over a thread pool sharing
         ``engine`` and its caches — the right choice when sweeps reuse
         datasets/forecasters heavily or results must land in this process's
         cache.  ``"process"`` uses a :class:`~concurrent.futures.
@@ -307,13 +331,14 @@ class SweepExecutor:
             self._service_engine = ServiceEngine(sessions=self.engine, store=self.store)
         return self._service_engine
 
-    def _run_one(self, spec):
-        """Run one spec through the right engine (session, fleet or service)."""
+    def _run_unit(self, specs: list) -> list:
+        """Run one work unit (see :func:`_work_units`) through the right engine."""
+        spec = specs[0]
         if isinstance(spec, ScenarioSpec):
-            return self.engine.run(spec)
+            return self.engine.run_many(specs)
         if getattr(spec, "store_kind", None) == "service":
-            return self._ensure_service_engine().run(spec)
-        return self._ensure_fleet_engine().run(spec)
+            return [self._ensure_service_engine().run(spec)]
+        return [self._ensure_fleet_engine().run(spec)]
 
     def run(self, specs: Iterable[ScenarioSpec]) -> SweepResult:
         """Execute every spec and return results in input order.
@@ -357,21 +382,24 @@ class SweepExecutor:
                 self._ensure_service_engine()
             if kinds - {"service"}:
                 self._ensure_fleet_engine()
-            if self.jobs == 1 or len(pending_specs) == 1:
-                computed = [self._run_one(spec) for spec in pending_specs]
+            units = _work_units(pending)
+            unit_specs = [[spec for _, spec in unit] for unit in units]
+            if self.jobs == 1 or len(units) == 1:
+                computed = [self._run_unit(group) for group in unit_specs]
             elif self.backend == "process":
                 store_config = self._store_config()
-                tasks = [(spec, store_config) for spec in pending_specs]
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    computed = list(pool.map(_run_spec_in_worker, tasks))
+                tasks = [(group, store_config) for group in unit_specs]
+                with ProcessPoolExecutor(max_workers=min(self.jobs, len(units))) as pool:
+                    computed = list(pool.map(_run_unit_in_worker, tasks))
             else:
                 # The engine trains distinct forecaster identities in parallel and
                 # serialises same-identity requests on a per-key lock, so workers
                 # can start immediately.
-                with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                    computed = list(pool.map(self._run_one, pending_specs))
-            for (index, _), row in zip(pending, computed):
-                rows[index] = row
+                with ThreadPoolExecutor(max_workers=min(self.jobs, len(units))) as pool:
+                    computed = list(pool.map(self._run_unit, unit_specs))
+            for unit, unit_rows in zip(units, computed):
+                for (index, _), row in zip(unit, unit_rows):
+                    rows[index] = row
         return SweepResult(rows, store_hits=hits, store_misses=misses)
 
     def run_grid(self, base: ScenarioSpec, axes: dict[str, Sequence]) -> SweepResult:

@@ -31,7 +31,13 @@ channel-layer randomness contract used by the scenario engine).
 """
 
 from .bianchi import DcfModel, DcfParameters, DcfSolution, InterferenceSource, saturation_score
-from .channel import ChannelSample, CommandDelayTrace, WirelessChannel, trace_from_delays
+from .channel import (
+    ChannelSample,
+    CommandDelayTrace,
+    WirelessChannel,
+    sample_wireless_delays_batch,
+    trace_from_delays,
+)
 from .delay_model import (
     Ieee80211DelayModel,
     RetransmissionDistribution,
@@ -62,6 +68,7 @@ __all__ = [
     "ChannelSample",
     "CommandDelayTrace",
     "WirelessChannel",
+    "sample_wireless_delays_batch",
     "trace_from_delays",
     "Ieee80211DelayModel",
     "RetransmissionDistribution",

@@ -33,12 +33,15 @@ Sampling comes in two flavours with one randomness contract:
 
 * :meth:`WirelessChannel.sample_trace` — the serial reference path, one
   repetition at a time.  It is the bit-equality oracle for the batched path.
-* :meth:`WirelessChannel.sample_delays_batch` — ``B`` repetitions advanced in
-  lockstep ``(B, n)`` NumPy arrays (one Python iteration per command instead
-  of one per command per repetition).  Row ``b`` consumes the RNG stream of
-  ``seeds[b]`` exactly as the serial path would, and the queue recursion is
-  the same Lindley-style ``start = max(arrival, server_free)`` update applied
-  elementwise, so the stacked result is bit-identical to ``B`` serial runs.
+* :func:`sample_wireless_delays_batch` — ``B`` rows advanced in lockstep
+  ``(B, n)`` NumPy arrays (one Python iteration per command instead of one
+  per command per row).  Row ``b`` consumes the RNG stream of ``seeds[b]``
+  through its own channel exactly as the serial path would, and the queue
+  recursion is the same Lindley-style ``start = max(arrival, server_free)``
+  update applied elementwise, so the stacked result is bit-identical to
+  ``B`` serial runs.  The rows may come from different channels (a sweep
+  stacks every cell of a grid into one pass);
+  :meth:`WirelessChannel.sample_delays_batch` is the one-channel case.
 """
 
 from __future__ import annotations
@@ -375,111 +378,11 @@ class WirelessChannel:
         """``(B, n)`` per-command delays for ``B`` independent repetitions.
 
         Row ``b`` is bit-identical to ``rng = rng_from(seeds[b])`` followed by
-        the serial :meth:`_medium_delays` — same RNG stream, same queue
-        recursion — but all rows advance together through one vectorized
-        Lindley update (``start = max(arrival, server_free)``) per command,
-        so the Python-interpreter cost is paid once per command instead of
-        once per command per repetition.
-
-        The lockstep pass is *optimistic about admission*: it assumes every
-        arrival fits in the buffer, which keeps backlog bookkeeping out of
-        the hot loop.  A vectorized post-check recomputes the backlog every
-        command would have seen (one ``searchsorted`` per row over the
-        monotone completion times); the rare rows whose backlog ever reaches
-        the buffer capacity are re-sampled through the serial oracle, whose
-        drop handling is exact by definition.
+        the serial :meth:`_medium_delays`.  This is
+        :func:`sample_wireless_delays_batch` with this channel on every row.
         """
-        n_commands = ensure_int("n_commands", n_commands, minimum=1)
-        if self.transport is not None:
-            raise ConfigurationError(
-                "sample_delays_batch models the wireless medium only; "
-                "sample per-repetition traces serially when a transport model is attached"
-            )
         seeds = list(seeds)
-        if not seeds:
-            raise ConfigurationError("sample_delays_batch needs at least one seed")
-        batch = len(seeds)
-        drawn = [self._draw_queue_randomness(rng_from(seed), n_commands) for seed in seeds]
-        work_columns = np.ascontiguousarray(np.stack([d[1] for d in drawn]).T)
-        blocked_columns = np.ascontiguousarray(np.stack([d[2] for d in drawn]).T)
-        base_lost = np.stack([d[3] for d in drawn])
-        interference_lost = np.stack([d[4] for d in drawn])
-
-        # Pad each row's interference intervals to a common width; the +inf
-        # sentinel column keeps the per-row interval pointer in bounds.
-        widest = max(len(d[0]) for d in drawn)
-        on_start = np.full((batch, widest + 1), np.inf)
-        on_end = np.full((batch, widest + 1), np.inf)
-        for row, d in enumerate(drawn):
-            for j, (interval_start, interval_end) in enumerate(d[0]):
-                on_start[row, j] = interval_start
-                on_end[row, j] = interval_end
-        any_interference = widest > 0
-
-        rows = np.arange(batch)
-        period = self.command_period_ms
-        completion_columns = np.empty((n_commands, batch))
-        overlapped_columns = np.zeros((n_commands, batch), dtype=bool)
-        server_free = np.zeros(batch)
-        iptr = np.zeros(batch, dtype=np.intp)  # first interval with on_end > start
-
-        for index in range(n_commands):
-            start = np.maximum(index * period, server_free)
-            work_now = work_columns[index]
-            if any_interference:
-                # Catch the interval pointer up to the service start time
-                # (the serial scan's ``on_end <= t: continue``).
-                while True:
-                    move = on_end[rows, iptr] <= start
-                    if not move.any():
-                        break
-                    iptr += move
-                blocked_now = blocked_columns[index]
-                engage = blocked_now & (start + work_now > on_start[rows, iptr])
-                if engage.any():
-                    overlapped = np.zeros(batch, dtype=bool)
-                    t = start.copy()
-                    remaining = work_now.copy()
-                    active = engage
-                    while True:
-                        overlapped |= active
-                        shaved = remaining - np.maximum(0.0, on_start[rows, iptr] - t)
-                        remaining = np.where(active, shaved, remaining)
-                        t = np.where(active, on_end[rows, iptr], t)
-                        iptr = np.where(active, iptr + 1, iptr)
-                        active = active & (t + remaining > on_start[rows, iptr])
-                        if not active.any():
-                            break
-                    stretched = t + np.maximum(0.0, remaining)
-                    completion = np.where(blocked_now, stretched, start + work_now)
-                    overlapped_columns[index] = overlapped
-                else:
-                    # No service crosses a burst this slot: the stretched
-                    # completion ``t + max(0, remaining)`` degenerates to
-                    # ``start + work`` for blocked rows too.
-                    completion = start + work_now
-            else:
-                completion = start + work_now
-            completion_columns[index] = completion
-            server_free = completion
-
-        completions = np.ascontiguousarray(completion_columns.T)
-        arrivals = np.arange(n_commands) * period
-        lost = base_lost | (overlapped_columns.T & interference_lost)
-        delays = np.where(lost, np.inf, completions - arrivals[None, :])
-
-        # Admission repair: the backlog command ``i`` finds is the number of
-        # earlier admitted commands still in the system, ``i - #{completion
-        # <= arrival_i}``.  Rows that never hit the buffer capacity took no
-        # drops, so the optimistic pass already matches the serial oracle;
-        # the rest are re-sampled serially (drops reshape their timeline).
-        capacity = self.queue_capacity
-        indices = np.arange(n_commands)
-        for row in range(batch):
-            in_system = indices - np.searchsorted(completions[row], arrivals, side="right")
-            if np.any(in_system >= capacity):
-                delays[row] = self._medium_delays(n_commands, rng_from(seeds[row]))
-        return delays
+        return sample_wireless_delays_batch([self] * len(seeds), n_commands, seeds)
 
     def _direct_delays(self, n_commands: int) -> np.ndarray:
         """I.i.d. contention delays with air-loss applied (no queueing)."""
@@ -506,3 +409,128 @@ class WirelessChannel:
         contention_late = loss + (1.0 - loss) * tail
         duty = self.interference_duty_cycle() * self.interference_block_probability
         return duty + (1.0 - duty) * contention_late
+
+
+def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray:
+    """``(B, n)`` AP-queue delays, row ``b`` from ``channels[b]`` and ``seeds[b]``.
+
+    Row ``b`` is bit-identical to ``channels[b]._medium_delays(n_commands,
+    rng_from(seeds[b]))`` — same RNG stream, same queue recursion — but all
+    rows advance together through one vectorized Lindley update (``start =
+    max(arrival, server_free)``) per command, so the Python-interpreter cost
+    is paid once per command instead of once per command per row.  The rows
+    may come from different channels (station count, interference, queue
+    capacity, loss probabilities): each row's randomness is drawn through its
+    own channel's :meth:`WirelessChannel._draw_queue_randomness`, and the
+    recursion is elementwise.  All channels must share the command period
+    (it sets the common arrival grid) and carry no transport model.
+
+    The lockstep pass is *optimistic about admission*: it assumes every
+    arrival fits in the buffer, which keeps backlog bookkeeping out of the
+    hot loop.  A vectorized post-check recomputes the backlog every command
+    would have seen (one ``searchsorted`` per row over the monotone
+    completion times); the rare rows whose backlog ever reaches their
+    channel's buffer capacity are re-sampled through that channel's serial
+    oracle, whose drop handling is exact by definition.
+    """
+    n_commands = ensure_int("n_commands", n_commands, minimum=1)
+    channels = list(channels)
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigurationError("sample_wireless_delays_batch needs at least one seed")
+    if len(channels) != len(seeds):
+        raise ConfigurationError(
+            f"got {len(channels)} channels for {len(seeds)} seeds; pass one channel per seed"
+        )
+    if any(channel.transport is not None for channel in channels):
+        raise ConfigurationError(
+            "the batched sampler models the wireless medium only; "
+            "sample per-repetition traces serially when a transport model is attached"
+        )
+    period = channels[0].command_period_ms
+    if any(channel.command_period_ms != period for channel in channels):
+        raise ConfigurationError("stacked wireless rows must share one command period")
+    batch = len(seeds)
+    drawn = [
+        channel._draw_queue_randomness(rng_from(seed), n_commands)
+        for channel, seed in zip(channels, seeds)
+    ]
+    work_columns = np.ascontiguousarray(np.stack([d[1] for d in drawn]).T)
+    blocked_columns = np.ascontiguousarray(np.stack([d[2] for d in drawn]).T)
+    base_lost = np.stack([d[3] for d in drawn])
+    interference_lost = np.stack([d[4] for d in drawn])
+
+    # Pad each row's interference intervals to a common width; the +inf
+    # sentinel column keeps the per-row interval pointer in bounds.
+    widest = max(len(d[0]) for d in drawn)
+    on_start = np.full((batch, widest + 1), np.inf)
+    on_end = np.full((batch, widest + 1), np.inf)
+    for row, d in enumerate(drawn):
+        for j, (interval_start, interval_end) in enumerate(d[0]):
+            on_start[row, j] = interval_start
+            on_end[row, j] = interval_end
+    any_interference = widest > 0
+
+    rows = np.arange(batch)
+    completion_columns = np.empty((n_commands, batch))
+    overlapped_columns = np.zeros((n_commands, batch), dtype=bool)
+    server_free = np.zeros(batch)
+    iptr = np.zeros(batch, dtype=np.intp)  # first interval with on_end > start
+
+    for index in range(n_commands):
+        start = np.maximum(index * period, server_free)
+        work_now = work_columns[index]
+        if any_interference:
+            # Catch the interval pointer up to the service start time
+            # (the serial scan's ``on_end <= t: continue``).
+            while True:
+                move = on_end[rows, iptr] <= start
+                if not move.any():
+                    break
+                iptr += move
+            blocked_now = blocked_columns[index]
+            engage = blocked_now & (start + work_now > on_start[rows, iptr])
+            if engage.any():
+                overlapped = np.zeros(batch, dtype=bool)
+                t = start.copy()
+                remaining = work_now.copy()
+                active = engage
+                while True:
+                    overlapped |= active
+                    shaved = remaining - np.maximum(0.0, on_start[rows, iptr] - t)
+                    remaining = np.where(active, shaved, remaining)
+                    t = np.where(active, on_end[rows, iptr], t)
+                    iptr = np.where(active, iptr + 1, iptr)
+                    active = active & (t + remaining > on_start[rows, iptr])
+                    if not active.any():
+                        break
+                stretched = t + np.maximum(0.0, remaining)
+                completion = np.where(blocked_now, stretched, start + work_now)
+                overlapped_columns[index] = overlapped
+            else:
+                # No service crosses a burst this slot: the stretched
+                # completion ``t + max(0, remaining)`` degenerates to
+                # ``start + work`` for blocked rows too.
+                completion = start + work_now
+        else:
+            completion = start + work_now
+        completion_columns[index] = completion
+        server_free = completion
+
+    completions = np.ascontiguousarray(completion_columns.T)
+    arrivals = np.arange(n_commands) * period
+    lost = base_lost | (overlapped_columns.T & interference_lost)
+    delays = np.where(lost, np.inf, completions - arrivals[None, :])
+
+    # Admission repair: the backlog command ``i`` finds is the number of
+    # earlier admitted commands still in the system, ``i - #{completion <=
+    # arrival_i}``.  Rows that never hit their buffer capacity took no drops,
+    # so the optimistic pass already matches the serial oracle; the rest are
+    # re-sampled serially through their own channel (drops reshape their
+    # timeline).
+    indices = np.arange(n_commands)
+    for row, (channel, seed) in enumerate(zip(channels, seeds)):
+        in_system = indices - np.searchsorted(completions[row], arrivals, side="right")
+        if np.any(in_system >= channel.queue_capacity):
+            delays[row] = channel._medium_delays(n_commands, rng_from(seed))
+    return delays

@@ -22,7 +22,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import CapacityPlanner, PlanSpec, get_fleet
@@ -192,6 +192,9 @@ def test_enlarging_bounds_never_worsens_the_objective(
 @settings(**SETTINGS)
 @given(knee=_knees, p99_slope=_slopes, late_slope=_slopes, bounds=_bounds, slo_p99=_gates,
        slo_late=_gates)
+# Regression: a violation whose square underflows to 0.0 must not crash the Polyak jump.
+@example(knee=1, p99_slope=0.5, late_slope=0.0, bounds=[1, 3], slo_p99=7.273356810816059e-174,
+         slo_late=0.0)
 def test_planner_matches_the_exhaustive_oracle(
     knee, p99_slope, late_slope, bounds, slo_p99, slo_late
 ):

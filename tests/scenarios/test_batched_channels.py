@@ -4,7 +4,8 @@
 for every channel kind, ``sample_channel_delays_batch`` must reproduce the
 stacked serial realisations exactly — not approximately.  The module also
 pins down the compound-channel contract (delays add, losses union, stage
-order never changes the loss set) and the trace-replay phase cycling.
+order never changes the loss set), the trace-replay phase cycling, and the
+per-row form (one channel per seed) that stacks a sweep's specs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.scenarios import (
     trace_channel,
     wireless_channel,
 )
+from repro.wireless import WirelessChannel
 
 N = 400
 SEEDS = [11, 7777, 2**31 - 3, 123456789]
@@ -166,3 +168,67 @@ def test_trace_channel_validation():
         trace_channel((1.0, -2.0))
     with pytest.raises(ConfigurationError):
         trace_channel((1.0, float("nan")))
+
+
+# ------------------------------------------------------------ per-row channels
+def _serial_rows(channels, seeds, n=N) -> np.ndarray:
+    return np.stack([sample_channel_delays(c, n, seed) for c, seed in zip(channels, seeds)])
+
+
+def test_per_row_wireless_channels_equal_per_spec_sampling():
+    grid = [
+        wireless_channel(n_robots=5, probability=0.0, duration_slots=0),
+        wireless_channel(n_robots=25, probability=0.05, duration_slots=100),
+        wireless_channel(n_robots=15, probability=0.025, duration_slots=50),
+        wireless_channel(n_robots=25, probability=0.01, duration_slots=10),
+    ]
+    channels = [grid[0], grid[1], grid[1], grid[2], grid[3], grid[0], grid[2]]
+    seeds = [11 * row + 5 for row in range(len(channels))]
+    stacked = sample_channel_delays_batch(channels, N, seeds)
+    assert stacked.shape == (len(channels), N)
+    assert np.array_equal(stacked, _serial_rows(channels, seeds))
+
+
+def test_per_row_admission_repair_uses_the_rows_own_channel(monkeypatch):
+    """A tiny buffer forces one row through repair; the others stay optimistic."""
+    tight = wireless_channel(n_robots=25, probability=0.05, duration_slots=100, queue_capacity=2)
+    roomy = wireless_channel(n_robots=25, probability=0.05, duration_slots=100)
+    channels = [roomy, tight, roomy]
+    seeds = [3, 4, 5]
+    repaired = []
+    original = WirelessChannel._medium_delays
+
+    def spy(self, n_commands, rng=None):
+        repaired.append(self.queue_capacity)
+        return original(self, n_commands, rng)
+
+    monkeypatch.setattr(WirelessChannel, "_medium_delays", spy)
+    stacked = sample_channel_delays_batch(channels, N, seeds)
+    assert repaired == [2]  # only the tight row was re-sampled, through its own channel
+    monkeypatch.undo()
+    oracle = _serial_rows(channels, seeds)
+    assert np.array_equal(stacked, oracle)
+    assert np.isinf(oracle[1]).sum() > np.isinf(oracle[0]).sum()  # drops reshaped the row
+
+
+def test_per_row_mixed_kinds_scatter_back_in_order():
+    channels = [
+        KIND_SPECS["compound"],
+        KIND_SPECS["wireless"],
+        KIND_SPECS["jammer"],
+        wireless_channel(n_robots=5, probability=0.02, duration_slots=30),
+        KIND_SPECS["jammer"],
+        KIND_SPECS["compound"],
+        KIND_SPECS["clean"],
+    ]
+    seeds = [101, 202, 303, 404, 505, 606, 707]
+    assert np.array_equal(
+        sample_channel_delays_batch(channels, N, seeds), _serial_rows(channels, seeds)
+    )
+
+
+def test_per_row_channels_must_align_with_seeds():
+    with pytest.raises(ConfigurationError):
+        sample_channel_delays_batch([clean_channel(), jammer_channel()], N, [1, 2, 3])
+    with pytest.raises(ConfigurationError):
+        sample_channel_delays_batch([], N, [1])

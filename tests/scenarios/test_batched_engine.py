@@ -3,7 +3,9 @@
 The serial repetition loop (``batch=False``) is the oracle: for every named
 preset and every forecaster, routing :meth:`SessionEngine.run` through
 :class:`repro.core.BatchedRemoteControlSimulation` must reproduce its metric
-tuples exactly — not approximately."""
+tuples exactly — not approximately.  Stacking several specs into one kernel
+pass (:meth:`SessionEngine.run_many`, and sweeps through it) must in turn
+reproduce each spec's own :meth:`SessionEngine.run`."""
 
 from __future__ import annotations
 
@@ -12,14 +14,27 @@ import pytest
 
 from repro.core import BatchedRemoteControlSimulation, ForecoConfig, ForecoRecovery
 from repro.errors import ConfigurationError, DimensionError
+from repro.experiments.common import (
+    FIG8_DURATIONS,
+    FIG8_PROBABILITIES,
+    FIG8_ROBOT_COUNTS,
+    base_scenario,
+)
 from repro.forecasting import Forecaster, register_forecaster
 from repro.scenarios import (
+    ResultStore,
     SessionEngine,
     SessionResult,
     ScenarioSpec,
+    SweepExecutor,
+    get_scale,
     get_scenario,
+    jammer_channel,
+    kernel_group_key,
     loss_burst_channel,
+    scenario_grid,
     scenario_names,
+    wireless_channel,
 )
 
 #: Short but loss-rich runs keep the full preset × forecaster cross fast.
@@ -169,3 +184,108 @@ def test_improvement_factor_inf_contract():
         recovery_fraction=(0.0,),
     )
     assert subnormal.improvement_factor == float("inf")
+
+
+# ----------------------------------------------------------- stacked specs
+def _fig8_ci_grid() -> list[ScenarioSpec]:
+    scale = get_scale("ci")
+    base = base_scenario(
+        "fig8",
+        scale,
+        42,
+        None,
+        channel=wireless_channel(),
+        repetitions=scale.heatmap_repetitions,
+        run_seconds=scale.run_seconds * 2,
+    )
+    return scenario_grid(
+        base,
+        {
+            "channel.n_robots": FIG8_ROBOT_COUNTS,
+            "channel.probability": FIG8_PROBABILITIES,
+            "channel.duration_slots": FIG8_DURATIONS,
+        },
+    )
+
+
+def _assert_same_row(expected: SessionResult, actual: SessionResult) -> None:
+    assert actual.spec_hash == expected.spec_hash
+    assert actual.n_commands == expected.n_commands
+    _assert_bit_identical(expected, actual)
+    assert np.array_equal(expected.outcome.defined.joints, actual.outcome.defined.joints)
+
+
+def test_run_many_fig8_grid_equals_per_spec_runs():
+    """The Fig. 8 ci grid is one kernel group; stacking it changes no bit."""
+    specs = _fig8_ci_grid()
+    assert len({kernel_group_key(spec) for spec in specs}) == 1
+    stacked = SessionEngine(cache_results=False).run_many(specs)
+    engine = SessionEngine(cache_results=False)
+    assert len(stacked) == len(specs)
+    for spec, row in zip(specs, stacked):
+        _assert_same_row(engine.run(spec), row)
+    # The harshest cell (most robots, longest and likeliest bursts) against
+    # the serial loop, which shares no code with the stacked split.
+    harshest = specs[-1]
+    assert harshest.channel.options()["n_robots"] == max(FIG8_ROBOT_COUNTS)
+    serial = SessionEngine(cache_results=False, batch=False).run(harshest)
+    _assert_same_row(serial, stacked[-1])
+
+
+def _interleaved_specs() -> list[ScenarioSpec]:
+    """Two-plus kernel identities interleaved, with a 1-repetition spec."""
+    base = get_scenario("bursty-loss").with_(run_seconds=RUN_SECONDS, repetitions=2)
+    return [
+        base,
+        base.with_foreco(record=5),
+        base.with_(channel=jammer_channel(), repetitions=3),
+        base.with_(use_pid=True),
+        base.with_(repetitions=1, channel=loss_burst_channel(burst_length=12)),
+        base.with_(operator="experienced", channel=jammer_channel()),
+        base.with_foreco(record=5).with_(channel=jammer_channel()),
+        base.with_(operator="experienced"),
+    ]
+
+
+def test_sweep_interleaving_kernel_groups_keeps_order_and_one_shard_per_spec(tmp_path):
+    specs = _interleaved_specs()
+    assert len({kernel_group_key(spec) for spec in specs}) == 4
+    memory_hit = specs[3]
+    store_hit = specs[5]
+    store = ResultStore(tmp_path / "store")
+    SweepExecutor(store=store).run([store_hit])
+
+    engine = SessionEngine()
+    warm = engine.run(memory_hit)  # cached in memory before the store is attached
+    store = ResultStore(tmp_path / "store")
+    duplicate = specs[1]
+    sweep = SweepExecutor(engine=engine, store=store).run(specs + [duplicate])
+
+    assert [row.spec_hash for row in sweep] == [s.spec_hash() for s in specs + [duplicate]]
+    assert sweep.store_hits == 1 and sweep.store_misses == len(specs)
+    assert sweep[3] is warm
+    assert sweep[len(specs)] is sweep[1]
+    oracle = SessionEngine(cache_results=False, batch=False)  # the serial loop
+    for spec, row in zip(specs, sweep):
+        expected = oracle.run(spec)
+        if row.outcome is None:  # the store hit keeps no trajectories
+            assert row.to_dict() == expected.to_dict()
+            assert np.array_equal(row.delays_ms, expected.delays_ms)
+        else:
+            _assert_same_row(expected, row)
+
+    shards = sorted(path.stem for path in store.epoch_dir.glob("??/*.json"))
+    computed = {spec.spec_hash() for spec in specs} - {memory_hit.spec_hash()}
+    assert shards == sorted(computed)
+    assert store.stats().writes == len(computed) - 1  # the store hit was not rewritten
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_stacked_sweep_jobs_1_equals_jobs_4(backend):
+    specs = _interleaved_specs()
+    serial = SweepExecutor(jobs=1).run(specs)
+    parallel = SweepExecutor(jobs=4, backend=backend).run(specs)
+    assert serial.to_records() == parallel.to_records()
+    for one, four in zip(serial, parallel):
+        assert np.array_equal(one.delays_ms, four.delays_ms)
+        assert np.array_equal(one.outcome.foreco.joints, four.outcome.foreco.joints)
