@@ -86,36 +86,72 @@ def baseline_target_indices(delays_ms: np.ndarray, command_period_ms: float) -> 
     Parameters
     ----------
     delays_ms:
-        Per-command end-to-end delays (ms, ``inf`` = lost), shape ``(n,)``.
+        Per-command end-to-end delays (ms, ``inf`` = lost), shape ``(n,)``
+        for one session or ``(B, n)`` for ``B`` sessions over one stream.
     command_period_ms:
         Ω, the command period in milliseconds.
 
     Returns
     -------
-    numpy.ndarray of int, shape ``(n,)``
+    numpy.ndarray of int, shape ``(n,)`` or ``(B, n)``
         For each slot, the index of the command the stock stack feeds to the
-        control loop (``indices[0]`` is always 0: slots before the first
-        arrival hold the initial command).
+        control loop (``indices[..., 0]`` is always 0: slots before the first
+        arrival hold the initial command).  Integer slot arithmetic, so row
+        ``b`` of a ``(B, n)`` call equals the call on ``delays_ms[b]``.
     """
-    delays_ms = np.asarray(delays_ms, dtype=float).ravel()
+    delays_ms = np.asarray(delays_ms, dtype=float)
+    if delays_ms.ndim > 2:
+        raise DimensionError(f"delays_ms must have shape (n,) or (B, n), got {delays_ms.shape}")
+    one_session = delays_ms.ndim < 2
+    delays_ms = delays_ms.reshape(1, -1) if one_session else delays_ms
     period = float(command_period_ms)
-    n = delays_ms.size
-    arrival_times = np.arange(n) * period + delays_ms
+    n_batch, n = delays_ms.shape
+    slot_index = np.arange(n)
+    arrival_times = slot_index * period + delays_ms
     # Slot s spans (s*Ω, (s+1)*Ω]; command i is usable in slot s once it
     # has arrived by the end of the slot, i.e. from slot
     # ceil(arrival_i / Ω) - 1 onwards (and never before its own slot).
-    first_usable_slot = np.full(n, n, dtype=int)
+    first_usable_slot = np.full((n_batch, n), n, dtype=int)
     delivered = np.isfinite(arrival_times)
     slots = np.ceil(arrival_times[delivered] / period).astype(int) - 1
-    first_usable_slot[delivered] = np.maximum(
-        np.arange(n)[delivered], np.maximum(slots, 0)
-    )
-    # newest_at[s] = largest command index usable at slot s (-1 if none yet).
-    newest_at = np.full(n, -1, dtype=int)
+    command_index = np.broadcast_to(slot_index, (n_batch, n))
+    first_usable_slot[delivered] = np.maximum(command_index[delivered], np.maximum(slots, 0))
+    # newest_at[b, s] = largest command index usable at slot s of session b
+    # (-1 if none yet); each session's slots sit at offset b * n of the
+    # flattened array, so one maximum.at scatters every session at once.
+    newest_at = np.full(n_batch * n, -1, dtype=int)
     usable = first_usable_slot < n
-    np.maximum.at(newest_at, first_usable_slot[usable], np.arange(n)[usable])
-    newest_at = np.maximum.accumulate(newest_at)
-    return np.where(newest_at >= 0, newest_at, 0)
+    row_offset = np.arange(n_batch)[:, None] * n
+    np.maximum.at(newest_at, (row_offset + first_usable_slot)[usable], command_index[usable])
+    newest_at = np.maximum.accumulate(newest_at.reshape(n_batch, n), axis=1)
+    indices = np.where(newest_at >= 0, newest_at, 0)
+    return indices[0] if one_session else indices
+
+
+#: Slots per block of batch rows in the baseline-index and forward-kinematics
+#: passes; bounds the ``(rows, n, ...)`` temporaries a stacked pass allocates.
+_BLOCK_SLOTS = 1 << 13
+
+
+def _row_blocks(n_batch: int, n_slots: int) -> list[slice]:
+    """Consecutive blocks of batch rows holding at most ``_BLOCK_SLOTS`` slots."""
+    rows = max(1, _BLOCK_SLOTS // n_slots)
+    return [slice(start, start + rows) for start in range(0, n_batch, rows)]
+
+
+def _fresh_rows(executed: np.ndarray, source_bits: np.ndarray) -> np.ndarray:
+    """Mask of ``executed`` rows whose bits differ from their source rows."""
+    return (executed.view(np.uint64) != source_bits).any(axis=-1)
+
+
+def _rmse_mm(executed_mm: np.ndarray, defined_mm: np.ndarray) -> list[float]:
+    """:func:`~repro.robot.trajectory.trajectory_rmse_mm` of each ``(rows, n, 3)`` row.
+
+    Both reductions run along the contiguous last axis, one row at a time,
+    exactly as on a single ``(n, 3)`` trajectory.
+    """
+    errors = np.linalg.norm(executed_mm - defined_mm, axis=-1)
+    return np.sqrt(np.mean(errors ** 2, axis=-1)).tolist()
 
 
 class RemoteControlSimulation:
@@ -278,16 +314,15 @@ class BatchedRemoteControlSimulation:
         n_batch, n_slots = delays_ms.shape
         period_ms = self.recovery.config.command_period_ms
 
+        # Baseline pass: the stock stack's "most recently arrived command"
+        # rule is exact integer slot arithmetic, one block of rows at a time.
+        blocks = _row_blocks(n_batch, n_slots)
+        baseline_sources = np.empty((n_batch, n_slots), dtype=int)
+        for block in blocks:
+            baseline_sources[block] = baseline_target_indices(delays_ms[block], period_ms)
+
         # FoReCo pass: all recovery state machines advance in lockstep.
         batch = self.recovery.process_stream_batch(commands, delays_ms)
-
-        # Baseline pass: the stock stack's "most recently arrived command"
-        # rule is exact integer slot arithmetic, computed per repetition.
-        baseline_targets = np.empty((n_batch, n_slots, commands.shape[1]))
-        for index in range(n_batch):
-            baseline_targets[index] = commands[
-                baseline_target_indices(delays_ms[index], period_ms)
-            ]
 
         # Both serial driver runs start from the raw first defined command
         # (RobotDriver.run resets to its stream's first row, which is
@@ -295,29 +330,21 @@ class BatchedRemoteControlSimulation:
         # The targets are clipped in place and released once executed, so
         # a stacked pass makes no clipped copies of its ``(B, n, d)`` arrays.
         on_time, stats = batch.on_time, batch.stats
-        baseline_executed = self._execute_batch(baseline_targets, initial=commands[0])
+        baseline_executed = self._execute_batch(commands[baseline_sources], initial=commands[0])
         foreco_executed = self._execute_batch(batch.executed, initial=commands[0])
-        del batch, baseline_targets
+        del batch
 
+        baseline_rmse, foreco_rmse = self._rmse_mm_by_source(
+            commands, blocks, baseline_executed, baseline_sources, foreco_executed
+        )
         times = np.arange(n_slots) * (period_ms / 1000.0)
-        # The defined trajectory is shared by every repetition and both
-        # metric passes: evaluate its forward kinematics once instead of 2B
-        # times inside trajectory_rmse_mm (same function of the same input,
-        # so the RMSE stays bit-identical to the serial path's).
-        defined_mm = self.arm.kinematics.positions(commands) * 1000.0
-
-        def rmse_mm(executed: np.ndarray) -> float:
-            executed_mm = self.arm.kinematics.positions(executed) * 1000.0
-            errors = np.linalg.norm(executed_mm - defined_mm, axis=1)
-            return float(np.sqrt(np.mean(errors ** 2)))
-
         outcomes = []
         for index in range(n_batch):
             late_fraction = float(1.0 - on_time[index].mean())
             outcomes.append(
                 SimulationOutcome(
-                    rmse_no_forecast_mm=rmse_mm(baseline_executed[index]),
-                    rmse_foreco_mm=rmse_mm(foreco_executed[index]),
+                    rmse_no_forecast_mm=baseline_rmse[index],
+                    rmse_foreco_mm=foreco_rmse[index],
                     late_fraction=late_fraction,
                     recovery_fraction=stats[index].recovery_fraction,
                     defined=JointTrajectory(times, commands, label="defined"),
@@ -328,6 +355,58 @@ class BatchedRemoteControlSimulation:
                 )
             )
         return outcomes
+
+    # ---------------------------------------------------------------- metrics
+    def _rmse_mm_by_source(
+        self,
+        commands: np.ndarray,
+        blocks: list[slice],
+        baseline_executed: np.ndarray,
+        baseline_sources: np.ndarray,
+        foreco_executed: np.ndarray,
+    ) -> tuple[list[float], list[float]]:
+        """Per-repetition baseline and FoReCo RMSE (mm) against ``commands``.
+
+        Most executed rows are copies of a clipped command row: the baseline
+        replays ``clipped[baseline_sources]`` and every on-time FoReCo slot
+        ``s`` executes ``clipped[s]``.  Forward kinematics is therefore
+        evaluated once on the clipped stream, and again only on the *fresh*
+        rows whose bits differ from their source row (forecasts, PID states);
+        every other row gathers its source's position.  ``positions`` is
+        row-pure, so each gathered or freshly computed row is bit-identical
+        to evaluating the whole executed trajectory, as
+        :func:`~repro.robot.trajectory.trajectory_rmse_mm` does.  The bitwise
+        (``uint64``) compare keeps ``-0.0`` and ``0.0`` apart.
+        """
+        kinematics = self.arm.kinematics
+        limits = self.arm.limits
+        defined_mm = kinematics.positions(commands) * 1000.0
+        clipped = np.clip(commands, limits.position_min, limits.position_max)
+        clipped_bits = clipped.view(np.uint64)
+        if np.array_equal(clipped_bits, commands.view(np.uint64)):
+            source_mm = defined_mm
+        else:
+            source_mm = kinematics.positions(clipped) * 1000.0
+
+        baseline_rmse: list[float] = []
+        foreco_rmse: list[float] = []
+        for block in blocks:
+            baseline_block = baseline_executed[block]
+            foreco_block = foreco_executed[block]
+            sources = baseline_sources[block]
+            baseline_fresh = _fresh_rows(baseline_block, clipped_bits[sources])
+            foreco_fresh = _fresh_rows(foreco_block, clipped_bits)
+            baseline_mm = source_mm[sources]
+            foreco_mm = np.repeat(source_mm[None], sources.shape[0], axis=0)
+            fresh_mm = kinematics.positions(
+                np.concatenate((baseline_block[baseline_fresh], foreco_block[foreco_fresh]))
+            ) * 1000.0
+            n_baseline_fresh = int(np.count_nonzero(baseline_fresh))
+            baseline_mm[baseline_fresh] = fresh_mm[:n_baseline_fresh]
+            foreco_mm[foreco_fresh] = fresh_mm[n_baseline_fresh:]
+            baseline_rmse += _rmse_mm(baseline_mm, defined_mm)
+            foreco_rmse += _rmse_mm(foreco_mm, defined_mm)
+        return baseline_rmse, foreco_rmse
 
     # ------------------------------------------------------------- execution
     def _execute_batch(self, targets: np.ndarray, initial: np.ndarray) -> np.ndarray:

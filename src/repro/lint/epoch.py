@@ -33,6 +33,9 @@ from .registry import ProjectContext, Rule, register
 
 #: Engine-semantic modules tracked explicitly (wireless/*.py is added by glob).
 _TRACKED_FIXED = (
+    "src/repro/core/recovery.py",
+    "src/repro/core/simulation.py",
+    "src/repro/robot/kinematics.py",
     "src/repro/scenarios/engine.py",
     "src/repro/fleet/__init__.py",
     "src/repro/fleet/engine.py",

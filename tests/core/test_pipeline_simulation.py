@@ -5,15 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.simulation as simulation_module
 from repro.core import (
+    BatchedRemoteControlSimulation,
     CommandDataset,
     ForecoConfig,
     ForecoRecovery,
     RemoteControlSimulation,
     TrainingPipeline,
+    baseline_target_indices,
     compare_baseline_and_foreco,
 )
 from repro.errors import ConfigurationError, DatasetError, DimensionError
+from repro.robot.niryo import NiryoOneArm
 from repro.wireless import ConsecutiveLossInjector, GilbertElliottJammer, InterferenceSource, WirelessChannel
 
 
@@ -132,3 +136,71 @@ def test_compare_helper_end_to_end(experienced_stream, inexperienced_stream):
     )
     assert outcome.improvement_factor > 1.0
     assert 0.0 < outcome.recovery_fraction <= 1.0
+
+
+# ------------------------------------------------- batched RMSE by provenance
+def _jammed_delays(n_batch: int, n_slots: int) -> np.ndarray:
+    """Per-row jammer traces with a late (not lost) stretch in every row."""
+    delays = np.stack([GilbertElliottJammer(seed=seed).sample_delays(n_slots) for seed in range(n_batch)])
+    delays[:, n_slots // 3 : n_slots // 3 + 12] = 70.0
+    return delays
+
+
+def _assert_batched_equals_serial(recovery, commands, delays, use_pid=False, fallback="hold"):
+    """Every batched row reproduces a serial run of its delay trace, bit for bit."""
+    outcomes = BatchedRemoteControlSimulation(recovery, use_pid=use_pid, fallback=fallback).run(
+        commands, delays
+    )
+    serial = RemoteControlSimulation(recovery, use_pid=use_pid, fallback=fallback)
+    for row, outcome in zip(delays, outcomes, strict=True):
+        expected = serial.run(commands, row)
+        assert outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
+        assert outcome.rmse_foreco_mm == expected.rmse_foreco_mm
+        assert np.array_equal(outcome.baseline.joints, expected.baseline.joints)
+        assert np.array_equal(outcome.foreco.joints, expected.foreco.joints)
+
+
+def test_baseline_target_indices_rows_equal_single_sessions():
+    delays = _jammed_delays(6, 500)
+    delays[2] = np.inf  # a session that never receives a command
+    delays[3, ::7] = 1e4  # commands overtaken by later arrivals
+    stacked = baseline_target_indices(delays, 20.0)
+    assert stacked.shape == delays.shape
+    for row, indices in zip(delays, stacked, strict=True):
+        assert np.array_equal(baseline_target_indices(row, 20.0), indices)
+    assert not stacked[2].any()
+    with pytest.raises(DimensionError):
+        baseline_target_indices(delays[None], 20.0)
+
+
+def test_batched_rmse_equals_serial_with_commands_outside_the_limits(trained_recovery, inexperienced_stream):
+    """The clip changes command rows, so the clipped stream's FK is not the defined one's."""
+    commands = inexperienced_stream.commands[:400].copy()
+    limits = NiryoOneArm().limits
+    commands[100:180, 1] = limits.position_max[1] + 0.2
+    commands[250:300, 4] = limits.position_min[4] - 0.3
+    commands[300:320, ::2] = -0.0
+    clipped = np.clip(commands, limits.position_min, limits.position_max)
+    assert not np.array_equal(clipped, commands)
+    _assert_batched_equals_serial(trained_recovery, commands, _jammed_delays(4, 400))
+
+
+def test_batched_rmse_equals_serial_under_pid(trained_recovery, inexperienced_stream):
+    """PID states rarely equal a command row, so nearly every row is evaluated afresh."""
+    commands = inexperienced_stream.commands[:400]
+    _assert_batched_equals_serial(trained_recovery, commands, _jammed_delays(3, 400), use_pid=True)
+
+
+def test_batched_rmse_equals_serial_with_stop_fallback(trained_recovery, inexperienced_stream):
+    commands = inexperienced_stream.commands[:400]
+    _assert_batched_equals_serial(trained_recovery, commands, _jammed_delays(3, 400), fallback="stop")
+
+
+def test_batched_rmse_equals_serial_across_row_blocks(trained_recovery, inexperienced_stream):
+    """A batch one row larger than a block runs the gather over two blocks."""
+    n_slots = 1000
+    commands = inexperienced_stream.commands[:n_slots]
+    rows_per_block = simulation_module._BLOCK_SLOTS // n_slots
+    assert 1 <= rows_per_block < 20
+    delays = _jammed_delays(rows_per_block + 1, n_slots)
+    _assert_batched_equals_serial(trained_recovery, commands, delays)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionError, RobotError
 from repro.robot.kinematics import DhLink, ForwardKinematics, dh_transform
+from repro.robot.niryo import NiryoOneArm
 
 
 def test_dh_transform_identity_for_zero_parameters():
@@ -103,3 +104,33 @@ def test_base_transform_offsets_result():
     assert np.allclose(fk.end_effector_position([0.0]), [1.0, 0.0, 1.0])
     with pytest.raises(DimensionError):
         ForwardKinematics([DhLink(1.0, 0.0, 0.0, 0.0)], base_transform=np.eye(3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, None])
+def test_positions_is_row_pure(chunk):
+    """Each row's position depends on that row's bits alone, bit for bit.
+
+    The batched RMSE pass evaluates forward kinematics once per command row
+    and only on the executed rows that differ from it, gathering the rest;
+    that is exact only if ``positions`` gives a row the same bits whatever
+    else is in the call.  Rows at the joint limits and rows holding ``-0.0``
+    are included.
+    """
+    arm = NiryoOneArm()
+    limits = arm.limits
+    rng = np.random.default_rng(11)
+    joints = rng.uniform(limits.position_min, limits.position_max, size=(5000, 6))
+    joints[::5] = limits.position_min
+    joints[1::5] = limits.position_max
+    joints[2::5, ::2] = -0.0
+    joints[3::5] = 0.0
+    full = arm.kinematics.positions(joints)
+    rows = joints.shape[0] if chunk is None else chunk
+    pieces = [
+        arm.kinematics.positions(joints[start : start + rows]) for start in range(0, joints.shape[0], rows)
+    ]
+    assert np.array_equal(np.concatenate(pieces).view(np.uint64), full.view(np.uint64))
+    for _ in range(5):
+        mask = rng.random(joints.shape[0]) < rng.uniform(0.001, 0.5)
+        masked = arm.kinematics.positions(joints[mask])
+        assert np.array_equal(masked.view(np.uint64), full[mask].view(np.uint64))
