@@ -283,6 +283,25 @@ class _Session:
     flat: int = -1  # row index in the stacked delay batch (set after admission)
 
 
+@dataclass
+class FleetExecution:
+    """What :meth:`FleetEngine.execute` returns for one set of admission plans.
+
+    Every field is aligned with ``sessions``, the admitted sessions in flat
+    operator-major order (each session's ``flat`` is its row here), except
+    ``ap_utilization``, which holds one entry per AP.
+    """
+
+    sessions: list[_Session]
+    #: Coupled ``(B, n)`` delay stack (``inf`` marks a lost command).
+    delays_ms: np.ndarray
+    #: Per-AP air-time utilisation, mean over repetitions, capped at 1.
+    ap_utilization: tuple[float, ...]
+    outcomes: list[SimulationOutcome]
+    #: Fleet start to last delivery, seconds.
+    completion_time_s: tuple[float, ...]
+
+
 def _plan_repetition(fleet: FleetSpec, repetition: int, n_commands: int) -> tuple[list[_Session], int]:
     """Admission plan for one fleet realisation: (admitted sessions, dropped).
 
@@ -319,6 +338,17 @@ def _plan_repetition(fleet: FleetSpec, repetition: int, n_commands: int) -> tupl
         )
     admitted.sort(key=lambda session: session.operator)
     return admitted, dropped
+
+
+def _plan(fleet: FleetSpec, n_commands: int) -> tuple[list[list[_Session]], int]:
+    """Static admission plans for every repetition: (per-repetition plans, dropped)."""
+    plans: list[list[_Session]] = []
+    dropped = 0
+    for repetition in range(fleet.template.repetitions):
+        admitted, dropped_here = _plan_repetition(fleet, repetition, n_commands)
+        plans.append(admitted)
+        dropped += dropped_here
+    return plans, dropped
 
 
 def _lindley_backlog(work_ms: np.ndarray, period_ms: float) -> np.ndarray:
@@ -426,34 +456,80 @@ class FleetEngine:
 
     def _compute_exact(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
         """The exact path: every admitted session through the Lindley backlog."""
+        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
+        plans, dropped = _plan(fleet, n_commands)
+        run = self.execute(fleet, plans, batch=batch)
+        return FleetResult(
+            spec=fleet,
+            spec_hash=fleet.spec_hash(),
+            n_commands=n_commands,
+            admitted=len(run.sessions),
+            dropped_sessions=dropped,
+            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in run.outcomes),
+            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in run.outcomes),
+            late_fraction=tuple(o.late_fraction for o in run.outcomes),
+            recovery_fraction=tuple(o.recovery_fraction for o in run.outcomes),
+            completion_time_s=run.completion_time_s,
+            ap_utilization=run.ap_utilization,
+            tier=fleet.tier,
+            hot_aps=fleet.aps,
+            cold_aps=0,
+            exact_sessions=len(run.sessions),
+            analytic_sessions=0,
+            outcome=run.outcomes[-1],
+            delays_ms=run.delays_ms[-1],
+        )
+
+    def execute(
+        self,
+        fleet: FleetSpec,
+        plans: list[list[_Session]],
+        batch: bool | None = None,
+    ) -> FleetExecution:
+        """Execute admitted sessions: sample, couple, simulate, time completion.
+
+        ``plans`` holds one list of admitted sessions per repetition, each in
+        admission order; only a session's ``operator``, ``repetition``,
+        ``offset_slots`` and ``ap`` are read (so migrated placements contend
+        where they were placed).  Every admission rule — the static fleet
+        rule, a service policy, the hybrid tier's hot-AP restriction — ends
+        here, so it is the one place the pipeline runs:
+
+        1. each session's base channel realisation is sampled with the same
+           block-ordered per-repetition RNG stream a single-session run of
+           its operator's channel spec would use (operator 0 consumes the
+           template's own seeds), in one batched call;
+        2. the sessions are coupled through their shared per-AP backlog;
+        3. every session advances through one batched kernel pass
+           (``batch`` overrides the engine's :attr:`batch` setting);
+        4. completion times are read off the coupled delays.
+
+        Sessions are numbered operator-major (``flat``), so a
+        single-operator fleet's rows align with ``SessionResult``'s.  Empty
+        plans give an empty record with all-zero utilisation.
+        """
         template = fleet.template
         commands = self.sessions.test_commands(template)
         n_commands = int(commands.shape[0])
         period = float(template.foreco.command_period_ms)
-
-        # 1. Admission plan per repetition (arrival process + AP capacity).
-        plans: list[list[_Session]] = []
-        dropped = 0
-        for repetition in range(template.repetitions):
-            admitted, dropped_here = _plan_repetition(fleet, repetition, n_commands)
-            plans.append(admitted)
-            dropped += dropped_here
-
-        # Flat batch order is operator-major: operator 0's repetitions first,
-        # so a single-operator fleet's tuples align with SessionResult's.
-        sessions_flat: list[_Session] = sorted(
-            (session for admitted in plans for session in admitted),
+        sessions: list[_Session] = sorted(
+            (session for plan in plans for session in plan),
             key=lambda session: (session.operator, session.repetition),
         )
-        for flat, session in enumerate(sessions_flat):
+        if not sessions:
+            return FleetExecution(
+                sessions=[],
+                delays_ms=np.zeros((0, n_commands)),
+                ap_utilization=(0.0,) * fleet.aps,
+                outcomes=[],
+                completion_time_s=(),
+            )
+        for flat, session in enumerate(sessions):
             session.flat = flat
 
-        # 2. Base channel realisations: the template channel sampled with the
-        # same block-ordered per-repetition RNG streams a single-session run
-        # would use (operator 0 consumes the template's own seeds).
         operator_specs: dict[int, ScenarioSpec] = {}
         seeds = []
-        for session in sessions_flat:
+        for session in sessions:
             spec = operator_specs.get(session.operator)
             if spec is None:
                 spec = operator_channel_spec(fleet, session.operator)
@@ -462,33 +538,13 @@ class FleetEngine:
         base = sample_channel_delays_batch(
             template.channel, n_commands, seeds, command_period_ms=period
         )
-
-        # 3. Couple the sessions through their shared per-AP backlog.
         coupled, utilization = self._couple(fleet, plans, base, n_commands, period)
-
-        # 4. One batched kernel pass over every admitted operator-session.
-        outcomes = self._simulate(template, commands, coupled, batch=batch)
-
-        completion = self._completion_times(sessions_flat, coupled, n_commands, period)
-        return FleetResult(
-            spec=fleet,
-            spec_hash=fleet.spec_hash(),
-            n_commands=n_commands,
-            admitted=len(sessions_flat),
-            dropped_sessions=dropped,
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
-            late_fraction=tuple(o.late_fraction for o in outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
-            completion_time_s=completion,
+        return FleetExecution(
+            sessions=sessions,
+            delays_ms=coupled,
             ap_utilization=utilization,
-            tier=fleet.tier,
-            hot_aps=fleet.aps,
-            cold_aps=0,
-            exact_sessions=len(sessions_flat),
-            analytic_sessions=0,
-            outcome=outcomes[-1],
-            delays_ms=coupled[-1],
+            outcomes=self._simulate(template, commands, coupled, batch=batch),
+            completion_time_s=self._completion_times(sessions, coupled, n_commands, period),
         )
 
     def _couple(
@@ -505,30 +561,34 @@ class FleetEngine:
         (mean over repetitions of the per-slot air-time demand, capped at
         1).  Lost commands stay lost; delivered commands gain
         ``backlog[slot] + rank_in_slot * ap_service_ms`` milliseconds.
+        Sessions are grouped by ``(repetition, ap)`` in one pass that keeps
+        their admitted order, which is the order in-slot ranks follow.
         """
         service = float(fleet.ap_service_ms)
         coupled = base.copy()
         utilization = np.zeros((len(plans), fleet.aps))
+        groups: dict[tuple[int, int], list[_Session]] = {}
         for repetition, admitted in enumerate(plans):
-            for ap in range(fleet.aps):
-                members = [session for session in admitted if session.ap == ap]
-                if not members:
-                    continue
-                total_slots = max(session.offset_slots for session in members) + n_commands
-                active = np.zeros((len(members), total_slots), dtype=bool)
-                for row, session in enumerate(members):
-                    offset = session.offset_slots
-                    active[row, offset : offset + n_commands] = np.isfinite(base[session.flat])
-                work = service * active.sum(axis=0)
-                backlog = _lindley_backlog(work, period)
-                ranks = np.cumsum(active, axis=0) - active
-                for row, session in enumerate(members):
-                    window = slice(session.offset_slots, session.offset_slots + n_commands)
-                    extra = backlog[window] + ranks[row, window] * service
-                    coupled[session.flat] = np.where(
-                        active[row, window], base[session.flat] + extra, np.inf
-                    )
-                utilization[repetition, ap] = float(np.minimum(work / period, 1.0).mean())
+            for session in admitted:
+                groups.setdefault((repetition, session.ap), []).append(session)
+        for (repetition, ap), members in groups.items():
+            # Running per-slot count of delivered commands: read before a
+            # member adds its own, it is that member's in-slot rank; after
+            # the last member, it is the AP's per-slot demand.
+            count = np.zeros(max(s.offset_slots for s in members) + n_commands, dtype=np.int64)
+            ranks = []
+            for session in members:
+                window = slice(session.offset_slots, session.offset_slots + n_commands)
+                ranks.append(count[window].copy())
+                count[window] += np.isfinite(base[session.flat])
+            work = service * count
+            backlog = _lindley_backlog(work, period)
+            for session, rank in zip(members, ranks):
+                row = base[session.flat]
+                window = slice(session.offset_slots, session.offset_slots + n_commands)
+                extra = backlog[window] + rank * service
+                coupled[session.flat] = np.where(np.isfinite(row), row + extra, np.inf)
+            utilization[repetition, ap] = float(np.minimum(work / period, 1.0).mean())
         return coupled, tuple(float(u) for u in utilization.mean(axis=0))
 
     def _simulate(

@@ -11,10 +11,10 @@ is wasted work.  This module adds a hierarchical tier above
    ``m * ap_service_ms / command_period_ms`` — admission capacity bounds
    the concurrency, so the classifier sees the *admitted* load, not the
    offered one;
-2. runs hot APs through the **existing exact vectorized Lindley backlog**
-   in :mod:`repro.fleet.engine`, unchanged — because the exact coupling is
-   per-AP, the hot sessions' results are bit-identical to what a pure-exact
-   run would produce for them;
+2. runs hot APs through :meth:`~repro.fleet.engine.FleetEngine.execute`,
+   the exact fleet pipeline, on the hot sessions only — because the exact
+   coupling is per-AP, the hot sessions' results are bit-identical to what
+   a pure-exact run would produce for them;
 3. services cold APs with the **analytic Gaussian/heavy-tail superposition
    delay model** (:class:`repro.wireless.superposition.SuperpositionModel`):
    per-session metrics bootstrap the template's own repetition statistics
@@ -51,10 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..scenarios.engine import repetition_seed, sample_channel_delays_batch
-from ..scenarios.spec import ScenarioSpec
 from ..wireless.bianchi import saturation_score
 from ..wireless.superposition import SuperpositionModel
-from .engine import FleetEngine, FleetResult, _plan_repetition, _Session, operator_channel_spec
+from .engine import FleetEngine, FleetResult, _plan, _Session
 from .spec import FleetSpec, _hash_seed
 
 
@@ -177,75 +176,90 @@ class HybridFleetEngine(FleetEngine):
     # -------------------------------------------------------------- classify
     def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
         """Classification the hybrid tier would use for this fleet."""
-        commands = self.sessions.test_commands(fleet.template)
-        n_commands = int(commands.shape[0])
-        plans = [
-            _plan_repetition(fleet, repetition, n_commands)[0]
-            for repetition in range(fleet.template.repetitions)
-        ]
-        return classify_aps(fleet, plans, n_commands)
+        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
+        return classify_aps(fleet, _plan(fleet, n_commands)[0], n_commands)
 
     # ---------------------------------------------------------------- hybrid
     def _compute_hybrid(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
         """Classify, simulate hot APs exactly, service cold APs analytically."""
-        template = fleet.template
-        commands = self.sessions.test_commands(template)
-        n_commands = int(commands.shape[0])
-        period = float(template.foreco.command_period_ms)
-
-        plans: list[list[_Session]] = []
-        dropped = 0
-        for repetition in range(template.repetitions):
-            admitted, dropped_here = _plan_repetition(fleet, repetition, n_commands)
-            plans.append(admitted)
-            dropped += dropped_here
+        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
+        plans, dropped = _plan(fleet, n_commands)
 
         classifications = classify_aps(fleet, plans, n_commands)
         hot_set = {c.ap for c in classifications if c.hot}
-        hot_count = len(hot_set)
-        cold_count = fleet.aps - hot_count
-        cold_session_count = sum(
-            1 for plan in plans for session in plan if session.ap not in hot_set
-        )
+        cold_plans = [[s for s in plan if s.ap not in hot_set] for plan in plans]
+        cold_session_count = sum(len(plan) for plan in cold_plans)
 
-        if cold_session_count == 0:
-            # Every occupied AP is hot: the hybrid tier degenerates to the
-            # exact computation, bit for bit (only the tier metadata and the
-            # spec hash differ from the exact twin).
-            result = self._compute_exact(fleet, batch=batch)
-            result.hot_aps = hot_count
-            result.cold_aps = cold_count
-            return result
+        # Hot APs: the exact pipeline, restricted to the hot sub-fleet.  With
+        # no cold sessions this is the whole exact computation, bit for bit
+        # (only the tier metadata and the spec hash differ from the twin).
+        hot = self.execute(fleet, [[s for s in plan if s.ap in hot_set] for plan in plans], batch)
+        cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
+        cold_util = np.zeros(fleet.aps)
+        if cold_session_count:
+            cold_values, cold_util = self._serve_cold(fleet, cold_plans, n_commands)
 
-        # ---- hot APs: the exact path, restricted to the hot sub-fleet ----
-        hot_plans = [[s for s in plan if s.ap in hot_set] for plan in plans]
-        hot_sessions: list[_Session] = sorted(
-            (session for plan in hot_plans for session in plan),
+        # ---- merge hot and cold sessions in the canonical flat order ----
+        all_sessions: list[_Session] = sorted(
+            (session for plan in plans for session in plan),
             key=lambda session: (session.operator, session.repetition),
         )
-        for flat, session in enumerate(hot_sessions):
-            session.flat = flat
-        if hot_sessions:
-            operator_specs: dict[int, ScenarioSpec] = {}
-            seeds = []
-            for session in hot_sessions:
-                spec = operator_specs.get(session.operator)
-                if spec is None:
-                    spec = operator_channel_spec(fleet, session.operator)
-                    operator_specs[session.operator] = spec
-                seeds.append(repetition_seed(spec, session.repetition))
-            base = sample_channel_delays_batch(
-                template.channel, n_commands, seeds, command_period_ms=period
-            )
-            coupled, utilization = self._couple(fleet, hot_plans, base, n_commands, period)
-            outcomes = self._simulate(template, commands, coupled, batch=batch)
-        else:
-            coupled = np.zeros((0, n_commands))
-            utilization = tuple(0.0 for _ in range(fleet.aps))
-            outcomes = []
-        hot_completion = self._completion_times(hot_sessions, coupled, n_commands, period)
+        rows = []
+        for session in all_sessions:
+            if session.ap in hot_set:
+                outcome = hot.outcomes[session.flat]
+                rows.append(
+                    (
+                        outcome.rmse_no_forecast_mm,
+                        outcome.rmse_foreco_mm,
+                        outcome.late_fraction,
+                        outcome.recovery_fraction,
+                        hot.completion_time_s[session.flat],
+                    )
+                )
+            else:
+                rows.append(cold_values[(session.operator, session.repetition)])
+        rmse_nf, rmse_f, late_f, recovery, completion = (tuple(column) for column in zip(*rows))
 
-        # ---- cold APs: analytic superposition around the solo statistics ----
+        merged_util = list(hot.ap_utilization)
+        for classification in classifications:
+            if not classification.hot:
+                merged_util[classification.ap] = float(cold_util[classification.ap])
+
+        last = all_sessions[-1] if all_sessions else None
+        last_is_hot = last is not None and last.ap in hot_set
+        return FleetResult(
+            spec=fleet,
+            spec_hash=fleet.spec_hash(),
+            n_commands=n_commands,
+            admitted=len(all_sessions),
+            dropped_sessions=dropped,
+            rmse_no_forecast_mm=rmse_nf,
+            rmse_foreco_mm=rmse_f,
+            late_fraction=late_f,
+            recovery_fraction=recovery,
+            completion_time_s=completion,
+            ap_utilization=tuple(float(u) for u in merged_util),
+            tier="hybrid",
+            hot_aps=len(hot_set),
+            cold_aps=fleet.aps - len(hot_set),
+            exact_sessions=len(hot.sessions),
+            analytic_sessions=cold_session_count,
+            outcome=hot.outcomes[last.flat] if last_is_hot else None,
+            delays_ms=hot.delays_ms[last.flat] if last_is_hot else None,
+        )
+
+    def _serve_cold(
+        self, fleet: FleetSpec, cold_plans: list[list[_Session]], n_commands: int
+    ) -> tuple[dict[tuple[int, int], tuple[float, float, float, float, float]], np.ndarray]:
+        """Analytic superposition around the template's solo statistics.
+
+        Returns the five metric entries of every cold session keyed by
+        ``(operator, repetition)`` and the per-AP utilisation (mean over
+        repetitions) of the cold APs.
+        """
+        template = fleet.template
+        period = float(template.foreco.command_period_ms)
         solo = self.sessions.run(template)
         repetitions = template.repetitions
         solo_base = sample_channel_delays_batch(
@@ -271,12 +285,11 @@ class HybridFleetEngine(FleetEngine):
 
         cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
         cold_util = np.zeros((repetitions, fleet.aps))
-        for repetition, plan in enumerate(plans):
+        for repetition, plan in enumerate(cold_plans):
             rng = np.random.default_rng(cold_draw_seed(fleet, repetition))
             members_by_ap: dict[int, list[_Session]] = {}
             for session in plan:
-                if session.ap not in hot_set:
-                    members_by_ap.setdefault(session.ap, []).append(session)
+                members_by_ap.setdefault(session.ap, []).append(session)
             for ap in sorted(members_by_ap):
                 members = members_by_ap[ap]
                 peak = _peak_overlap([s.offset_slots for s in members], n_commands)
@@ -318,53 +331,4 @@ class HybridFleetEngine(FleetEngine):
                         completion_s,
                     )
 
-        # ---- merge hot and cold sessions in the canonical flat order ----
-        all_sessions: list[_Session] = sorted(
-            (session for plan in plans for session in plan),
-            key=lambda session: (session.operator, session.repetition),
-        )
-        rmse_nf, rmse_f, late_f, recovery, completion = [], [], [], [], []
-        for session in all_sessions:
-            if session.ap in hot_set:
-                outcome = outcomes[session.flat]
-                rmse_nf.append(outcome.rmse_no_forecast_mm)
-                rmse_f.append(outcome.rmse_foreco_mm)
-                late_f.append(outcome.late_fraction)
-                recovery.append(outcome.recovery_fraction)
-                completion.append(hot_completion[session.flat])
-            else:
-                values = cold_values[(session.operator, session.repetition)]
-                rmse_nf.append(values[0])
-                rmse_f.append(values[1])
-                late_f.append(values[2])
-                recovery.append(values[3])
-                completion.append(values[4])
-
-        merged_util = list(utilization)
-        cold_util_mean = cold_util.mean(axis=0)
-        for classification in classifications:
-            if not classification.hot:
-                merged_util[classification.ap] = float(cold_util_mean[classification.ap])
-
-        last = all_sessions[-1] if all_sessions else None
-        last_is_hot = last is not None and last.ap in hot_set
-        return FleetResult(
-            spec=fleet,
-            spec_hash=fleet.spec_hash(),
-            n_commands=n_commands,
-            admitted=len(all_sessions),
-            dropped_sessions=dropped,
-            rmse_no_forecast_mm=tuple(rmse_nf),
-            rmse_foreco_mm=tuple(rmse_f),
-            late_fraction=tuple(late_f),
-            recovery_fraction=tuple(recovery),
-            completion_time_s=tuple(completion),
-            ap_utilization=tuple(float(u) for u in merged_util),
-            tier="hybrid",
-            hot_aps=hot_count,
-            cold_aps=cold_count,
-            exact_sessions=len(hot_sessions),
-            analytic_sessions=cold_session_count,
-            outcome=outcomes[last.flat] if last_is_hot else None,
-            delays_ms=coupled[last.flat] if last_is_hot else None,
-        )
+        return cold_values, cold_util.mean(axis=0)

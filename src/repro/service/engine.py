@@ -17,7 +17,8 @@ Two-phase execution keeps live semantics and batch speed at once:
    the loop is causally faithful to a real controller.  ``until_s`` bounds
    the virtual clock: arrivals past the horizon stay unprocessed.
 2. **Execution phase (batch).**  The admitted sessions — with their
-   possibly-migrated AP assignments — are handed to the fleet machinery:
+   possibly-migrated AP assignments — go through
+   :meth:`~repro.fleet.FleetEngine.execute`, the one fleet pipeline:
    per-operator channel realisations, shared-AP Lindley coupling, one
    batched kernel pass, completion times.  The coupling reads each
    session's ``ap`` field, so migrations change contention exactly as they
@@ -45,10 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
 from ..des.engine import Event, Simulator
-from ..fleet.engine import FleetEngine, _Session, operator_channel_spec
+from ..fleet.engine import FleetEngine, _Session
 from ..fleet.spec import sample_arrival_times
-from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.engine import (
+    SessionEngine,
+    sample_channel_delays_batch,  # noqa: F401 - a binding perfbench/layers.py patches
+)
 from .policies import AdmissionPolicy, ServiceState, make_policy
 from .spec import ServiceSpec
 
@@ -254,8 +257,8 @@ class ServiceEngine:
         store: "ResultStore | None" = None,
     ) -> None:
         self.sessions = sessions if sessions is not None else SessionEngine()
-        # Reuse the fleet machinery (channel sampling, coupling, kernel) —
-        # caching stays at the service level, so the inner engine holds none.
+        # Execution runs through FleetEngine.execute — caching stays at the
+        # service level, so the inner engine holds none.
         self._fleet = FleetEngine(sessions=self.sessions, cache_results=False)
         self.cache_results = bool(cache_results)
         self.store = store
@@ -344,10 +347,7 @@ class ServiceEngine:
     def _compute(self, spec: ServiceSpec) -> ServiceResult:
         """Admit online, then execute the admitted sessions in one batch."""
         fleet = spec.fleet
-        template = fleet.template
-        commands = self.sessions.test_commands(template)
-        n_commands = int(commands.shape[0])
-        period = float(template.foreco.command_period_ms)
+        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
         policy = make_policy(spec)
 
         # 1. Online admission, one DES pass per repetition.
@@ -357,7 +357,7 @@ class ServiceEngine:
         admitted_offsets: list[int] = []
         dropped_offsets: list[int] = []
         migrated_offsets: list[int] = []
-        for repetition in range(template.repetitions):
+        for repetition in range(fleet.template.repetitions):
             log = self._serve_repetition(spec, repetition, n_commands, policy)
             log.admitted.sort(key=lambda session: session.operator)
             plans.append(log.admitted)
@@ -367,77 +367,28 @@ class ServiceEngine:
             dropped_offsets.extend(log.dropped_offsets)
             migrated_offsets.extend(log.migrated_offsets)
 
-        sessions_flat: list[_Session] = sorted(
-            (session for admitted in plans for session in admitted),
-            key=lambda session: (session.operator, session.repetition),
-        )
-        for flat, session in enumerate(sessions_flat):
-            session.flat = flat
-
-        if not sessions_flat:
-            # A policy (or a tiny horizon) may admit nothing; the result is
-            # still well-formed, with empty metric tuples and an all-idle
-            # utilisation profile.
-            return ServiceResult(
-                spec=spec,
-                spec_hash=spec.spec_hash(),
-                n_commands=n_commands,
-                admitted=0,
-                dropped_sessions=dropped,
-                migrated_sessions=migrated,
-                rmse_no_forecast_mm=(),
-                rmse_foreco_mm=(),
-                late_fraction=(),
-                recovery_fraction=(),
-                completion_time_s=(),
-                ap_utilization=tuple(0.0 for _ in range(fleet.aps)),
-                snapshots=self._snapshots(
-                    spec, n_commands, [], (), admitted_offsets, dropped_offsets, migrated_offsets
-                ),
-            )
-
-        # 2. Base channel realisations — identical to the fleet engine's, so
-        # a static-cap service is bit-comparable to its fleet counterpart.
-        operator_specs: dict[int, ScenarioSpec] = {}
-        seeds = []
-        for session in sessions_flat:
-            op_spec = operator_specs.get(session.operator)
-            if op_spec is None:
-                op_spec = operator_channel_spec(fleet, session.operator)
-                operator_specs[session.operator] = op_spec
-            seeds.append(repetition_seed(op_spec, session.repetition))
-        base = sample_channel_delays_batch(
-            template.channel, n_commands, seeds, command_period_ms=period
-        )
-
-        # 3. Couple through the shared per-AP backlog (migrated assignments
-        # included — _couple reads each session's `ap`), then one batched
-        # kernel pass and completion times.
-        coupled, utilization = self._fleet._couple(fleet, plans, base, n_commands, period)
-        outcomes = self._fleet._simulate(template, commands, coupled)
-        completion = FleetEngine._completion_times(sessions_flat, coupled, n_commands, period)
-
+        # 2. The fleet pipeline on the admitted (possibly migrated) sessions —
+        # the same one FleetEngine runs, so a static-cap service is
+        # bit-comparable to its fleet counterpart.
+        run = self._fleet.execute(fleet, plans)
         return ServiceResult(
             spec=spec,
             spec_hash=spec.spec_hash(),
             n_commands=n_commands,
-            admitted=len(sessions_flat),
+            admitted=len(run.sessions),
             dropped_sessions=dropped,
             migrated_sessions=migrated,
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
-            late_fraction=tuple(o.late_fraction for o in outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
-            completion_time_s=completion,
-            ap_utilization=utilization,
+            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in run.outcomes),
+            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in run.outcomes),
+            late_fraction=tuple(o.late_fraction for o in run.outcomes),
+            recovery_fraction=tuple(o.recovery_fraction for o in run.outcomes),
+            completion_time_s=run.completion_time_s,
+            ap_utilization=run.ap_utilization,
             snapshots=self._snapshots(
                 spec,
                 n_commands,
-                sessions_flat,
-                tuple(
-                    (completion[i], outcomes[i].recovery_fraction)
-                    for i in range(len(sessions_flat))
-                ),
+                run.sessions,
+                tuple(zip(run.completion_time_s, (o.recovery_fraction for o in run.outcomes))),
                 admitted_offsets,
                 dropped_offsets,
                 migrated_offsets,

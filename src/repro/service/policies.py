@@ -46,9 +46,9 @@ class ServiceState:
     sessions.  Because every session occupies exactly ``n_commands``
     consecutive command slots, the number of sessions active on an AP at
     slot ``offset`` is a pure window count over those offsets — the same
-    arithmetic :meth:`repro.fleet.FleetEngine._plan_repetition` uses, which
-    keeps the ``static-cap`` policy bit-for-bit aligned with the fleet
-    engine.
+    arithmetic the fleet planning helper :func:`repro.fleet.engine._plan`
+    applies per repetition, which keeps the ``static-cap`` policy
+    bit-for-bit aligned with the fleet engine.
     """
 
     def __init__(self, spec: ServiceSpec, n_commands: int) -> None:

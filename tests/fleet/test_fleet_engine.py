@@ -19,11 +19,14 @@ from repro.fleet import (
     get_fleet,
     operator_channel_spec,
 )
+from repro.fleet.engine import _Session
 from repro.scenarios import (
     SessionEngine,
     SweepExecutor,
     get_scenario,
     periodic_loss_channel,
+    repetition_seed,
+    sample_channel_delays_batch,
     scenario_names,
 )
 
@@ -136,6 +139,50 @@ class TestCoupling:
         assert result.admitted == 2
         last = result.delays_ms  # last admitted session = operator 1
         assert np.allclose(last, np.asarray(solo.delays_ms) + 5.0)
+
+    def test_execute_honours_each_sessions_ap(self, engines):
+        """Sessions contend where they are placed, not at their home AP."""
+        _, fleets = engines
+        template = get_scenario("clean").with_(run_seconds=RUN_SECONDS, repetitions=1)
+        fleet = FleetSpec(
+            name="placed",
+            template=template,
+            operators=2,
+            aps=2,
+            ap_capacity=2,
+            ap_service_ms=5.0,
+        )
+        # Homes are AP 0 and AP 1; both sessions are placed on AP 1.
+        plans = [
+            [
+                _Session(operator=0, repetition=0, offset_slots=0, ap=1),
+                _Session(operator=1, repetition=0, offset_slots=0, ap=1),
+            ]
+        ]
+        run = FleetEngine(sessions=fleets.sessions, cache_results=False).execute(fleet, plans)
+        n_commands = run.delays_ms.shape[1]
+        base = sample_channel_delays_batch(
+            template.channel,
+            n_commands,
+            [repetition_seed(operator_channel_spec(fleet, op), 0) for op in (0, 1)],
+            command_period_ms=float(template.foreco.command_period_ms),
+        )
+        assert [session.flat for session in run.sessions] == [0, 1]
+        assert run.ap_utilization[0] == 0.0
+        assert run.ap_utilization[1] > 0.0
+        both = np.isfinite(base[0]) & np.isfinite(base[1])
+        assert both.any()
+        assert np.array_equal(run.delays_ms[0][both], base[0][both])
+        assert np.array_equal(run.delays_ms[1][both], base[1][both] + fleet.ap_service_ms)
+
+    def test_execute_of_empty_plans_is_an_empty_record(self, engines):
+        _, fleets = engines
+        fleet = get_fleet("shared-ap").with_template(run_seconds=2.0)
+        run = FleetEngine(sessions=fleets.sessions, cache_results=False).execute(fleet, [[], []])
+        assert run.sessions == [] and run.outcomes == []
+        assert run.completion_time_s == ()
+        assert run.ap_utilization == (0.0,) * fleet.aps
+        assert run.delays_ms.shape[0] == 0
 
     def test_saturated_ap_accumulates_backlog(self):
         """Demand over budget grows delays linearly (Lindley drift)."""

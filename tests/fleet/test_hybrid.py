@@ -31,6 +31,7 @@ from repro.fleet import (
     cold_draw_seed,
     get_fleet,
 )
+from repro.fleet.engine import _plan
 from repro.fleet.hybrid import _peak_overlap
 from repro.scenarios import ResultStore, SessionEngine, SweepExecutor
 
@@ -163,6 +164,30 @@ class TestAccuracy:
         assert hybrid.dropped_sessions == exact.dropped_sessions
         assert hybrid.exact_sessions + hybrid.analytic_sessions == hybrid.admitted
         assert hybrid.hot_aps > 0 and hybrid.cold_aps > 0
+
+    def test_hot_rows_equal_the_exact_twin(self, pair, engines):
+        """Hot APs run the exact pipeline: their rows match the twin bit for bit."""
+        hybrid, exact = pair
+        _, fleets = engines
+        fleet = hybrid.spec
+        hot = {v.ap for v in fleets.classify(fleet) if v.hot}
+        n_commands = int(fleets.sessions.test_commands(fleet.template).shape[0])
+        sessions = sorted(
+            (session for plan in _plan(fleet, n_commands)[0] for session in plan),
+            key=lambda session: (session.operator, session.repetition),
+        )
+        hot_rows = [row for row, session in enumerate(sessions) if session.ap in hot]
+        assert 0 < len(hot_rows) < len(sessions)
+        for name in (
+            "rmse_no_forecast_mm",
+            "rmse_foreco_mm",
+            "late_fraction",
+            "recovery_fraction",
+            "completion_time_s",
+        ):
+            ours, theirs = getattr(hybrid, name), getattr(exact, name)
+            assert [ours[row] for row in hot_rows] == [theirs[row] for row in hot_rows], name
+        assert all(hybrid.ap_utilization[ap] == exact.ap_utilization[ap] for ap in hot)
 
     def test_recovery_percentiles_within_tolerance(self, pair):
         hybrid, exact = pair

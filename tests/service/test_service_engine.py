@@ -52,10 +52,12 @@ class TestFleetAnchor:
         assert service.admitted == baseline.admitted
         assert service.dropped_sessions == baseline.dropped_sessions
         assert service.migrated_sessions == 0
+        assert service.rmse_no_forecast_mm == baseline.rmse_no_forecast_mm
         assert service.rmse_foreco_mm == baseline.rmse_foreco_mm
+        assert service.late_fraction == baseline.late_fraction
         assert service.completion_time_s == baseline.completion_time_s
         assert service.recovery_fraction == baseline.recovery_fraction
-        assert np.allclose(service.ap_utilization, baseline.ap_utilization)
+        assert service.ap_utilization == baseline.ap_utilization
 
 
 class TestAccounting:
