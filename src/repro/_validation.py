@@ -65,7 +65,7 @@ def as_command_array(name: str, commands: Sequence[Sequence[float]] | np.ndarray
         raise DimensionError(f"{name} must be a 2-D array of commands, got ndim={array.ndim}")
     if array.size == 0:
         raise DimensionError(f"{name} must contain at least one command")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise DimensionError(f"{name} contains NaN or infinite values")
     return array
 

@@ -79,6 +79,13 @@ class DatasetQualityReport:
 class CommandDataset:
     """Bounded, append-only store of remote-control commands.
 
+    The commands live in one ``(capacity, d)`` array, of which rows
+    ``start:stop`` are stored.  Eviction advances ``start``; when ``stop``
+    reaches the end the live rows move to the front, or the array doubles
+    when they fill more than half of it.  With ``max_history`` set the
+    capacity never exceeds ``2 * max_history``, so each append costs O(1)
+    amortised.
+
     Parameters
     ----------
     n_joints:
@@ -90,11 +97,14 @@ class CommandDataset:
         Ω, recorded so the dataset knows its own time base.
     """
 
+    #: Rows allocated by a new or cleared dataset (fewer when ``2 * H`` is smaller).
+    _INITIAL_ROWS = 64
+
     def __init__(self, n_joints: int, max_history: int | None = None, period_ms: float = 20.0) -> None:
         self.n_joints = ensure_int("n_joints", n_joints, minimum=1)
         self.max_history = None if max_history is None else ensure_int("max_history", max_history, minimum=2)
         self.period_ms = float(period_ms)
-        self._commands: list[np.ndarray] = []
+        self.clear()
 
     # ------------------------------------------------------------- mutation
     def append(self, command: np.ndarray) -> None:
@@ -102,38 +112,72 @@ class CommandDataset:
         command = np.asarray(command, dtype=float).ravel()
         if command.size != self.n_joints:
             raise DatasetError(f"command must have {self.n_joints} joints, got {command.size}")
-        if not np.all(np.isfinite(command)):
+        self._append_row(command)
+
+    def _append_row(self, command: np.ndarray) -> None:
+        """Append a 1-D float row already known to hold ``n_joints`` values.
+
+        The finiteness check comes first, so a rejected command leaves the
+        dataset untouched.
+        """
+        if not np.isfinite(command).all():
             raise DatasetError("command contains NaN or infinite values")
-        self._commands.append(command.copy())
-        if self.max_history is not None and len(self._commands) > self.max_history:
-            del self._commands[0 : len(self._commands) - self.max_history]
+        self._reserve(1)
+        self._data[self._stop] = command
+        self._stop += 1
 
     def extend(self, commands: np.ndarray) -> None:
         """Append a batch of commands."""
         commands = as_command_array("commands", commands)
         if commands.shape[1] != self.n_joints:
             raise DatasetError(f"commands must have {self.n_joints} joints, got {commands.shape[1]}")
-        for command in commands:
-            self.append(command)
+        if self.max_history is not None:
+            commands = commands[-self.max_history :]
+        count = commands.shape[0]
+        self._reserve(count)
+        self._data[self._stop : self._stop + count] = commands
+        self._stop += count
+
+    def _reserve(self, count: int) -> None:
+        """Evict what ``count`` new rows push out and make room for them after ``stop``."""
+        if self.max_history is not None:
+            self._start = max(self._start, self._stop + count - self.max_history)
+        capacity = self._data.shape[0]
+        if self._stop + count <= capacity:
+            return
+        live = self._data[self._start : self._stop]
+        needed = live.shape[0] + count
+        if needed > capacity // 2:
+            capacity = max(2 * capacity, needed)
+            if self.max_history is not None:
+                capacity = min(capacity, 2 * self.max_history)
+            data = np.empty((capacity, self.n_joints))
+            data[: live.shape[0]] = live
+            self._data = data
+        else:
+            self._data[: live.shape[0]] = live
+        self._start, self._stop = 0, live.shape[0]
 
     def clear(self) -> None:
         """Remove every stored command."""
-        self._commands = []
+        rows = self._INITIAL_ROWS
+        if self.max_history is not None:
+            rows = min(rows, 2 * self.max_history)
+        self._data = np.empty((rows, self.n_joints))
+        self._start = self._stop = 0
 
     # -------------------------------------------------------------- access
     def __len__(self) -> int:
-        return len(self._commands)
+        return self._stop - self._start
 
     def to_array(self) -> np.ndarray:
         """All stored commands as an ``(n, d)`` array (copy)."""
-        if not self._commands:
-            return np.empty((0, self.n_joints))
-        return np.array(self._commands)
+        return self._data[self._start : self._stop].copy()
 
     def recent(self, count: int) -> np.ndarray:
-        """The most recent ``count`` commands (fewer if not enough stored)."""
+        """The most recent ``count`` commands (fewer if not enough stored), as a copy."""
         count = ensure_int("count", count, minimum=1)
-        return self.to_array()[-count:]
+        return self._data[max(self._start, self._stop - count) : self._stop].copy()
 
     @property
     def duration_s(self) -> float:
@@ -180,7 +224,7 @@ class CommandDataset:
             for index in np.where(nan_rows)[0]:
                 source = repaired[index - 1] if index > 0 else np.zeros(self.n_joints)
                 repaired[index] = source
-            self._commands = [row.copy() for row in repaired]
+            self._data, self._start, self._stop = repaired, 0, repaired.shape[0]
 
         return DatasetQualityReport(
             n_commands=int(data.shape[0]),

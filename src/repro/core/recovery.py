@@ -19,6 +19,7 @@ command arrived within its own 20 ms slot".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,10 @@ from ..errors import ConfigurationError, DimensionError
 from ..forecasting import Forecaster, make_forecaster
 from .config import ForecoConfig
 from .dataset import CommandDataset
+
+#: Spare rows in the online history window: the last ``record - 1`` rows are
+#: moved to the front once every this many slots.
+_WINDOW_SLACK = 128
 
 
 @dataclass
@@ -110,7 +115,10 @@ class ForecoRecovery:
             )
         self.forecaster = forecaster
         self.dataset: CommandDataset | None = None
-        self._history: list[np.ndarray] = []
+        # Effective-command history: rows ``_end - record : _end`` of
+        # ``_window`` are the forecast window (fewer while it fills up).
+        self._window = np.empty((0, 0))
+        self._end = 0
         self.stats = RecoveryStats()
         self._slot = 0
 
@@ -136,19 +144,23 @@ class ForecoRecovery:
         self.dataset = CommandDataset(
             n_joints, max_history=self.config.max_history, period_ms=self.config.command_period_ms
         )
-        self._history = []
+        self._window = np.empty((self.config.record + _WINDOW_SLACK, n_joints))
+        self._end = 0
         if seed_history is not None:
             seed_history = np.atleast_2d(np.asarray(seed_history, dtype=float))
             if seed_history.shape[1] != n_joints:
                 raise DimensionError("seed_history joint dimensionality mismatch")
-            self._history = [row.copy() for row in seed_history[-self.config.record :]]
+            seed_history = seed_history[-self.config.record :]
+            self._end = seed_history.shape[0]
+            self._window[: self._end] = seed_history
         self.stats = RecoveryStats()
         self._slot = 0
 
     # ----------------------------------------------------------- per slot
     def is_on_time(self, delay_ms: float) -> bool:
         """Slot-level deadline check: ``Δ(c_i) <= Ω + τ``."""
-        return np.isfinite(delay_ms) and delay_ms <= self.config.deadline_ms
+        delay_ms = float(delay_ms)
+        return math.isfinite(delay_ms) and bool(delay_ms <= self.config.deadline_ms)
 
     def process_slot(self, command: np.ndarray, delay_ms: float) -> RecoveryDecision:
         """Process one command slot.
@@ -166,64 +178,87 @@ class ForecoRecovery:
         Returns
         -------
         RecoveryDecision
-            The executed command and whether it was a forecast.
+            The executed command and whether it was a forecast.  Its
+            ``executed_command`` is a fresh array the caller owns.
         """
-        if self.dataset is None:
+        dataset = self.dataset
+        if dataset is None:
             raise ConfigurationError("call reset() before processing slots")
-        command = np.asarray(command, dtype=float).ravel()
-        if command.size != self.dataset.n_joints:
-            raise DimensionError(
-                f"command must have {self.dataset.n_joints} joints, got {command.size}"
-            )
+        command = np.asarray(command, dtype=float)
+        if command.ndim != 1:
+            command = command.ravel()
+        if command.size != dataset.n_joints:
+            raise DimensionError(f"command must have {dataset.n_joints} joints, got {command.size}")
 
-        on_time = self.is_on_time(float(delay_ms))
+        on_time = self.is_on_time(delay_ms)
         forecasted = False
         if on_time:
+            # Rejects a non-finite command before any state changes.
+            dataset._append_row(command)
             executed = command.copy()
-            self.dataset.append(command)
+            feedback = executed
         else:
-            executed = self._forecast_missing(command)
+            executed = self._forecast_missing()
             forecasted = executed is not None
             if executed is None:
                 # Not enough history (or untrained model): fall back to the
                 # robot's native behaviour and repeat the previous command.
-                executed = self._history[-1].copy() if self._history else command.copy()
+                executed = (self._window[self._end - 1] if self._end else command).copy()
+            feedback = command if self.config.feedback == "oracle" else executed
+        self._push_history(feedback)
 
-        feedback = command.copy() if (not on_time and self.config.feedback == "oracle") else executed
-        self._history.append(feedback.copy())
-        if len(self._history) > max(self.config.record, 1):
-            self._history = self._history[-self.config.record :]
-
-        self.stats.n_slots += 1
+        stats = self.stats
+        stats.n_slots += 1
         if on_time:
-            self.stats.n_on_time += 1
+            stats.n_on_time += 1
         else:
-            self.stats.n_missing += 1
+            stats.n_missing += 1
             if forecasted:
-                self.stats.n_forecasted += 1
+                stats.n_forecasted += 1
         decision = RecoveryDecision(
             slot=self._slot, on_time=on_time, executed_command=executed, forecasted=forecasted
         )
         self._slot += 1
         return decision
 
-    def _forecast_missing(self, true_command: np.ndarray) -> np.ndarray | None:
+    def _push_history(self, row: np.ndarray) -> None:
+        """Write ``row`` after the window, compacting the buffer when it is full.
+
+        Compaction moves the last ``record - 1`` rows to the front, so the
+        window stays one contiguous view and costs a copy every
+        ``_WINDOW_SLACK`` slots.
+        """
+        end = self._end
+        if end == self._window.shape[0]:
+            keep = self.config.record - 1
+            self._window[:keep] = self._window[end - keep : end]
+            end = keep
+        self._window[end] = row
+        self._end = end + 1
+
+    def _forecast_missing(self) -> np.ndarray | None:
         """Forecast the command for a missing slot, or ``None`` if impossible."""
-        if not self.forecaster.is_fitted:
+        record = self.config.record
+        if not self.forecaster.is_fitted or self._end < record:
             return None
-        if len(self._history) < self.config.record:
-            return None
-        history = np.array(self._history[-self.config.record :])
+        history = self._window[self._end - record : self._end]
         forecast = np.asarray(self.forecaster.predict_next(history), dtype=float).ravel()
-        if self.config.max_step_rad is not None:
+        max_step = self.config.max_step_rad
+        if max_step is not None:
             # The remote controller never moves a joint by more than the
             # robot's moving offset between consecutive commands, so an
             # injected forecast is clamped to the same per-step envelope
             # around the last executed command.  This keeps iterated
             # forecasts physically plausible during long loss bursts.
             previous = history[-1]
-            step = np.clip(forecast - previous, -self.config.max_step_rad, self.config.max_step_rad)
-            forecast = previous + step
+            step = forecast - previous
+            np.maximum(step, -max_step, out=step)
+            np.minimum(step, max_step, out=step)
+            return np.add(previous, step, out=step)
+        if np.may_share_memory(forecast, self._window):
+            # The forecaster handed back a view of the window, which later
+            # slots overwrite; the caller must own what it is given.
+            forecast = forecast.copy()
         return forecast
 
     # ------------------------------------------------------------ streaming

@@ -34,6 +34,8 @@ from .registry import ProjectContext, Rule, register
 #: Engine-semantic modules tracked explicitly (wireless/*.py is added by glob).
 _TRACKED_FIXED = (
     "src/repro/core/recovery.py",
+    "src/repro/forecasting/base.py",
+    "src/repro/forecasting/var.py",
     "src/repro/core/simulation.py",
     "src/repro/robot/kinematics.py",
     "src/repro/scenarios/engine.py",
@@ -59,8 +61,9 @@ MANIFEST_VERSION = 1
 def tracked_files(root: Path) -> list[str]:
     """The engine-semantic modules the manifest must cover (sorted, relative).
 
-    The fixed set (scenario engine, fleet couplers and spec, service
-    admission engine and policies) plus every module of
+    The fixed set (scenario engine, recovery kernel, forecaster base and
+    VAR forecaster, fleet couplers and spec, service admission engine and
+    policies) plus every module of
     :mod:`repro.wireless` — all delay samplers and channel models live
     there, and a new sampler is engine-semantic by construction.
     """

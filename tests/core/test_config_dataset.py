@@ -134,3 +134,50 @@ def test_dataset_never_exceeds_max_history(n, max_history):
     dataset = CommandDataset(n_joints=2, max_history=max_history)
     dataset.extend(np.zeros((n, 2)))
     assert len(dataset) == min(n, max_history)
+
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 40)),
+        st.tuples(st.just("extend"), st.integers(1, 40)),
+        st.tuples(st.just("clear"), st.just(0)),
+        st.tuples(st.just("repair"), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations=_OPERATIONS, max_history=st.one_of(st.none(), st.integers(2, 50)))
+def test_dataset_matches_list_reference(operations, max_history):
+    """Property: the array-backed dataset behaves like a bounded list of rows."""
+    dataset = CommandDataset(n_joints=6, max_history=max_history)
+    reference: list[np.ndarray] = []
+    counter = 0
+    for name, count in operations:
+        # Distinct, in-range joint values, so a repair pass must change nothing.
+        rows = (counter + np.arange(6 * count, dtype=float).reshape(count, 6)) * 1e-5
+        counter += 6 * count
+        if name == "append":
+            for row in rows:
+                dataset.append(row)
+                reference.append(row)
+        elif name == "extend":
+            dataset.extend(rows)
+            reference.extend(rows)
+        elif name == "clear":
+            dataset.clear()
+            reference = []
+        elif reference:
+            assert dataset.quality_check(repair=True).is_clean
+        if max_history is not None:
+            reference = reference[-max_history:]
+            assert dataset._data.shape[0] <= 2 * max_history
+
+        expected = np.array(reference).reshape(-1, 6)
+        assert len(dataset) == len(reference)
+        stored = dataset.to_array()
+        assert stored.tobytes() == expected.tobytes()
+        stored += 1.0  # a copy: the dataset must not change
+        assert dataset.to_array().tobytes() == expected.tobytes()
+        assert dataset.recent(3).tobytes() == expected[-3:].tobytes()

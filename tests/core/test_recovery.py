@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import ForecoConfig, ForecoRecovery
-from repro.errors import ConfigurationError, DimensionError
-from repro.forecasting import MovingAverageForecaster, VarForecaster
+from repro.core.recovery import _WINDOW_SLACK
+from repro.errors import ConfigurationError, DatasetError, DimensionError
+from repro.forecasting import (
+    Forecaster,
+    MovingAverageForecaster,
+    VarForecaster,
+    make_forecaster,
+    register_forecaster,
+)
 
 
 def _ramp(n: int = 200, d: int = 6, step: float = 0.005) -> np.ndarray:
@@ -133,3 +144,133 @@ def test_ma_forecaster_can_be_plugged_in(experienced_stream):
     )
     recovery.train(experienced_stream.commands[:1000])
     assert recovery.is_ready
+
+
+@pytest.mark.parametrize("delay_ms", [1.0, 20.0, 25.1, float("inf"), float("nan"), np.float64(3.0)])
+def test_is_on_time_returns_python_bool(delay_ms):
+    recovery = ForecoRecovery(ForecoConfig(command_period_ms=np.float64(20.0), tolerance_ms=5.0))
+    assert type(recovery.is_on_time(delay_ms)) is bool
+    recovery.reset(2)
+    decision = recovery.process_slot(np.zeros(2), delay_ms)
+    assert type(decision.on_time) is bool
+    json.dumps({"on_time": decision.on_time, "forecasted": decision.forecasted})
+
+
+# ------------------------------------------------ online == batched kernel
+#: Several times the window buffer, so the online path compacts it many times.
+_LONG = 5 * (10 + _WINDOW_SLACK) + 7
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted(algorithm: str, record: int) -> Forecaster:
+    rng = np.random.default_rng(7)
+    training = np.cumsum(rng.normal(0.0, 0.01, size=(600, 6)), axis=0)
+    return make_forecaster(algorithm, record=record).fit(training)
+
+
+def _stream(n: int, tolerance_ms: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """A wandering command stream whose delays mix on-time, late and lost slots."""
+    rng = np.random.default_rng(11)
+    commands = np.cumsum(rng.normal(0.0, 0.01, size=(n, 6)), axis=0)
+    delays = rng.uniform(1.0, 19.0, size=n)
+    delays[rng.random(n) < 0.15] = 20.0 + tolerance_ms + 1.0
+    delays[rng.random(n) < 0.1] = 20.0 + tolerance_ms
+    for start in rng.integers(0, n - 40, size=n // 60):
+        delays[start : start + rng.integers(1, 40)] = np.inf
+    delays[2] = np.inf  # before the window fills: the hold-last fallback
+    return commands, delays
+
+
+def _online(config: ForecoConfig, forecaster: Forecaster, commands, delays):
+    recovery = ForecoRecovery(config, forecaster=copy.deepcopy(forecaster))
+    recovery.reset(commands.shape[1], seed_history=commands[:1])
+    decisions = [recovery.process_slot(row, delay) for row, delay in zip(commands, delays.tolist())]
+    return recovery, decisions
+
+
+@pytest.mark.parametrize("algorithm", ["var", "ma", "ses", "varma"])
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"feedback": "oracle"}, {"max_step_rad": None}, {"record": 1}, {"tolerance_ms": 4.0}],
+    ids=["default", "oracle", "unclamped", "record1", "tolerance"],
+)
+def test_online_matches_batched_across_window_compactions(algorithm, overrides):
+    config = ForecoConfig(algorithm=algorithm, **overrides)
+    forecaster = _fitted(algorithm, config.record)
+    commands, delays = _stream(_LONG, config.tolerance_ms)
+
+    recovery, decisions = _online(config, forecaster, commands, delays)
+    batched = ForecoRecovery(config, forecaster=copy.deepcopy(forecaster)).process_stream_batch(
+        commands, delays
+    )
+
+    executed = np.stack([decision.executed_command for decision in decisions])
+    forecasted = np.array([decision.forecasted for decision in decisions])
+    on_time = np.array([decision.on_time for decision in decisions])
+    assert executed.tobytes() == batched.executed[0].tobytes()
+    assert np.array_equal(forecasted, batched.forecasted[0])
+    assert np.array_equal(on_time, batched.on_time[0])
+    assert 0 < recovery.stats.n_forecasted <= recovery.stats.n_missing < recovery.stats.n_slots
+    reference = batched.stats[0]
+    for name in ("n_slots", "n_on_time", "n_missing", "n_forecasted"):
+        assert getattr(recovery.stats, name) == getattr(reference, name)
+    assert len(recovery.dataset) == recovery.stats.n_on_time
+
+
+# ---------------------------------------------------- ownership and errors
+class _HoldLastView(Forecaster):
+    """Repeats the last command, returning a view into the history it is given."""
+
+    name = "hold-last-view"
+
+    def _fit(self, commands):
+        return None
+
+    def _predict_next(self, history):
+        return history[-1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ForecoConfig(record=4),
+        ForecoConfig(record=4, algorithm="hold-last-view", max_step_rad=None),
+        ForecoConfig(record=1, algorithm="hold-last-view", max_step_rad=None),
+    ],
+    ids=["var", "view-forecaster", "view-forecaster-record1"],
+)
+def test_executed_commands_stay_owned_by_the_caller(config):
+    register_forecaster("hold-last-view", _HoldLastView, overwrite=True)
+    commands, delays = _stream(_LONG)
+    recovery = ForecoRecovery(config)
+    recovery.train(commands[:200])
+    recovery.reset(commands.shape[1], seed_history=commands[:1])
+    kept = []
+    for row, delay in zip(commands, delays.tolist()):
+        decision = recovery.process_slot(row, delay)
+        kept.append((decision, decision.executed_command.copy()))
+    assert recovery.stats.n_forecasted > 0
+    for decision, snapshot in kept:
+        assert decision.executed_command.tobytes() == snapshot.tobytes()
+
+
+def test_nan_on_time_command_raises_and_leaves_state_untouched():
+    commands, delays = _stream(2 * (10 + _WINDOW_SLACK))
+    forecaster = _fitted("var", 10)
+    cut = commands.shape[0] // 2
+
+    reference, expected = _online(ForecoConfig(), forecaster, commands, delays)
+    recovery = ForecoRecovery(ForecoConfig(), forecaster=copy.deepcopy(forecaster))
+    recovery.reset(commands.shape[1], seed_history=commands[:1])
+    decisions = [recovery.process_slot(row, delay) for row, delay in zip(commands[:cut], delays[:cut])]
+    poisoned = commands[cut].copy()
+    poisoned[2] = np.nan
+    with pytest.raises(DatasetError):
+        recovery.process_slot(poisoned, 1.0)
+    decisions += [recovery.process_slot(row, delay) for row, delay in zip(commands[cut:], delays[cut:])]
+
+    for got, want in zip(decisions, expected, strict=True):
+        assert (got.slot, got.on_time, got.forecasted) == (want.slot, want.on_time, want.forecasted)
+        assert got.executed_command.tobytes() == want.executed_command.tobytes()
+    assert recovery.stats == reference.stats
+    assert recovery.dataset.to_array().tobytes() == reference.dataset.to_array().tobytes()
