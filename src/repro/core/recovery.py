@@ -58,7 +58,9 @@ class BatchedRecoveryResult:
     executed:
         ``(B, n, d)`` — per-repetition executed commands (real or forecast),
         row-for-row bit-identical to ``B`` serial :meth:`ForecoRecovery.
-        process_stream` runs.
+        process_stream` runs.  It is the view ``ext[:, 1:]`` of the kernel's
+        seeded ``(B, n + 1, d)`` array, so each ``executed[b]`` is contiguous
+        but the whole array is not.
     on_time:
         ``(B, n)`` boolean — which commands met the ``Ω + τ`` deadline.
     forecasted:
@@ -287,9 +289,9 @@ class ForecoRecovery:
 
         This is the vectorized core of the batched session kernel: all ``B``
         repetitions share the command stream but experience different channel
-        delays, so their recovery state machines can advance slot by slot in
-        lockstep ``(B, ...)`` arrays — one Python iteration per slot instead
-        of one per slot *per repetition*.
+        delays.  Every row starts as the command stream, so only slots where
+        some row misses its deadline cost a Python iteration, and each one
+        forecasts for the missing rows alone.
 
         Parameters
         ----------
@@ -306,6 +308,8 @@ class ForecoRecovery:
             ``process_stream(commands, delays_ms[b])`` on a fresh recovery
             engine, provided the forecaster honours
             :attr:`~repro.forecasting.Forecaster.supports_batch_predict`.
+            ``executed`` is a view with contiguous rows, not a contiguous
+            ``(B, n, d)`` array.
 
         Notes
         -----
@@ -320,61 +324,47 @@ class ForecoRecovery:
         if commands.ndim != 2 or delays_ms.ndim != 2 or commands.shape[0] != delays_ms.shape[1]:
             raise DimensionError("commands (n, d) and delays_ms (B, n) lengths must match")
         n_batch, n_slots = delays_ms.shape
-        n_joints = commands.shape[1]
         record = self.config.record
         max_step = self.config.max_step_rad
-        oracle = self.config.feedback == "oracle"
         model_ready = self.forecaster.is_fitted
 
         on_time = np.isfinite(delays_ms) & (delays_ms <= self.config.deadline_ms)
-        executed = np.empty((n_batch, n_slots, n_joints))
+        missing = ~on_time
         forecasted = np.zeros((n_batch, n_slots), dtype=bool)
+        # A row's window before slot ``t`` is rows ``t + 1 - record`` to ``t``
+        # of ``feedback``: its effective commands behind the ``commands[0]``
+        # seed, or the seeded command stream itself under oracle feedback.
+        seeded = np.concatenate((commands[:1], commands))
+        ext = np.repeat(seeded[None], n_batch, axis=0)
+        feedback = np.broadcast_to(seeded, ext.shape) if self.config.feedback == "oracle" else ext
 
-        # Rolling effective-command window per repetition, seeded with the
-        # first command exactly like the serial path; ``filled`` tracks the
-        # serial history length min(1 + slot, record), which gates forecasts.
-        history = np.zeros((n_batch, record, n_joints))
-        history[:, -1, :] = commands[0]
-        filled = 1
+        for slot in np.flatnonzero(missing.any(axis=0)).tolist():
+            rows = np.flatnonzero(missing[:, slot])
+            if model_ready and slot + 1 >= record:
+                recent = feedback[rows, slot + 1 - record : slot + 1]
+                forecasts = self.forecaster.predict_next_batch(recent)
+                if max_step is not None:
+                    previous = recent[:, -1, :]
+                    step = np.clip(forecasts - previous, -max_step, max_step)
+                    forecasts = previous + step
+                ext[rows, slot + 1] = forecasts
+                forecasted[rows, slot] = True
+            else:
+                # Not enough history yet: repeat the previous effective
+                # command (the robot's native fallback behaviour).
+                ext[rows, slot + 1] = feedback[rows, slot]
 
-        for slot in range(n_slots):
-            command = commands[slot]
-            missing = ~on_time[:, slot]
-            slot_executed = executed[:, slot, :]
-            slot_executed[...] = command
-            if missing.any():
-                if model_ready and filled >= record:
-                    recent = history[missing]
-                    forecasts = self.forecaster.predict_next_batch(recent)
-                    if max_step is not None:
-                        previous = recent[:, -1, :]
-                        step = np.clip(forecasts - previous, -max_step, max_step)
-                        forecasts = previous + step
-                    slot_executed[missing] = forecasts
-                    forecasted[missing, slot] = True
-                else:
-                    # Not enough history yet: repeat the previous effective
-                    # command (the robot's native fallback behaviour).
-                    slot_executed[missing] = history[missing, -1, :]
-            feedback = slot_executed
-            if oracle:
-                feedback = np.where(missing[:, None], command, slot_executed)
-            if record > 1:
-                history[:, :-1, :] = history[:, 1:, :]
-            history[:, -1, :] = feedback
-            filled = min(filled + 1, record)
-
-        stats = []
-        for index in range(n_batch):
-            n_on_time = int(on_time[index].sum())
-            stats.append(
-                RecoveryStats(
-                    n_slots=n_slots,
-                    n_on_time=n_on_time,
-                    n_missing=n_slots - n_on_time,
-                    n_forecasted=int(forecasted[index].sum()),
-                )
+        n_on_time = on_time.sum(axis=1).tolist()
+        n_forecasted = forecasted.sum(axis=1).tolist()
+        stats = [
+            RecoveryStats(
+                n_slots=n_slots,
+                n_on_time=on_time_count,
+                n_missing=n_slots - on_time_count,
+                n_forecasted=forecast_count,
             )
+            for on_time_count, forecast_count in zip(n_on_time, n_forecasted)
+        ]
         return BatchedRecoveryResult(
-            executed=executed, on_time=on_time, forecasted=forecasted, stats=stats
+            executed=ext[:, 1:], on_time=on_time, forecasted=forecasted, stats=stats
         )

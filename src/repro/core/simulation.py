@@ -144,14 +144,9 @@ def _fresh_rows(executed: np.ndarray, source_bits: np.ndarray) -> np.ndarray:
     return (executed.view(np.uint64) != source_bits).any(axis=-1)
 
 
-def _rmse_mm(executed_mm: np.ndarray, defined_mm: np.ndarray) -> list[float]:
-    """:func:`~repro.robot.trajectory.trajectory_rmse_mm` of each ``(rows, n, 3)`` row.
-
-    Both reductions run along the contiguous last axis, one row at a time,
-    exactly as on a single ``(n, 3)`` trajectory.
-    """
-    errors = np.linalg.norm(executed_mm - defined_mm, axis=-1)
-    return np.sqrt(np.mean(errors ** 2, axis=-1)).tolist()
+def _refresh(errors: np.ndarray, mask: np.ndarray, positions_mm: np.ndarray, defined_mm: np.ndarray) -> None:
+    """Set ``errors[mask]`` to the distance of ``positions_mm`` from their slots' defined positions."""
+    errors[mask] = np.linalg.norm(positions_mm - defined_mm[np.nonzero(mask)[1]], axis=-1)
 
 
 class RemoteControlSimulation:
@@ -327,104 +322,118 @@ class BatchedRemoteControlSimulation:
         # Both serial driver runs start from the raw first defined command
         # (RobotDriver.run resets to its stream's first row, which is
         # commands[0] for the FoReCo stream and for the baseline stream).
-        # The targets are clipped in place and released once executed, so
-        # a stacked pass makes no clipped copies of its ``(B, n, d)`` arrays.
-        on_time, stats = batch.on_time, batch.stats
-        baseline_executed = self._execute_batch(commands[baseline_sources], initial=commands[0])
-        foreco_executed = self._execute_batch(batch.executed, initial=commands[0])
+        # ``np.clip`` is elementwise, so the baseline gathers the clipped
+        # stream, and the FoReCo targets need clipping only where they can
+        # differ from it: at missing slots and at slots whose command is
+        # outside the limits (on-time slots hold the raw command).
+        limits = self.arm.limits
+        clipped = np.clip(commands, limits.position_min, limits.position_max)
+        unclipped = (clipped.view(np.uint64) != commands.view(np.uint64)).any(axis=-1)
+        if not unclipped.any():
+            clipped = commands
+        late_fraction = (1.0 - batch.on_time.mean(axis=1)).tolist()
+        stats, foreco_targets = batch.stats, batch.executed
+        # The rest of the batch is released before the ``(B, n, d)`` gathers.
+        missing = np.logical_not(batch.on_time, out=batch.on_time)
         del batch
+        clip_rows = np.nonzero(missing | unclipped)
+        foreco_targets[clip_rows] = np.clip(
+            foreco_targets[clip_rows], limits.position_min, limits.position_max
+        )
+        baseline_executed = self._execute_batch(clipped[baseline_sources], initial=commands[0])
+        foreco_executed = self._execute_batch(foreco_targets, initial=commands[0])
 
-        baseline_rmse, foreco_rmse = self._rmse_mm_by_source(
-            commands, blocks, baseline_executed, baseline_sources, foreco_executed
+        baseline_rmse, foreco_rmse = self._rmse_mm(
+            commands, clipped, blocks, baseline_sources, baseline_executed, foreco_executed, missing
         )
         times = np.arange(n_slots) * (period_ms / 1000.0)
-        outcomes = []
-        for index in range(n_batch):
-            late_fraction = float(1.0 - on_time[index].mean())
-            outcomes.append(
-                SimulationOutcome(
-                    rmse_no_forecast_mm=baseline_rmse[index],
-                    rmse_foreco_mm=foreco_rmse[index],
-                    late_fraction=late_fraction,
-                    recovery_fraction=stats[index].recovery_fraction,
-                    defined=JointTrajectory(times, commands, label="defined"),
-                    baseline=JointTrajectory(
-                        times, baseline_executed[index], label="no-forecast"
-                    ),
-                    foreco=JointTrajectory(times, foreco_executed[index], label="foreco"),
-                )
+        return [
+            SimulationOutcome(
+                rmse_no_forecast_mm=baseline_rmse[index],
+                rmse_foreco_mm=foreco_rmse[index],
+                late_fraction=late_fraction[index],
+                recovery_fraction=stats[index].recovery_fraction,
+                defined=JointTrajectory(times, commands, label="defined"),
+                baseline=JointTrajectory(times, baseline_executed[index], label="no-forecast"),
+                foreco=JointTrajectory(times, foreco_executed[index], label="foreco"),
             )
-        return outcomes
+            for index in range(n_batch)
+        ]
 
     # ---------------------------------------------------------------- metrics
-    def _rmse_mm_by_source(
+    def _rmse_mm(
         self,
         commands: np.ndarray,
+        clipped: np.ndarray,
         blocks: list[slice],
-        baseline_executed: np.ndarray,
         baseline_sources: np.ndarray,
+        baseline_executed: np.ndarray,
         foreco_executed: np.ndarray,
+        missing: np.ndarray,
     ) -> tuple[list[float], list[float]]:
         """Per-repetition baseline and FoReCo RMSE (mm) against ``commands``.
 
-        Most executed rows are copies of a clipped command row: the baseline
-        replays ``clipped[baseline_sources]`` and every on-time FoReCo slot
-        ``s`` executes ``clipped[s]``.  Forward kinematics is therefore
-        evaluated once on the clipped stream, and again only on the *fresh*
-        rows whose bits differ from their source row (forecasts, PID states);
-        every other row gathers its source's position.  ``positions`` is
-        row-pure, so each gathered or freshly computed row is bit-identical
-        to evaluating the whole executed trajectory, as
-        :func:`~repro.robot.trajectory.trajectory_rmse_mm` does.  The bitwise
-        (``uint64``) compare keeps ``-0.0`` and ``0.0`` apart.
+        ``clipped`` is the clamped command stream (``commands`` itself when
+        no command leaves the limits).  Slot ``s`` of every row starts from
+        the distance between the clipped and the defined command ``s``, which
+        is what an on-time FoReCo slot and an up-to-date baseline slot
+        execute.  Only two kinds of slot get
+        a fresh distance: lagged baseline slots, which gather the position of
+        their source row, and *fresh* rows, which differ from their source
+        and get their own forward kinematics.  In kinematic mode the fresh
+        rows are FoReCo's missing slots; PID states are found by a bitwise
+        (``uint64``) compare, which keeps ``-0.0`` and ``0.0`` apart.
+        ``positions`` and the per-row norm are row-pure, so every distance is
+        bit-identical to evaluating the whole executed trajectory, as
+        :func:`~repro.robot.trajectory.trajectory_rmse_mm` does.
         """
         kinematics = self.arm.kinematics
-        limits = self.arm.limits
         defined_mm = kinematics.positions(commands) * 1000.0
-        clipped = np.clip(commands, limits.position_min, limits.position_max)
+        source_mm = defined_mm if clipped is commands else kinematics.positions(clipped) * 1000.0
         clipped_bits = clipped.view(np.uint64)
-        if np.array_equal(clipped_bits, commands.view(np.uint64)):
-            source_mm = defined_mm
-        else:
-            source_mm = kinematics.positions(clipped) * 1000.0
+        source_errors = np.linalg.norm(source_mm - defined_mm, axis=-1)
+        slot_index = np.arange(commands.shape[0])
 
         baseline_rmse: list[float] = []
         foreco_rmse: list[float] = []
         for block in blocks:
+            sources = baseline_sources[block]
             baseline_block = baseline_executed[block]
             foreco_block = foreco_executed[block]
-            sources = baseline_sources[block]
-            baseline_fresh = _fresh_rows(baseline_block, clipped_bits[sources])
-            foreco_fresh = _fresh_rows(foreco_block, clipped_bits)
-            baseline_mm = source_mm[sources]
-            foreco_mm = np.repeat(source_mm[None], sources.shape[0], axis=0)
+            if self.use_pid:
+                baseline_fresh = _fresh_rows(baseline_block, clipped_bits[sources])
+                foreco_fresh = _fresh_rows(foreco_block, clipped_bits)
+            else:
+                baseline_fresh = np.zeros(sources.shape, dtype=bool)
+                foreco_fresh = missing[block]
             fresh_mm = kinematics.positions(
                 np.concatenate((baseline_block[baseline_fresh], foreco_block[foreco_fresh]))
             ) * 1000.0
             n_baseline_fresh = int(np.count_nonzero(baseline_fresh))
-            baseline_mm[baseline_fresh] = fresh_mm[:n_baseline_fresh]
-            foreco_mm[foreco_fresh] = fresh_mm[n_baseline_fresh:]
-            baseline_rmse += _rmse_mm(baseline_mm, defined_mm)
-            foreco_rmse += _rmse_mm(foreco_mm, defined_mm)
+            baseline_errors = np.repeat(source_errors[None], sources.shape[0], axis=0)
+            foreco_errors = baseline_errors.copy()
+            lagged = sources != slot_index
+            _refresh(baseline_errors, lagged, source_mm[sources[lagged]], defined_mm)
+            _refresh(baseline_errors, baseline_fresh, fresh_mm[:n_baseline_fresh], defined_mm)
+            _refresh(foreco_errors, foreco_fresh, fresh_mm[n_baseline_fresh:], defined_mm)
+            baseline_rmse += np.sqrt(np.mean(baseline_errors ** 2, axis=-1)).tolist()
+            foreco_rmse += np.sqrt(np.mean(foreco_errors ** 2, axis=-1)).tolist()
         return baseline_rmse, foreco_rmse
 
     # ------------------------------------------------------------- execution
-    def _execute_batch(self, targets: np.ndarray, initial: np.ndarray) -> np.ndarray:
-        """Drive ``(B, n, d)`` per-slot targets through the robot stack.
+    def _execute_batch(self, clamped: np.ndarray, initial: np.ndarray) -> np.ndarray:
+        """Drive ``(B, n, d)`` clamped per-slot targets through the robot stack.
 
-        Kinematic mode reduces to the joint-limit clamp; dynamic mode steps
+        Kinematic mode executes the targets as they are; dynamic mode steps
         one :class:`~repro.robot.pid.JointPidController` whose ``B * d``
         "joints" are the stacked repetitions, reusing the serial PID
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
         the (raw, unclamped) joint state the serial driver resets to.
-        ``targets`` is clamped in place (the caller owns it and needs only
-        the clamped values).
         """
-        limits = self.arm.limits
-        clamped = np.clip(targets, limits.position_min, limits.position_max, out=targets)
         if not self.use_pid:
             return clamped
+        limits = self.arm.limits
         n_batch, n_slots, n_joints = clamped.shape
         controller = JointPidController(
             n_batch * n_joints,

@@ -28,9 +28,10 @@ Layout and guarantees
   directory) can race on the same key and readers still only ever see a
   complete record — last writer wins, and equal specs write equal bytes
   anyway.
-* Loads are corruption-tolerant: a truncated, garbled or wrong-schema shard
-  counts as a miss (and is deleted best-effort) instead of poisoning the
-  sweep — the result is simply recomputed and rewritten.
+* Loads are corruption-tolerant: a truncated, garbled or wrong-schema shard,
+  or one whose stored canonical spec differs from the caller's, counts as a
+  miss (and is deleted best-effort) instead of poisoning the sweep — the
+  result is simply recomputed and rewritten.
 * An optional LRU cap (``max_entries`` / ``max_bytes``) bounds the store;
   recency is tracked through shard mtimes, which :meth:`get` refreshes.
 
@@ -38,7 +39,7 @@ What a shard stores — and what it does not
 ------------------------------------------
 
 A shard persists the complete summary row: the per-repetition metric tuples,
-the command count, the canonical spec (for debuggability and auditability)
+the command count, the canonical spec (checked on load, and kept for audits)
 and the last repetition's delay trace.  The in-memory-only ``outcome``
 field (full trajectories, megabytes per session) is **not** persisted;
 results loaded from the store carry ``outcome=None``.  Everything the sweep
@@ -288,6 +289,8 @@ class ResultStore:
         kind = payload.get("kind", "session")
         if kind != expected:
             raise StoreError(f"record kind {kind!r} does not match the spec's {expected!r}")
+        if payload.get("spec") != json.loads(json.dumps(spec.canonical())):
+            raise StoreError("stored canonical spec does not match the caller's spec")
         _, decode = _CODECS[expected]
         return decode(spec, key, payload)
 
@@ -298,9 +301,9 @@ class ResultStore:
         ``spec`` is any hashable spec with a ``spec_hash()`` method and a
         registered record kind (:class:`ScenarioSpec` or
         :class:`~repro.fleet.FleetSpec`).  The returned row is attached to
-        the *caller's* spec object (the shard's canonical spec is audit
-        metadata, not the source of truth — the content address already
-        guarantees they describe the same physics).  Corrupted shards count
+        the *caller's* spec object once the shard's stored canonical spec
+        has been checked against the caller's (after JSON normalisation).
+        Corrupted shards, including one whose stored spec disagrees, count
         as misses and are deleted.
         """
         key = spec.spec_hash()

@@ -156,6 +156,8 @@ def _assert_batched_equals_serial(recovery, commands, delays, use_pid=False, fal
         expected = serial.run(commands, row)
         assert outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
         assert outcome.rmse_foreco_mm == expected.rmse_foreco_mm
+        assert outcome.late_fraction == expected.late_fraction
+        assert outcome.recovery_fraction == expected.recovery_fraction
         assert np.array_equal(outcome.baseline.joints, expected.baseline.joints)
         assert np.array_equal(outcome.foreco.joints, expected.foreco.joints)
 
@@ -204,3 +206,22 @@ def test_batched_rmse_equals_serial_across_row_blocks(trained_recovery, inexperi
     assert 1 <= rows_per_block < 20
     delays = _jammed_delays(rows_per_block + 1, n_slots)
     _assert_batched_equals_serial(trained_recovery, commands, delays)
+
+
+@pytest.mark.parametrize("use_pid", [False, True], ids=["kinematic", "pid"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-losses",
+        "all-lost-row",
+        "early-losses",
+        "slot0-record1",
+        "fallback-equals-command",
+        "clipped-forecast",
+    ],
+)
+def test_batched_rmse_equals_serial_on_kernel_edge_cases(case, use_pid, kernel_edge_case, edge_case_training):
+    """Missing rows whose bits equal their command, and forecasts clipped at a limit, included."""
+    config, _, commands, delays = kernel_edge_case(case)
+    recovery = ForecoRecovery(config).train(edge_case_training)
+    _assert_batched_equals_serial(recovery, commands, delays, use_pid=use_pid)

@@ -19,6 +19,7 @@ from repro.forecasting import (
     make_forecaster,
     register_forecaster,
 )
+from repro.robot.niryo import NiryoOneArm
 
 
 def _ramp(n: int = 200, d: int = 6, step: float = 0.005) -> np.ndarray:
@@ -215,6 +216,56 @@ def test_online_matches_batched_across_window_compactions(algorithm, overrides):
     for name in ("n_slots", "n_on_time", "n_missing", "n_forecasted"):
         assert getattr(recovery.stats, name) == getattr(reference, name)
     assert len(recovery.dataset) == recovery.stats.n_on_time
+
+
+def _edge_case_holds(case: str, batched, commands: np.ndarray) -> bool:
+    """Whether the batch really takes the path its edge case is named after."""
+    missing = ~batched.on_time
+    if case == "no-losses":
+        return not missing.any()
+    if case == "all-lost-row":
+        return bool(missing[1].all() and batched.forecasted[1].any())
+    if case in ("early-losses", "slot0-record1"):
+        return bool(missing[:, 0].any() and batched.forecasted.any())
+    if case == "untrained":
+        return bool(missing.any() and not batched.forecasted.any())
+    if case == "fallback-equals-command":
+        same_bits = (batched.executed.view(np.uint64) == commands.view(np.uint64)).all(axis=-1)
+        return bool((missing & same_bits).any())
+    upper = NiryoOneArm().limits.position_max[1]
+    overshoot = batched.forecasted & (batched.executed[:, :, 1] > upper) & (commands[:, 1] <= upper)
+    return bool(overshoot.any())
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-losses",
+        "all-lost-row",
+        "early-losses",
+        "slot0-record1",
+        "untrained",
+        "fallback-equals-command",
+        "clipped-forecast",
+    ],
+)
+def test_batched_kernel_edge_cases_match_online(case, kernel_edge_case, edge_case_training):
+    config, trained, commands, delays = kernel_edge_case(case)
+    forecaster = make_forecaster(config.algorithm, record=config.record)
+    if trained:
+        forecaster.fit(edge_case_training)
+    batched = ForecoRecovery(config, forecaster=copy.deepcopy(forecaster)).process_stream_batch(
+        commands, delays
+    )
+    assert _edge_case_holds(case, batched, commands)
+    for row, row_delays in enumerate(delays):
+        recovery, decisions = _online(config, forecaster, commands, row_delays)
+        executed = np.stack([decision.executed_command for decision in decisions])
+        assert executed.tobytes() == batched.executed[row].tobytes()
+        assert np.array_equal([decision.forecasted for decision in decisions], batched.forecasted[row])
+        reference = batched.stats[row]
+        for name in ("n_slots", "n_on_time", "n_missing", "n_forecasted"):
+            assert getattr(recovery.stats, name) == getattr(reference, name)
 
 
 # ---------------------------------------------------- ownership and errors

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import DimensionError, NotFittedError
 from repro.forecasting import Forecaster, make_forecaster
+from repro.forecasting.base import _builtin_forecasters
 
 RECORD = 5
 N_JOINTS = 6
@@ -55,6 +56,43 @@ def test_batch_matches_looped_predict_next(name):
         # shared-instance batch reproduces exactly that.
         serial = copy.deepcopy(forecaster).predict_next(history)
         assert np.array_equal(row, serial)
+
+
+@pytest.mark.parametrize("name", sorted(FORECASTERS))
+def test_batch_rows_are_pure(name):
+    """A row's forecast has the same bits alone, in a larger batch and permuted.
+
+    The batched recovery kernel forecasts only the rows that miss a slot, so
+    the rows sharing a call change from slot to slot; that is exact only if
+    each row's bits depend on its own history alone.  Constant histories,
+    ``-0.0`` entries and large values are included.
+    """
+    forecaster = make_forecaster(name, record=RECORD, **FORECASTERS[name])
+    forecaster.fit(_training_stream())
+    histories = _histories(n_batch=48, length=RECORD, seed=3)
+    histories[0] = 0.0
+    histories[1, :, ::2] = -0.0
+    histories[2] = histories[2, -1]
+    histories[3] *= 1e3
+    bits = forecaster.predict_next_batch(histories).view(np.uint64)
+
+    def batch_bits(rows: np.ndarray) -> np.ndarray:
+        return forecaster.predict_next_batch(rows).view(np.uint64)
+
+    for index in range(histories.shape[0]):
+        assert np.array_equal(batch_bits(histories[index : index + 1]), bits[index : index + 1])
+    larger = np.concatenate((_histories(n_batch=300, length=RECORD, seed=4), histories))
+    assert np.array_equal(batch_bits(larger)[-histories.shape[0] :], bits)
+    rng = np.random.default_rng(5)
+    order = rng.permutation(histories.shape[0])
+    assert np.array_equal(batch_bits(histories[order]), bits[order])
+    subset = rng.random(histories.shape[0]) < 0.3
+    assert np.array_equal(batch_bits(histories[subset]), bits[subset])
+
+
+def test_purity_cases_cover_every_batching_builtin():
+    batching = {name for name, cls in _builtin_forecasters().items() if cls.supports_batch_predict}
+    assert batching == set(FORECASTERS)
 
 
 @pytest.mark.parametrize("name", sorted(FORECASTERS))

@@ -143,6 +143,24 @@ def test_corrupted_shard_counts_as_miss_and_is_removed(tmp_path):
     assert ResultStore(tmp_path).get(spec) is None
 
 
+def test_shard_with_a_different_stored_spec_is_quarantined(tmp_path):
+    """A shard is attached to the caller's spec only if its stored spec agrees."""
+    spec = _spec(channel=clean_channel())
+    store = ResultStore(tmp_path)
+    path = store.put(spec, _synthetic_result(spec))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["spec"] == json.loads(json.dumps(spec.canonical()))
+    assert ResultStore(tmp_path).get(spec) is not None  # tuples vs lists agree
+
+    record["spec"]["seed"] += 1  # same content address, different physics
+    path.write_text(json.dumps(record), encoding="utf-8")
+    fresh = ResultStore(tmp_path)
+    assert fresh.get(spec) is None
+    stats = fresh.stats()
+    assert (stats.corrupted, stats.misses, stats.hits) == (1, 1, 0)
+    assert not path.exists()
+
+
 def test_concurrent_writers_same_key(tmp_path):
     spec = _spec(channel=clean_channel())
     result = _synthetic_result(spec)
