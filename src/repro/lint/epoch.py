@@ -10,7 +10,7 @@ test; it silently serves stale physics out of warm stores.
 This module turns the convention into a mechanical check.  A committed
 manifest maps the current epoch to a **semantic hash** of every
 engine-semantic module (the scenario engine, the fleet couplers, every
-wireless sampler).  The semantic hash is the SHA-256 of the
+wireless sampler, the dataset synthesis).  The semantic hash is the SHA-256 of the
 docstring-stripped AST dump, so comment/docstring/formatting edits do not
 churn the manifest while any executable change does.  ``EPOCH001`` fails
 when a tracked file changed without the manifest being regenerated (and the
@@ -31,7 +31,8 @@ from ..errors import ConfigurationError
 from .findings import Finding
 from .registry import ProjectContext, Rule, register
 
-#: Engine-semantic modules tracked explicitly (wireless/*.py is added by glob).
+#: Engine-semantic modules tracked explicitly (wireless/*.py and teleop/*.py
+#: are added by glob).
 _TRACKED_FIXED = (
     "src/repro/core/recovery.py",
     "src/repro/forecasting/base.py",
@@ -65,13 +66,16 @@ def tracked_files(root: Path) -> list[str]:
     VAR forecaster, fleet couplers and spec, service admission engine and
     policies) plus every module of
     :mod:`repro.wireless` — all delay samplers and channel models live
-    there, and a new sampler is engine-semantic by construction.
+    there, and a new sampler is engine-semantic by construction — and every
+    module of :mod:`repro.teleop`, which synthesises the operator datasets
+    every run trains and replays on.
     """
     tracked = set(_TRACKED_FIXED)
-    wireless = Path(root) / "src" / "repro" / "wireless"
-    if wireless.is_dir():
-        for path in wireless.glob("*.py"):
-            tracked.add(path.relative_to(root).as_posix())
+    for package in ("wireless", "teleop"):
+        directory = Path(root) / "src" / "repro" / package
+        if directory.is_dir():
+            for path in directory.glob("*.py"):
+                tracked.add(path.relative_to(root).as_posix())
     return sorted(tracked)
 
 

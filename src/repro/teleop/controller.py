@@ -120,13 +120,19 @@ class RemoteController:
             raise DimensionError(
                 f"raw motion must have {self.arm.n_joints} joints, got {raw_motion.shape[1]}"
             )
+        low, high = self.arm.limits.position_min, self.arm.limits.position_max
+        offset = self.moving_offset_rad
         commands = np.empty_like(raw_motion)
         current = raw_motion[0].copy()
         commands[0] = self.arm.clamp(current)
+        delta = np.empty_like(current)
+        # In-place maximum-then-minimum gives np.clip's bits without its
+        # per-call overhead; the rate limit itself stays a sequential loop.
         for index in range(1, raw_motion.shape[0]):
-            delta = raw_motion[index] - current
-            delta = np.clip(delta, -self.moving_offset_rad, self.moving_offset_rad)
-            current = self.arm.clamp(current + delta)
+            np.subtract(raw_motion[index], current, out=delta)
+            np.minimum(np.maximum(delta, -offset, out=delta), offset, out=delta)
+            np.add(current, delta, out=current)
+            np.minimum(np.maximum(current, low, out=current), high, out=current)
             commands[index] = current
         return CommandStream(commands, period_ms=self.command_period_ms, label=label)
 

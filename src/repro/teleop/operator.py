@@ -184,7 +184,7 @@ class OperatorModel:
             if start_joints is not None
             else waypoints[0].joints.copy()
         )
-        commands: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
         wander = np.zeros(self.n_joints)
 
         for waypoint in waypoints:
@@ -193,30 +193,31 @@ class OperatorModel:
             )
             n_steps = max(1, int(round(duration / dt_s)))
             target = waypoint.joints + self.rng.normal(0.0, profile.overshoot_rad, self.n_joints)
-            start = current.copy()
             fractions = self._profile_fn(np.arange(1, n_steps + 1) / n_steps)
-            for fraction in fractions:
-                wander = (
-                    profile.jitter_smoothing * wander
-                    + (1.0 - profile.jitter_smoothing)
-                    * self.rng.normal(0.0, profile.jitter_rad, self.n_joints)
-                )
-                command = start + fraction * (target - start) + wander
-                commands.append(command)
-            current = commands[-1].copy()
+            steps = self._wander(wander, n_steps)
+            move = current + fractions[:, None] * (target - current) + steps[1:]
+            current = move[-1]
 
             dwell = waypoint.dwell_s
             if self.rng.random() < profile.pause_probability:
                 dwell += self.rng.exponential(profile.pause_duration_s)
-            n_dwell = int(round(dwell / dt_s))
-            for _ in range(n_dwell):
-                wander = (
-                    profile.jitter_smoothing * wander
-                    + (1.0 - profile.jitter_smoothing)
-                    * self.rng.normal(0.0, profile.jitter_rad, self.n_joints)
-                )
-                commands.append(current + wander)
-        return np.array(commands)
+            steps = self._wander(steps[-1], int(round(dwell / dt_s)))
+            blocks += [move, current + steps[1:]]
+            wander = steps[-1]
+        return np.vstack(blocks)
+
+    def _wander(self, wander: np.ndarray, count: int) -> np.ndarray:
+        """``wander`` followed by ``count`` further steps of the smoothed joystick wander.
+
+        The jitter of all ``count`` steps is drawn as one block, which takes
+        the same values from the generator as ``count`` per-step draws.
+        """
+        smoothing = self.profile.jitter_smoothing
+        jitter = self.rng.normal(0.0, self.profile.jitter_rad, (count, self.n_joints))
+        rows = np.vstack([wander, (1.0 - smoothing) * jitter])
+        for previous, row in zip(rows, rows[1:]):
+            row += smoothing * previous
+        return rows
 
     def generate_dataset(self, n_repetitions: int = 10) -> np.ndarray:
         """Concatenate ``n_repetitions`` task cycles into one command stream.

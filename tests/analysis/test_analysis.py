@@ -64,6 +64,8 @@ def test_mean_confidence_interval():
     assert interval.mean == pytest.approx(3.0)
     assert interval.low < 3.0 < interval.high
     assert interval.n_samples == 5
+    # t(0.975, df=4) times the standard error sqrt(2.5) / sqrt(5).
+    assert interval.half_width == pytest.approx(2.7764451051977987 * np.sqrt(2.5) / np.sqrt(5))
 
 
 def test_confidence_interval_single_sample():

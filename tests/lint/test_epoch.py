@@ -136,3 +136,13 @@ def test_new_wireless_module_must_enter_the_manifest(tmp_path):
     new.write_text('"""New sampler."""\n\nRATE = 2.0\n', encoding="utf-8")
     findings = epoch_findings(tmp_path, manifest_path)
     assert any(f.path.endswith("new_sampler.py") and "not covered" in f.message for f in findings)
+
+
+def test_editing_dataset_synthesis_without_a_bump_is_a_finding(tmp_path):
+    """Every run trains and replays on synthesised datasets: teleop/* is hashed."""
+    manifest_path = copy_engine_tree(tmp_path)
+    assert "src/repro/teleop/operator.py" in load_manifest(manifest_path)["files"]
+    operator = tmp_path / "src/repro/teleop/operator.py"
+    operator.write_text(operator.read_text(encoding="utf-8") + "\nEXTRA = 1\n", encoding="utf-8")
+    findings = epoch_findings(tmp_path, manifest_path)
+    assert [f.path for f in findings] == ["src/repro/teleop/operator.py"]

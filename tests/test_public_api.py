@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +26,24 @@ def test_version_and_exports():
     assert repro.__version__
     for name in repro.__all__:
         assert hasattr(repro, name), f"missing export {name}"
+
+
+def test_import_loads_no_scipy():
+    """The library needs only numpy: importing it and the runner loads no scipy.
+
+    Runs in a fresh interpreter, since this test process may already hold
+    scipy for the test-only oracles.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    script = "import json, sys, repro, repro.experiments.runner; print(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    modules = json.loads(result.stdout)
+    assert "repro.experiments.runner" in modules
+    assert [name for name in modules if name == "scipy" or name.startswith("scipy.")] == []
 
 
 def test_error_hierarchy():
