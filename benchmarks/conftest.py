@@ -28,9 +28,13 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 from pathlib import Path
 
 import pytest
+
+# The ratio gates time the serial oracles kept with the tests (tests/oracles).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Per-test payload for the trajectory file: ``{test_name: {metric: value}}``.
 #: ``wall_s`` is filled by the harness; everything else by record_metric().

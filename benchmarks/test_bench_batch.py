@@ -1,8 +1,9 @@
 """Benchmark: batched session kernel vs the serial repetition loop.
 
 Runs the same loss-heavy scenario three ways — the serial per-repetition
-loop (``batch=False``), the batched kernel (``batch=True``) and a
-process-parallel sweep of single-repetition shards — and reports repetition
+loop (the oracle engine of ``tests/oracles/serial.py``), the session kernel
+(``SessionEngine``) and a process-parallel sweep of single-repetition
+shards — and reports repetition
 throughput for the paper's two fast forecasters (MA and VAR).  The batched
 kernel must deliver at least a 3x repetition-throughput improvement over the
 serial loop at CI scale; all three paths must agree bit-for-bit (the
@@ -17,6 +18,8 @@ path).
 from __future__ import annotations
 
 import time
+
+from oracles.serial import SerialSessionEngine
 
 from repro.scenarios import SessionEngine, SweepExecutor, get_scenario
 
@@ -60,9 +63,11 @@ def test_bench_batched_kernel_throughput(benchmark, bench_scale, bench_seed):
         spec = _spec(bench_scale, bench_seed, algorithm)
         engine = SessionEngine(cache_results=False)
         engine.run(spec.with_(repetitions=1))  # warm dataset/forecaster caches
+        oracle = SerialSessionEngine(cache_results=False)
+        oracle.run(spec.with_(repetitions=1))
 
-        t_serial, serial = _best_of(lambda: engine.run(spec, batch=False))
-        t_batched, batched = _best_of(lambda: engine.run(spec, batch=True))
+        t_serial, serial = _best_of(lambda: oracle.run(spec))
+        t_batched, batched = _best_of(lambda: engine.run(spec))
         # Process backend: one single-repetition shard per worker, the
         # multi-core route for grids whose sessions cannot share a cache.
         shards = [spec.with_(repetitions=1, seed=bench_seed + i) for i in range(4)]
@@ -80,9 +85,7 @@ def test_bench_batched_kernel_throughput(benchmark, bench_scale, bench_seed):
         )
 
     def run():
-        return SessionEngine(cache_results=False).run(
-            _spec(bench_scale, bench_seed, "var"), batch=True
-        )
+        return SessionEngine(cache_results=False).run(_spec(bench_scale, bench_seed, "var"))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     record_metric(

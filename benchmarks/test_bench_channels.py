@@ -1,8 +1,9 @@
 """Benchmark: vectorized channel sampling vs the serial per-repetition loop.
 
 Samples the same set of repetition seeds two ways — one serial
-``sample_channel_delays`` call per repetition (the engine's pre-vectorization
-path, which rebuilds the channel model and walks a Python loop per command)
+``sample_channel_delays`` call per repetition (the oracle of
+``tests/oracles/serial.py``: the engine's pre-vectorization path, which
+rebuilds the channel model and walks a Python loop per command)
 and one ``sample_channel_delays_batch`` call (Bianchi fixed point solved
 once, all repetitions advanced in lockstep ``(B, n)`` arrays) — and reports
 repetition-sampling throughput per channel kind.
@@ -18,8 +19,9 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from oracles.serial import sample_channel_delays
 
-from repro.scenarios import get_scenario, sample_channel_delays, sample_channel_delays_batch
+from repro.scenarios import get_scenario, sample_channel_delays_batch
 
 from conftest import emit, record_metric
 

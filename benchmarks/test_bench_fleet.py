@@ -1,9 +1,9 @@
 """Benchmark: batched fleet execution vs the serial per-session loop.
 
 Runs the same 12-operator shared-AP fleet two ways — every admitted
-operator-session through one batched session-kernel pass
-(``FleetEngine(batch=True)``, the default) and through the serial
-per-session reference loop (``batch=False``) — and reports session
+operator-session through one session-kernel pass (``FleetEngine``) and
+through the serial per-session reference loop (the oracle engine of
+``tests/oracles/serial.py``) — and reports session
 throughput.  The batched path must deliver at least a 3x improvement at CI
 scale; both paths must agree bit-for-bit (the fleet engine's equality
 guarantee).
@@ -16,6 +16,8 @@ batches over (sampling and coupling cost the same on both paths).
 from __future__ import annotations
 
 import time
+
+from oracles.serial import SerialFleetEngine
 
 from repro.fleet import FleetEngine, FleetSpec
 from repro.scenarios import SessionEngine, get_scenario
@@ -65,9 +67,10 @@ def test_bench_fleet_throughput(benchmark, bench_scale, bench_seed):
         sessions = SessionEngine(cache_results=False)
         sessions.run(fleet.template)  # warm dataset/forecaster caches
         engine = FleetEngine(sessions=sessions, cache_results=False)
+        oracle = SerialFleetEngine(sessions=sessions, cache_results=False)
 
-        t_serial, serial = _best_of(lambda: engine.run(fleet, batch=False))
-        t_batched, batched = _best_of(lambda: engine.run(fleet, batch=True))
+        t_serial, serial = _best_of(lambda: oracle.run(fleet))
+        t_batched, batched = _best_of(lambda: engine.run(fleet))
 
         assert serial.rmse_foreco_mm == batched.rmse_foreco_mm
         assert serial.rmse_no_forecast_mm == batched.rmse_no_forecast_mm
@@ -82,7 +85,7 @@ def test_bench_fleet_throughput(benchmark, bench_scale, bench_seed):
     def run():
         sessions = SessionEngine(cache_results=False)
         return FleetEngine(sessions=sessions, cache_results=False).run(
-            _fleet(bench_scale, bench_seed, "var"), batch=True
+            _fleet(bench_scale, bench_seed, "var")
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -294,7 +294,7 @@ def _forecaster_table() -> list[str]:
             # shipped reference (and would make the generated page depend on
             # what happens to be registered in this process).
             continue
-        batched = "yes" if forecaster.supports_batch_predict else "no (serial fallback)"
+        batched = "yes" if forecaster.supports_batch_predict else "no (one copy per row)"
         lines.append(f"| `{name}` | `{type(forecaster).__name__}` | {batched} |")
     return lines
 
@@ -352,11 +352,10 @@ def render() -> str:
     parts.append("[Validation](validation.md).\n")
     parts.append("## Channel kinds\n")
     parts.extend(_channel_kind_table())
-    parts.append("\nEvery kind samples through `sample_channel_delays` (serial, one")
-    parts.append("repetition per seed) and `sample_channel_delays_batch` (all")
-    parts.append("repetitions as one `(B, n)` array).  The two paths are bit-identical")
-    parts.append("per seed — the serial sampler is the oracle — and the batched path")
-    parts.append("is what `SessionEngine` uses for multi-repetition specs (see")
+    parts.append("\nEvery kind samples through `sample_channel_delays_batch` (all")
+    parts.append("repetitions as one `(B, n)` array; `sample_channel_delays` is its")
+    parts.append("one-seed case).  Each row is bit-identical to the serial")
+    parts.append("one-realisation sampler of `tests/oracles/serial.py`, the oracle (see")
     parts.append("[Performance](performance.md)).\n")
     parts.append("## Fleet presets\n")
     parts.extend(_fleet_table())

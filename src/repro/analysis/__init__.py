@@ -8,7 +8,7 @@
   and an edge server; we measure on the current host and report the paper's
   relative platform ordering).
 * :mod:`repro.analysis.statistics` — small summary-statistics helpers
-  (mean ± confidence intervals over repeated simulations).
+  (mean, spread and percentiles over repeated runs).
 * :mod:`repro.analysis.sweeps` — renderers turning scenario
   :class:`~repro.scenarios.SweepResult` tables into heatmaps and summaries.
 """
@@ -21,7 +21,7 @@ from .profiling import (
     ProfiledStage,
     scale_timings_to_hardware,
 )
-from .statistics import ConfidenceInterval, mean_confidence_interval, summarize
+from .statistics import summarize
 
 __all__ = [
     "HeatmapCell",
@@ -33,7 +33,5 @@ __all__ = [
     "HardwareProfile",
     "ProfiledStage",
     "scale_timings_to_hardware",
-    "ConfidenceInterval",
-    "mean_confidence_interval",
     "summarize",
 ]

@@ -19,12 +19,13 @@ command arrived within its own 20 ms slot".
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError, DimensionError
+from ..errors import ConfigurationError, DatasetError, DimensionError
 from ..forecasting import Forecaster, make_forecaster
 from .config import ForecoConfig
 from .dataset import CommandDataset
@@ -57,10 +58,10 @@ class BatchedRecoveryResult:
     ----------
     executed:
         ``(B, n, d)`` — per-repetition executed commands (real or forecast),
-        row-for-row bit-identical to ``B`` serial :meth:`ForecoRecovery.
-        process_stream` runs.  It is the view ``ext[:, 1:]`` of the kernel's
-        seeded ``(B, n + 1, d)`` array, so each ``executed[b]`` is contiguous
-        but the whole array is not.
+        row-for-row bit-identical to ``B`` one-session
+        :meth:`ForecoRecovery.process_stream` runs.  It is the view
+        ``ext[:, 1:]`` of the kernel's seeded ``(B, n + 1, d)`` array, so
+        each ``executed[b]`` is contiguous but the whole array is not.
     on_time:
         ``(B, n)`` boolean — which commands met the ``Ω + τ`` deadline.
     forecasted:
@@ -306,10 +307,18 @@ class ForecoRecovery:
         BatchedRecoveryResult
             Whose ``executed[b]`` is bit-identical to
             ``process_stream(commands, delays_ms[b])`` on a fresh recovery
-            engine, provided the forecaster honours
-            :attr:`~repro.forecasting.Forecaster.supports_batch_predict`.
-            ``executed`` is a view with contiguous rows, not a contiguous
-            ``(B, n, d)`` array.
+            engine.  A forecaster that honours
+            :attr:`~repro.forecasting.Forecaster.supports_batch_predict`
+            forecasts every missing row of a slot in one call; any other
+            forecaster is deep-copied once per row, at the row's first
+            forecast, and each row predicts on its own copy.  ``executed``
+            is a view with contiguous rows, not a contiguous ``(B, n, d)``
+            array.
+
+        Raises
+        ------
+        DatasetError
+            When a command is NaN or infinite.
 
         Notes
         -----
@@ -323,10 +332,17 @@ class ForecoRecovery:
             delays_ms = delays_ms[None, :]
         if commands.ndim != 2 or delays_ms.ndim != 2 or commands.shape[0] != delays_ms.shape[1]:
             raise DimensionError("commands (n, d) and delays_ms (B, n) lengths must match")
+        if not np.isfinite(commands).all():
+            raise DatasetError("command contains NaN or infinite values")
         n_batch, n_slots = delays_ms.shape
         record = self.config.record
         max_step = self.config.max_step_rad
         model_ready = self.forecaster.is_fitted
+        # Row -> private forecaster copy; ``None`` when one shared instance
+        # may forecast every row at once.
+        row_forecasters: dict[int, Forecaster] | None = (
+            None if getattr(self.forecaster, "supports_batch_predict", False) else {}
+        )
 
         on_time = np.isfinite(delays_ms) & (delays_ms <= self.config.deadline_ms)
         missing = ~on_time
@@ -342,7 +358,15 @@ class ForecoRecovery:
             rows = np.flatnonzero(missing[:, slot])
             if model_ready and slot + 1 >= record:
                 recent = feedback[rows, slot + 1 - record : slot + 1]
-                forecasts = self.forecaster.predict_next_batch(recent)
+                if row_forecasters is None:
+                    forecasts = self.forecaster.predict_next_batch(recent)
+                else:
+                    forecasts = np.empty((rows.size, commands.shape[1]))
+                    for index, row in enumerate(rows.tolist()):
+                        forecaster = row_forecasters.get(row)
+                        if forecaster is None:
+                            forecaster = row_forecasters[row] = copy.deepcopy(self.forecaster)
+                        forecasts[index] = forecaster.predict_next(recent[index])
                 if max_step is not None:
                     previous = recent[:, -1, :]
                     step = np.clip(forecasts - previous, -max_step, max_step)

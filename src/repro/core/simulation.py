@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..robot.driver import DriverConfig, RobotDriver
+from ..robot.driver import DriverConfig
 from ..robot.niryo import NiryoOneArm
 from ..robot.pid import JointPidController
-from ..robot.trajectory import JointTrajectory, trajectory_rmse_mm
+from ..robot.trajectory import JointTrajectory
 from ..wireless.channel import CommandDelayTrace
 from .config import ForecoConfig
 from .recovery import ForecoRecovery
@@ -149,91 +149,8 @@ def _refresh(errors: np.ndarray, mask: np.ndarray, positions_mm: np.ndarray, def
     errors[mask] = np.linalg.norm(positions_mm - defined_mm[np.nonzero(mask)[1]], axis=-1)
 
 
-class RemoteControlSimulation:
-    """Replays a command stream through a channel, with and without FoReCo."""
-
-    def __init__(
-        self,
-        recovery: ForecoRecovery,
-        arm: NiryoOneArm | None = None,
-        use_pid: bool = False,
-        fallback: str = "hold",
-    ) -> None:
-        if not recovery.is_ready:
-            raise ConfigurationError("the recovery engine must be trained before simulating")
-        self.recovery = recovery
-        self.arm = arm if arm is not None else NiryoOneArm()
-        self.use_pid = bool(use_pid)
-        self.fallback = fallback
-
-    # ------------------------------------------------------------------ run
-    def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationOutcome:
-        """Execute one session given per-command end-to-end delays."""
-        commands = np.asarray(commands, dtype=float)
-        delays_ms = np.asarray(delays_ms, dtype=float).ravel()
-        if commands.ndim != 2 or commands.shape[0] != delays_ms.size:
-            raise DimensionError("commands and delays_ms lengths must match")
-        config = self.recovery.config
-
-        # FoReCo pass: compute per-slot executed targets (real or forecast).
-        foreco_targets = self.recovery.process_stream(commands, delays_ms)
-        on_time_mask = np.array(
-            [self.recovery.is_on_time(delay) for delay in delays_ms], dtype=bool
-        )
-        late_fraction = float(1.0 - on_time_mask.mean())
-        recovery_fraction = self.recovery.stats.recovery_fraction
-
-        driver_config = DriverConfig(
-            command_period_ms=config.command_period_ms,
-            tolerance_ms=config.tolerance_ms,
-            fallback=self.fallback,  # type: ignore[arg-type]
-            use_pid=self.use_pid,
-        )
-
-        # Baseline: execute commands as they arrive (stock stack behaviour).
-        baseline_targets = self._baseline_targets(commands, delays_ms)
-        baseline_driver = RobotDriver(arm=self.arm, config=driver_config)
-        baseline_log = baseline_driver.run(
-            baseline_targets, np.ones(commands.shape[0], dtype=bool), forecasts=None
-        )
-
-        # FoReCo: inject the recovery engine's forecasts for missing slots.
-        foreco_driver = RobotDriver(arm=self.arm, config=driver_config)
-        foreco_log = foreco_driver.run(commands, on_time_mask, forecasts=foreco_targets)
-
-        period_s = config.command_period_ms / 1000.0
-        times = np.arange(commands.shape[0]) * period_s
-        defined = JointTrajectory(times, commands, label="defined")
-        baseline = baseline_log.executed_trajectory(label="no-forecast")
-        foreco = foreco_log.executed_trajectory(label="foreco")
-
-        return SimulationOutcome(
-            rmse_no_forecast_mm=trajectory_rmse_mm(baseline.joints, commands, arm=self.arm),
-            rmse_foreco_mm=trajectory_rmse_mm(foreco.joints, commands, arm=self.arm),
-            late_fraction=late_fraction,
-            recovery_fraction=recovery_fraction,
-            defined=defined,
-            baseline=baseline,
-            foreco=foreco,
-        )
-
-    def _baseline_targets(self, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
-        """Per-slot targets executed by the stock (no-forecast) robot stack."""
-        period = self.recovery.config.command_period_ms
-        return commands[baseline_target_indices(delays_ms, period)]
-
-    def run_trace(self, commands: np.ndarray, trace: CommandDelayTrace) -> SimulationOutcome:
-        """Convenience wrapper accepting a :class:`CommandDelayTrace`."""
-        delays = trace.delays()
-        if delays.size < commands.shape[0]:
-            raise DimensionError(
-                f"trace has {delays.size} samples but the stream has {commands.shape[0]} commands"
-            )
-        return self.run(commands, delays[: commands.shape[0]])
-
-
 class BatchedRemoteControlSimulation:
-    """Vectorized variant of :class:`RemoteControlSimulation` over ``B`` runs.
+    """The session kernel: ``B`` remote-control sessions over one command stream.
 
     The paper's headline numbers are means over many repeated sessions that
     share one command stream but see independent channel realisations.  Those
@@ -242,17 +159,24 @@ class BatchedRemoteControlSimulation:
     ``(B, ...)`` arrays, then reduces to one :class:`SimulationOutcome` per
     repetition.  Every array operation involved is elementwise or uses a
     batch-size-invariant reduction, so each outcome is **bit-identical** to
-    what a serial :class:`RemoteControlSimulation` run would have produced
-    for the same delay trace (this is asserted by the test suite).
+    a one-session-at-a-time run of its delay trace (the test suite keeps
+    that serial path as its oracle).
 
     Parameters
     ----------
     recovery:
-        A trained recovery engine whose forecaster has
-        ``supports_batch_predict = True``.  One shared engine serves the
-        whole batch; per-repetition bookkeeping lives in the stacked arrays.
-    arm / use_pid / fallback:
-        Same meaning as on :class:`RemoteControlSimulation`.
+        A trained recovery engine.  One shared engine serves the whole
+        batch; per-repetition bookkeeping lives in the stacked arrays (see
+        :meth:`ForecoRecovery.process_stream_batch` for forecasters without
+        batched prediction).
+    arm:
+        The robot (a default :class:`~repro.robot.niryo.NiryoOneArm` when
+        omitted).
+    use_pid:
+        Execute through the PID joint controller instead of perfect tracking.
+    fallback:
+        The robot's behaviour for missing commands (``"hold"`` or
+        ``"stop"``), validated here.
     """
 
     def __init__(
@@ -264,17 +188,11 @@ class BatchedRemoteControlSimulation:
     ) -> None:
         if not recovery.is_ready:
             raise ConfigurationError("the recovery engine must be trained before simulating")
-        if not getattr(recovery.forecaster, "supports_batch_predict", False):
-            raise ConfigurationError(
-                f"{type(recovery.forecaster).__name__} does not support batched prediction; "
-                "run the serial RemoteControlSimulation instead"
-            )
         self.recovery = recovery
         self.arm = arm if arm is not None else NiryoOneArm()
         self.use_pid = bool(use_pid)
         self.fallback = fallback
-        # Validates the period/tolerance/fallback combination exactly like
-        # the serial driver does.
+        # Validates the period/tolerance/fallback combination as RobotDriver does.
         self._driver_config = DriverConfig(
             command_period_ms=recovery.config.command_period_ms,
             tolerance_ms=recovery.config.tolerance_ms,
@@ -319,8 +237,8 @@ class BatchedRemoteControlSimulation:
         # FoReCo pass: all recovery state machines advance in lockstep.
         batch = self.recovery.process_stream_batch(commands, delays_ms)
 
-        # Both serial driver runs start from the raw first defined command
-        # (RobotDriver.run resets to its stream's first row, which is
+        # Both executions start from the raw first defined command, as
+        # RobotDriver.run does (it resets to its stream's first row, which is
         # commands[0] for the FoReCo stream and for the baseline stream).
         # ``np.clip`` is elementwise, so the baseline gathers the clipped
         # stream, and the FoReCo targets need clipping only where they can
@@ -426,10 +344,10 @@ class BatchedRemoteControlSimulation:
 
         Kinematic mode executes the targets as they are; dynamic mode steps
         one :class:`~repro.robot.pid.JointPidController` whose ``B * d``
-        "joints" are the stacked repetitions, reusing the serial PID
+        "joints" are the stacked repetitions, reusing the one-arm PID
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
-        the (raw, unclamped) joint state the serial driver resets to.
+        the (raw, unclamped) joint state :class:`RobotDriver` resets to.
         """
         if not self.use_pid:
             return clamped
@@ -447,6 +365,41 @@ class BatchedRemoteControlSimulation:
             stepped = controller.step(clamped[:, slot, :].reshape(-1))
             executed[:, slot, :] = stepped.reshape(n_batch, n_joints)
         return executed
+
+
+class RemoteControlSimulation:
+    """Replays a command stream through a channel, with and without FoReCo.
+
+    One session: the ``B = 1`` case of :class:`BatchedRemoteControlSimulation`,
+    which it holds and runs.
+    """
+
+    def __init__(
+        self,
+        recovery: ForecoRecovery,
+        arm: NiryoOneArm | None = None,
+        use_pid: bool = False,
+        fallback: str = "hold",
+    ) -> None:
+        self.kernel = BatchedRemoteControlSimulation(recovery, arm=arm, use_pid=use_pid, fallback=fallback)
+        self.recovery = recovery
+        self.arm = self.kernel.arm
+        self.use_pid = self.kernel.use_pid
+        self.fallback = fallback
+
+    # ------------------------------------------------------------------ run
+    def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationOutcome:
+        """Execute one session given per-command end-to-end delays."""
+        return self.kernel.run(commands, np.ravel(delays_ms)[None])[0]
+
+    def run_trace(self, commands: np.ndarray, trace: CommandDelayTrace) -> SimulationOutcome:
+        """Convenience wrapper accepting a :class:`CommandDelayTrace`."""
+        delays = trace.delays()
+        if delays.size < commands.shape[0]:
+            raise DimensionError(
+                f"trace has {delays.size} samples but the stream has {commands.shape[0]} commands"
+            )
+        return self.run(commands, delays[: commands.shape[0]])
 
 
 def compare_baseline_and_foreco(

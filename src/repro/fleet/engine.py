@@ -57,11 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
 from ..core.recovery import ForecoRecovery
-from ..core.simulation import (
-    BatchedRemoteControlSimulation,
-    RemoteControlSimulation,
-    SimulationOutcome,
-)
+from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
 from ..errors import ConfigurationError
 from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
 from ..scenarios.spec import ScenarioSpec
@@ -381,12 +377,6 @@ class FleetEngine:
         individually cached or stored; the fleet result is the unit.
     cache_results:
         Keep finished :class:`FleetResult` objects keyed by spec hash.
-    batch:
-        Advance all admitted operator-sessions through the batched session
-        kernel as one stacked computation (the default, several times faster
-        at bit-identical results).  ``batch=False`` forces the serial
-        per-session loop — the equality oracle the benchmark gate measures
-        against.
     store:
         Optional persistent :class:`~repro.scenarios.ResultStore`.  Fleet
         results share the store (and its engine-epoch scheme) with session
@@ -398,23 +388,17 @@ class FleetEngine:
         self,
         sessions: SessionEngine | None = None,
         cache_results: bool = True,
-        batch: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
         self.sessions = sessions if sessions is not None else SessionEngine()
         self.cache_results = bool(cache_results)
-        self.batch = bool(batch)
         self.store = store
         self._results: dict[str, FleetResult] = {}
         self._results_lock = threading.Lock()
 
     # ------------------------------------------------------------------- run
-    def run(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
-        """Run one fleet (all repetitions, all admitted operators).
-
-        ``batch`` overrides the engine's :attr:`batch` setting per call;
-        both paths produce bit-identical results.
-        """
+    def run(self, fleet: FleetSpec) -> FleetResult:
+        """Run one fleet (all repetitions, all admitted operators)."""
         key = fleet.spec_hash()
         if self.cache_results:
             with self._results_lock:
@@ -429,7 +413,7 @@ class FleetEngine:
                         stored = self._results.setdefault(key, stored)
                 return stored
 
-        result = self._compute(fleet, batch=batch)
+        result = self._compute(fleet)
         if self.cache_results:
             with self._results_lock:
                 result = self._results.setdefault(key, result)
@@ -438,7 +422,7 @@ class FleetEngine:
         return result
 
     # --------------------------------------------------------------- compute
-    def _compute(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute(self, fleet: FleetSpec) -> FleetResult:
         """Plan, sample, couple and simulate one fleet from scratch.
 
         The base engine handles the ``"exact"`` tier only; hybrid-tier
@@ -452,13 +436,13 @@ class FleetEngine:
                 f"FleetEngine runs tier='exact' fleets only, got tier={fleet.tier!r}; "
                 "use repro.fleet.HybridFleetEngine (it handles both tiers)"
             )
-        return self._compute_exact(fleet, batch=batch)
+        return self._compute_exact(fleet)
 
-    def _compute_exact(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute_exact(self, fleet: FleetSpec) -> FleetResult:
         """The exact path: every admitted session through the Lindley backlog."""
         n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
         plans, dropped = _plan(fleet, n_commands)
-        run = self.execute(fleet, plans, batch=batch)
+        run = self.execute(fleet, plans)
         return FleetResult(
             spec=fleet,
             spec_hash=fleet.spec_hash(),
@@ -480,12 +464,7 @@ class FleetEngine:
             delays_ms=run.delays_ms[-1],
         )
 
-    def execute(
-        self,
-        fleet: FleetSpec,
-        plans: list[list[_Session]],
-        batch: bool | None = None,
-    ) -> FleetExecution:
+    def execute(self, fleet: FleetSpec, plans: list[list[_Session]]) -> FleetExecution:
         """Execute admitted sessions: sample, couple, simulate, time completion.
 
         ``plans`` holds one list of admitted sessions per repetition, each in
@@ -500,8 +479,7 @@ class FleetEngine:
            its operator's channel spec would use (operator 0 consumes the
            template's own seeds), in one batched call;
         2. the sessions are coupled through their shared per-AP backlog;
-        3. every session advances through one batched kernel pass
-           (``batch`` overrides the engine's :attr:`batch` setting);
+        3. every session advances through one session-kernel pass;
         4. completion times are read off the coupled delays.
 
         Sessions are numbered operator-major (``flat``), so a
@@ -543,7 +521,7 @@ class FleetEngine:
             sessions=sessions,
             delays_ms=coupled,
             ap_utilization=utilization,
-            outcomes=self._simulate(template, commands, coupled, batch=batch),
+            outcomes=self._simulate(template, commands, coupled),
             completion_time_s=self._completion_times(sessions, coupled, n_commands, period),
         )
 
@@ -592,41 +570,17 @@ class FleetEngine:
         return coupled, tuple(float(u) for u in utilization.mean(axis=0))
 
     def _simulate(
-        self,
-        template: ScenarioSpec,
-        commands: np.ndarray,
-        delays: np.ndarray,
-        batch: bool | None = None,
+        self, template: ScenarioSpec, commands: np.ndarray, delays: np.ndarray
     ) -> list[SimulationOutcome]:
-        """Execute the coupled delay stack through the session kernel.
-
-        Mirrors :class:`SessionEngine`'s routing: the batched kernel when
-        the forecaster supports stacked prediction and there is more than
-        one row, the serial reference loop otherwise — bit-identical either
-        way.
-        """
-        master = self.sessions.trained_forecaster(template)
-        use_batch = self.batch if batch is None else bool(batch)
-        if use_batch and delays.shape[0] > 1 and getattr(master, "supports_batch_predict", False):
-            recovery = ForecoRecovery(
-                config=template.foreco.to_config(),
-                forecaster=self.sessions.session_forecaster(template),
-            )
-            simulation = BatchedRemoteControlSimulation(
-                recovery, use_pid=template.use_pid, fallback=template.fallback
-            )
-            return simulation.run(commands, delays)
-        outcomes: list[SimulationOutcome] = []
-        for row in range(delays.shape[0]):
-            recovery = ForecoRecovery(
-                config=template.foreco.to_config(),
-                forecaster=self.sessions.session_forecaster(template),
-            )
-            simulation = RemoteControlSimulation(
-                recovery, use_pid=template.use_pid, fallback=template.fallback
-            )
-            outcomes.append(simulation.run(commands, delays[row]))
-        return outcomes
+        """Execute the coupled delay stack through one session-kernel pass."""
+        recovery = ForecoRecovery(
+            config=template.foreco.to_config(),
+            forecaster=self.sessions.session_forecaster(template),
+        )
+        simulation = BatchedRemoteControlSimulation(
+            recovery, use_pid=template.use_pid, fallback=template.fallback
+        )
+        return simulation.run(commands, delays)
 
     @staticmethod
     def _completion_times(

@@ -168,10 +168,10 @@ class HybridFleetEngine(FleetEngine):
     engine instance serves mixed-tier sweeps.
     """
 
-    def _compute(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute(self, fleet: FleetSpec) -> FleetResult:
         if fleet.tier == "exact":
-            return self._compute_exact(fleet, batch=batch)
-        return self._compute_hybrid(fleet, batch=batch)
+            return self._compute_exact(fleet)
+        return self._compute_hybrid(fleet)
 
     # -------------------------------------------------------------- classify
     def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
@@ -180,7 +180,7 @@ class HybridFleetEngine(FleetEngine):
         return classify_aps(fleet, _plan(fleet, n_commands)[0], n_commands)
 
     # ---------------------------------------------------------------- hybrid
-    def _compute_hybrid(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute_hybrid(self, fleet: FleetSpec) -> FleetResult:
         """Classify, simulate hot APs exactly, service cold APs analytically."""
         n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
         plans, dropped = _plan(fleet, n_commands)
@@ -193,7 +193,7 @@ class HybridFleetEngine(FleetEngine):
         # Hot APs: the exact pipeline, restricted to the hot sub-fleet.  With
         # no cold sessions this is the whole exact computation, bit for bit
         # (only the tier metadata and the spec hash differ from the twin).
-        hot = self.execute(fleet, [[s for s in plan if s.ap in hot_set] for plan in plans], batch)
+        hot = self.execute(fleet, [[s for s in plan if s.ap in hot_set] for plan in plans])
         cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
         cold_util = np.zeros(fleet.aps)
         if cold_session_count:

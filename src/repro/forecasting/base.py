@@ -93,7 +93,8 @@ class Forecaster(abc.ABC):
     #: return on an independent, freshly deep-copied instance fed the same
     #: history.  Stateless predictors satisfy this trivially; predictors with
     #: mutable predict-time state must either vectorize that state per row or
-    #: leave the flag ``False`` so the engine falls back to the serial path.
+    #: leave the flag ``False``, and the session kernel then gives every row
+    #: its own deep copy and calls :meth:`predict_next` on it.
     supports_batch_predict = False
 
     def __init__(self, record: int = 5) -> None:
@@ -174,8 +175,8 @@ class Forecaster(abc.ABC):
             One forecast per row.  When :attr:`supports_batch_predict` is
             true, row ``b`` is bit-identical to
             ``predict_next(histories[b])`` on a fresh copy of this
-            forecaster, which is what makes the batched simulation an exact
-            replacement for the serial repetition loop.
+            forecaster, which is what lets the session kernel forecast all
+            missing rows of a slot in one call.
         """
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} must be fitted before predicting")

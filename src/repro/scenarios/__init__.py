@@ -14,7 +14,7 @@ and the ``foreco-experiments`` CLI all describe work as
   ``operator-mix``, ``random-loss``, ``markov-interference``, ``handover``,
   ``trace-replay``);
 * :mod:`repro.scenarios.engine` — resolves one spec into
-  :class:`repro.core.RemoteControlSimulation` runs with dataset /
+  :class:`repro.core.BatchedRemoteControlSimulation` runs with dataset /
   forecaster / result caching keyed by the spec hash;
 * :mod:`repro.scenarios.sweep` — fans lists/grids of specs out over worker
   threads and returns a uniform :class:`SweepResult` table;

@@ -18,15 +18,14 @@ Determinism is by construction: every random draw is seeded from the spec
 hash and the repetition index, never from execution order, so a sweep
 produces bit-identical results with 1 or N workers.
 
-Repetitions execute through the **batched session kernel** by default: all
-of a spec's channel realisations advance as one stacked NumPy computation
-(:class:`repro.core.BatchedRemoteControlSimulation`) instead of a serial
-Python loop, which is several times faster at equal results — the serial
-path is kept behind the ``batch=False`` escape hatch and doubles as the
-bit-equality oracle in the tests.  :meth:`SessionEngine.run_many` stacks
-further: specs sharing a :func:`kernel_group_key` (same command stream,
-recovery engine and robot stack; any channel) run their repetitions through
-one kernel pass, and each still gets its own result, cache entry and shard.
+Repetitions execute through the **session kernel**: all of a spec's
+channel realisations advance as one stacked NumPy computation
+(:class:`repro.core.BatchedRemoteControlSimulation`), bit-identical to
+running them one at a time (the tests keep that serial path as their
+oracle).  :meth:`SessionEngine.run_many` stacks further: specs sharing a
+:func:`kernel_group_key` (same command stream, recovery engine and robot
+stack; any channel) run their repetitions through one kernel pass, and each
+still gets its own result, cache entry and shard.
 """
 
 from __future__ import annotations
@@ -45,11 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports engine
     from .store import ResultStore
 
 from ..core.recovery import ForecoRecovery
-from ..core.simulation import (
-    BatchedRemoteControlSimulation,
-    RemoteControlSimulation,
-    SimulationOutcome,
-)
+from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
 from ..errors import ConfigurationError
 from ..forecasting import make_forecaster
 from ..teleop import (
@@ -59,16 +54,13 @@ from ..teleop import (
     inexperienced_operator,
 )
 from ..teleop.controller import CommandStream
-from .._validation import rng_from
+from .._validation import ensure_int, rng_from
 from ..wireless import (
     ConsecutiveLossInjector,
-    GilbertElliottJammer,
-    HandoverChannel,
     HandoverConfig,
     InterferenceSource,
     JammerConfig,
     MarkovChannelConfig,
-    MarkovModulatedChannel,
     PeriodicLossInjector,
     RandomLossInjector,
     WirelessChannel,
@@ -252,49 +244,9 @@ def sample_channel_delays(
 ) -> np.ndarray:
     """Sample one realisation of per-command delays (ms, ``inf`` = lost).
 
-    This is the serial reference path — one repetition at a time, kept as
-    the bit-equality oracle for :func:`sample_channel_delays_batch`.
+    The one-seed case of :func:`sample_channel_delays_batch`.
     """
-    options = channel.options()
-    if channel.kind == "clean":
-        return np.full(n_commands, float(options.get("nominal_delay_ms", 1.0)))
-    if channel.kind == "wireless":
-        wireless = _wireless_from_options(options, command_period_ms, seed=seed)
-        return wireless.sample_trace(n_commands).delays()
-    if channel.kind == "jammer":
-        jammer = GilbertElliottJammer(config=JammerConfig(**options), seed=seed)
-        return jammer.sample_trace(n_commands).delays()
-    if channel.kind == "loss-burst":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = ConsecutiveLossInjector(seed=seed, **options)
-        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
-    if channel.kind == "periodic-loss":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = PeriodicLossInjector(**options)
-        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
-    if channel.kind == "random-loss":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = RandomLossInjector(seed=seed, **options)
-        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
-    if channel.kind == "trace":
-        return _trace_replay(options, n_commands, [seed])[0]
-    if channel.kind == "markov-interference":
-        markov = MarkovModulatedChannel(config=MarkovChannelConfig(**options), seed=seed)
-        return markov.sample_delays(n_commands)
-    if channel.kind == "handover":
-        handover = HandoverChannel(config=HandoverConfig(**options), seed=seed)
-        return handover.sample_delays(n_commands)
-    if channel.kind == "compound":
-        stages = options.get("stages", ())
-        if not stages:
-            raise ConfigurationError("compound channel has no stages")
-        total = np.zeros(n_commands)
-        for stage, stage_seed in zip(stages, _compound_stage_seeds(stages, seed)):
-            total = total + sample_channel_delays(
-                stage, n_commands, stage_seed, command_period_ms
-            )
-        return total
-    raise ConfigurationError(f"unknown channel kind {channel.kind!r}")
+    return sample_channel_delays_batch(channel, n_commands, [seed], command_period_ms)[0]
 
 
 def sample_channel_delays_batch(
@@ -306,11 +258,10 @@ def sample_channel_delays_batch(
     """Sample ``B`` independent delay realisations as one ``(B, n)`` array.
 
     ``channel`` is one :class:`ChannelSpec` shared by every row, or a
-    sequence aligned with ``seeds`` (one channel per row).  Row ``b`` is
-    bit-identical to
-    ``sample_channel_delays(channels[b], n_commands, seeds[b], command_period_ms)``
-    — each row consumes its own seed's RNG stream exactly as the serial path
-    does — but the heavy samplers (the 802.11 AP queue, the Markov chains,
+    sequence aligned with ``seeds`` (one channel per row).  Row ``b`` depends
+    only on ``channels[b]`` and ``seeds[b]`` — each row consumes its own
+    seed's RNG stream exactly as the channel model's own one-realisation
+    sampler does — but the heavy samplers (the 802.11 AP queue, the Markov chains,
     the loss injectors) advance every row in lockstep NumPy arrays and
     expensive derived state (the Bianchi DCF fixed point, service
     distributions) is built once per distinct channel instead of once per
@@ -318,9 +269,9 @@ def sample_channel_delays_batch(
     count, interference or queue capacity) shares one AP-queue lockstep pass
     (:func:`repro.wireless.sample_wireless_delays_batch`); rows of other
     kinds are sampled once per distinct channel and scattered back into row
-    order.  This is the entry point :class:`SessionEngine` routes batched
-    repetitions through.
+    order.  This is the entry point every session's repetitions sample through.
     """
+    n_commands = ensure_int("n_commands", n_commands, minimum=1)
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigurationError("sample_channel_delays_batch needs at least one seed")
@@ -497,13 +448,6 @@ class SessionEngine:
         re-running the same spec (e.g. across sweep rounds) is free.  The
         forecaster and dataset caches are always on — they are pure
         functions of the spec.
-    batch:
-        Execute a spec's repetitions through the batched session kernel
-        (:class:`repro.core.BatchedRemoteControlSimulation`) whenever the
-        spec has more than one repetition and its forecaster supports
-        batched prediction.  The kernel is bit-identical to the serial
-        repetition loop; ``batch=False`` is the escape hatch that forces the
-        serial path (and is what the equality tests compare against).
     store:
         Optional persistent :class:`~repro.scenarios.store.ResultStore`.
         Lookups go memory cache → disk store → compute; computed results are
@@ -516,11 +460,9 @@ class SessionEngine:
     def __init__(
         self,
         cache_results: bool = True,
-        batch: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
         self.cache_results = bool(cache_results)
-        self.batch = bool(batch)
         self.store = store
         self._results: dict[str, SessionResult] = {}
         self._forecasters: dict[tuple, object] = {}
@@ -593,20 +535,14 @@ class SessionEngine:
         return ForecoRecovery(config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec))
 
     # ------------------------------------------------------------- sessions
-    def run(self, spec: ScenarioSpec, batch: bool | None = None) -> SessionResult:
+    def run(self, spec: ScenarioSpec) -> SessionResult:
         """Run one scenario (all its repetitions) and return the result row.
 
-        The one-spec case of :meth:`run_many`.  ``batch`` is a per-call
-        override of the engine's :attr:`batch` setting: ``False`` forces the
-        serial repetition loop, ``True`` requests the batched kernel (still
-        subject to the forecaster supporting it).  Both paths produce
-        bit-identical results, so cached rows are shared between them.
+        The one-spec case of :meth:`run_many`.
         """
-        return self.run_many([spec], batch=batch)[0]
+        return self.run_many([spec])[0]
 
-    def run_many(
-        self, specs: Sequence[ScenarioSpec], batch: bool | None = None
-    ) -> list[SessionResult]:
+    def run_many(self, specs: Sequence[ScenarioSpec]) -> list[SessionResult]:
         """Run several scenarios, one stacked kernel pass per kernel group.
 
         Each spec is looked up on its own (memory cache, then store).  The
@@ -617,8 +553,8 @@ class SessionEngine:
         the concatenated ``(ΣB, n)`` delays.  The outcomes are split back
         into one :class:`SessionResult` per spec, each cached and stored
         under its own spec hash.  The kernel is batch-invariant (every row
-        is bit-identical to its own serial run), so a spec's result does not
-        depend on which other specs shared its pass.
+        is bit-identical to a run of that repetition alone), so a spec's
+        result does not depend on which other specs shared its pass.
 
         Returns the results in input order.
         """
@@ -632,10 +568,9 @@ class SessionEngine:
             else:
                 group = groups.setdefault(kernel_group_key(spec), {})
                 group.setdefault(spec.spec_hash(), []).append(index)
-        use_batch = self.batch if batch is None else bool(batch)
         for group in groups.values():
             group_specs = [specs[indices[0]] for indices in group.values()]
-            computed = self._run_group(group_specs, use_batch)
+            computed = self._run_group(group_specs)
             for indices, result in zip(group.values(), computed):
                 for index in indices:
                     results[index] = result
@@ -658,22 +593,11 @@ class SessionEngine:
                 return stored
         return None
 
-    def _run_group(self, specs: list[ScenarioSpec], use_batch: bool) -> list[SessionResult]:
+    def _run_group(self, specs: list[ScenarioSpec]) -> list[SessionResult]:
         """Compute one kernel group (distinct spec hashes) and memoize each row."""
-        first = specs[0]
-        commands = self.test_commands(first)
-        master = self.trained_forecaster(first)  # ensure the master is fitted once
-        if (
-            use_batch
-            and sum(spec.repetitions for spec in specs) > 1
-            and getattr(master, "supports_batch_predict", False)
-        ):
-            computed = self._run_batched(specs, commands)
-        else:
-            computed = [self._run_serial(spec, commands) for spec in specs]
-
+        commands = self.test_commands(specs[0])
         results = []
-        for spec, (outcomes, delays) in zip(specs, computed):
+        for spec, (outcomes, delays) in zip(specs, self._simulate(specs, commands)):
             key = spec.spec_hash()
             result = SessionResult(
                 spec=spec,
@@ -694,49 +618,17 @@ class SessionEngine:
             results.append(result)
         return results
 
-    def _sample_delays(self, spec: ScenarioSpec, n_commands: int, repetition: int) -> np.ndarray:
-        """One repetition's channel realisation (seeded from the spec)."""
-        return sample_channel_delays(
-            spec.channel,
-            n_commands,
-            seed=repetition_seed(spec, repetition),
-            command_period_ms=spec.foreco.command_period_ms,
-        )
-
-    def _run_serial(
-        self, spec: ScenarioSpec, commands: np.ndarray
-    ) -> tuple[list[SimulationOutcome], np.ndarray]:
-        """The reference path: one full simulation per repetition.
-
-        Kept verbatim as the equality oracle for the batched kernel (and as
-        the fallback for forecasters without batched prediction).
-        """
-        outcomes: list[SimulationOutcome] = []
-        delays: np.ndarray | None = None
-        for repetition in range(spec.repetitions):
-            recovery = ForecoRecovery(
-                config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec)
-            )
-            simulation = RemoteControlSimulation(
-                recovery, use_pid=spec.use_pid, fallback=spec.fallback
-            )
-            delays = self._sample_delays(spec, commands.shape[0], repetition)
-            outcomes.append(simulation.run(commands, delays))
-        assert delays is not None  # repetitions >= 1 by spec validation
-        return outcomes, delays
-
-    def _run_batched(
+    def _simulate(
         self, specs: list[ScenarioSpec], commands: np.ndarray
     ) -> list[tuple[list[SimulationOutcome], np.ndarray]]:
-        """The batched kernel: every repetition of a kernel group in one pass.
+        """The session kernel: every repetition of a kernel group in one pass.
 
         Channel realisations come from the vectorized batch sampler with
         each spec's own channel and spec-derived per-repetition seeds, and
-        one private fitted forecaster serves the whole stack (the
-        ``supports_batch_predict`` contract makes that equivalent to the
-        serial path's per-repetition deep copies), so every spec's outcomes
-        are bit-identical to :meth:`_run_serial`.  Returns ``(outcomes,
-        last repetition's delays)`` per spec.
+        one private fitted forecaster serves the whole stack (the kernel
+        gives each row its own copy when the forecaster cannot batch), so
+        every spec's outcomes equal one fresh session per repetition, bit
+        for bit.  Returns ``(outcomes, last repetition's delays)`` per spec.
         """
         first = specs[0]
         channels: list[ChannelSpec] = []

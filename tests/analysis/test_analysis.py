@@ -12,7 +12,7 @@ from repro.analysis.profiling import (
     time_callable,
     timings_to_table_row,
 )
-from repro.analysis.statistics import mean_confidence_interval, summarize
+from repro.analysis.statistics import summarize
 from repro.core.pipeline import PipelineTimings
 from repro.errors import ConfigurationError, DimensionError
 
@@ -58,28 +58,11 @@ def test_heatmap_validation():
 
 
 # ---------------------------------------------------------------- statistics
-def test_mean_confidence_interval():
-    samples = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    interval = mean_confidence_interval(samples, level=0.95)
-    assert interval.mean == pytest.approx(3.0)
-    assert interval.low < 3.0 < interval.high
-    assert interval.n_samples == 5
-    # t(0.975, df=4) times the standard error sqrt(2.5) / sqrt(5).
-    assert interval.half_width == pytest.approx(2.7764451051977987 * np.sqrt(2.5) / np.sqrt(5))
-
-
-def test_confidence_interval_single_sample():
-    interval = mean_confidence_interval(np.array([2.0]))
-    assert interval.half_width == 0.0
-
-
 def test_summarize_keys_and_empty_rejected():
     stats = summarize(np.array([1.0, 2.0, 3.0]))
     assert set(stats) == {"mean", "std", "min", "max", "p50", "p95"}
     with pytest.raises(DimensionError):
         summarize(np.array([]))
-    with pytest.raises(DimensionError):
-        mean_confidence_interval(np.array([]))
 
 
 # ----------------------------------------------------------------- profiling

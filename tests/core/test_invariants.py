@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import serial
 
 from repro.core import CommandDataset, ForecoConfig, ForecoRecovery, RemoteControlSimulation
 from repro.forecasting import MovingAverageForecaster
@@ -85,6 +86,10 @@ def test_simulation_trajectories_have_consistent_lengths(
     end = min(n, burst_start + burst_length)
     delays[burst_start:end] = np.inf
     outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    expected = serial.RemoteControlSimulation(trained_recovery).run(commands, delays)
+    assert np.array_equal(outcome.foreco.joints, expected.foreco.joints)
+    assert outcome.rmse_foreco_mm == expected.rmse_foreco_mm
+    assert outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
     assert len(outcome.defined) == len(outcome.baseline) == len(outcome.foreco) == n
     assert outcome.rmse_foreco_mm >= 0.0
     assert outcome.rmse_no_forecast_mm >= 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import serial
 
 import repro.core.simulation as simulation_module
 from repro.core import (
@@ -114,6 +115,34 @@ def test_simulation_baseline_lags_behind_with_delayed_commands(trained_recovery,
     assert lagged.rmse_no_forecast_mm > 0.1
 
 
+def test_simulation_single_session_equals_serial_oracle(trained_recovery, inexperienced_stream):
+    """The one-session wrapper is the kernel at B = 1, bit-identical to the slot-by-slot path."""
+    commands = inexperienced_stream.commands[:600]
+    delays = GilbertElliottJammer(seed=8).sample_trace(600).delays()
+    outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    expected = serial.RemoteControlSimulation(trained_recovery).run(commands, delays)
+    assert outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
+    assert outcome.rmse_foreco_mm == expected.rmse_foreco_mm
+    assert outcome.late_fraction == expected.late_fraction
+    assert outcome.recovery_fraction == expected.recovery_fraction
+    assert np.array_equal(outcome.foreco.joints, expected.foreco.joints)
+    assert np.array_equal(outcome.baseline.joints, expected.baseline.joints)
+
+
+def test_simulation_rejects_non_finite_commands(trained_recovery, inexperienced_stream):
+    """A NaN command fails with a typed error on every entry point, never as a NaN RMSE."""
+    commands = inexperienced_stream.commands[:200].copy()
+    commands[50, 2] = np.nan  # an on-time slot
+    delays = np.full(200, 1.0)
+    with pytest.raises(DatasetError, match="NaN or infinite"):
+        RemoteControlSimulation(trained_recovery).run(commands, delays)
+    with pytest.raises(DatasetError, match="NaN or infinite"):
+        BatchedRemoteControlSimulation(trained_recovery).run(commands, np.stack([delays, delays]))
+    commands[50, 2] = np.inf
+    with pytest.raises(DatasetError, match="NaN or infinite"):
+        trained_recovery.process_stream_batch(commands, delays)
+
+
 def test_simulation_shape_validation(trained_recovery):
     with pytest.raises(DimensionError):
         RemoteControlSimulation(trained_recovery).run(np.zeros((10, 6)), np.zeros(9))
@@ -151,9 +180,9 @@ def _assert_batched_equals_serial(recovery, commands, delays, use_pid=False, fal
     outcomes = BatchedRemoteControlSimulation(recovery, use_pid=use_pid, fallback=fallback).run(
         commands, delays
     )
-    serial = RemoteControlSimulation(recovery, use_pid=use_pid, fallback=fallback)
+    oracle = serial.RemoteControlSimulation(recovery, use_pid=use_pid, fallback=fallback)
     for row, outcome in zip(delays, outcomes, strict=True):
-        expected = serial.run(commands, row)
+        expected = oracle.run(commands, row)
         assert outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
         assert outcome.rmse_foreco_mm == expected.rmse_foreco_mm
         assert outcome.late_fraction == expected.late_fraction

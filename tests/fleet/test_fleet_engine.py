@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.serial import SerialFleetEngine
 
 from repro.fleet import (
     FleetEngine,
@@ -76,7 +77,7 @@ def test_single_operator_fleet_equals_session_engine_periodic_loss(engines):
 
 
 def test_single_operator_fleet_matches_serial_fallback(engines):
-    """Forecasters without batched prediction route serially, equally."""
+    """The seq2seq forecaster (an LSTM encoder-decoder) holds the contract too."""
     sessions, fleets = engines
     template = (
         get_scenario("bursty-loss")
@@ -95,11 +96,11 @@ def test_single_operator_fleet_matches_serial_fallback(engines):
 
 
 def test_batched_equals_serial_fleet_execution(engines):
-    """FleetEngine(batch=False) is the oracle for the batched kernel pass."""
+    """The serial per-session loop is the oracle for the kernel pass."""
     _, fleets = engines
     fleet = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-    batched = FleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet, batch=True)
-    serial = FleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet, batch=False)
+    batched = FleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet)
+    serial = SerialFleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet)
     assert batched.rmse_foreco_mm == serial.rmse_foreco_mm
     assert batched.rmse_no_forecast_mm == serial.rmse_no_forecast_mm
     assert batched.recovery_fraction == serial.recovery_fraction

@@ -1,0 +1,225 @@
+"""The serial session path: the oracle for the session kernel.
+
+The library runs every session through one stacked kernel
+(:meth:`~repro.core.ForecoRecovery.process_stream_batch` plus
+:class:`~repro.core.BatchedRemoteControlSimulation`) and samples every
+channel through :func:`~repro.scenarios.sample_channel_delays_batch`.  This
+module is the one-repetition-at-a-time path, kept as their reference:
+
+* :func:`sample_channel_delays` builds each channel kind's own model and
+  draws one realisation per seed through its per-class sampler;
+* :class:`RemoteControlSimulation` runs one session slot by slot
+  (:meth:`~repro.core.ForecoRecovery.process_stream`), executes the baseline
+  and FoReCo streams on two :class:`~repro.robot.driver.RobotDriver` runs and
+  scores them with :func:`~repro.robot.trajectory.trajectory_rmse_mm`;
+* :class:`SerialSessionEngine` and :class:`SerialFleetEngine` are the
+  library's engines with their kernel pass swapped for a loop over
+  repetitions (sessions), each on a fresh deep copy of the trained
+  forecaster.
+
+Every equality test and every benchmark ratio gate measures the kernel
+against this code, which shares none of the kernel's stacking.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.recovery import ForecoRecovery
+from repro.core.simulation import SimulationOutcome, baseline_target_indices
+from repro.errors import ConfigurationError, DimensionError
+from repro.fleet import FleetEngine
+from repro.robot.driver import DriverConfig, RobotDriver
+from repro.robot.niryo import NiryoOneArm
+from repro.robot.trajectory import JointTrajectory, trajectory_rmse_mm
+from repro.scenarios import ChannelSpec, ScenarioSpec, SessionEngine, repetition_seed
+from repro.scenarios.engine import _compound_stage_seeds, _trace_replay, _wireless_from_options
+from repro.wireless import (
+    ConsecutiveLossInjector,
+    GilbertElliottJammer,
+    HandoverChannel,
+    HandoverConfig,
+    JammerConfig,
+    MarkovChannelConfig,
+    MarkovModulatedChannel,
+    PeriodicLossInjector,
+    RandomLossInjector,
+)
+
+
+def sample_channel_delays(
+    channel: ChannelSpec,
+    n_commands: int,
+    seed: int,
+    command_period_ms: float = 20.0,
+) -> np.ndarray:
+    """Sample one realisation of per-command delays (ms, ``inf`` = lost)."""
+    options = channel.options()
+    if channel.kind == "clean":
+        return np.full(n_commands, float(options.get("nominal_delay_ms", 1.0)))
+    if channel.kind == "wireless":
+        wireless = _wireless_from_options(options, command_period_ms, seed=seed)
+        return wireless.sample_trace(n_commands).delays()
+    if channel.kind == "jammer":
+        jammer = GilbertElliottJammer(config=JammerConfig(**options), seed=seed)
+        return jammer.sample_trace(n_commands).delays()
+    if channel.kind == "loss-burst":
+        nominal = float(options.pop("nominal_delay_ms", 1.0))
+        injector = ConsecutiveLossInjector(seed=seed, **options)
+        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
+    if channel.kind == "periodic-loss":
+        nominal = float(options.pop("nominal_delay_ms", 1.0))
+        injector = PeriodicLossInjector(**options)
+        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
+    if channel.kind == "random-loss":
+        nominal = float(options.pop("nominal_delay_ms", 1.0))
+        injector = RandomLossInjector(seed=seed, **options)
+        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
+    if channel.kind == "trace":
+        return _trace_replay(options, n_commands, [seed])[0]
+    if channel.kind == "markov-interference":
+        markov = MarkovModulatedChannel(config=MarkovChannelConfig(**options), seed=seed)
+        return markov.sample_delays(n_commands)
+    if channel.kind == "handover":
+        handover = HandoverChannel(config=HandoverConfig(**options), seed=seed)
+        return handover.sample_delays(n_commands)
+    if channel.kind == "compound":
+        stages = options.get("stages", ())
+        if not stages:
+            raise ConfigurationError("compound channel has no stages")
+        total = np.zeros(n_commands)
+        for stage, stage_seed in zip(stages, _compound_stage_seeds(stages, seed)):
+            total = total + sample_channel_delays(
+                stage, n_commands, stage_seed, command_period_ms
+            )
+        return total
+    raise ConfigurationError(f"unknown channel kind {channel.kind!r}")
+
+
+class RemoteControlSimulation:
+    """Replays a command stream through a channel, with and without FoReCo."""
+
+    def __init__(
+        self,
+        recovery: ForecoRecovery,
+        arm: NiryoOneArm | None = None,
+        use_pid: bool = False,
+        fallback: str = "hold",
+    ) -> None:
+        if not recovery.is_ready:
+            raise ConfigurationError("the recovery engine must be trained before simulating")
+        self.recovery = recovery
+        self.arm = arm if arm is not None else NiryoOneArm()
+        self.use_pid = bool(use_pid)
+        self.fallback = fallback
+
+    # ------------------------------------------------------------------ run
+    def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationOutcome:
+        """Execute one session given per-command end-to-end delays."""
+        commands = np.asarray(commands, dtype=float)
+        delays_ms = np.asarray(delays_ms, dtype=float).ravel()
+        if commands.ndim != 2 or commands.shape[0] != delays_ms.size:
+            raise DimensionError("commands and delays_ms lengths must match")
+        config = self.recovery.config
+
+        # FoReCo pass: compute per-slot executed targets (real or forecast).
+        foreco_targets = self.recovery.process_stream(commands, delays_ms)
+        on_time_mask = np.array(
+            [self.recovery.is_on_time(delay) for delay in delays_ms], dtype=bool
+        )
+        late_fraction = float(1.0 - on_time_mask.mean())
+        recovery_fraction = self.recovery.stats.recovery_fraction
+
+        driver_config = DriverConfig(
+            command_period_ms=config.command_period_ms,
+            tolerance_ms=config.tolerance_ms,
+            fallback=self.fallback,  # type: ignore[arg-type]
+            use_pid=self.use_pid,
+        )
+
+        # Baseline: execute commands as they arrive (stock stack behaviour).
+        baseline_targets = self._baseline_targets(commands, delays_ms)
+        baseline_driver = RobotDriver(arm=self.arm, config=driver_config)
+        baseline_log = baseline_driver.run(
+            baseline_targets, np.ones(commands.shape[0], dtype=bool), forecasts=None
+        )
+
+        # FoReCo: inject the recovery engine's forecasts for missing slots.
+        foreco_driver = RobotDriver(arm=self.arm, config=driver_config)
+        foreco_log = foreco_driver.run(commands, on_time_mask, forecasts=foreco_targets)
+
+        period_s = config.command_period_ms / 1000.0
+        times = np.arange(commands.shape[0]) * period_s
+        defined = JointTrajectory(times, commands, label="defined")
+        baseline = baseline_log.executed_trajectory(label="no-forecast")
+        foreco = foreco_log.executed_trajectory(label="foreco")
+
+        return SimulationOutcome(
+            rmse_no_forecast_mm=trajectory_rmse_mm(baseline.joints, commands, arm=self.arm),
+            rmse_foreco_mm=trajectory_rmse_mm(foreco.joints, commands, arm=self.arm),
+            late_fraction=late_fraction,
+            recovery_fraction=recovery_fraction,
+            defined=defined,
+            baseline=baseline,
+            foreco=foreco,
+        )
+
+    def _baseline_targets(self, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
+        """Per-slot targets executed by the stock (no-forecast) robot stack."""
+        period = self.recovery.config.command_period_ms
+        return commands[baseline_target_indices(delays_ms, period)]
+
+
+class SerialSessionEngine(SessionEngine):
+    """A :class:`SessionEngine` that runs every repetition as its own session."""
+
+    def _simulate(
+        self, specs: list[ScenarioSpec], commands: np.ndarray
+    ) -> list[tuple[list[SimulationOutcome], np.ndarray]]:
+        return [self._run_serial(spec, commands) for spec in specs]
+
+    def _sample_delays(self, spec: ScenarioSpec, n_commands: int, repetition: int) -> np.ndarray:
+        """One repetition's channel realisation (seeded from the spec)."""
+        return sample_channel_delays(
+            spec.channel,
+            n_commands,
+            seed=repetition_seed(spec, repetition),
+            command_period_ms=spec.foreco.command_period_ms,
+        )
+
+    def _run_serial(
+        self, spec: ScenarioSpec, commands: np.ndarray
+    ) -> tuple[list[SimulationOutcome], np.ndarray]:
+        """One full simulation per repetition."""
+        outcomes: list[SimulationOutcome] = []
+        delays: np.ndarray | None = None
+        for repetition in range(spec.repetitions):
+            recovery = ForecoRecovery(
+                config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec)
+            )
+            simulation = RemoteControlSimulation(
+                recovery, use_pid=spec.use_pid, fallback=spec.fallback
+            )
+            delays = self._sample_delays(spec, commands.shape[0], repetition)
+            outcomes.append(simulation.run(commands, delays))
+        assert delays is not None  # repetitions >= 1 by spec validation
+        return outcomes, delays
+
+
+class SerialFleetEngine(FleetEngine):
+    """A :class:`FleetEngine` that runs every admitted session on its own."""
+
+    def _simulate(
+        self, template: ScenarioSpec, commands: np.ndarray, delays: np.ndarray
+    ) -> list[SimulationOutcome]:
+        outcomes: list[SimulationOutcome] = []
+        for row in range(delays.shape[0]):
+            recovery = ForecoRecovery(
+                config=template.foreco.to_config(),
+                forecaster=self.sessions.session_forecaster(template),
+            )
+            simulation = RemoteControlSimulation(
+                recovery, use_pid=template.use_pid, fallback=template.fallback
+            )
+            outcomes.append(simulation.run(commands, delays[row]))
+        return outcomes

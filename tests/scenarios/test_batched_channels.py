@@ -1,8 +1,9 @@
 """Bit-equality and semantics tests for the vectorized channel subsystem.
 
-``sample_channel_delays`` (serial, one repetition per seed) is the oracle:
-for every channel kind, ``sample_channel_delays_batch`` must reproduce the
-stacked serial realisations exactly — not approximately.  The module also
+The serial ``sample_channel_delays`` of ``tests/oracles/serial.py`` (one
+repetition per seed, through each kind's own model) is the oracle: for every
+channel kind, ``sample_channel_delays_batch`` must reproduce the stacked
+serial realisations exactly — not approximately.  The module also
 pins down the compound-channel contract (delays add, losses union, stage
 order never changes the loss set), the trace-replay phase cycling, and the
 per-row form (one channel per seed) that stacks a sweep's specs.
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.serial import sample_channel_delays
 
+import repro.scenarios
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     ChannelSpec,
@@ -26,7 +29,6 @@ from repro.scenarios import (
     markov_interference_channel,
     periodic_loss_channel,
     random_loss_channel,
-    sample_channel_delays,
     sample_channel_delays_batch,
     scenario_names,
     trace_channel,
@@ -63,6 +65,16 @@ def test_batched_equals_serial_for_every_kind(kind):
     batched = sample_channel_delays_batch(channel, N, SEEDS)
     assert batched.shape == (len(SEEDS), N)
     assert np.array_equal(serial, batched)
+    assert np.array_equal(repro.scenarios.sample_channel_delays(channel, N, SEEDS[0]), serial[0])
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+@pytest.mark.parametrize("n_commands", [0, -1, 2.5])
+def test_both_entry_points_reject_bad_command_counts(kind, n_commands):
+    with pytest.raises(ConfigurationError):
+        sample_channel_delays_batch(KIND_SPECS[kind], n_commands, SEEDS)
+    with pytest.raises(ConfigurationError):
+        repro.scenarios.sample_channel_delays(KIND_SPECS[kind], n_commands, SEEDS[0])
 
 
 @pytest.mark.parametrize("name", sorted(set(scenario_names())))

@@ -1,7 +1,7 @@
-"""Bit-equality tests for the batched session kernel.
+"""Bit-equality tests for the session kernel.
 
-The serial repetition loop (``batch=False``) is the oracle: for every named
-preset and every forecaster, routing :meth:`SessionEngine.run` through
+The serial repetition loop (``tests/oracles/serial.py``) is the oracle: for
+every named preset and every forecaster, :meth:`SessionEngine.run` through
 :class:`repro.core.BatchedRemoteControlSimulation` must reproduce its metric
 tuples exactly — not approximately.  Stacking several specs into one kernel
 pass (:meth:`SessionEngine.run_many`, and sweeps through it) must in turn
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.serial import SerialFleetEngine, SerialSessionEngine
 
 from repro.core import BatchedRemoteControlSimulation, ForecoConfig, ForecoRecovery
 from repro.errors import ConfigurationError, DimensionError
@@ -20,6 +21,7 @@ from repro.experiments.common import (
     FIG8_ROBOT_COUNTS,
     base_scenario,
 )
+from repro.fleet import FleetEngine, FleetSpec
 from repro.forecasting import Forecaster, register_forecaster
 from repro.scenarios import (
     ResultStore,
@@ -62,8 +64,8 @@ def _assert_bit_identical(serial: SessionResult, batched: SessionResult) -> None
 
 
 def _run_both(spec) -> tuple[SessionResult, SessionResult]:
-    serial = SessionEngine(cache_results=False).run(spec, batch=False)
-    batched = SessionEngine(cache_results=False).run(spec, batch=True)
+    serial = SerialSessionEngine(cache_results=False).run(spec)
+    batched = SessionEngine(cache_results=False).run(spec)
     return serial, batched
 
 
@@ -71,6 +73,13 @@ def _run_both(spec) -> tuple[SessionResult, SessionResult]:
 def test_batched_equals_serial_for_every_preset(name):
     """Every named preset (incl. the PID jammer and the compound channel)."""
     spec = get_scenario(name).with_(run_seconds=RUN_SECONDS, repetitions=REPETITIONS)
+    _assert_bit_identical(*_run_both(spec))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_single_repetition_equals_serial_for_every_preset(name):
+    """B = 1 runs through the kernel too."""
+    spec = get_scenario(name).with_(run_seconds=RUN_SECONDS, repetitions=1)
     _assert_bit_identical(*_run_both(spec))
 
 
@@ -99,50 +108,58 @@ def test_batched_respects_recovery_knobs():
         _assert_bit_identical(*_run_both(spec))
 
 
-def test_engine_serial_fallback_for_custom_forecaster():
-    """A registered forecaster without batch support still runs (serially)."""
+class DriftingCounter(Forecaster):
+    """Stateful and not batchable: every forecast drifts by this instance's call count."""
 
-    class HoldLast(Forecaster):
-        name = "hold-last"
+    name = "drifting-counter"
 
-        def _fit(self, commands):
-            return None
+    def _fit(self, commands):
+        self.calls = 0
 
-        def _predict_next(self, history):
-            return history[-1]
+    def _predict_next(self, history):
+        self.calls += 1
+        return history[-1] + 1e-3 * self.calls
 
+
+def _drifting_counter_spec() -> ScenarioSpec:
     try:
-        register_forecaster("hold-last", HoldLast)
+        register_forecaster(DriftingCounter.name, DriftingCounter)
     except ConfigurationError:
-        pass  # already registered by an earlier parametrisation
-    spec = ScenarioSpec(
+        pass  # already registered by an earlier test
+    return ScenarioSpec(
         name="custom",
         channel=loss_burst_channel(burst_length=10),
         run_seconds=RUN_SECONDS,
         repetitions=2,
-    ).with_foreco(algorithm="hold-last")
-    serial, batched = _run_both(spec)
-    # batch=True silently falls back to the serial path, so the results are
-    # trivially identical — the point is that nothing breaks.
-    _assert_bit_identical(serial, batched)
+    ).with_foreco(algorithm=DriftingCounter.name)
 
 
-def test_batched_simulation_rejects_unbatchable_forecaster():
-    class Unbatchable(Forecaster):
-        name = "unbatchable"
+def test_unbatchable_forecaster_forecasts_each_row_on_its_own_copy():
+    """Rows of one kernel pass must not share predict-time state.
 
-        def _fit(self, commands):
-            return None
+    One group stacks specs of 1, 3 and 2 repetitions; every row must equal
+    its own serial session, which starts from a fresh copy of the master.
+    """
+    base = _drifting_counter_spec()
+    specs = [
+        base.with_(repetitions=1),
+        base.with_(channel=jammer_channel(), repetitions=3),
+        base,
+    ]
+    assert len({kernel_group_key(spec) for spec in specs}) == 1
+    engine = SessionEngine(cache_results=False)
+    oracle = SerialSessionEngine(cache_results=False)
+    for spec, row in zip(specs, engine.run_many(specs), strict=True):
+        _assert_bit_identical(oracle.run(spec), row)
+    assert engine.trained_forecaster(base).calls == 0  # the master never forecasts
 
-        def _predict_next(self, history):
-            return history[-1]
-
-    config = ForecoConfig()
-    recovery = ForecoRecovery(config=config, forecaster=Unbatchable(record=config.record))
-    rng = np.random.default_rng(0)
-    recovery.train(np.cumsum(rng.normal(size=(100, 6)), axis=0))
-    with pytest.raises(ConfigurationError):
-        BatchedRemoteControlSimulation(recovery)
+    fleet = FleetSpec(name="custom", template=base, operators=3, aps=1, ap_capacity=3, ap_service_ms=4.0)
+    kernel = FleetEngine(cache_results=False).run(fleet)
+    serial = SerialFleetEngine(cache_results=False).run(fleet)
+    assert kernel.rmse_foreco_mm == serial.rmse_foreco_mm
+    assert kernel.rmse_no_forecast_mm == serial.rmse_no_forecast_mm
+    assert kernel.recovery_fraction == serial.recovery_fraction
+    assert np.array_equal(kernel.delays_ms, serial.delays_ms)
 
 
 def test_batched_simulation_validates_shapes():
@@ -228,7 +245,7 @@ def test_run_many_fig8_grid_equals_per_spec_runs():
     # the serial loop, which shares no code with the stacked split.
     harshest = specs[-1]
     assert harshest.channel.options()["n_robots"] == max(FIG8_ROBOT_COUNTS)
-    serial = SessionEngine(cache_results=False, batch=False).run(harshest)
+    serial = SerialSessionEngine(cache_results=False).run(harshest)
     _assert_same_row(serial, stacked[-1])
 
 
@@ -265,7 +282,7 @@ def test_sweep_interleaving_kernel_groups_keeps_order_and_one_shard_per_spec(tmp
     assert sweep.store_hits == 1 and sweep.store_misses == len(specs)
     assert sweep[3] is warm
     assert sweep[len(specs)] is sweep[1]
-    oracle = SessionEngine(cache_results=False, batch=False)  # the serial loop
+    oracle = SerialSessionEngine(cache_results=False)  # the serial loop
     for spec, row in zip(specs, sweep):
         expected = oracle.run(spec)
         if row.outcome is None:  # the store hit keeps no trajectories

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import serial
 
 from repro.errors import ConfigurationError
 from repro.scenarios import (
@@ -35,6 +36,13 @@ def _spec(channel, **fields) -> ScenarioSpec:
     return ScenarioSpec(name="test", channel=channel, **fields)
 
 
+def _sample(channel, n, seed) -> np.ndarray:
+    """One realisation through the library, checked against the serial oracle."""
+    delays = sample_channel_delays(channel, n, seed=seed)
+    assert np.array_equal(delays, serial.sample_channel_delays(channel, n, seed))
+    return delays
+
+
 # ---------------------------------------------------------------- datasets
 def test_dataset_cache_keyed_by_full_scale():
     """A custom scale reusing a registered name must not alias its cache slot."""
@@ -58,26 +66,24 @@ def test_dataset_cache_keyed_by_full_scale():
 # ---------------------------------------------------------------- channels
 def test_sample_channel_delays_kinds():
     n = 400
-    clean = sample_channel_delays(clean_channel(nominal_delay_ms=2.5), n, seed=1)
+    clean = _sample(clean_channel(nominal_delay_ms=2.5), n, 1)
     assert clean.shape == (n,)
     assert np.all(clean == 2.5)
 
-    bursts = sample_channel_delays(loss_burst_channel(burst_length=10, n_bursts=3), n, seed=1)
+    bursts = _sample(loss_burst_channel(burst_length=10, n_bursts=3), n, 1)
     assert np.sum(~np.isfinite(bursts)) == 30
 
-    periodic = sample_channel_delays(periodic_loss_channel(period=100, burst_length=5), n, seed=1)
+    periodic = _sample(periodic_loss_channel(period=100, burst_length=5), n, 1)
     assert np.sum(~np.isfinite(periodic)) == 20
 
-    random_loss = sample_channel_delays(random_loss_channel(loss_probability=0.5), n, seed=1)
+    random_loss = _sample(random_loss_channel(loss_probability=0.5), n, 1)
     lost_share = np.mean(~np.isfinite(random_loss))
     assert 0.3 < lost_share < 0.7
 
-    jammed = sample_channel_delays(jammer_channel(), n, seed=1)
+    jammed = _sample(jammer_channel(), n, 1)
     assert np.any(~np.isfinite(jammed))
 
-    wireless = sample_channel_delays(
-        wireless_channel(n_robots=15, probability=0.05, duration_slots=100), n, seed=1
-    )
+    wireless = _sample(wireless_channel(n_robots=15, probability=0.05, duration_slots=100), n, 1)
     assert np.all(wireless[np.isfinite(wireless)] >= 0.0)
 
 
@@ -86,7 +92,7 @@ def test_compound_channel_superposes_stages():
     stage_a = loss_burst_channel(burst_length=10, n_bursts=2, nominal_delay_ms=1.0)
     stage_b = clean_channel(nominal_delay_ms=3.0)
     compound = compound_channel(stage_a, stage_b)
-    delays = sample_channel_delays(compound, n, seed=5)
+    delays = _sample(compound, n, 5)
     finite = delays[np.isfinite(delays)]
     # Delays add up: surviving commands carry both stages' delay.
     assert np.allclose(finite, 4.0)

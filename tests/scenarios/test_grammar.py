@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.serial import sample_channel_delays
 
 from repro.errors import ConfigurationError
-from repro.scenarios import Knob, ScenarioGrammar, ScenarioSpec, sample_channel_delays
+from repro.scenarios import Knob, ScenarioGrammar, ScenarioSpec, sample_channel_delays_batch
 from repro.scenarios.grammar import COMPOUND_STAGE_KINDS, GRAMMAR_KINDS
 
 #: Command count of the default grammar base (6 s at 50 Hz) — the run length
@@ -52,13 +53,14 @@ def test_every_candidate_is_a_frozen_named_spec(frontier):
 def test_every_frontier_candidate_is_runnable(frontier):
     """Feasibility invariant: no grammar candidate fails injector placement.
 
-    ``sample_channel_delays`` exercises the same loss-injector validation as
-    a full session run (burst placement, period/outage bounds) at a fraction
-    of the cost.
+    Sampling the channel exercises the same loss-injector validation as a
+    full session run (burst placement, period/outage bounds) at a fraction
+    of the cost; the serial oracle's per-class samplers validate on their
+    own, so both must accept every candidate.
     """
     for spec in frontier:
-        delays = sample_channel_delays(spec.channel, BASE_COMMANDS, seed=1)
-        assert delays.shape == (BASE_COMMANDS,)
+        delays = sample_channel_delays_batch(spec.channel, BASE_COMMANDS, [1])
+        assert np.array_equal(delays[0], sample_channel_delays(spec.channel, BASE_COMMANDS, seed=1))
 
 
 def test_mutated_neighbors_stay_feasible(grammar):
@@ -66,6 +68,7 @@ def test_mutated_neighbors_stay_feasible(grammar):
     for _ in range(150):
         spec = grammar.random_spec(rng)
         for neighbor in grammar.neighbors(spec, rng, count=3):
+            sample_channel_delays_batch(neighbor.channel, BASE_COMMANDS, [2])
             sample_channel_delays(neighbor.channel, BASE_COMMANDS, seed=2)
 
 
