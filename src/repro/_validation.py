@@ -52,6 +52,18 @@ def ensure_int(name: str, value: int, minimum: int | None = None) -> int:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
     return value
 
+
+def ensure_seed(name: str, value) -> int:
+    """Return ``value`` as ``int`` if it is a non-negative integer RNG seed.
+
+    Floats, strings and booleans are rejected rather than truncated or
+    coerced, so a seed can never silently become a different stream.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def as_command_array(name: str, commands: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     """Coerce ``commands`` into a 2-D ``float64`` array of shape ``(n, d)``.
 

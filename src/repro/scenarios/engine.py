@@ -54,7 +54,7 @@ from ..teleop import (
     inexperienced_operator,
 )
 from ..teleop.controller import CommandStream
-from .._validation import ensure_int, rng_from
+from .._validation import ensure_int, ensure_positive, ensure_seed, rng_from
 from ..wireless import (
     ConsecutiveLossInjector,
     HandoverConfig,
@@ -262,17 +262,18 @@ def sample_channel_delays_batch(
     only on ``channels[b]`` and ``seeds[b]`` — each row consumes its own
     seed's RNG stream exactly as the channel model's own one-realisation
     sampler does — but the heavy samplers (the 802.11 AP queue, the Markov chains,
-    the loss injectors) advance every row in lockstep NumPy arrays and
+    the loss injectors) advance every row together in NumPy arrays and
     expensive derived state (the Bianchi DCF fixed point, service
     distributions) is built once per distinct channel instead of once per
     row.  With per-row channels, every wireless row (whatever its station
-    count, interference or queue capacity) shares one AP-queue lockstep pass
+    count, interference or queue capacity) shares one AP-queue pass
     (:func:`repro.wireless.sample_wireless_delays_batch`); rows of other
     kinds are sampled once per distinct channel and scattered back into row
     order.  This is the entry point every session's repetitions sample through.
     """
     n_commands = ensure_int("n_commands", n_commands, minimum=1)
-    seeds = [int(seed) for seed in seeds]
+    command_period_ms = ensure_positive("command_period_ms", command_period_ms)
+    seeds = [ensure_seed(f"seeds[{row}]", seed) for row, seed in enumerate(seeds)]
     if not seeds:
         raise ConfigurationError("sample_channel_delays_batch needs at least one seed")
     channels = [channel] * len(seeds) if isinstance(channel, ChannelSpec) else list(channel)

@@ -33,20 +33,24 @@ Sampling comes in two flavours with one randomness contract:
 
 * :meth:`WirelessChannel.sample_trace` — the serial reference path, one
   repetition at a time.  It is the bit-equality oracle for the batched path.
-* :func:`sample_wireless_delays_batch` — ``B`` rows advanced in lockstep
-  ``(B, n)`` NumPy arrays (one Python iteration per command instead of one
-  per command per row).  Row ``b`` consumes the RNG stream of ``seeds[b]``
-  through its own channel exactly as the serial path would, and the queue
-  recursion is the same Lindley-style ``start = max(arrival, server_free)``
-  update applied elementwise, so the stacked result is bit-identical to
-  ``B`` serial runs.  The rows may come from different channels (a sweep
-  stacks every cell of a grid into one pass);
+* :func:`sample_wireless_delays_batch` — ``B`` rows as ``(B, n)`` NumPy
+  arrays.  Row ``b`` consumes the RNG stream of ``seeds[b]`` through its own
+  channel exactly as the serial path would, and the queue recursion is the
+  same Lindley-style ``start = max(arrival, server_free)`` update with the
+  same per-element arithmetic, so the stacked result is bit-identical to
+  ``B`` serial runs.  It solves the recursion in busy-period rounds: every
+  command is first served as if it found the server idle, and each later
+  round re-serves only the commands queued behind a predecessor whose
+  completion just changed, so the Python loop runs once per command of the
+  longest busy period rather than once per command.  The rows may come from
+  different channels (a sweep stacks every cell of a grid into one pass);
   :meth:`WirelessChannel.sample_delays_batch` is the one-channel case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -208,10 +212,14 @@ class WirelessChannel:
         self.params = contention_params
         self.contention_model = Ieee80211DelayModel(contention_params)
 
-        # Interference-aware analytical model (used for the Appendix results
-        # and the analytical late-probability estimate).
-        analytic_params = replace(contention_params, interference=self.interference)
-        self.delay_model = Ieee80211DelayModel(analytic_params)
+    @cached_property
+    def delay_model(self) -> Ieee80211DelayModel:
+        """Interference-aware analytical model (the Appendix results).
+
+        Built on first access: it costs a second Bianchi solve, and sampling
+        never reads it.
+        """
+        return Ieee80211DelayModel(replace(self.params, interference=self.interference))
 
     # --------------------------------------------------------------- bursts
     def burst_duration_ms(self) -> float:
@@ -285,16 +293,16 @@ class WirelessChannel:
             trace.samples.append(ChannelSample(index=index, delay_ms=total, lost=False))
         return trace
 
-    def _draw_queue_randomness(self, rng: np.random.Generator, n_commands: int):
+    def _draw_queue_randomness(self, rng: np.random.Generator, n_commands: int, service_dist):
         """All random inputs of the queue simulation, in fixed block order.
 
         Both the serial and the batched path consume one repetition's RNG
         stream through this helper — interference intervals first, then the
-        per-command service times, block, air-loss and interference-loss
-        draws as whole arrays — so a given seed yields the same randomness on
-        either path by construction.
+        per-command service times (from ``service_dist``, the contention
+        model's service distribution, which callers build once per channel),
+        block, air-loss and interference-loss draws as whole arrays — so a
+        given seed yields the same randomness on either path by construction.
         """
-        service_dist = self.contention_model.service_distribution()
         horizon_ms = (n_commands + 1) * self.command_period_ms
         intervals = self._interference_intervals(horizon_ms, rng)
         work = service_dist.sample_many(rng, n_commands)
@@ -343,7 +351,7 @@ class WirelessChannel:
         """
         rng = self.rng if rng is None else rng
         intervals, work, blocked, base_lost, interference_lost = self._draw_queue_randomness(
-            rng, n_commands
+            rng, n_commands, self.contention_model.service_distribution()
         )
 
         delays = np.full(n_commands, np.inf)
@@ -415,19 +423,28 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     """``(B, n)`` AP-queue delays, row ``b`` from ``channels[b]`` and ``seeds[b]``.
 
     Row ``b`` is bit-identical to ``channels[b]._medium_delays(n_commands,
-    rng_from(seeds[b]))`` — same RNG stream, same queue recursion — but all
-    rows advance together through one vectorized Lindley update (``start =
-    max(arrival, server_free)``) per command, so the Python-interpreter cost
-    is paid once per command instead of once per command per row.  The rows
-    may come from different channels (station count, interference, queue
-    capacity, loss probabilities): each row's randomness is drawn through its
-    own channel's :meth:`WirelessChannel._draw_queue_randomness`, and the
-    recursion is elementwise.  All channels must share the command period
-    (it sets the common arrival grid) and carry no transport model.
+    rng_from(seeds[b]))``: same RNG stream, same queue recursion, same
+    per-element arithmetic.  The rows may come from different channels
+    (station count, interference, queue capacity, loss probabilities): each
+    row's randomness is drawn through its own channel's
+    :meth:`WirelessChannel._draw_queue_randomness`, with each channel's
+    service distribution built once.  All channels must share the command
+    period (it sets the common arrival grid) and carry no transport model.
 
-    The lockstep pass is *optimistic about admission*: it assumes every
-    arrival fits in the buffer, which keeps backlog bookkeeping out of the
-    hot loop.  A vectorized post-check recomputes the backlog every command
+    The Lindley recursion ``start_i = max(arrival_i, completion_{i-1})`` is
+    solved in *busy-period rounds* instead of one step per command.  Round 0
+    serves every command as if it found the server idle (``start =
+    arrival``).  Each later round re-serves only the frontier: the commands
+    whose start changed because their predecessor's completion did.  A
+    command's start is final once its predecessor's is, so the frontier
+    moves one command deeper into every busy period per round, and the
+    number of rounds is the longest busy run plus one, however long the
+    session.  Every service is the serial burst-stretch scan of
+    :meth:`WirelessChannel._advance_through_interference` applied
+    elementwise, from the first interference interval still ON at its start.
+
+    Admission is *optimistic*: the rounds assume every arrival fits in the
+    buffer.  A vectorized post-check recomputes the backlog every command
     would have seen (one ``searchsorted`` per row over the monotone
     completion times); the rare rows whose backlog ever reaches their
     channel's buffer capacity are re-sampled through that channel's serial
@@ -451,75 +468,62 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     if any(channel.command_period_ms != period for channel in channels):
         raise ConfigurationError("stacked wireless rows must share one command period")
     batch = len(seeds)
+    distinct = {id(channel): channel for channel in channels}
+    services = {key: channel.contention_model.service_distribution() for key, channel in distinct.items()}
     drawn = [
-        channel._draw_queue_randomness(rng_from(seed), n_commands)
+        channel._draw_queue_randomness(rng_from(seed), n_commands, services[id(channel)])
         for channel, seed in zip(channels, seeds)
     ]
-    work_columns = np.ascontiguousarray(np.stack([d[1] for d in drawn]).T)
-    blocked_columns = np.ascontiguousarray(np.stack([d[2] for d in drawn]).T)
+    work = np.concatenate([d[1] for d in drawn])
+    blocked = np.concatenate([d[2] for d in drawn])
     base_lost = np.stack([d[3] for d in drawn])
     interference_lost = np.stack([d[4] for d in drawn])
 
     # Pad each row's interference intervals to a common width; the +inf
-    # sentinel column keeps the per-row interval pointer in bounds.
-    widest = max(len(d[0]) for d in drawn)
-    on_start = np.full((batch, widest + 1), np.inf)
-    on_end = np.full((batch, widest + 1), np.inf)
+    # sentinel closing every row keeps an interval pointer inside its row.
+    stride = max(len(d[0]) for d in drawn) + 1
+    on_start = np.full((batch, stride), np.inf)
+    on_end = np.full((batch, stride), np.inf)
     for row, d in enumerate(drawn):
-        for j, (interval_start, interval_end) in enumerate(d[0]):
-            on_start[row, j] = interval_start
-            on_end[row, j] = interval_end
-    any_interference = widest > 0
+        if d[0]:
+            on_start[row, : len(d[0])], on_end[row, : len(d[0])] = np.array(d[0]).T
 
-    rows = np.arange(batch)
-    completion_columns = np.empty((n_commands, batch))
-    overlapped_columns = np.zeros((n_commands, batch), dtype=bool)
-    server_free = np.zeros(batch)
-    iptr = np.zeros(batch, dtype=np.intp)  # first interval with on_end > start
-
-    for index in range(n_commands):
-        start = np.maximum(index * period, server_free)
-        work_now = work_columns[index]
-        if any_interference:
-            # Catch the interval pointer up to the service start time
-            # (the serial scan's ``on_end <= t: continue``).
-            while True:
-                move = on_end[rows, iptr] <= start
-                if not move.any():
-                    break
-                iptr += move
-            blocked_now = blocked_columns[index]
-            engage = blocked_now & (start + work_now > on_start[rows, iptr])
-            if engage.any():
-                overlapped = np.zeros(batch, dtype=bool)
-                t = start.copy()
-                remaining = work_now.copy()
-                active = engage
-                while True:
-                    overlapped |= active
-                    shaved = remaining - np.maximum(0.0, on_start[rows, iptr] - t)
-                    remaining = np.where(active, shaved, remaining)
-                    t = np.where(active, on_end[rows, iptr], t)
-                    iptr = np.where(active, iptr + 1, iptr)
-                    active = active & (t + remaining > on_start[rows, iptr])
-                    if not active.any():
-                        break
-                stretched = t + np.maximum(0.0, remaining)
-                completion = np.where(blocked_now, stretched, start + work_now)
-                overlapped_columns[index] = overlapped
-            else:
-                # No service crosses a burst this slot: the stretched
-                # completion ``t + max(0, remaining)`` degenerates to
-                # ``start + work`` for blocked rows too.
-                completion = start + work_now
-        else:
-            completion = start + work_now
-        completion_columns[index] = completion
-        server_free = completion
-
-    completions = np.ascontiguousarray(completion_columns.T)
+    # Round 0: every command starts at its arrival.  ``ptr`` indexes the
+    # flattened interval tables at the first interval still ON at a command's
+    # start (the serial scan's ``on_end <= t: continue``).  It stays at the
+    # start, never past the bursts a service consumed: a later round's larger
+    # start may still overlap them.
     arrivals = np.arange(n_commands) * period
-    lost = base_lost | (overlapped_columns.T & interference_lost)
+    ptr = np.concatenate(
+        [np.searchsorted(on_end[row], arrivals, side="right") + row * stride for row in range(batch)]
+    )
+    on_start = on_start.ravel()
+    on_end = on_end.ravel()
+    start = np.tile(arrivals, batch)
+    completion, overlapped = _serve(start, work, blocked, ptr, on_start, on_end)
+
+    # Frontier rounds: re-serve the commands whose predecessor finished
+    # after they arrived, until no start changes.
+    later = np.flatnonzero(completion[:-1] > start[1:]) + 1
+    frontier = later[later % n_commands != 0]
+    while frontier.size:
+        served = completion[frontier - 1]
+        start[frontier] = served
+        pointer = ptr[frontier]
+        while True:
+            behind = on_end[pointer] <= served
+            if not behind.any():
+                break
+            pointer += behind
+        ptr[frontier] = pointer
+        completion[frontier], overlapped[frontier] = _serve(
+            served, work[frontier], blocked[frontier], pointer, on_start, on_end
+        )
+        following = frontier[(frontier + 1) % n_commands != 0] + 1
+        frontier = following[completion[following - 1] > start[following]]
+
+    completions = completion.reshape(batch, n_commands)
+    lost = base_lost | (overlapped.reshape(batch, n_commands) & interference_lost)
     delays = np.where(lost, np.inf, completions - arrivals[None, :])
 
     # Admission repair: the backlog command ``i`` finds is the number of
@@ -534,3 +538,33 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
         if np.any(in_system >= channel.queue_capacity):
             delays[row] = channel._medium_delays(n_commands, rng_from(seed))
     return delays
+
+
+def _serve(start, work, blocked, ptr, on_start, on_end):
+    """``(completion, overlapped)`` of services beginning at ``start``.
+
+    Element ``k`` is :meth:`WirelessChannel._advance_through_interference`
+    of ``work[k]`` from ``start[k]``, where ``ptr[k]`` points into the
+    flattened interval tables at the first interval of the element's row
+    still ON at ``start[k]``; an unblocked frame slips through bursts and
+    completes at ``start + work``.  Only the services that reach a burst run
+    the stretch loop, on a private copy of their pointers.
+    """
+    completion = start + work
+    overlapped = np.zeros(start.shape, dtype=bool)
+    engaged = np.flatnonzero(blocked & (completion > on_start[ptr]))
+    if engaged.size:
+        pointer = ptr[engaged]
+        t = start[engaged]
+        remaining = work[engaged]
+        active = np.arange(engaged.size)
+        while active.size:
+            # Work until the burst begins, then wait the burst out.
+            at = pointer[active]
+            remaining[active] -= np.maximum(0.0, on_start[at] - t[active])
+            t[active] = on_end[at]
+            pointer[active] = at + 1
+            active = active[t[active] + remaining[active] > on_start[at + 1]]
+        completion[engaged] = t + np.maximum(0.0, remaining)
+        overlapped[engaged] = True
+    return completion, overlapped

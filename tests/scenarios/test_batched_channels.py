@@ -89,6 +89,44 @@ def test_batch_sampler_rejects_empty_seed_list():
         sample_channel_delays_batch(clean_channel(), N, [])
 
 
+def test_batch_sampler_rejects_a_string_of_seeds():
+    """Regression: ``"12"`` used to be iterated into the seeds ``[1, 2]``."""
+    with pytest.raises(ConfigurationError, match="non-negative integer"):
+        sample_channel_delays_batch(KIND_SPECS["wireless"], N, "12")
+
+
+def test_batch_sampler_rejects_fractional_seeds():
+    """Regression: ``1.7`` used to be truncated to the seed ``1``."""
+    with pytest.raises(ConfigurationError, match="non-negative integer"):
+        sample_channel_delays_batch(KIND_SPECS["wireless"], N, [1.7])
+
+
+def test_batch_sampler_rejects_boolean_seeds():
+    """Regression: ``True`` used to be accepted as the seed ``1``."""
+    with pytest.raises(ConfigurationError, match="non-negative integer"):
+        sample_channel_delays_batch(KIND_SPECS["jammer"], N, [3, True])
+
+
+def test_batch_sampler_rejects_negative_seeds():
+    """Regression: ``-1`` used to escape as NumPy's raw ``ValueError``."""
+    with pytest.raises(ConfigurationError, match="non-negative integer"):
+        sample_channel_delays_batch(KIND_SPECS["wireless"], N, [-1])
+
+
+def test_batch_sampler_accepts_numpy_integer_seeds():
+    channel = KIND_SPECS["compound"]
+    as_numpy = sample_channel_delays_batch(channel, N, np.array(SEEDS, dtype=np.int64))
+    assert np.array_equal(as_numpy, sample_channel_delays_batch(channel, N, SEEDS))
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+@pytest.mark.parametrize("period", [0, -20.0, float("nan"), float("inf")])
+def test_batch_sampler_rejects_bad_command_period_for_every_kind(kind, period):
+    """Regression: only wireless rows used to check ``command_period_ms``."""
+    with pytest.raises(ConfigurationError, match="command_period_ms"):
+        sample_channel_delays_batch(KIND_SPECS[kind], N, SEEDS, command_period_ms=period)
+
+
 # ------------------------------------------------------------------- compound
 def test_compound_delays_add_and_losses_union():
     lossy = periodic_loss_channel(period=50, burst_length=5, nominal_delay_ms=1.5)

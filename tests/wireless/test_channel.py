@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro._validation import rng_from
 from repro.des.distributions import Deterministic
 from repro.des.jackson import TransportNetworkModel
 from repro.errors import ConfigurationError
-from repro.wireless import DcfParameters, InterferenceSource, WirelessChannel
+from repro.wireless import (
+    DcfParameters,
+    Ieee80211DelayModel,
+    InterferenceSource,
+    WirelessChannel,
+    sample_wireless_delays_batch,
+)
 from repro.wireless.channel import ChannelSample, CommandDelayTrace
 
 
@@ -177,3 +186,74 @@ def test_batched_sampling_rejects_transport_and_empty_seeds():
         channel.sample_delays_batch(100, [1, 2])
     with pytest.raises(ConfigurationError):
         WirelessChannel(n_robots=5).sample_delays_batch(100, [])
+
+
+#: One channel's constructor arguments: ``(n_robots, p_if, T_if, Q, block, loss)``.
+#: Capacities 1-2 force the admission repair; 10**6 keeps every row on the
+#: frontier rounds.  ``p_if = 0`` is no interference; 2,000 slots (3 s) is
+#: longer than any session drawn here.
+_CHANNEL_ARGS = st.tuples(
+    st.integers(1, 30),
+    st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0]),
+    st.sampled_from([1, 10, 100, 300, 2000]),
+    st.sampled_from([1, 2, 5, 50, 10**6]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.6, 1.0]),
+)
+
+
+def _channel(n_robots, probability, duration, capacity, block, loss) -> WirelessChannel:
+    return WirelessChannel(
+        n_robots=n_robots,
+        interference=InterferenceSource(probability, duration),
+        queue_capacity=capacity,
+        interference_block_probability=block,
+        interference_loss_probability=loss,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(_CHANNEL_ARGS, min_size=1, max_size=3),
+    rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+    n_commands=st.integers(1, 120),
+)
+@example(pool=[(5, 0.5, 100, 50, 1.0, 0.6)], rows=[(0, 1)], n_commands=1)
+@example(pool=[(25, 1.0, 100, 10**6, 1.0, 1.0)], rows=[(0, 3), (0, 4)], n_commands=120)
+@example(pool=[(25, 0.9, 300, 1, 1.0, 0.6), (5, 0.5, 10, 2, 0.5, 0.0)], rows=[(0, 5), (1, 6)], n_commands=80)
+@example(
+    pool=[(10, 0.0, 1, 10**6, 1.0, 0.6), (10, 0.5, 300, 10**6, 0.0, 0.6)],
+    rows=[(0, 7), (1, 8)],
+    n_commands=60,
+)
+@example(pool=[(3, 1.0, 2000, 10**6, 0.5, 0.6)], rows=[(0, 9), (0, 10)], n_commands=50)
+def test_batched_mixed_channels_equal_serial_oracle(pool, rows, n_commands):
+    """Property: a batch over mixed per-row channels is bit-identical to each
+    row's serial ``_medium_delays`` on its own seed's stream."""
+    channels = [_channel(*args) for args in pool]
+    row_channels = [channels[pick % len(channels)] for pick, _ in rows]
+    seeds = [seed for _, seed in rows]
+    batched = sample_wireless_delays_batch(row_channels, n_commands, seeds)
+    assert batched.shape == (len(rows), n_commands)
+    for row, (channel, seed) in enumerate(zip(row_channels, seeds)):
+        assert np.array_equal(batched[row], channel._medium_delays(n_commands, rng_from(seed)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_robots=st.integers(1, 30), probability=st.floats(0.0, 0.1), duration=st.integers(0, 150))
+def test_lazy_delay_model_equals_eager_model(n_robots, probability, duration):
+    """``delay_model`` is built on first access and equals the model built
+    eagerly from the same parameters."""
+    interference = InterferenceSource(probability, duration)
+    channel = WirelessChannel(n_robots=n_robots, interference=interference)
+    assert "delay_model" not in vars(channel)
+    lazy = channel.delay_model
+    assert channel.delay_model is lazy
+    eager = Ieee80211DelayModel(DcfParameters(n_stations=n_robots, interference=interference))
+    assert lazy.solution == eager.solution
+    assert np.array_equal(
+        lazy.retransmission_distribution.probabilities,
+        eager.retransmission_distribution.probabilities,
+    )
+    assert lazy.loss_probability == eager.loss_probability
+    assert np.array_equal(lazy.per_retransmission_delays_ms, eager.per_retransmission_delays_ms)
