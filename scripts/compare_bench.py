@@ -15,6 +15,16 @@ warm-store gate); this script tracks the *trajectory* between those floors.
 
 Exit codes: 0 — compared (with or without warnings); 2 — a file is missing
 or malformed (the pipeline itself is broken, which SHOULD fail the step).
+
+Ledger mode reads a committed perfbench ledger instead (``BENCH_<number>.json``
+at the repository root: the ``.perfbench`` records of the parent commit and
+of the change, under ``records.parent`` and ``records.change``)::
+
+    python scripts/compare_bench.py --ledger BENCH_20.json
+
+It prints, per workload, parent vs change for every end-to-end and per-layer
+metric the records hold, with the relative delta.  It only reports: exit 0
+once printed, 2 when the ledger is missing or malformed.
 """
 
 from __future__ import annotations
@@ -98,15 +108,82 @@ def render_table(current: dict, baseline: dict) -> str:
     return "\n".join(lines)
 
 
+def _load_ledger(path: str) -> dict[str, dict[str, dict[str, float]]]:
+    """``{side: {record: {metric: value}}}`` for the parent and change sides of a ledger."""
+
+    def malformed(reason: str) -> SystemExit:
+        sys.stderr.write(f"compare_bench: {path} is not a perfbench ledger: {reason}\n")
+        return SystemExit(2)
+
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"compare_bench: cannot read {path}: {exc}\n")
+        raise SystemExit(2) from exc
+    records = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(records, dict):
+        raise malformed("no 'records' table")
+    sides: dict[str, dict[str, dict[str, float]]] = {}
+    for side in ("parent", "change"):
+        if not isinstance(records.get(side), dict) or not records[side]:
+            raise malformed(f"no records for the {side!r} side")
+        sides[side] = {}
+        for name, record in records[side].items():
+            metrics = record.get("metrics") if isinstance(record, dict) else None
+            if not isinstance(metrics, dict):
+                raise malformed(f"{side} record {name!r} has no 'metrics' table")
+            values = {
+                metric: entry.get("value") if isinstance(entry, dict) else None
+                for metric, entry in metrics.items()
+            }
+            bad = [m for m, v in values.items() if isinstance(v, bool) or not isinstance(v, (int, float))]
+            if bad:
+                raise malformed(f"{side} record {name!r} has non-numeric values for {bad}")
+            sides[side][name] = values
+    return sides
+
+
+def render_ledger(sides: dict[str, dict[str, dict[str, float]]]) -> str:
+    """Parent vs change per record (one workload, seed and trace mode each), with deltas."""
+    lines = []
+    parent, change = sides["parent"], sides["change"]
+    for record in [*parent, *(name for name in change if name not in parent)]:
+        before, after = parent.get(record, {}), change.get(record, {})
+        header = f"{record:<48s} {'parent':>14s} {'change':>14s} {'delta':>8s}"
+        lines += ["", header, "-" * len(header)]
+        for metric in [*before, *(name for name in after if name not in before)]:
+            base_value, cur_value = before.get(metric), after.get(metric)
+            base_text = f"{base_value:.6g}" if base_value is not None else "-"
+            cur_text = f"{cur_value:.6g}" if cur_value is not None else "-"
+            if base_value and cur_value is not None:
+                delta = f"{100 * (cur_value - base_value) / abs(base_value):+.1f}%"
+            else:
+                delta = "-"
+            lines.append(f"  {metric:<46s} {base_text:>14s} {cur_text:>14s} {delta:>8s}")
+    return "\n".join(lines[1:])
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="trajectory JSON from this run (BENCH_*.json)")
-    parser.add_argument("baseline", help="committed baseline (benchmarks/baseline.json)")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("current", nargs="?", help="trajectory JSON from this run (BENCH_*.json)")
+    parser.add_argument("baseline", nargs="?", help="committed baseline (benchmarks/baseline.json)")
     parser.add_argument(
         "--threshold", type=float, default=0.20,
         help="relative regression that triggers a warning (default: 0.20 = 20%%)",
     )
+    parser.add_argument(
+        "--ledger", help="print parent vs change from a perfbench ledger (BENCH_<number>.json)"
+    )
     args = parser.parse_args(argv)
+    if args.ledger is not None:
+        if args.current is not None or args.baseline is not None:
+            parser.error("--ledger takes no trajectory or baseline file")
+        print(render_ledger(_load_ledger(args.ledger)))
+        return 0
+    if args.current is None or args.baseline is None:
+        parser.error("give a trajectory and a baseline file, or --ledger")
     current = _load(args.current)
     baseline = _load(args.baseline)
     if current.get("scale") != baseline.get("scale"):

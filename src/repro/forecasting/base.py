@@ -20,6 +20,7 @@ the experiments and the CLI.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +260,9 @@ def forecaster_names() -> list[str]:
     return sorted({**_builtin_forecasters(), **_CUSTOM_FORECASTERS})
 
 
+@functools.cache
 def _builtin_forecasters() -> dict[str, type["Forecaster"]]:
+    """The built-in name -> class table, built once (callers must not mutate it)."""
     from .ma import MovingAverageForecaster
     from .seq2seq import Seq2SeqForecaster
     from .smoothing import ExponentialSmoothingForecaster
@@ -281,11 +284,8 @@ def make_forecaster(name: str, record: int = 5, **kwargs) -> Forecaster:
     Built-in names: ``"var"``, ``"ma"``, ``"seq2seq"``, ``"varma"``,
     ``"ses"``; more can be added with :func:`register_forecaster`.
     """
-    registry = {**_builtin_forecasters(), **_CUSTOM_FORECASTERS}
-    try:
-        cls = registry[name.lower()]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown forecaster {name!r}; available: {sorted(registry)}"
-        ) from exc
+    key = name.lower()
+    cls = _builtin_forecasters().get(key) or _CUSTOM_FORECASTERS.get(key)
+    if cls is None:
+        raise ConfigurationError(f"unknown forecaster {name!r}; available: {forecaster_names()}")
     return cls(record=record, **kwargs)

@@ -352,8 +352,6 @@ class ServiceEngine:
 
         # 1. Online admission, one DES pass per repetition.
         plans: list[list[_Session]] = []
-        dropped = 0
-        migrated = 0
         admitted_offsets: list[int] = []
         dropped_offsets: list[int] = []
         migrated_offsets: list[int] = []
@@ -361,8 +359,6 @@ class ServiceEngine:
             log = self._serve_repetition(spec, repetition, n_commands, policy)
             log.admitted.sort(key=lambda session: session.operator)
             plans.append(log.admitted)
-            dropped += len(log.dropped_offsets)
-            migrated += len(log.migrated_offsets)
             admitted_offsets.extend(session.offset_slots for session in log.admitted)
             dropped_offsets.extend(log.dropped_offsets)
             migrated_offsets.extend(log.migrated_offsets)
@@ -376,8 +372,8 @@ class ServiceEngine:
             spec_hash=spec.spec_hash(),
             n_commands=n_commands,
             admitted=len(run.sessions),
-            dropped_sessions=dropped,
-            migrated_sessions=migrated,
+            dropped_sessions=len(dropped_offsets),
+            migrated_sessions=len(migrated_offsets),
             rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in run.outcomes),
             rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in run.outcomes),
             late_fraction=tuple(o.late_fraction for o in run.outcomes),
@@ -414,75 +410,56 @@ class ServiceEngine:
         fleet = spec.fleet
         period_s = fleet.template.foreco.command_period_ms / 1000.0
         interval_slots = spec.snapshot_every_slots
-        session_load = float(fleet.ap_service_ms) / float(
-            fleet.template.foreco.command_period_ms
+        session_load = float(fleet.ap_service_ms) / float(fleet.template.foreco.command_period_ms)
+
+        # The last admitted start (any arrival when nothing was admitted) plus one window.
+        last = [s.offset_slots for s in sessions_flat] or admitted_offsets + dropped_offsets
+        horizon_slots = max(last, default=0) + n_commands
+        slots = np.arange(0, horizon_slots + 1, interval_slots, dtype=np.int64)
+        if slots[-1] != horizon_slots:
+            slots = np.append(slots, horizon_slots)
+        times = slots * period_s
+
+        # Per-AP active-session windows, one searchsorted pair per
+        # (repetition, AP) over every sample; utilisation accumulates over
+        # repetitions in repetition order.
+        repetitions = fleet.template.repetitions
+        ap_starts: list[list[list[int]]] = [[[] for _ in range(fleet.aps)] for _ in range(repetitions)]
+        for session in sessions_flat:
+            ap_starts[session.repetition][session.ap].append(session.offset_slots)
+        active = np.zeros(slots.shape, dtype=np.int64)
+        per_ap = np.zeros((fleet.aps, slots.size), dtype=np.float64)
+        for per_rep in ap_starts:
+            for ap, starts in enumerate(per_rep):
+                starts_sorted = np.sort(np.asarray(starts, dtype=np.int64))
+                ap_active = np.searchsorted(starts_sorted, slots, side="right") - np.searchsorted(
+                    starts_sorted, slots - n_commands, side="right"
+                )
+                active += ap_active
+                per_ap[ap] += np.minimum(1.0, ap_active * session_load)
+        per_ap /= max(1, repetitions)
+
+        admitted, dropped, migrated = (
+            np.searchsorted(np.sort(np.asarray(offsets, dtype=np.int64)), slots, side="right")
+            for offsets in (admitted_offsets, dropped_offsets, migrated_offsets)
         )
-
-        if sessions_flat:
-            horizon_slots = max(s.offset_slots for s in sessions_flat) + n_commands
-        elif admitted_offsets or dropped_offsets:
-            horizon_slots = max(admitted_offsets + dropped_offsets) + n_commands
-        else:
-            horizon_slots = n_commands
-        sample_slots = list(range(0, horizon_slots + 1, interval_slots))
-        if sample_slots[-1] != horizon_slots:
-            sample_slots.append(horizon_slots)
-
-        admitted_sorted = np.sort(np.asarray(admitted_offsets, dtype=np.int64))
-        dropped_sorted = np.sort(np.asarray(dropped_offsets, dtype=np.int64))
-        migrated_sorted = np.sort(np.asarray(migrated_offsets, dtype=np.int64))
         completion_times = np.sort(np.asarray([c[0] for c in completions], dtype=np.float64))
-        # Recovery fractions ordered by completion time, for the rolling p99.
+        completed = np.searchsorted(completion_times, times, side="right")
+        # Recovery fractions ordered by completion time; the rolling p99 is
+        # computed once per distinct completed count.
         recovery_by_completion = np.asarray(
             [c[1] for c in sorted(completions, key=lambda c: c[0])], dtype=np.float64
         )
-
-        # Per-AP active-session windows, per repetition.
-        repetitions = fleet.template.repetitions
-        ap_starts: list[list[list[int]]] = [
-            [[] for _ in range(fleet.aps)] for _ in range(repetitions)
-        ]
-        for session in sessions_flat:
-            ap_starts[session.repetition][session.ap].append(session.offset_slots)
-        ap_sorted = [
-            [np.sort(np.asarray(starts, dtype=np.int64)) for starts in per_rep]
-            for per_rep in ap_starts
-        ]
-
-        snapshots = []
-        for slot in sample_slots:
-            time_s = slot * period_s
-            active = 0
-            per_ap = np.zeros(fleet.aps, dtype=np.float64)
-            for repetition in range(repetitions):
-                for ap in range(fleet.aps):
-                    starts = ap_sorted[repetition][ap]
-                    ap_active = int(
-                        np.searchsorted(starts, slot, side="right")
-                        - np.searchsorted(starts, slot - n_commands, side="right")
-                    )
-                    active += ap_active
-                    per_ap[ap] += min(1.0, ap_active * session_load)
-            per_ap /= max(1, repetitions)
-            completed = int(np.searchsorted(completion_times, time_s, side="right"))
-            rolling = (
-                float(np.percentile(recovery_by_completion[:completed], 1))
-                if completed > 0
-                else None
-            )
-            snapshots.append(
-                ServiceSnapshot(
-                    time_s=float(time_s),
-                    active_sessions=active,
-                    admitted=int(np.searchsorted(admitted_sorted, slot, side="right")),
-                    dropped=int(np.searchsorted(dropped_sorted, slot, side="right")),
-                    migrated=int(np.searchsorted(migrated_sorted, slot, side="right")),
-                    completed=completed,
-                    rolling_p99_recovery=rolling,
-                    ap_utilization=tuple(float(u) for u in per_ap),
-                )
-            )
-        return tuple(snapshots)
+        rolling = {
+            count: float(np.percentile(recovery_by_completion[:count], 1))
+            for count in np.unique(completed).tolist()
+            if count > 0
+        }
+        columns = (times, active, admitted, dropped, migrated, completed, per_ap.T)
+        return tuple(
+            ServiceSnapshot(time, act, adm, drop, mig, done, rolling.get(done), tuple(util))
+            for time, act, adm, drop, mig, done, util in zip(*(c.tolist() for c in columns))
+        )
 
     # --------------------------------------------------------------- caching
     def cached_result(self, spec: ServiceSpec) -> ServiceResult | None:

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_right, insort
+from collections.abc import Callable
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from .spec import POLICY_KINDS, ServiceSpec
 
 
@@ -85,12 +86,8 @@ class ServiceState:
         sample per elapsed command slot, each the capped air-time load the
         AP carried during that slot.
         """
-        if offset <= 0:
-            return np.zeros((0,), dtype=np.float64)
         offsets = np.asarray(self._admitted[ap], dtype=np.int64)
         slots = np.arange(offset, dtype=np.int64)
-        if offsets.size == 0:
-            return np.zeros((offset,), dtype=np.float64)
         # active(slot) = #{o : slot - n_commands < o <= slot}
         upper = np.searchsorted(offsets, slots, side="right")
         lower = np.searchsorted(offsets, slots - self.n_commands, side="right")
@@ -116,6 +113,26 @@ class AdmissionPolicy(ABC):
         """Return the AP index that takes the arrival, or ``None`` to drop it."""
 
 
+def _place_home_first(
+    state: ServiceState,
+    home_ap: int,
+    offset: int,
+    score: Callable[[int], float],
+    passes: Callable[[int, float], bool],
+) -> int | None:
+    """First AP in ``(not home, score, index)`` order that has a free slot and passes.
+
+    That is the home AP when it has a free slot and passes, else the least
+    ``(score, index)`` among the passing non-home APs with a free slot.
+    Only APs with a free slot are scored, and none past the home AP when it takes the arrival.
+    """
+    if state.active(home_ap, offset) < state.capacity and passes(home_ap, score(home_ap)):
+        return home_ap
+    free = [ap for ap in range(state.aps) if ap != home_ap and state.active(ap, offset) < state.capacity]
+    scored = ((score(ap), ap) for ap in free)
+    return min(((value, ap) for value, ap in scored if passes(ap, value)), default=(None, None))[1]
+
+
 class StaticCapPolicy(AdmissionPolicy):
     """Home-AP admission under the hard capacity cap (the fleet rule)."""
 
@@ -134,15 +151,14 @@ class UtilizationThresholdPolicy(AdmissionPolicy):
 
     def admit(self, state: ServiceState, home_ap: int, offset: int) -> int | None:
         limit = self.spec.utilization_limit
-        # Home AP first, then the rest by (current active count, index):
-        # deterministic, and ties always resolve to the lowest AP index.
-        order = sorted(range(state.aps), key=lambda ap: (ap != home_ap, state.active(ap, offset), ap))
-        for ap in order:
-            if state.active(ap, offset) >= state.capacity:
-                continue
-            if state.utilization(ap, offset, extra=1) <= limit:
-                return ap
-        return None
+        # Home AP first, then the rest by (current active count, index).
+        return _place_home_first(
+            state,
+            home_ap,
+            offset,
+            score=lambda ap: state.active(ap, offset),
+            passes=lambda ap, _active: state.utilization(ap, offset, extra=1) <= limit,
+        )
 
 
 class ForecastAwarePolicy(AdmissionPolicy):
@@ -154,7 +170,8 @@ class ForecastAwarePolicy(AdmissionPolicy):
     limit.  Until an AP has accumulated enough history to fit on
     (``forecast_record + 1`` samples), its instantaneous utilisation is the
     fallback predictor — so early in a run this policy behaves like
-    ``utilization-threshold`` and smoothly switches to forecasts.
+    ``utilization-threshold`` and smoothly switches to forecasts.  Only APs
+    that could take the arrival are fitted; a non-finite forecast raises.
     """
 
     kind = "forecast-aware"
@@ -170,20 +187,24 @@ class ForecastAwarePolicy(AdmissionPolicy):
         forecaster = make_forecaster(self.spec.forecast_algorithm, record=record)
         forecaster.fit(series)
         predicted = float(forecaster.predict_next(series[-record:])[0])
+        if not np.isfinite(predicted):
+            raise SimulationError(
+                f"forecaster {self.spec.forecast_algorithm!r} predicted a non-finite "
+                f"utilization ({predicted}) for AP {ap} at slot {offset}"
+            )
         return min(1.0, max(0.0, predicted))
 
     def admit(self, state: ServiceState, home_ap: int, offset: int) -> int | None:
         limit = self.spec.utilization_limit
-        predictions = {
-            ap: self._predicted_utilization(state, ap, offset) for ap in range(state.aps)
-        }
-        order = sorted(range(state.aps), key=lambda ap: (ap != home_ap, predictions[ap], ap))
-        for ap in order:
-            if state.active(ap, offset) >= state.capacity:
-                continue
-            if predictions[ap] + state.session_load <= limit:
-                return ap
-        return None
+        # Home AP first, then the rest by (predicted utilisation, index); an
+        # AP that is never scored is never fitted.
+        return _place_home_first(
+            state,
+            home_ap,
+            offset,
+            score=lambda ap: self._predicted_utilization(state, ap, offset),
+            passes=lambda _ap, predicted: predicted + state.session_load <= limit,
+        )
 
 
 _POLICIES: dict[str, type[AdmissionPolicy]] = {

@@ -15,8 +15,10 @@ from repro.forecasting import (
     VarForecaster,
     VarmaForecaster,
     forecast_rmse,
+    forecaster_names,
     make_forecaster,
     multi_step_rmse,
+    register_forecaster,
     rolling_forecast_errors,
     sliding_windows,
 )
@@ -56,6 +58,23 @@ def test_make_forecaster_registry():
     assert isinstance(make_forecaster("seq2seq"), Seq2SeqForecaster)
     with pytest.raises(ConfigurationError):
         make_forecaster("arima")
+
+
+def test_registration_after_a_lookup_is_visible():
+    """The built-in table is built once; runtime registrations still resolve."""
+    assert isinstance(make_forecaster("ma"), MovingAverageForecaster)
+
+    class LateForecaster(MovingAverageForecaster):
+        name = "late-registered-ma"
+
+    assert "late-registered-ma" not in forecaster_names()
+    register_forecaster("Late-Registered-MA", LateForecaster, overwrite=True)
+    assert isinstance(make_forecaster("late-registered-ma", record=3), LateForecaster)
+    assert "late-registered-ma" in forecaster_names()
+    with pytest.raises(ConfigurationError, match="late-registered-ma"):
+        make_forecaster("arima")
+    with pytest.raises(ConfigurationError):
+        register_forecaster("VAR", LateForecaster)
 
 
 # ------------------------------------------------------------------ interface

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from oracles.service import make_eager_policy
+from repro.errors import ConfigurationError, SimulationError
+from repro.forecasting import Forecaster, register_forecaster
+from repro.forecasting.ma import MovingAverageForecaster
+from repro.forecasting.smoothing import ExponentialSmoothingForecaster
+from repro.forecasting.var import VarForecaster
 from repro.service import (
     POLICY_KINDS,
     AdmissionPolicy,
@@ -141,3 +148,111 @@ class TestPolicies:
             ServiceSpec(policy="forecast-aware", forecast_algorithm="crystal-ball")
         with pytest.raises(ConfigurationError):
             ServiceSpec(utilization_limit=-0.5)
+
+
+class _ConstantForecaster(Forecaster):
+    """Predicts ``value`` for every window (a stand-in for a broken model)."""
+
+    value = 0.0
+
+    def _fit(self, commands):
+        pass
+
+    def _predict_next(self, history):
+        return np.full(history.shape[1], self.value)
+
+
+class _NanForecaster(_ConstantForecaster):
+    name = "test-nan-utilization"
+    value = float("nan")
+
+
+class _InfForecaster(_ConstantForecaster):
+    name = "test-inf-utilization"
+    value = float("inf")
+
+
+@pytest.mark.parametrize("forecaster", [_NanForecaster, _InfForecaster], ids=["nan", "inf"])
+def test_non_finite_forecast_raises_naming_ap_and_algorithm(forecaster):
+    """A NaN forecast used to clamp to 0.0 (an idle-looking AP) and inf to 1.0."""
+    register_forecaster(forecaster.name, forecaster, overwrite=True)
+    spec = ServiceSpec(
+        policy="forecast-aware",
+        forecast_algorithm=forecaster.name,
+        forecast_record=2,
+        fleet=ServiceSpec().fleet.with_(aps=2, ap_capacity=2),
+    )
+    policy = make_policy(spec)
+    state = ServiceState(spec, n_commands=50)
+    state.admit(0, 0)
+    with pytest.raises(SimulationError, match=rf"{forecaster.name}.*AP 0"):
+        policy.admit(state, home_ap=0, offset=10)
+
+
+#: Fit calls made through the counting forecasters below.
+_FITS = [0]
+
+
+def _counting(base: type[Forecaster]) -> type[Forecaster]:
+    """Register ``base`` under ``counting-<name>``, counting every fit."""
+
+    class Counting(base):
+        name = f"counting-{base.name}"
+
+        def _fit(self, commands):
+            _FITS[0] += 1
+            super()._fit(commands)
+
+    register_forecaster(Counting.name, Counting, overwrite=True)
+    return Counting
+
+
+_COUNTING = {
+    cls.name: _counting(cls).name
+    for cls in (MovingAverageForecaster, VarForecaster, ExponentialSmoothingForecaster)
+}
+
+
+@st.composite
+def _admission_runs(draw):
+    aps = draw(st.integers(1, 6))
+    spec = ServiceSpec(
+        policy=draw(st.sampled_from(POLICY_KINDS)),
+        # One session costs 0.3 of the air time, so 0.2 drops every arrival.
+        utilization_limit=draw(st.sampled_from([0.2, 0.5, 0.75, 0.95, 1.0])),
+        forecast_record=draw(st.integers(1, 8)),
+        forecast_algorithm=_COUNTING[draw(st.sampled_from(sorted(_COUNTING)))],
+        fleet=ServiceSpec().fleet.with_(aps=aps, ap_capacity=draw(st.integers(1, 4))),
+    )
+    # Zero gaps put several arrivals in one slot; offsets never decrease.
+    gaps = draw(st.lists(st.integers(0, 3), min_size=4, max_size=40))
+    homes = draw(st.lists(st.integers(0, aps - 1), min_size=len(gaps), max_size=len(gaps)))
+    n_commands = draw(st.integers(1, 60))
+    return spec, n_commands, list(zip(homes, np.cumsum(gaps).tolist(), strict=True))
+
+
+_EVERY_AP_FULL = ServiceSpec(
+    policy="utilization-threshold",
+    utilization_limit=1.0,
+    fleet=ServiceSpec().fleet.with_(aps=2, ap_capacity=1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_admission_runs())
+@example((_EVERY_AP_FULL, 10, [(0, 0), (0, 0), (0, 0)]))  # a full AP passes the limit yet must be skipped
+def test_home_first_placement_equals_the_eager_sort(run):
+    """Every arrival gets the eager oracle's decision; a home admission fits at most once."""
+    spec, n_commands, arrivals = run
+    policy, oracle = make_policy(spec), make_eager_policy(spec)
+    state = ServiceState(spec, n_commands=n_commands)
+    for home_ap, offset in arrivals:
+        fits_before = _FITS[0]
+        placed = policy.admit(state, home_ap, offset)
+        if placed == home_ap:
+            assert _FITS[0] - fits_before <= 1
+        assert placed == oracle.admit(state, home_ap, offset)
+        if spec.utilization_limit < state.session_load and spec.policy != "static-cap":
+            assert placed is None
+        if placed is not None:
+            state.admit(placed, offset)

@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from oracles.service import snapshots_per_slot
 from repro.fleet import FleetEngine, get_fleet
-from repro.scenarios import ResultStore, SweepExecutor
-from repro.service import ServiceEngine, ServiceResult, ServiceSpec, get_service, pace_snapshots
+from repro.fleet.engine import _Session
+from repro.scenarios import ResultStore, SessionEngine, SweepExecutor
+from repro.service import (
+    ServiceEngine,
+    ServiceResult,
+    ServiceSpec,
+    get_service,
+    pace_snapshots,
+    policy_names,
+    service_names,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +144,68 @@ class TestSnapshots:
         )
         assert paced == list(result.snapshots[:4])
         assert all(s >= 0.0 for s in sleeps)
+
+
+@pytest.fixture(scope="module")
+def sessions() -> SessionEngine:
+    return SessionEngine()
+
+
+@pytest.mark.parametrize("until_s", [None, 0.5, 30.0], ids=["unbounded", "until-0.5s", "until-30s"])
+@pytest.mark.parametrize("repetitions", [1, 3])
+@pytest.mark.parametrize("policy", policy_names())
+@pytest.mark.parametrize("preset", service_names())
+def test_snapshots_equal_the_per_slot_oracle(preset, policy, repetitions, until_s, sessions, monkeypatch):
+    """The whole-array snapshot stream equals the per-slot loop, field for field."""
+    calls = []
+    vectorised = ServiceEngine._snapshots
+
+    def recording(*args):
+        calls.append((args, vectorised(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ServiceEngine, "_snapshots", staticmethod(recording))
+    spec = get_service(preset).with_template(scale="ci", repetitions=repetitions)
+    result = ServiceEngine(sessions=sessions, cache_results=False).run(
+        spec.with_(policy=policy, until_s=until_s)
+    )
+    [(args, snapshots)] = calls
+    assert snapshots == result.snapshots == snapshots_per_slot(*args)
+
+
+@st.composite
+def _admission_records(draw):
+    aps, repetitions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    spec = ServiceSpec(snapshot_every_slots=draw(st.integers(1, 7))).with_fleet(aps=aps)
+    spec = spec.with_template(repetitions=repetitions)
+    offsets = st.integers(0, 40)
+    sessions = draw(
+        st.lists(
+            st.builds(
+                _Session,
+                operator=st.integers(0, 9),
+                repetition=st.integers(0, repetitions - 1),
+                offset_slots=offsets,
+                ap=st.integers(0, aps - 1),
+            ),
+            max_size=30,
+        )
+    )
+    period_s = spec.fleet.template.foreco.command_period_ms / 1000.0
+    # Completions land on whole command slots, so some fall exactly on a sample.
+    completions = tuple(
+        (draw(st.integers(0, 80)) * period_s, draw(st.floats(0.0, 1.0))) for _ in sessions
+    )
+    dropped, migrated = draw(st.lists(offsets, max_size=10)), draw(st.lists(offsets, max_size=10))
+    n_commands = draw(st.integers(1, 20))
+    return spec, n_commands, sessions, completions, [s.offset_slots for s in sessions], dropped, migrated
+
+
+@settings(max_examples=100, deadline=None)
+@given(_admission_records())
+def test_snapshots_equal_the_per_slot_oracle_on_random_records(record):
+    """Overloaded APs (utilisation past the cap) and completions on sample instants included."""
+    assert ServiceEngine._snapshots(*record) == snapshots_per_slot(*record)
 
 
 class TestStore:
