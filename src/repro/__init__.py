@@ -24,11 +24,11 @@ Package layout
     access-point queueing model, a bursty jammer and controlled-loss
     injectors.
 ``repro.des``
-    Discrete-event simulation substrate (event engine, G/HEXP/1/Q queue,
-    Jackson transport network).
+    Discrete-event simulation substrate (random variates and the event
+    engine behind the live service's virtual clock).
 ``repro.robot``
-    Niryo-One-like manipulator: DH kinematics, joint limits, PID control,
-    driver loop and trajectory metrics.
+    Niryo-One-like manipulator: DH kinematics, joint limits, PID control
+    and trajectory metrics.
 ``repro.teleop``
     Pick-and-place task, operator models and the 50 Hz remote controller.
 ``repro.analysis``
@@ -106,7 +106,7 @@ from .fleet import (
     get_fleet,
     get_plan,
 )
-from .robot import NiryoOneArm, RobotDriver
+from .robot import NiryoOneArm
 from .scenarios import (
     ResultStore,
     ScenarioSpec,
@@ -145,7 +145,6 @@ __all__ = [
     "VarForecaster",
     "make_forecaster",
     "NiryoOneArm",
-    "RobotDriver",
     "OperatorModel",
     "RemoteController",
     "experienced_operator",

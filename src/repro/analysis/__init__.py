@@ -2,23 +2,21 @@
 
 * :mod:`repro.analysis.heatmap` — the interference-probability × duration
   result grids of Fig. 8 (per robot count, with and without FoReCo).
-* :mod:`repro.analysis.profiling` — wall-clock profiling of the training
-  pipeline plus the calibrated hardware scale factors used to reproduce
-  Tables I and II (the paper measures Raspberry Pi 3, Jetson Nano, a laptop
-  and an edge server; we measure on the current host and report the paper's
-  relative platform ordering).
+* :mod:`repro.analysis.profiling` — the calibrated hardware scale factors
+  used to reproduce Tables I and II (the paper measures Raspberry Pi 3,
+  Jetson Nano, a laptop and an edge server; we measure on the current host
+  and report the paper's relative platform ordering).
 * :mod:`repro.analysis.statistics` — small summary-statistics helpers
   (mean, spread and percentiles over repeated runs).
 * :mod:`repro.analysis.sweeps` — renderers turning scenario
-  :class:`~repro.scenarios.SweepResult` tables into heatmaps and summaries.
+  :class:`~repro.scenarios.SweepResult` tables into heatmaps.
 """
 
 from .heatmap import HeatmapCell, HeatmapGrid
-from .sweeps import heatmap_from_sweep, load_sweep, sweep_summary
+from .sweeps import heatmap_from_sweep, load_sweep
 from .profiling import (
     HARDWARE_PROFILES,
     HardwareProfile,
-    ProfiledStage,
     scale_timings_to_hardware,
 )
 from .statistics import summarize
@@ -28,10 +26,8 @@ __all__ = [
     "HeatmapGrid",
     "heatmap_from_sweep",
     "load_sweep",
-    "sweep_summary",
     "HARDWARE_PROFILES",
     "HardwareProfile",
-    "ProfiledStage",
     "scale_timings_to_hardware",
     "summarize",
 ]

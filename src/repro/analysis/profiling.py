@@ -15,12 +15,9 @@ host-dependent — EXPERIMENTS.md records both.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
 
-from .._validation import ensure_int, ensure_positive
-from ..core.pipeline import PipelineTimings
+from .._validation import ensure_positive
 
 
 @dataclass(frozen=True)
@@ -73,44 +70,6 @@ HARDWARE_PROFILES: dict[str, HardwareProfile] = {
 }
 
 
-@dataclass
-class ProfiledStage:
-    """Mean and standard deviation of one repeatedly-timed stage."""
-
-    name: str
-    mean_s: float
-    std_s: float
-    n_runs: int
-
-    @property
-    def mean_ms(self) -> float:
-        """Mean duration in milliseconds."""
-        return self.mean_s * 1000.0
-
-    @property
-    def mean_minutes(self) -> float:
-        """Mean duration in minutes (the unit Table II uses for training)."""
-        return self.mean_s / 60.0
-
-
-def time_callable(func: Callable[[], object], repetitions: int = 3) -> ProfiledStage:
-    """Run ``func`` ``repetitions`` times and summarise its wall-clock time."""
-    repetitions = ensure_int("repetitions", repetitions, minimum=1)
-    durations = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        func()
-        durations.append(time.perf_counter() - start)
-    mean = sum(durations) / len(durations)
-    variance = sum((d - mean) ** 2 for d in durations) / max(1, len(durations) - 1)
-    return ProfiledStage(
-        name=getattr(func, "__name__", "stage"),
-        mean_s=mean,
-        std_s=variance ** 0.5,
-        n_runs=repetitions,
-    )
-
-
 def scale_timings_to_hardware(
     measured_training_s: float,
     measured_inference_ms: float,
@@ -148,13 +107,3 @@ def scale_timings_to_hardware(
             "inference_ms": base_inference_ms * profile.inference_scale,
         }
     return projected
-
-
-def timings_to_table_row(timings: PipelineTimings) -> dict[str, float]:
-    """Convert pipeline timings to the Table I column layout (seconds)."""
-    return {
-        "load_data_s": timings.load_data_s,
-        "downsampling_s": timings.downsampling_s,
-        "check_quality_s": timings.quality_check_s,
-        "training_model_s": timings.training_s,
-    }

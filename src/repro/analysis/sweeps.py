@@ -3,7 +3,7 @@
 The scenario layer returns a uniform :class:`~repro.scenarios.SweepResult`
 table; this module turns such tables into the analysis-side structures the
 figures are built from — currently :class:`HeatmapGrid` objects keyed by two
-channel parameters (the Fig. 8 layout), plus a compact summary table.
+channel parameters (the Fig. 8 layout).
 
 :func:`load_sweep` closes the loop with the persistent
 :class:`~repro.scenarios.ResultStore`: it materialises a
@@ -89,15 +89,3 @@ def load_sweep(
             "first, or pass strict=False to render the stored subset"
         )
     return SweepResult(rows, store_hits=len(rows), store_misses=len(missing))
-
-
-def sweep_summary(rows: Iterable) -> str:
-    """One-line-per-row summary of a sweep (scenario, RMSE pair, gain)."""
-    lines = []
-    for row in rows:
-        lines.append(
-            f"{row.spec.name}: no-forecast {row.mean_rmse_no_forecast_mm:.2f} mm, "
-            f"FoReCo {row.mean_rmse_foreco_mm:.2f} mm "
-            f"(x{row.improvement_factor:.1f}, late {row.mean_late_fraction:.2f})"
-        )
-    return "\n".join(lines)

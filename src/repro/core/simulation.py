@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..robot.driver import DriverConfig
 from ..robot.niryo import NiryoOneArm
-from ..robot.pid import JointPidController
+from ..robot.pid import JointPidController, PidGains
 from ..robot.trajectory import JointTrajectory
 from ..wireless.channel import CommandDelayTrace
 from .config import ForecoConfig
@@ -176,7 +175,10 @@ class BatchedRemoteControlSimulation:
         Execute through the PID joint controller instead of perfect tracking.
     fallback:
         The robot's behaviour for missing commands (``"hold"`` or
-        ``"stop"``), validated here.
+        ``"stop"``), validated here.  It changes no result at
+        ``ENGINE_EPOCH`` 6: the baseline replays every slot's most recently
+        arrived command, and the recovery engine supplies a target for every
+        missing slot, so neither execution ever falls back.
     """
 
     def __init__(
@@ -188,17 +190,12 @@ class BatchedRemoteControlSimulation:
     ) -> None:
         if not recovery.is_ready:
             raise ConfigurationError("the recovery engine must be trained before simulating")
+        if fallback not in ("hold", "stop"):
+            raise ConfigurationError(f"unknown fallback policy {fallback!r}")
         self.recovery = recovery
         self.arm = arm if arm is not None else NiryoOneArm()
         self.use_pid = bool(use_pid)
         self.fallback = fallback
-        # Validates the period/tolerance/fallback combination as RobotDriver does.
-        self._driver_config = DriverConfig(
-            command_period_ms=recovery.config.command_period_ms,
-            tolerance_ms=recovery.config.tolerance_ms,
-            fallback=fallback,  # type: ignore[arg-type]
-            use_pid=self.use_pid,
-        )
 
     # ------------------------------------------------------------------ run
     def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> list[SimulationOutcome]:
@@ -237,9 +234,8 @@ class BatchedRemoteControlSimulation:
         # FoReCo pass: all recovery state machines advance in lockstep.
         batch = self.recovery.process_stream_batch(commands, delays_ms)
 
-        # Both executions start from the raw first defined command, as
-        # RobotDriver.run does (it resets to its stream's first row, which is
-        # commands[0] for the FoReCo stream and for the baseline stream).
+        # Both executions start from the raw first defined command, the
+        # first row of the FoReCo stream and of the baseline stream.
         # ``np.clip`` is elementwise, so the baseline gathers the clipped
         # stream, and the FoReCo targets need clipping only where they can
         # differ from it: at missing slots and at slots whose command is
@@ -347,7 +343,7 @@ class BatchedRemoteControlSimulation:
         "joints" are the stacked repetitions, reusing the one-arm PID
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
-        the (raw, unclamped) joint state :class:`RobotDriver` resets to.
+        the (raw, unclamped) joint state the controller resets to.
         """
         if not self.use_pid:
             return clamped
@@ -355,8 +351,8 @@ class BatchedRemoteControlSimulation:
         n_batch, n_slots, n_joints = clamped.shape
         controller = JointPidController(
             n_batch * n_joints,
-            dt_s=self._driver_config.command_period_ms / 1000.0,
-            gains=self._driver_config.pid_gains,
+            dt_s=self.recovery.config.command_period_ms / 1000.0,
+            gains=PidGains(),
             velocity_limits=np.tile(limits.velocity_max, n_batch),
         )
         controller.reset(np.tile(np.asarray(initial, dtype=float).ravel(), n_batch))

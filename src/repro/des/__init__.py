@@ -1,48 +1,30 @@
 """Discrete-event simulation substrate.
 
 This package replaces the CIW discrete-event simulation library used by the
-paper to evaluate the G/HEXP/1/Q access-point queue.  It provides:
+paper.  It provides:
 
 * :mod:`repro.des.distributions` — random variate generators (deterministic,
-  exponential, hyper-exponential, gamma, empirical) with a uniform interface.
-* :mod:`repro.des.engine` — a minimal but general event-calendar simulator.
-* :mod:`repro.des.queueing` — a finite-capacity single-server queue
-  (G/G/1/Q — instantiated as G/HEXP/1/Q by the wireless package) that records
-  per-customer waiting, service and loss.
-* :mod:`repro.des.jackson` — an open Jackson network of M/M/1 stations used to
-  model the wired transport segment (paper Assumption 1).
+  exponential, uniform, hyper-exponential) with a uniform interface.
+* :mod:`repro.des.engine` — a minimal but general event-calendar simulator,
+  the virtual clock of the live service's admission pass.
 """
 
 from .distributions import (
     Deterministic,
     Distribution,
-    EmpiricalDistribution,
     Exponential,
-    GammaDistribution,
     HyperExponential,
-    LogNormal,
     UniformDistribution,
 )
 from .engine import Event, EventScheduler, Simulator
-from .jackson import JacksonNetwork, JacksonStation, TransportNetworkModel
-from .queueing import CustomerRecord, FiniteQueueSimulator, QueueMetrics
 
 __all__ = [
     "Deterministic",
     "Distribution",
-    "EmpiricalDistribution",
     "Exponential",
-    "GammaDistribution",
     "HyperExponential",
-    "LogNormal",
     "UniformDistribution",
     "Event",
     "EventScheduler",
     "Simulator",
-    "JacksonNetwork",
-    "JacksonStation",
-    "TransportNetworkModel",
-    "CustomerRecord",
-    "FiniteQueueSimulator",
-    "QueueMetrics",
 ]

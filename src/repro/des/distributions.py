@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .._validation import ensure_positive, rng_from
+from .._validation import ensure_positive
 from ..errors import ConfigurationError
 
 
@@ -93,39 +93,6 @@ class UniformDistribution(Distribution):
         return 0.5 * (self.low + self.high)
 
 
-class GammaDistribution(Distribution):
-    """Gamma distribution with ``shape`` and ``scale`` parameters.
-
-    Included because related work ([36] in the paper) models 802.11 command
-    delay as a Gamma distribution; the ablation benches compare it against the
-    hyper-exponential derived from the interference-aware analytical model.
-    """
-
-    def __init__(self, shape: float, scale: float) -> None:
-        self.shape = ensure_positive("shape", shape)
-        self.scale = ensure_positive("scale", scale)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        return rng.gamma(self.shape, self.scale, size=size)
-
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-
-class LogNormal(Distribution):
-    """Log-normal distribution parameterised by the underlying normal's mu/sigma."""
-
-    def __init__(self, mu: float, sigma: float) -> None:
-        self.mu = float(mu)
-        self.sigma = ensure_positive("sigma", sigma)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size=size)
-
-    def mean(self) -> float:
-        return float(np.exp(self.mu + 0.5 * self.sigma ** 2))
-
-
 class HyperExponential(Distribution):
     """Mixture of exponentials: phase ``i`` w.p. ``probs[i]``, rate ``rates[i]``.
 
@@ -178,33 +145,3 @@ class HyperExponential(Distribution):
     def squared_coefficient_of_variation(self) -> float:
         """``Var(X) / E[X]^2`` — always >= 1 for a hyper-exponential."""
         return self.variance() / self.mean() ** 2
-
-
-class EmpiricalDistribution(Distribution):
-    """Resampling distribution built from observed samples.
-
-    Useful for replaying measured delay traces through the queueing model.
-    """
-
-    def __init__(self, samples: Sequence[float]) -> None:
-        data = np.asarray(samples, dtype=float)
-        if data.ndim != 1 or data.size == 0:
-            raise ConfigurationError("EmpiricalDistribution requires a non-empty 1-D sample set")
-        if np.any(data < 0):
-            raise ConfigurationError("EmpiricalDistribution samples must be non-negative")
-        self.samples = data
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
-        return rng.choice(self.samples, size=size)
-
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    def quantile(self, q: float) -> float:
-        """Empirical quantile of the stored samples."""
-        return float(np.quantile(self.samples, q))
-
-
-def build_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
-    """Public helper mirroring :func:`repro._validation.rng_from`."""
-    return rng_from(seed)

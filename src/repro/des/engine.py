@@ -3,8 +3,9 @@
 The engine is a classic event-calendar simulator: callers schedule
 :class:`Event` objects at absolute simulation times, and :class:`Simulator`
 pops them in chronological order, advancing the clock and invoking each
-event's callback.  Callbacks may schedule further events, which is how the
-queueing models in :mod:`repro.des.queueing` express arrivals and departures.
+event's callback.  Callbacks may schedule further events.  The live
+service's admission pass (:mod:`repro.service.engine`) schedules one event
+per operator arrival.
 
 The engine is intentionally small — it only needs to support the workloads in
 this reproduction — but it is written as a reusable component: events carry

@@ -60,7 +60,6 @@ from .plan import (
     plan_catalog,
     plan_names,
     register_plan,
-    run_plan,
 )
 from .registry import fleet_catalog, fleet_names, get_fleet, register_fleet
 from .spec import (
@@ -163,6 +162,5 @@ __all__ = [
     "quality_violations",
     "register_fleet",
     "register_plan",
-    "run_plan",
     "select_probe",
 ]

@@ -726,22 +726,6 @@ class CapacityPlanner:
         return plan
 
 
-def run_plan(
-    spec: PlanSpec,
-    jobs: int = 1,
-    backend: str = "thread",
-    store: ResultStore | None = None,
-) -> CapacityPlan:
-    """One-call convenience wrapper: configure, run and return the plan.
-
-    This is what the runner's ``plan`` keyword and the CI smoke script
-    build on; see :class:`CapacityPlanner` for the determinism and
-    memoization contract.
-    """
-    planner = CapacityPlanner(jobs=jobs, backend=backend, store=store)
-    return planner.run(spec)
-
-
 # ----------------------------------------------------------------- registry
 _REGISTRY: dict[str, tuple[PlanSpec, str]] = {}
 

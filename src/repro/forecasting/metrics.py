@@ -3,8 +3,8 @@
 Fig. 7 of the paper reports the RMSE of the *Cartesian* forecast error — in
 millimetres of end-effector position — as a function of the forecasting
 window (how many consecutive commands are forecasted).  These helpers compute
-both the joint-space RMSE (useful for model selection) and the Cartesian RMSE
-used by the figure, via the robot's forward kinematics.
+both the joint-space RMSE (useful for model selection) and the Cartesian
+errors used by the figure, via the robot's forward kinematics.
 """
 
 from __future__ import annotations
@@ -24,20 +24,6 @@ def forecast_rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
     if predicted.shape != actual.shape:
         raise DimensionError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
     return float(np.sqrt(np.mean((predicted - actual) ** 2)))
-
-
-def cartesian_forecast_rmse_mm(
-    predicted: np.ndarray, actual: np.ndarray, arm: NiryoOneArm | None = None
-) -> float:
-    """RMSE (mm) of the end-effector position implied by the forecasts."""
-    predicted = as_command_array("predicted", predicted)
-    actual = as_command_array("actual", actual)
-    if predicted.shape != actual.shape:
-        raise DimensionError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
-    arm = arm if arm is not None else NiryoOneArm()
-    predicted_mm = arm.kinematics.positions(predicted) * 1000.0
-    actual_mm = arm.kinematics.positions(actual) * 1000.0
-    return float(np.sqrt(np.mean(np.sum((predicted_mm - actual_mm) ** 2, axis=1))))
 
 
 def rolling_forecast_errors(

@@ -7,7 +7,7 @@ required pieces from scratch on NumPy:
 * :mod:`repro.nn.activations` — sigmoid / tanh / ReLU / identity with
   derivatives.
 * :mod:`repro.nn.losses` — mean-squared-error loss with gradient.
-* :mod:`repro.nn.optimizers` — Adam (paper eqs. 11–13) and plain SGD.
+* :mod:`repro.nn.optimizers` — Adam (paper eqs. 11–13).
 * :mod:`repro.nn.layers` — fully-connected layer and an LSTM layer with full
   backpropagation-through-time.
 * :mod:`repro.nn.seq2seq` — the many-to-one encoder–decoder model used by
@@ -17,7 +17,7 @@ required pieces from scratch on NumPy:
 from .activations import Activation, Identity, Relu, Sigmoid, Tanh, get_activation
 from .layers import Dense, LstmLayer
 from .losses import MeanSquaredError
-from .optimizers import Adam, Sgd
+from .optimizers import Adam
 from .seq2seq import Seq2SeqModel, Seq2SeqTrainingResult
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "LstmLayer",
     "MeanSquaredError",
     "Adam",
-    "Sgd",
     "Seq2SeqModel",
     "Seq2SeqTrainingResult",
 ]

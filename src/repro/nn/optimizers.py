@@ -24,28 +24,6 @@ class Optimizer(abc.ABC):
         """Update ``params`` in place using ``grads`` (same keys, same shapes)."""
 
 
-class Sgd(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        self.learning_rate = ensure_positive("learning_rate", learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError("momentum must lie in [0, 1)")
-        self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, grad in grads.items():
-            if name not in params:
-                raise ConfigurationError(f"gradient provided for unknown parameter {name!r}")
-            velocity = self._velocity.get(name)
-            if velocity is None:
-                velocity = np.zeros_like(params[name])
-            velocity = self.momentum * velocity - self.learning_rate * grad
-            params[name] += velocity
-            self._velocity[name] = velocity
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba) with the paper's default hyper-parameters.
 

@@ -9,23 +9,16 @@ of that stack that the evaluation actually exercises:
   lengths, joint limits, joint speed limits, 50 Hz command interface).
 * :mod:`repro.robot.pid` — per-joint PID controller with the settling
   behaviour responsible for the "channel recovery" transient in Fig. 10.
-* :mod:`repro.robot.driver` — the robot driver loop: it expects a command
-  every Ω ms and, like the Niryo ROS stack, repeats the previous command when
-  none arrives on time (this is the no-forecast baseline FoReCo improves on).
 * :mod:`repro.robot.trajectory` — trajectory containers plus the
   distance-from-origin metric used by every figure in the evaluation.
 """
 
-from .driver import DriverConfig, DriverLog, RobotDriver
 from .kinematics import DhLink, ForwardKinematics, dh_transform
 from .niryo import NIRYO_ONE_DH, NiryoOneArm, NiryoOneLimits
 from .pid import JointPidController, PidGains
 from .trajectory import JointTrajectory, TrajectoryError, distance_from_origin_mm, trajectory_rmse_mm
 
 __all__ = [
-    "DriverConfig",
-    "DriverLog",
-    "RobotDriver",
     "DhLink",
     "ForwardKinematics",
     "dh_transform",

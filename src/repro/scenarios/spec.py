@@ -484,7 +484,10 @@ class ScenarioSpec:
     use_pid:
         Execute through the PID joint controller (Fig. 10 mode).
     fallback:
-        Baseline driver fallback policy (``"hold"`` or ``"stop"``).
+        Robot fallback policy for missing commands (``"hold"`` or
+        ``"stop"``).  Part of the spec hash, but it changes no result at
+        ``ENGINE_EPOCH`` 6: neither the baseline nor FoReCo ever reaches the
+        fallback (see :class:`~repro.core.BatchedRemoteControlSimulation`).
     """
 
     name: str = "custom"

@@ -26,8 +26,9 @@ The resulting per-command end-to-end delay therefore exhibits exactly the
 behaviours the paper's analytical model predicts: it is bounded only on
 average, it diverges for lost commands, and consecutive commands can see
 wildly different delays (causality violation) whenever a burst begins or ends.
-The output is a :class:`CommandDelayTrace`, a light container the recovery
-engine and the driver consume.
+The output is a :class:`CommandDelayTrace`, a light container the session
+simulation consumes.  The end-to-end delay is the wireless delay alone: the
+paper takes the transport delay as negligible (``D ≈ 0``, §VI-C).
 
 Sampling comes in two flavours with one randomness contract:
 
@@ -55,7 +56,6 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import ensure_int, ensure_positive, ensure_probability, rng_from
-from ..des.jackson import TransportNetworkModel
 from ..errors import ConfigurationError
 from .bianchi import DcfParameters, InterferenceSource
 from .delay_model import Ieee80211DelayModel
@@ -148,9 +148,6 @@ class WirelessChannel:
     queue_capacity:
         Access-point buffer size ``Q`` of the G/HEXP/1/Q model: an arriving
         command that finds ``Q`` commands in the system is dropped.
-    transport:
-        Optional transport-network model; ``None`` means the negligible
-        transport delay assumed in §VI-C (``D ≈ 0``).
     transmission_slot_ms:
         Duration of one interference "transmission slot" in milliseconds: the
         interferer occupies ``T_if`` of these once it fires.  The default
@@ -181,7 +178,6 @@ class WirelessChannel:
         interference: InterferenceSource | None = None,
         command_period_ms: float = 20.0,
         queue_capacity: int = 50,
-        transport: TransportNetworkModel | None = None,
         transmission_slot_ms: float = 1.5,
         interference_block_probability: float = 1.0,
         interference_loss_probability: float = 0.6,
@@ -199,7 +195,6 @@ class WirelessChannel:
             "interference_loss_probability", interference_loss_probability
         )
         self.interference = interference if interference is not None else InterferenceSource()
-        self.transport = transport
         self.rng = rng_from(seed)
 
         # Contention model: Bianchi DCF for n stations, no interference term
@@ -277,21 +272,7 @@ class WirelessChannel:
             wireless_delays = self._medium_delays(n_commands)
         else:
             wireless_delays = self._direct_delays(n_commands)
-
-        if self.transport is not None:
-            transport_delays = self.transport.sample_delays(n_commands)
-        else:
-            transport_delays = np.zeros(n_commands)
-
-        trace = CommandDelayTrace()
-        for index in range(n_commands):
-            wireless = wireless_delays[index]
-            if np.isinf(wireless):
-                trace.samples.append(ChannelSample(index=index, delay_ms=float("inf"), lost=True))
-                continue
-            total = float(wireless + transport_delays[index])
-            trace.samples.append(ChannelSample(index=index, delay_ms=total, lost=False))
-        return trace
+        return trace_from_delays(wireless_delays)
 
     def _draw_queue_randomness(self, rng: np.random.Generator, n_commands: int, service_dist):
         """All random inputs of the queue simulation, in fixed block order.
@@ -429,7 +410,7 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     row's randomness is drawn through its own channel's
     :meth:`WirelessChannel._draw_queue_randomness`, with each channel's
     service distribution built once.  All channels must share the command
-    period (it sets the common arrival grid) and carry no transport model.
+    period (it sets the common arrival grid).
 
     The Lindley recursion ``start_i = max(arrival_i, completion_{i-1})`` is
     solved in *busy-period rounds* instead of one step per command.  Round 0
@@ -458,11 +439,6 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     if len(channels) != len(seeds):
         raise ConfigurationError(
             f"got {len(channels)} channels for {len(seeds)} seeds; pass one channel per seed"
-        )
-    if any(channel.transport is not None for channel in channels):
-        raise ConfigurationError(
-            "the batched sampler models the wireless medium only; "
-            "sample per-repetition traces serially when a transport model is attached"
         )
     period = channels[0].command_period_ms
     if any(channel.command_period_ms != period for channel in channels):

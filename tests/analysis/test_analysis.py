@@ -9,11 +9,8 @@ from repro.analysis.heatmap import HeatmapGrid
 from repro.analysis.profiling import (
     HARDWARE_PROFILES,
     scale_timings_to_hardware,
-    time_callable,
-    timings_to_table_row,
 )
 from repro.analysis.statistics import summarize
-from repro.core.pipeline import PipelineTimings
 from repro.errors import ConfigurationError, DimensionError
 
 
@@ -90,15 +87,3 @@ def test_scale_timings_projection_preserves_ratios():
 def test_scale_timings_unknown_reference():
     with pytest.raises(KeyError):
         scale_timings_to_hardware(1.0, 1.0, reference="mainframe")
-
-
-def test_time_callable_and_table_row():
-    stage = time_callable(lambda: sum(range(1000)), repetitions=3)
-    assert stage.n_runs == 3
-    assert stage.mean_s >= 0.0
-    assert stage.mean_ms == pytest.approx(stage.mean_s * 1000.0)
-    row = timings_to_table_row(
-        PipelineTimings(load_data_s=1.0, downsampling_s=0.5, quality_check_s=2.0, training_s=3.0)
-    )
-    assert row["training_model_s"] == 3.0
-    assert row["check_quality_s"] == 2.0

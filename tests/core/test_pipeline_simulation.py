@@ -60,6 +60,13 @@ def test_simulation_requires_trained_recovery():
         RemoteControlSimulation(ForecoRecovery(ForecoConfig()))
 
 
+def test_simulation_rejects_unknown_fallback(trained_recovery):
+    with pytest.raises(ConfigurationError, match="fallback"):
+        BatchedRemoteControlSimulation(trained_recovery, fallback="panic")
+    with pytest.raises(ConfigurationError, match="fallback"):
+        RemoteControlSimulation(trained_recovery, fallback="panic")
+
+
 def test_simulation_perfect_channel_gives_zero_error(trained_recovery, inexperienced_stream):
     commands = inexperienced_stream.commands[:300]
     delays = np.full(300, 1.0)

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from repro.des.distributions import (
     Deterministic,
-    EmpiricalDistribution,
     Exponential,
-    GammaDistribution,
     HyperExponential,
-    LogNormal,
     UniformDistribution,
 )
 from repro.errors import ConfigurationError
@@ -55,18 +52,6 @@ def test_uniform_rejects_inverted_bounds():
         UniformDistribution(5.0, 1.0)
 
 
-def test_gamma_mean(rng):
-    dist = GammaDistribution(shape=3.0, scale=2.0)
-    assert dist.mean() == pytest.approx(6.0)
-    assert dist.sample_many(rng, 20000).mean() == pytest.approx(6.0, rel=0.1)
-
-
-def test_lognormal_mean(rng):
-    dist = LogNormal(mu=0.0, sigma=0.5)
-    assert dist.mean() == pytest.approx(np.exp(0.125))
-    assert dist.sample_many(rng, 50000).mean() == pytest.approx(dist.mean(), rel=0.1)
-
-
 def test_hyperexponential_mean_and_phase(rng):
     dist = HyperExponential(probs=[0.7, 0.3], rates=[1.0, 0.1])
     expected = 0.7 * 1.0 + 0.3 * 10.0
@@ -88,21 +73,6 @@ def test_hyperexponential_validates_inputs():
         HyperExponential(probs=[0.5, 0.5], rates=[1.0, -1.0])
     with pytest.raises(ConfigurationError):
         HyperExponential(probs=[], rates=[])
-
-
-def test_empirical_resamples_from_data(rng):
-    dist = EmpiricalDistribution([1.0, 2.0, 3.0])
-    samples = dist.sample_many(rng, 1000)
-    assert set(np.unique(samples)).issubset({1.0, 2.0, 3.0})
-    assert dist.mean() == pytest.approx(2.0)
-    assert dist.quantile(0.5) == pytest.approx(2.0)
-
-
-def test_empirical_rejects_bad_inputs():
-    with pytest.raises(ConfigurationError):
-        EmpiricalDistribution([])
-    with pytest.raises(ConfigurationError):
-        EmpiricalDistribution([-1.0, 2.0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError, DimensionError, NotFittedError
 from repro.nn.activations import Identity, Relu, Sigmoid, Tanh, get_activation
 from repro.nn.layers import Dense, LstmLayer
 from repro.nn.losses import MeanSquaredError
-from repro.nn.optimizers import Adam, Sgd
+from repro.nn.optimizers import Adam
 from repro.nn.seq2seq import Seq2SeqModel
 
 
@@ -53,14 +53,6 @@ def test_mse_value_and_gradient():
 
 
 # ----------------------------------------------------------------- optimisers
-def test_sgd_moves_against_gradient():
-    params = {"w": np.array([1.0])}
-    Sgd(learning_rate=0.1).update(params, {"w": np.array([2.0])})
-    assert params["w"][0] == pytest.approx(0.8)
-    with pytest.raises(ConfigurationError):
-        Sgd(momentum=1.5)
-
-
 def test_adam_converges_on_quadratic():
     params = {"w": np.array([5.0])}
     adam = Adam(learning_rate=0.1)

@@ -1,4 +1,4 @@
-"""Robot driver loop: command intake, fallback behaviour and execution.
+"""The robot driver loop: the per-slot reference for the session kernel.
 
 The Niryo One ROS stack expects a control command every Ω ms.  When a command
 does not arrive on time (``Δ(c_i) > τ``, with τ = 0 on the real robot) the
@@ -7,7 +7,7 @@ robots instead stop in place.  Either way the executed trajectory deviates
 from the defined one — this is precisely the gap FoReCo fills by injecting a
 *forecast* command instead.
 
-:class:`RobotDriver` reproduces that loop:
+:class:`RobotDriver` reproduces that loop one slot at a time:
 
 * the caller feeds it one "slot" per command period, saying whether the
   original command arrived on time and, if FoReCo is attached, providing the
@@ -17,7 +17,10 @@ from the defined one — this is precisely the gap FoReCo fills by injecting a
 * the resulting target stream is executed either perfectly (kinematic mode)
   or through the per-joint PID controller (dynamic mode used for Fig. 10).
 
-The driver records everything in a :class:`DriverLog` for the analysis layer.
+The library executes whole ``(B, n, d)`` target arrays in
+:class:`~repro.core.BatchedRemoteControlSimulation`; the serial session
+oracle (:mod:`oracles.serial`) runs this loop instead, and every
+batched-vs-serial equality test compares against it.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from typing import Literal
 
 import numpy as np
 
-from ..errors import ConfigurationError, DimensionError
-from .niryo import NiryoOneArm
-from .pid import JointPidController, PidGains
-from .trajectory import JointTrajectory
+from repro.errors import ConfigurationError, DimensionError
+from repro.robot.niryo import NiryoOneArm
+from repro.robot.pid import JointPidController, PidGains
+from repro.robot.trajectory import JointTrajectory
 
 FallbackPolicy = Literal["hold", "stop"]
 

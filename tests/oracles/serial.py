@@ -10,7 +10,7 @@ module is the one-repetition-at-a-time path, kept as their reference:
   draws one realisation per seed through its per-class sampler;
 * :class:`RemoteControlSimulation` runs one session slot by slot
   (:meth:`~repro.core.ForecoRecovery.process_stream`), executes the baseline
-  and FoReCo streams on two :class:`~repro.robot.driver.RobotDriver` runs and
+  and FoReCo streams on two :class:`~oracles.driver.RobotDriver` runs and
   scores them with :func:`~repro.robot.trajectory.trajectory_rmse_mm`;
 * :class:`SerialSessionEngine` and :class:`SerialFleetEngine` are the
   library's engines with their kernel pass swapped for a loop over
@@ -24,12 +24,12 @@ against this code, which shares none of the kernel's stacking.
 from __future__ import annotations
 
 import numpy as np
+from oracles.driver import DriverConfig, RobotDriver
 
 from repro.core.recovery import ForecoRecovery
 from repro.core.simulation import SimulationOutcome, baseline_target_indices
 from repro.errors import ConfigurationError, DimensionError
 from repro.fleet import FleetEngine
-from repro.robot.driver import DriverConfig, RobotDriver
 from repro.robot.niryo import NiryoOneArm
 from repro.robot.trajectory import JointTrajectory, trajectory_rmse_mm
 from repro.scenarios import ChannelSpec, ScenarioSpec, SessionEngine, repetition_seed

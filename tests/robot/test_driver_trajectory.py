@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.driver import DriverConfig, RobotDriver
 
 from repro.errors import ConfigurationError, DimensionError
-from repro.robot.driver import DriverConfig, RobotDriver
 from repro.robot.niryo import NiryoOneArm
 from repro.robot.trajectory import (
     JointTrajectory,

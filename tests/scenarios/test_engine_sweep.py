@@ -179,6 +179,27 @@ def test_engine_operator_mix():
     assert result.mean_late_fraction == 0.0
 
 
+@pytest.mark.parametrize("use_pid", [False, True])
+def test_fallback_policy_changes_no_result(use_pid):
+    """``fallback`` is hashed but never reached at ``ENGINE_EPOCH`` 6.
+
+    The baseline replays the last arrived command in every slot and FoReCo
+    fills every missing slot, so ``hold`` and ``stop`` run the same session.
+    A change that gives ``stop`` an effect must update this test and bump
+    the epoch.
+    """
+    hold = get_scenario("jammer").with_(use_pid=use_pid, fallback="hold")
+    stop = hold.with_(fallback="stop")
+    assert hold.spec_hash() != stop.spec_hash()
+    engine = SessionEngine(cache_results=False)
+    held, stopped = engine.run(hold), engine.run(stop)
+    assert held.mean_late_fraction > 0.0
+    for metric in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):
+        assert getattr(held, metric) == getattr(stopped, metric)
+    assert np.array_equal(held.outcome.baseline.joints, stopped.outcome.baseline.joints)
+    assert np.array_equal(held.outcome.foreco.joints, stopped.outcome.foreco.joints)
+
+
 # ------------------------------------------------------------------- sweep
 def test_scenario_grid_order_and_axes():
     base = _spec(wireless_channel())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro._validation import rng_from
 from repro.des.distributions import Deterministic
-from repro.des.jackson import TransportNetworkModel
 from repro.errors import ConfigurationError
 from repro.wireless import (
     DcfParameters,
@@ -80,13 +79,6 @@ def test_duty_cycle_and_burst_duration():
     quiet = WirelessChannel(n_robots=5)
     assert quiet.interference_duty_cycle() == 0.0
     assert quiet.mean_gap_ms() == float("inf")
-
-
-def test_transport_delay_added():
-    transport = TransportNetworkModel(bound_ms=2.0, seed=0)
-    with_transport = WirelessChannel(n_robots=5, transport=transport, seed=5).sample_trace(300)
-    without = WirelessChannel(n_robots=5, transport=None, seed=5).sample_trace(300)
-    assert with_transport.mean_delivered_delay() > without.mean_delivered_delay()
 
 
 def test_direct_sampling_path():
@@ -180,10 +172,7 @@ def test_batched_sampling_matches_serial_oracle():
         assert np.array_equal(batched[row], serial)
 
 
-def test_batched_sampling_rejects_transport_and_empty_seeds():
-    channel = WirelessChannel(n_robots=5, transport=TransportNetworkModel(bound_ms=2.0, seed=0))
-    with pytest.raises(ConfigurationError):
-        channel.sample_delays_batch(100, [1, 2])
+def test_batched_sampling_rejects_empty_seeds():
     with pytest.raises(ConfigurationError):
         WirelessChannel(n_robots=5).sample_delays_batch(100, [])
 
