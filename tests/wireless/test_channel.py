@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.queueing import FiniteQueueSimulator
 
 from repro._validation import rng_from
 from repro.des.distributions import Deterministic
@@ -170,6 +171,36 @@ def test_batched_sampling_matches_serial_oracle():
             n_robots=25, interference=InterferenceSource(0.05, 100), seed=seed
         ).sample_trace(400).delays()
         assert np.array_equal(batched[row], serial)
+
+
+@pytest.mark.parametrize(
+    ("n_robots", "period_ms", "capacity"),
+    [(5, 20.0, 50), (30, 20.0, 50), (15, 2.0, 5), (30, 3.0, 2)],
+)
+def test_ap_sampler_matches_event_driven_queue(n_robots, period_ms, capacity):
+    """Without interference the AP sampler is the D/HEXP/1/Q queue: it agrees
+    in distribution with the event-driven queue, which shares none of its
+    code or random-number order.  The last two rows load the server (ρ ≈ 0.8
+    and 0.9) into a small buffer, so waiting and buffer drops both count."""
+    n_commands = 20000
+    channel = WirelessChannel(
+        n_robots=n_robots, command_period_ms=period_ms, queue_capacity=capacity, seed=0
+    )
+    sampled = channel.sample_trace(n_commands).delays()
+    contention = channel.contention_model
+    queue = FiniteQueueSimulator(
+        arrival=Deterministic(period_ms),
+        service=contention.service_distribution(),
+        capacity=capacity - 1,  # the oracle's buffer excludes the frame in service
+        loss_probability=contention.loss_probability,
+        seed=0,
+    )
+    queue.run(n_commands)
+    reference = np.array(list(queue.sojourn_times()))
+    assert np.isfinite(sampled).mean() == pytest.approx(np.isfinite(reference).mean(), abs=0.03)
+    sampled, reference = sampled[np.isfinite(sampled)], reference[np.isfinite(reference)]
+    assert sampled.mean() == pytest.approx(reference.mean(), rel=0.1)
+    assert np.quantile(sampled, 0.9) == pytest.approx(np.quantile(reference, 0.9), rel=0.1)
 
 
 def test_batched_sampling_rejects_empty_seeds():
