@@ -173,12 +173,12 @@ class BatchedRemoteControlSimulation:
         omitted).
     use_pid:
         Execute through the PID joint controller instead of perfect tracking.
-    fallback:
-        The robot's behaviour for missing commands (``"hold"`` or
-        ``"stop"``), validated here.  It changes no result at
-        ``ENGINE_EPOCH`` 6: the baseline replays every slot's most recently
-        arrived command, and the recovery engine supplies a target for every
-        missing slot, so neither execution ever falls back.
+
+    The stock stack's fallback policy for missing commands
+    (:attr:`~repro.scenarios.ScenarioSpec.fallback`) is not a parameter: it
+    changes no result at ``ENGINE_EPOCH`` 6.  The baseline replays every
+    slot's most recently arrived command, and the recovery engine supplies
+    a target for every missing slot, so neither execution ever falls back.
     """
 
     def __init__(
@@ -186,16 +186,12 @@ class BatchedRemoteControlSimulation:
         recovery: ForecoRecovery,
         arm: NiryoOneArm | None = None,
         use_pid: bool = False,
-        fallback: str = "hold",
     ) -> None:
         if not recovery.is_ready:
             raise ConfigurationError("the recovery engine must be trained before simulating")
-        if fallback not in ("hold", "stop"):
-            raise ConfigurationError(f"unknown fallback policy {fallback!r}")
         self.recovery = recovery
         self.arm = arm if arm is not None else NiryoOneArm()
         self.use_pid = bool(use_pid)
-        self.fallback = fallback
 
     # ------------------------------------------------------------------ run
     def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> list[SimulationOutcome]:
@@ -375,13 +371,11 @@ class RemoteControlSimulation:
         recovery: ForecoRecovery,
         arm: NiryoOneArm | None = None,
         use_pid: bool = False,
-        fallback: str = "hold",
     ) -> None:
-        self.kernel = BatchedRemoteControlSimulation(recovery, arm=arm, use_pid=use_pid, fallback=fallback)
+        self.kernel = BatchedRemoteControlSimulation(recovery, arm=arm, use_pid=use_pid)
         self.recovery = recovery
         self.arm = self.kernel.arm
         self.use_pid = self.kernel.use_pid
-        self.fallback = fallback
 
     # ------------------------------------------------------------------ run
     def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationOutcome:

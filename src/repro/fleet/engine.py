@@ -577,9 +577,7 @@ class FleetEngine:
             config=template.foreco.to_config(),
             forecaster=self.sessions.session_forecaster(template),
         )
-        simulation = BatchedRemoteControlSimulation(
-            recovery, use_pid=template.use_pid, fallback=template.fallback
-        )
+        simulation = BatchedRemoteControlSimulation(recovery, use_pid=template.use_pid)
         return simulation.run(commands, delays)
 
     @staticmethod

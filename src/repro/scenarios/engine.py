@@ -154,8 +154,8 @@ def kernel_group_key(spec: ScenarioSpec) -> tuple:
     Specs with equal keys replay the same command stream (scale, seed,
     operator, run length) through the same recovery engine (the full FoReCo
     spec, which includes the forecaster's training identity) and robot
-    stack (``use_pid``, ``fallback``); they differ at most in channel and
-    repetition count.  :meth:`SessionEngine.run_many` concatenates such
+    stack (``use_pid``); they differ at most in channel, repetition count
+    and ``fallback``, which changes no result at ``ENGINE_EPOCH`` 6.  :meth:`SessionEngine.run_many` concatenates such
     specs' repetitions into one ``(ΣB, n)`` kernel pass.
     """
     return (
@@ -165,7 +165,6 @@ def kernel_group_key(spec: ScenarioSpec) -> tuple:
         spec.operator,
         spec.resolved_run_seconds,
         bool(spec.use_pid),
-        spec.fallback,
     )
 
 
@@ -646,9 +645,7 @@ class SessionEngine:
         recovery = ForecoRecovery(
             config=first.foreco.to_config(), forecaster=self.session_forecaster(first)
         )
-        simulation = BatchedRemoteControlSimulation(
-            recovery, use_pid=first.use_pid, fallback=first.fallback
-        )
+        simulation = BatchedRemoteControlSimulation(recovery, use_pid=first.use_pid)
         outcomes = simulation.run(commands, delays_batch)
         split = []
         stop = 0

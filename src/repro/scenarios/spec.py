@@ -486,8 +486,10 @@ class ScenarioSpec:
     fallback:
         Robot fallback policy for missing commands (``"hold"`` or
         ``"stop"``).  Part of the spec hash, but it changes no result at
-        ``ENGINE_EPOCH`` 6: neither the baseline nor FoReCo ever reaches the
-        fallback (see :class:`~repro.core.BatchedRemoteControlSimulation`).
+        ``ENGINE_EPOCH`` 6: the baseline replays the last arrived command and
+        FoReCo fills every missing slot, so neither ever falls back (the
+        session kernel, :class:`~repro.core.BatchedRemoteControlSimulation`,
+        takes no fallback).
     """
 
     name: str = "custom"

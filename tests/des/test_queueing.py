@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.queueing import FiniteQueueSimulator
+
 from repro.des.distributions import Deterministic, Exponential, HyperExponential
-from repro.des.queueing import FiniteQueueSimulator
 from repro.errors import ConfigurationError
+from repro.wireless import DcfParameters, Ieee80211DelayModel, expected_delay_bound
 
 
 def test_underloaded_queue_has_no_waiting():
@@ -119,3 +121,21 @@ def test_utilisation_between_zero_and_one():
     )
     queue.run(500)
     assert 0.0 <= queue.metrics().utilisation <= 1.0
+
+
+@pytest.mark.parametrize("n_stations", [1, 2, 5])
+def test_light_load_sojourn_matches_lemma1_bound(n_stations):
+    """At light load (ρ ≤ 3 %) a delivered command almost never waits, so
+    the mean sojourn of a delivered command through the 802.11 AP queue is
+    Lemma 1's bound at ``D = 0``."""
+    model = Ieee80211DelayModel(DcfParameters(n_stations=n_stations))
+    queue = FiniteQueueSimulator(
+        arrival=Deterministic(20.0),
+        service=model.service_distribution(),
+        loss_probability=model.loss_probability,
+        seed=0,
+    )
+    queue.run(20000)
+    sojourns = np.array(list(queue.sojourn_times()))
+    delivered = sojourns[np.isfinite(sojourns)]
+    assert delivered.mean() == pytest.approx(expected_delay_bound(model, 0.0), rel=0.05)

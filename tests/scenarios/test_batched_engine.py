@@ -249,6 +249,24 @@ def test_run_many_fig8_grid_equals_per_spec_runs():
     _assert_same_row(serial, stacked[-1])
 
 
+@pytest.mark.parametrize("use_pid", [False, True])
+def test_hold_and_stop_specs_share_one_kernel_pass(use_pid):
+    """``fallback`` changes no result, so it is not part of the group key:
+    hold and stop specs stack into one pass, and every row still equals the
+    serial driver loop run under its own spec's policy."""
+    base = get_scenario("jammer").with_(run_seconds=RUN_SECONDS, repetitions=2, use_pid=use_pid)
+    specs = [
+        base,
+        base.with_(fallback="stop"),
+        base.with_(fallback="stop", channel=loss_burst_channel(burst_length=12), repetitions=1),
+    ]
+    assert len({kernel_group_key(spec) for spec in specs}) == 1
+    stacked = SessionEngine(cache_results=False).run_many(specs)
+    oracle = SerialSessionEngine(cache_results=False)
+    for spec, row in zip(specs, stacked, strict=True):
+        _assert_same_row(oracle.run(spec), row)
+
+
 def _interleaved_specs() -> list[ScenarioSpec]:
     """Two-plus kernel identities interleaved, with a 1-repetition spec."""
     base = get_scenario("bursty-loss").with_(run_seconds=RUN_SECONDS, repetitions=2)

@@ -16,6 +16,7 @@ from repro.wireless import (
     Ieee80211DelayModel,
     InterferenceSource,
     WirelessChannel,
+    expected_delay_bound,
     sample_wireless_delays_batch,
 )
 from repro.wireless.channel import ChannelSample, CommandDelayTrace
@@ -173,20 +174,30 @@ def test_batched_sampling_matches_serial_oracle():
         assert np.array_equal(batched[row], serial)
 
 
+def _sample_ap(channel: WirelessChannel, sampler: str, n_commands: int) -> np.ndarray:
+    """Delays of one repetition from the busy-period batch sampler or the serial trace."""
+    if sampler == "batch":
+        return channel.sample_delays_batch(n_commands, [0])[0]
+    return channel.sample_trace(n_commands).delays()
+
+
+@pytest.mark.parametrize("sampler", ["batch", "trace"])
 @pytest.mark.parametrize(
     ("n_robots", "period_ms", "capacity"),
     [(5, 20.0, 50), (30, 20.0, 50), (15, 2.0, 5), (30, 3.0, 2)],
 )
-def test_ap_sampler_matches_event_driven_queue(n_robots, period_ms, capacity):
+def test_ap_sampler_matches_event_driven_queue(n_robots, period_ms, capacity, sampler):
     """Without interference the AP sampler is the D/HEXP/1/Q queue: it agrees
     in distribution with the event-driven queue, which shares none of its
-    code or random-number order.  The last two rows load the server (ρ ≈ 0.8
-    and 0.9) into a small buffer, so waiting and buffer drops both count."""
+    code or random-number order.  ``batch`` is the busy-period sampler every
+    session uses; ``trace`` is the serial path of ``sample_trace``.  The last
+    two rows load the server (ρ ≈ 0.8 and 0.9) into a small buffer, so
+    waiting and buffer drops both count."""
     n_commands = 20000
     channel = WirelessChannel(
         n_robots=n_robots, command_period_ms=period_ms, queue_capacity=capacity, seed=0
     )
-    sampled = channel.sample_trace(n_commands).delays()
+    sampled = _sample_ap(channel, sampler, n_commands)
     contention = channel.contention_model
     queue = FiniteQueueSimulator(
         arrival=Deterministic(period_ms),
@@ -201,6 +212,16 @@ def test_ap_sampler_matches_event_driven_queue(n_robots, period_ms, capacity):
     sampled, reference = sampled[np.isfinite(sampled)], reference[np.isfinite(reference)]
     assert sampled.mean() == pytest.approx(reference.mean(), rel=0.1)
     assert np.quantile(sampled, 0.9) == pytest.approx(np.quantile(reference, 0.9), rel=0.1)
+
+
+@pytest.mark.parametrize("n_robots", [1, 2, 5])
+def test_ap_sampler_light_load_mean_matches_lemma1_bound(n_robots):
+    """At light load (ρ ≤ 3 %) a delivered command almost never waits, so the
+    busy-period sampler's mean delay is Lemma 1's bound at ``D = 0``."""
+    channel = WirelessChannel(n_robots=n_robots, seed=0)
+    delays = channel.sample_delays_batch(20000, [0])[0]
+    delivered = delays[np.isfinite(delays)]
+    assert delivered.mean() == pytest.approx(expected_delay_bound(channel.contention_model, 0.0), rel=0.05)
 
 
 def test_batched_sampling_rejects_empty_seeds():
