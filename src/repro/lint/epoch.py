@@ -40,6 +40,7 @@ _TRACKED_FIXED = (
     "src/repro/core/simulation.py",
     "src/repro/robot/kinematics.py",
     "src/repro/scenarios/engine.py",
+    "src/repro/scenarios/spec.py",
     "src/repro/fleet/__init__.py",
     "src/repro/fleet/engine.py",
     "src/repro/fleet/hybrid.py",
@@ -62,9 +63,9 @@ MANIFEST_VERSION = 1
 def tracked_files(root: Path) -> list[str]:
     """The engine-semantic modules the manifest must cover (sorted, relative).
 
-    The fixed set (scenario engine, recovery kernel, forecaster base and
-    VAR forecaster, fleet couplers and spec, service admission engine and
-    policies) plus every module of
+    The fixed set (scenario engine and spec, recovery kernel, forecaster
+    base and VAR forecaster, fleet couplers and spec, service admission
+    engine and policies) plus every module of
     :mod:`repro.wireless` — all delay samplers and channel models live
     there, and a new sampler is engine-semantic by construction — and every
     module of :mod:`repro.teleop`, which synthesises the operator datasets

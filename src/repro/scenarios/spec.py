@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 from ..errors import ConfigurationError
 from ..core.config import ForecoConfig
@@ -534,8 +535,14 @@ class ScenarioSpec:
         """Stable short hash of the physical configuration.
 
         The ``name`` label is deliberately excluded: renaming a scenario
-        must not invalidate cached results.
+        must not invalidate cached results.  Computed once per instance:
+        the fields are immutable, and :meth:`with_` / ``replace`` build a
+        new instance.
         """
+        return self._spec_hash
+
+    @cached_property
+    def _spec_hash(self) -> str:
         payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

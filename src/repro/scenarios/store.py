@@ -15,8 +15,13 @@ Layout and guarantees
 
 * One JSON shard per result at ``<root>/epoch-<E>/<hh>/<hash>.json`` (``hh``
   = first two hex digits of the hash, keeping directories small at millions
-  of entries).  Records are RFC 8259-strict JSON; non-finite delays (``inf``
-  = lost command) are encoded as ``null``.
+  of entries).  Records are RFC 8259-strict JSON.  Record format 2 stores a
+  delay trace as binary: ``{"dtype": "<f8", "b64": ...}``, the base64 of
+  its little-endian float64 bytes, so ``inf`` (= lost command), ``-0.0``
+  and NaN payloads round-trip exactly.  Format-1 shards, whose traces are
+  JSON lists with ``null`` for ``inf``, are still read.  The record format
+  is not the engine epoch: a new format changes no result, so old shards
+  keep hitting.
 * ``<E>`` is the **engine epoch** (:data:`~repro.scenarios.engine.
   ENGINE_EPOCH`): a code-semantics version, bumped whenever a change alters
   results for an unchanged spec hash (e.g. PR 3's compound-seed fix).  A
@@ -44,8 +49,8 @@ and the last repetition's delay trace.  The in-memory-only ``outcome``
 field (full trajectories, megabytes per session) is **not** persisted;
 results loaded from the store carry ``outcome=None``.  Everything the sweep
 tables, heatmaps and JSON reports read — :meth:`SessionResult.to_dict` and
-the metric tuples — round-trips bit-for-bit (floats are serialised with
-``repr``-exact shortest form).
+the metric tuples — round-trips bit-for-bit (metric floats are serialised
+with ``repr``-exact shortest form, delay traces as raw float64 bytes).
 
 Record kinds
 ------------
@@ -63,6 +68,8 @@ disjoint anyway.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import itertools
 import json
 import math
@@ -79,22 +86,45 @@ from .engine import ENGINE_EPOCH, SessionResult
 from .spec import ScenarioSpec
 
 #: Schema version of the shard records themselves (bump on layout changes).
-_RECORD_FORMAT = 1
+_RECORD_FORMAT = 2
+
+#: Record formats :meth:`ResultStore.get` still decodes (1: list-encoded traces).
+_READABLE_FORMATS = (1, 2)
+
+#: The one binary delay dtype: little-endian IEEE-754 float64.
+_DELAY_DTYPE = "<f8"
 
 
 # -------------------------------------------------------------------- codecs
-def encode_delays(delays) -> list | None:
-    """RFC 8259-safe rendering of a delay trace (``inf`` = lost -> ``null``)."""
+def encode_delays(delays) -> dict | None:
+    """Binary rendering of a delay trace: base64 of its ``<f8`` bytes.
+
+    Exact for every float64, ``inf`` (= lost command), ``-0.0`` and NaN
+    payloads included.
+    """
     if delays is None:
         return None
-    return [float(v) if math.isfinite(v) else None for v in np.asarray(delays).ravel()]
+    raw = np.asarray(delays, dtype=_DELAY_DTYPE).tobytes()  # C order, flattened
+    return {"dtype": _DELAY_DTYPE, "b64": base64.b64encode(raw).decode("ascii")}
 
 
 def decode_delays(values) -> np.ndarray | None:
-    """Inverse of :func:`encode_delays` (``null`` -> ``inf``)."""
+    """Inverse of :func:`encode_delays`; also reads format-1 lists (``null`` -> ``inf``)."""
     if values is None:
         return None
-    return np.array([math.inf if v is None else float(v) for v in values])
+    if isinstance(values, list):
+        return np.array([math.inf if v is None else float(v) for v in values])
+    if not isinstance(values, dict) or values.get("dtype") != _DELAY_DTYPE:
+        raise StoreError(f"unknown delay trace encoding {values!r:.80}")
+    encoded = values.get("b64")
+    if not isinstance(encoded, str):
+        raise StoreError("binary delay trace has no base64 payload")
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except binascii.Error as exc:
+        raise StoreError(f"invalid base64 delay trace: {exc}") from exc
+    # np.frombuffer raises ValueError when the length is not whole float64s.
+    return np.frombuffer(raw, dtype=_DELAY_DTYPE).astype(np.float64)
 
 
 def _metric_tuples(payload: dict, fields: tuple[str, ...]) -> dict:
@@ -279,7 +309,7 @@ class ResultStore:
 
     def _decode(self, spec, key: str, payload: dict):
         """Rebuild a result from a shard record, validating the envelope."""
-        if payload.get("format") != _RECORD_FORMAT:
+        if payload.get("format") not in _READABLE_FORMATS:
             raise StoreError(f"unknown record format {payload.get('format')!r}")
         if payload.get("epoch") != self.epoch:
             raise StoreError(f"epoch mismatch: {payload.get('epoch')!r} != {self.epoch}")

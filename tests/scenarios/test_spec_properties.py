@@ -9,7 +9,10 @@ raise :class:`~repro.errors.ConfigurationError` — nothing else.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import get_fleet
-from repro.scenarios import ScenarioGrammar
+from repro.scenarios import ScenarioGrammar, get_scenario
 from repro.scenarios.grammar import _kind_knobs, _primitive_channel
 
 SETTINGS = {"max_examples": 30, "deadline": None}
@@ -40,6 +43,35 @@ _PRIMITIVE_KINDS = (
 def _random_spec(seed: int):
     """A deterministic grammar draw (the property quantifies over seeds)."""
     return _GRAMMAR.random_spec(np.random.default_rng(seed))
+
+
+def _fresh_hash(spec) -> str:
+    """The spec hash recomputed from scratch, independent of any cache."""
+    payload = json.dumps(spec.canonical(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _derived_specs(spec):
+    """Copies a cached hash must not leak into: with_, replace, pickle."""
+    spec.spec_hash()  # populate the original's cache first
+    return (
+        spec.with_(seed=spec.seed + 1),
+        spec.with_(name="renamed-twin"),
+        spec.with_foreco(tolerance_ms=spec.foreco.tolerance_ms + 5.0),
+        dataclasses.replace(spec, repetitions=spec.repetitions + 1),
+        dataclasses.replace(spec, run_seconds=7.5),
+        pickle.loads(pickle.dumps(spec)),
+        pickle.loads(pickle.dumps(spec.with_(use_pid=not spec.use_pid))),
+    )
+
+
+#: Literal hashes of three presets at ENGINE_EPOCH 6: moving one orphans
+#: every stored shard of that preset.
+_PINNED_HASHES = {
+    "bursty-loss": "6f44cf38fe6ccc7d",
+    "jammer": "fc3ac20d84eb9889",
+    "jammer-congestion": "5209d3a9a5b08a10",
+}
 
 
 @settings(**SETTINGS)
@@ -113,6 +145,27 @@ def test_grammar_specs_are_hashable_value_objects(seed):
     assert spec == twin
     assert hash(spec) == hash(twin)
     assert spec.spec_hash() == twin.spec_hash()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_HASHES))
+def test_cached_preset_hash_equals_pin_and_fresh_hash(name):
+    spec = get_scenario(name)
+    assert spec.spec_hash() == _PINNED_HASHES[name] == _fresh_hash(spec)
+    for derived in _derived_specs(spec):
+        assert derived.spec_hash() == _fresh_hash(derived)
+    assert spec.spec_hash() == _PINNED_HASHES[name]
+
+
+@settings(**SETTINGS)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_cached_grammar_hash_equals_fresh_hash(seed):
+    spec = _random_spec(seed)
+    assert spec.spec_hash() == _fresh_hash(spec)
+    derived = _derived_specs(spec)
+    for copy in derived:
+        assert copy.spec_hash() == _fresh_hash(copy)
+    assert derived[0].spec_hash() != spec.spec_hash()  # a physical change moves it
+    assert derived[1].spec_hash() == spec.spec_hash()  # a rename does not
 
 
 def test_invalid_grammar_kind_raises_configuration_error():

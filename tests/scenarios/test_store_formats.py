@@ -1,0 +1,163 @@
+"""Shard record formats: binary delay traces (format 2) and the format-1 shards
+the store still reads.
+
+Each file under ``fixtures/store-format1/`` is a format-1 shard — its delay
+trace a JSON list with ``null`` for a lost command — written by the format-1
+encoder from the matching spec of :func:`_fixture_specs` at ``ENGINE_EPOCH``
+6.  Loading one must give back, field for field and bit for bit, what a cold
+computation of that spec gives today; a fresh write of it is format 2.
+"""
+
+from __future__ import annotations
+
+import base64
+import json
+import shutil
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.fleet import CapacityPlanner, FleetEngine, PlanSpec, get_fleet
+from repro.scenarios import (
+    ResultStore,
+    ScenarioSpec,
+    SessionEngine,
+    compound_channel,
+    loss_burst_channel,
+    wireless_channel,
+)
+from repro.scenarios.store import decode_delays, encode_delays
+from repro.service import ServiceEngine, get_service
+
+FIXTURES = Path(__file__).parent / "fixtures" / "store-format1"
+
+
+def _fixture_specs() -> dict:
+    """The tiny ci-scale specs the format-1 fixtures were written from."""
+    session = ScenarioSpec(
+        name="format1-session",
+        channel=compound_channel(
+            wireless_channel(n_robots=5, probability=0.3, duration_slots=10),
+            loss_burst_channel(burst_length=4, n_bursts=2, min_gap=20),
+        ),
+        run_seconds=2.0,
+        repetitions=2,
+    )
+    fleet = get_fleet("shared-ap").with_template(run_seconds=8.0)
+    service = get_service("service-shared-ap").with_template(scale="ci", run_seconds=8.0)
+    plan = PlanSpec(name="format1-plan", fleet=fleet, budget=2)
+    return {"session": session, "fleet": fleet, "service": service, "plan": plan}
+
+
+def _cold(kind: str, spec, tmp_path: Path):
+    """A cold computation of ``spec`` (no memory, no shared store)."""
+    if kind == "session":
+        return SessionEngine(cache_results=False).run(spec)
+    if kind == "fleet":
+        return FleetEngine(cache_results=False).run(spec)
+    if kind == "service":
+        return ServiceEngine(cache_results=False).run(spec)
+    # The plan records its probes' store lookups, so it plans into a fresh store.
+    return CapacityPlanner(store=ResultStore(tmp_path / "probes")).run(spec)
+
+
+def _assert_same_result(loaded, cold) -> None:
+    """Field-for-field equality; arrays are compared bit for bit."""
+    for f in fields(cold):
+        if f.name in ("outcome", "from_store"):
+            continue  # in-memory only / provenance, not part of the record
+        got, want = getattr(loaded, f.name), getattr(cold, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f.name
+        else:
+            assert got == want, f.name
+
+
+# ------------------------------------------------------------- format 1
+@pytest.mark.parametrize("kind", ["session", "fleet", "service", "plan"])
+def test_format1_fixture_hits_bit_for_bit(tmp_path, kind):
+    spec = _fixture_specs()[kind]
+    fixture = FIXTURES / f"{kind}.json"
+    record = json.loads(fixture.read_text(encoding="utf-8"))
+    assert record["format"] == 1 and record["kind"] == kind
+    assert record["spec_hash"] == spec.spec_hash()  # spec hashes have not moved
+    if kind in ("session", "fleet"):
+        assert isinstance(record["delays_ms"], list) and None in record["delays_ms"]
+
+    store = ResultStore(tmp_path / "store")
+    path = store.shard_path(spec.spec_hash())
+    path.parent.mkdir(parents=True)
+    shutil.copyfile(fixture, path)
+
+    loaded = store.get(spec)
+    assert loaded is not None and store.stats().hits == 1
+    cold = _cold(kind, spec, tmp_path)
+    _assert_same_result(loaded, cold)
+    if kind in ("session", "fleet"):
+        assert np.isinf(loaded.delays_ms).any()  # null decoded as a lost slot
+
+    # A fresh write of the same result is format 2 and decodes to it again.
+    store.put(spec, loaded)
+    rewritten = json.loads(path.read_text(encoding="utf-8"))
+    assert rewritten["format"] == 2
+    if kind in ("session", "fleet"):
+        assert set(rewritten["delays_ms"]) == {"dtype", "b64"}
+    _assert_same_result(ResultStore(tmp_path / "store").get(spec), cold)
+
+
+# ------------------------------------------------------------- format 2
+_CORRUPT_TRACES = {
+    "unknown-dtype": {"dtype": ">f4", "b64": base64.b64encode(bytes(8)).decode("ascii")},
+    # Valid base64 of 8 bytes once the stray "*" is dropped: only strict decoding rejects it.
+    "non-base64": {"dtype": "<f8", "b64": "AAAAAAAA*AAA="},
+    "ragged-length": {"dtype": "<f8", "b64": base64.b64encode(bytes(12)).decode("ascii")},
+    "missing-b64": {"dtype": "<f8"},
+    "empty-object": {},
+    "not-an-object": "AAAAAAAAAAA=",
+    "number": 3,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPT_TRACES))
+def test_corrupt_format2_trace_is_a_miss(tmp_path, case):
+    spec = _fixture_specs()["session"]
+    store = ResultStore(tmp_path)
+    path = store.put(spec, SessionEngine().run(spec))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["delays_ms"] = _CORRUPT_TRACES[case]
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+    fresh = ResultStore(tmp_path)
+    assert fresh.get(spec) is None
+    stats = fresh.stats()
+    assert (stats.corrupted, stats.misses, stats.hits) == (1, 1, 0)
+    assert not path.exists()  # quarantined, ready for a clean rewrite
+
+
+_SPECIAL_BITS = [
+    np.float64(np.inf).view(np.uint64),
+    np.float64(-np.inf).view(np.uint64),
+    np.float64(-0.0).view(np.uint64),
+    np.uint64(0x7FF8000000000001),  # quiet NaN with a payload
+    np.uint64(0xFFF0000000000ABC),  # signalling-pattern NaN, sign bit set
+    np.uint64(1),  # smallest subnormal
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=64))
+@example(bits=[])
+@example(bits=[int(b) for b in _SPECIAL_BITS])
+def test_binary_trace_round_trip_is_bit_exact(bits):
+    delays = np.array(bits, dtype=np.uint64).view(np.float64)
+    # Through the JSON text the shard holds, as put/get see it.
+    encoded = json.loads(json.dumps(encode_delays(delays), allow_nan=False))
+    decoded = decode_delays(encoded)
+    assert decoded.dtype == np.float64 and decoded.shape == delays.shape
+    assert np.array_equal(decoded.view(np.uint64), delays.view(np.uint64))
+    assert decoded.flags.writeable
