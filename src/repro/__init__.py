@@ -98,6 +98,8 @@ from .forecasting import (
     make_forecaster,
 )
 from .fleet import (
+    FLEETS,
+    PLANS,
     CapacityPlan,
     CapacityPlanner,
     FleetEngine,
@@ -108,6 +110,7 @@ from .fleet import (
 )
 from .robot import NiryoOneArm
 from .scenarios import (
+    SCENARIOS,
     ResultStore,
     ScenarioSpec,
     SessionEngine,
@@ -116,7 +119,7 @@ from .scenarios import (
     get_scenario,
     scenario_names,
 )
-from .service import ServiceEngine, ServiceResult, ServiceSpec, get_service
+from .service import SERVICES, ServiceEngine, ServiceResult, ServiceSpec, get_service
 from .teleop import OperatorModel, RemoteController, experienced_operator, inexperienced_operator
 from .wireless import ConsecutiveLossInjector, GilbertElliottJammer, InterferenceSource, WirelessChannel
 
@@ -188,6 +191,11 @@ def _as_store(store) -> ResultStore | None:
     return ResultStore(str(store))
 
 
+def _run_one(spec, store, jobs: int = 1):
+    """Run one resolved spec as a one-row sweep (the facade's one dispatch)."""
+    return SweepExecutor(jobs=jobs, store=_as_store(store)).run([spec])[0]
+
+
 def run_scenario(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     """Run one scenario and return its :class:`~repro.scenarios.SessionResult`.
 
@@ -202,13 +210,8 @@ def run_scenario(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     >>> result.improvement_factor > 1.0              # doctest: +SKIP
     True
     """
-    spec = get_scenario(spec_or_preset) if isinstance(spec_or_preset, str) else spec_or_preset
-    if not isinstance(spec, ScenarioSpec):
-        raise ConfigurationError("run_scenario expects a ScenarioSpec or a preset name")
-    if seed is not None:
-        spec = spec.with_(seed=int(seed))
-    executor = SweepExecutor(jobs=jobs, store=_as_store(store))
-    return executor.run([spec])[0]
+    spec = SCENARIOS.resolve(spec_or_preset)
+    return _run_one(spec if seed is None else spec.with_(seed=int(seed)), store, jobs)
 
 
 def run_fleet(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
@@ -224,13 +227,8 @@ def run_fleet(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     >>> result.dropped_sessions >= 0                 # doctest: +SKIP
     True
     """
-    spec = get_fleet(spec_or_preset) if isinstance(spec_or_preset, str) else spec_or_preset
-    if not isinstance(spec, FleetSpec):
-        raise ConfigurationError("run_fleet expects a FleetSpec or a fleet preset name")
-    if seed is not None:
-        spec = spec.with_template(seed=int(seed))
-    executor = SweepExecutor(jobs=jobs, store=_as_store(store))
-    return executor.run([spec])[0]
+    spec = FLEETS.resolve(spec_or_preset)
+    return _run_one(spec if seed is None else spec.with_template(seed=int(seed)), store, jobs)
 
 
 def sweep(specs, *, jobs: int = 1, backend: str = "thread", store=None) -> SweepResult:
@@ -266,13 +264,8 @@ def serve(service_spec, *, until=None, store=None) -> ServiceResult:
     >>> result.drop_rate <= 1.0                             # doctest: +SKIP
     True
     """
-    spec = get_service(service_spec) if isinstance(service_spec, str) else service_spec
-    if not isinstance(spec, ServiceSpec):
-        raise ConfigurationError("serve expects a ServiceSpec or a service preset name")
-    if until is not None:
-        spec = spec.with_(until_s=float(until))
-    engine = ServiceEngine(store=_as_store(store))
-    return engine.run(spec)
+    spec = SERVICES.resolve(service_spec)
+    return _run_one(spec if until is None else spec.with_(until_s=float(until)), store)
 
 
 def plan(
@@ -293,11 +286,7 @@ def plan(
     >>> report.capacity                              # doctest: +SKIP
     3
     """
-    spec = get_plan(plan_spec) if isinstance(plan_spec, str) else plan_spec
-    if not isinstance(spec, PlanSpec):
-        raise ConfigurationError("plan expects a PlanSpec or a plan preset name")
-    if overrides:
-        spec = spec.with_(**overrides)
+    spec = PLANS.override(PLANS.resolve(plan_spec), **overrides)
     planner = CapacityPlanner(jobs=jobs, backend=backend, store=_as_store(store))
     return planner.run(spec)
 

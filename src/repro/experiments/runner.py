@@ -213,6 +213,11 @@ def _open_store(path: str | None, resume: bool) -> ResultStore | None:
     return store
 
 
+def _given(options: dict) -> dict:
+    """The options the command line set (``None`` means not given)."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _plan_store_partition(plans) -> tuple[int, int]:
     """This-run store hits/misses attributable to the ``plan`` keyword.
 
@@ -325,10 +330,9 @@ def run_experiments(
         from ..fleet import fleet_names, get_fleet  # deferred: keeps import light
 
         fleet_presets = fleet_names()
-        fleet_overrides = {} if fleet_tier is None else {"tier": fleet_tier}
+        fleet_overrides = _given({"tier": fleet_tier, "operators": fleet})
         fleet_specs = [
-            get_fleet(name, operators=fleet, scale=scale, seed=seed, **fleet_overrides)
-            for name in fleet_presets
+            get_fleet(name, scale=scale, seed=seed, **fleet_overrides) for name in fleet_presets
         ]
         fleet_sweep = executor.run(fleet_specs)
     service_sweep = None
@@ -338,7 +342,7 @@ def run_experiments(
 
         service_presets = service_names()
         service_specs = [
-            get_service(name, policy=policy, scale=scale, seed=seed)
+            get_service(name, scale=scale, seed=seed, **_given({"policy": policy}))
             for name in service_presets
         ]
         if until is not None:
@@ -349,13 +353,7 @@ def run_experiments(
     if plan_requested:
         from ..fleet import CapacityPlanner, get_plan, plan_names  # deferred: keeps import light
 
-        plan_overrides: dict = {}
-        if slo_p99 is not None:
-            plan_overrides["slo_p99"] = slo_p99
-        if slo_drop is not None:
-            plan_overrides["slo_drop"] = slo_drop
-        if budget is not None:
-            plan_overrides["budget"] = budget
+        plan_overrides = _given({"slo_p99": slo_p99, "slo_drop": slo_drop, "budget": budget})
         plan_presets = plan_names()
         planner = CapacityPlanner(executor=executor)
         plans = [

@@ -52,6 +52,7 @@ from .plan import (
     METHOD_KIND_SUMMARIES,
     METHOD_KINDS,
     PLAN_VERSION,
+    PLANS,
     CapacityPlan,
     CapacityPlanner,
     PlanSpec,
@@ -61,7 +62,7 @@ from .plan import (
     plan_names,
     register_plan,
 )
-from .registry import fleet_catalog, fleet_names, get_fleet, register_fleet
+from .registry import FLEETS, fleet_catalog, fleet_names, get_fleet, register_fleet
 from .spec import (
     ARRIVAL_KIND_SUMMARIES,
     ARRIVAL_KINDS,
@@ -135,6 +136,7 @@ __all__ = [
     "ApClassification",
     "CapacityPlan",
     "CapacityPlanner",
+    "FLEETS",
     "FleetEngine",
     "FleetResult",
     "FleetSpec",
@@ -142,6 +144,7 @@ __all__ = [
     "METHOD_KIND_SUMMARIES",
     "METHOD_KINDS",
     "PLAN_VERSION",
+    "PLANS",
     "PlanProbe",
     "PlanSpec",
     "TIER_KIND_SUMMARIES",

@@ -46,7 +46,6 @@ several times faster than running the sessions one by one.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -59,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..core.recovery import ForecoRecovery
 from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
 from ..errors import ConfigurationError
-from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
+from ..scenarios.engine import ResultMemo, SessionEngine, repetition_seed, sample_channel_delays_batch
 from ..scenarios.spec import ScenarioSpec
 from .spec import FleetSpec, _hash_seed, sample_arrival_times
 
@@ -375,51 +374,26 @@ class FleetEngine:
         is created when omitted).  The fleet engine never calls
         ``sessions.run`` — session results of fleet members are not
         individually cached or stored; the fleet result is the unit.
-    cache_results:
-        Keep finished :class:`FleetResult` objects keyed by spec hash.
     store:
-        Optional persistent :class:`~repro.scenarios.ResultStore`.  Fleet
-        results share the store (and its engine-epoch scheme) with session
-        results: lookups go memory -> disk -> compute, computed fleets are
-        written back immediately.
+        Optional persistent :class:`~repro.scenarios.ResultStore`, held by
+        the engine's :class:`~repro.scenarios.engine.ResultMemo`
+        (:attr:`memo`).  Fleet results share the store (and its
+        engine-epoch scheme) with session results: lookups go memory ->
+        disk -> compute, computed fleets are written back immediately.
     """
 
     def __init__(
         self,
         sessions: SessionEngine | None = None,
-        cache_results: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
         self.sessions = sessions if sessions is not None else SessionEngine()
-        self.cache_results = bool(cache_results)
-        self.store = store
-        self._results: dict[str, FleetResult] = {}
-        self._results_lock = threading.Lock()
+        self.memo = ResultMemo(store)
 
     # ------------------------------------------------------------------- run
     def run(self, fleet: FleetSpec) -> FleetResult:
         """Run one fleet (all repetitions, all admitted operators)."""
-        key = fleet.spec_hash()
-        if self.cache_results:
-            with self._results_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                return cached
-        if self.store is not None:
-            stored = self.store.get(fleet)
-            if stored is not None:
-                if self.cache_results:
-                    with self._results_lock:
-                        stored = self._results.setdefault(key, stored)
-                return stored
-
-        result = self._compute(fleet)
-        if self.cache_results:
-            with self._results_lock:
-                result = self._results.setdefault(key, result)
-        if self.store is not None:
-            self.store.put(fleet, result)
-        return result
+        return self.memo.fetch(fleet, self._compute)
 
     # --------------------------------------------------------------- compute
     def _compute(self, fleet: FleetSpec) -> FleetResult:
@@ -605,14 +579,3 @@ class FleetEngine:
                 last_ms = n_commands * period
             times.append((start_ms + last_ms) / 1000.0)
         return tuple(times)
-
-    # --------------------------------------------------------------- caching
-    def cached_result(self, fleet: FleetSpec) -> FleetResult | None:
-        """The cached result for this fleet, if any."""
-        with self._results_lock:
-            return self._results.get(fleet.spec_hash())
-
-    def clear(self) -> None:
-        """Drop the fleet-result cache (the session engine keeps its own)."""
-        with self._results_lock:
-            self._results.clear()

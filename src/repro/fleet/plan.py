@@ -74,6 +74,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..errors import ConfigurationError, StoreError
+from ..scenarios.engine import ResultMemo
+from ..scenarios.registry import Registry
 from ..scenarios.store import ResultStore, register_store_codec
 from ..scenarios.sweep import SweepExecutor
 from ..wireless.superposition import SuperpositionModel
@@ -221,6 +223,10 @@ class PlanSpec:
     def with_fleet(self, **changes) -> "PlanSpec":
         """A copy whose target fleet has top-level fields replaced."""
         return replace(self, fleet=self.fleet.with_(**changes))
+
+    def with_template(self, **changes) -> "PlanSpec":
+        """A copy whose target fleet's per-operator template has fields replaced."""
+        return replace(self, fleet=self.fleet.with_template(**changes))
 
     def probe_spec(self, capacity: int) -> FleetSpec:
         """The fleet spec one capacity probe evaluates.
@@ -488,6 +494,9 @@ class CapacityPlanner:
         bypass the executor entirely — the planner's decision logic runs
         against the synthetic surface — and plan records are neither
         loaded nor stored.
+
+    Finished plans are memoized by spec hash in :attr:`memo` (a
+    :class:`~repro.scenarios.engine.ResultMemo` over the executor's store).
     """
 
     def __init__(
@@ -498,17 +507,13 @@ class CapacityPlanner:
         store: ResultStore | None = None,
         evaluator: Callable[[FleetSpec], object] | None = None,
     ) -> None:
-        self.evaluator = evaluator
-        if evaluator is not None:
-            if executor is not None:
-                raise ConfigurationError("pass either an executor or an evaluator, not both")
-            self.executor: SweepExecutor | None = None
-            self.store: ResultStore | None = None
-            return
-        if executor is None:
+        if evaluator is not None and executor is not None:
+            raise ConfigurationError("pass either an executor or an evaluator, not both")
+        if evaluator is None and executor is None:
             executor = SweepExecutor(jobs=jobs, backend=backend, store=store)
+        self.evaluator = evaluator
         self.executor = executor
-        self.store = executor.store
+        self.memo = ResultMemo(None if executor is None else executor.store)
 
     # ------------------------------------------------------------- probing
     def _probe(self, run: _PlanRun, capacities: list[int], source: str) -> None:
@@ -678,19 +683,20 @@ class CapacityPlanner:
 
     # ----------------------------------------------------------------- run
     def run(self, spec: PlanSpec) -> CapacityPlan:
-        """Plan one :class:`PlanSpec` (store -> compute, with write-back).
+        """Plan one :class:`PlanSpec` (memory -> store -> compute, with write-back).
 
-        A plan already persisted under the spec's content address is
-        returned directly (``from_store=True``) without a single probe;
+        A plan this planner already made is returned from :attr:`memo`, and
+        one persisted under the spec's content address is returned directly
+        (``from_store=True``) without a single probe;
         otherwise the search runs, every probe memoizing through the
         executor's store, and the finished plan is written back.
         """
         if not isinstance(spec, PlanSpec):
             raise ConfigurationError("CapacityPlanner.run expects a PlanSpec")
-        if self.store is not None:
-            cached = self.store.get(spec)
-            if cached is not None:
-                return cached
+        return self.memo.fetch(spec, self._plan)
+
+    def _plan(self, spec: PlanSpec) -> CapacityPlan:
+        """Search one plan from scratch."""
         run = _PlanRun(spec)
         bracket = analytic_bracket(spec)
         self._probe(run, [bracket], "bracket")
@@ -699,7 +705,7 @@ class CapacityPlanner:
         else:
             trace = self._golden_section(run, bracket)
         chosen = select_probe(run.ledger.values())
-        plan = CapacityPlan(
+        return CapacityPlan(
             spec=spec,
             spec_hash=spec.spec_hash(),
             feasible=chosen.feasible and chosen.drop_rate <= spec.slo_drop,
@@ -721,66 +727,15 @@ class CapacityPlanner:
             store_hits=run.store_hits,
             store_misses=run.store_misses,
         )
-        if self.store is not None:
-            self.store.put(spec, plan)
-        return plan
 
 
 # ----------------------------------------------------------------- registry
-_REGISTRY: dict[str, tuple[PlanSpec, str]] = {}
-
-
-def register_plan(spec: PlanSpec, description: str = "", overwrite: bool = False) -> None:
-    """Register a plan preset under ``spec.name``.
-
-    Raises :class:`~repro.errors.ConfigurationError` when the name is taken
-    and ``overwrite`` is false.
-    """
-    name = spec.name
-    if not name or name == "plan":
-        raise ConfigurationError("a registered plan needs a distinctive name")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"plan {name!r} is already registered")
-    _REGISTRY[name] = (spec, description)
-
-
-def get_plan(
-    name: str,
-    scale: str | None = None,
-    seed: int | None = None,
-    **overrides,
-) -> PlanSpec:
-    """Fetch a plan preset by name, optionally overriding common knobs.
-
-    Any keyword accepted by :meth:`PlanSpec.with_` (``slo_p99``,
-    ``budget``, ``method``, ...) replaces a plan-level field; ``scale`` and
-    ``seed`` are forwarded to the target fleet's per-operator template,
-    mirroring :func:`repro.fleet.get_fleet`.
-    """
-    try:
-        spec, _ = _REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(f"unknown plan {name!r}; available: {plan_names()}") from exc
-    if overrides:
-        spec = spec.with_(**overrides)
-    template_overrides = {}
-    if scale is not None:
-        template_overrides["scale"] = scale
-    if seed is not None:
-        template_overrides["seed"] = seed
-    if template_overrides:
-        spec = spec.with_(fleet=spec.fleet.with_template(**template_overrides))
-    return spec
-
-
-def plan_names() -> list[str]:
-    """Sorted names of the registered plan presets."""
-    return sorted(_REGISTRY)
-
-
-def plan_catalog() -> dict[str, str]:
-    """Mapping of plan preset name to its one-line description."""
-    return {name: description for name, (_, description) in sorted(_REGISTRY.items())}
+#: The capacity-plan presets.
+PLANS: Registry[PlanSpec] = Registry("plan", PlanSpec, "plan")
+register_plan = PLANS.register
+get_plan = PLANS.get
+plan_names = PLANS.names
+plan_catalog = PLANS.catalog
 
 
 def _register_builtins() -> None:

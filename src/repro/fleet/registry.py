@@ -26,69 +26,15 @@ Use :func:`register_fleet` to add project-specific presets.
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
-from ..scenarios.registry import get_scenario
+from ..scenarios.registry import Registry, get_scenario
 from .spec import FleetSpec
 
-_REGISTRY: dict[str, tuple[FleetSpec, str]] = {}
-
-
-def register_fleet(spec: FleetSpec, description: str = "", overwrite: bool = False) -> None:
-    """Register a fleet preset under ``spec.name``.
-
-    Raises :class:`~repro.errors.ConfigurationError` when the name is taken
-    and ``overwrite`` is false.
-    """
-    name = spec.name
-    if not name or name == "fleet":
-        raise ConfigurationError("a registered fleet needs a distinctive name")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"fleet {name!r} is already registered")
-    _REGISTRY[name] = (spec, description)
-
-
-def get_fleet(
-    name: str,
-    operators: int | None = None,
-    scale: str | None = None,
-    seed: int | None = None,
-    **overrides,
-) -> FleetSpec:
-    """Fetch a fleet preset by name, optionally overriding common knobs.
-
-    ``operators`` (and any other keyword accepted by
-    :meth:`FleetSpec.with_`) replaces a fleet-level field; ``scale`` and
-    ``seed`` are forwarded to the per-operator template, mirroring
-    :func:`repro.scenarios.get_scenario`.
-    """
-    try:
-        spec, _ = _REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown fleet {name!r}; available: {fleet_names()}"
-        ) from exc
-    if operators is not None:
-        overrides["operators"] = int(operators)
-    if overrides:
-        spec = spec.with_(**overrides)
-    template_overrides = {}
-    if scale is not None:
-        template_overrides["scale"] = scale
-    if seed is not None:
-        template_overrides["seed"] = seed
-    if template_overrides:
-        spec = spec.with_template(**template_overrides)
-    return spec
-
-
-def fleet_names() -> list[str]:
-    """Sorted names of the registered fleet presets."""
-    return sorted(_REGISTRY)
-
-
-def fleet_catalog() -> dict[str, str]:
-    """Mapping of fleet preset name to its one-line description."""
-    return {name: description for name, (_, description) in sorted(_REGISTRY.items())}
+#: The fleet presets.
+FLEETS: Registry[FleetSpec] = Registry("fleet", FleetSpec, "fleet")
+register_fleet = FLEETS.register
+get_fleet = FLEETS.get
+fleet_names = FLEETS.names
+fleet_catalog = FLEETS.catalog
 
 
 def _register_builtins() -> None:

@@ -113,13 +113,18 @@ def _parse_file(root: Path, path: Path) -> FileContext | Finding:
             fix_hint="fix the syntax error",
             line_content="",
         )
-    return FileContext(rel_path=rel_path, source=source, tree=tree, lines=tuple(source.splitlines()))
+    return _file_context(rel_path, source, tree)
+
+
+def _file_context(rel_path: str, source: str, tree: ast.Module) -> FileContext:
+    """The context every file-scope rule reads, with the tree walked once."""
+    lines = tuple(source.splitlines())
+    return FileContext(rel_path, source, tree, lines, tuple(ast.walk(tree)))
 
 
 def lint_source(source: str, rel_path: str, rules: Iterable[Rule] | None = None) -> list[Finding]:
     """Run the file-scope rules over one in-memory source (test/fixture hook)."""
-    tree = ast.parse(source)
-    ctx = FileContext(rel_path=rel_path, source=source, tree=tree, lines=tuple(source.splitlines()))
+    ctx = _file_context(rel_path, source, ast.parse(source))
     selected = tuple(rules) if rules is not None else all_rules()
     findings = []
     for rule in selected:

@@ -37,12 +37,16 @@ class FileContext:
         The parsed :class:`ast.Module`.
     lines:
         The source split into lines (1-based access via :meth:`line`).
+    nodes:
+        Every node of ``tree`` in ``ast.walk`` order, walked once for all
+        rules.
     """
 
     rel_path: str
     source: str
     tree: ast.Module
     lines: tuple[str, ...]
+    nodes: tuple[ast.AST, ...]
 
     def line(self, lineno: int) -> str:
         """The stripped source text of a 1-based line (``""`` out of range)."""

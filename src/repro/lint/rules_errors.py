@@ -67,7 +67,7 @@ class BareBuiltinRaiseRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag ``raise <BannedBuiltin>(...)`` and bare ``raise <BannedBuiltin>``."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -85,7 +85,7 @@ class SwallowedReproErrorRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag except handlers over the taxonomy whose body is just ``pass``."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if len(node.body) != 1 or not isinstance(node.body[0], ast.Pass):

@@ -47,7 +47,7 @@ class StdlibRandomRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag ``import random`` and ``from random import ...``."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
@@ -66,7 +66,7 @@ class NumpyGlobalRandomRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag calls through the ``np.random`` / ``numpy.random`` module."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
@@ -86,7 +86,7 @@ class LiteralSeedRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag ``default_rng()`` calls whose seed is missing or a constant."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)

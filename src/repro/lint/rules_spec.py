@@ -85,7 +85,7 @@ class FrozenSpecRule(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag unfrozen ``*Spec`` dataclasses and mutable field annotations."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef) or not node.name.endswith("Spec"):
                 continue
             decorator = _dataclass_decorator(node)

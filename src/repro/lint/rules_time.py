@@ -51,12 +51,12 @@ class WallClockRule(Rule):
         of clock functions imported via ``from time import perf_counter``.
         """
         imported_clocks: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time" and node.level == 0:
                 for alias in node.names:
                     if alias.name in _TIME_FUNCS:
                         imported_clocks.add(alias.asname or alias.name)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)

@@ -9,13 +9,15 @@ and the ``foreco-experiments`` CLI all describe work as
 * :mod:`repro.scenarios.spec` — frozen, hashable scenario descriptions
   (operator, channel model + params, FoReCo config, scale, seed,
   repetitions) and the channel-spec helpers;
-* :mod:`repro.scenarios.registry` — named presets (``clean``,
+* :mod:`repro.scenarios.registry` — the generic preset :class:`Registry`
+  (one instance per spec kind) and the scenario presets (``clean``,
   ``bursty-loss``, ``jammer``, ``congested-ap``, ``jammer-congestion``,
   ``operator-mix``, ``random-loss``, ``markov-interference``, ``handover``,
   ``trace-replay``);
 * :mod:`repro.scenarios.engine` — resolves one spec into
   :class:`repro.core.BatchedRemoteControlSimulation` runs with dataset /
-  forecaster / result caching keyed by the spec hash;
+  forecaster caching, and the :class:`ResultMemo` (memory -> store ->
+  write-back by spec hash) every engine and the sweep share;
 * :mod:`repro.scenarios.sweep` — fans lists/grids of specs out over worker
   threads and returns a uniform :class:`SweepResult` table;
 * :mod:`repro.scenarios.store` — persistent, content-addressed
@@ -30,6 +32,7 @@ and the ``foreco-experiments`` CLI all describe work as
 
 from .engine import (
     ENGINE_EPOCH,
+    ResultMemo,
     SessionEngine,
     SessionResult,
     SharedDatasets,
@@ -42,6 +45,8 @@ from .engine import (
 )
 from .grammar import Knob, ScenarioGrammar
 from .registry import (
+    SCENARIOS,
+    Registry,
     get_scenario,
     register_scenario,
     scenario_catalog,
@@ -86,10 +91,13 @@ __all__ = [
     "CHANNEL_KINDS",
     "ENGINE_EPOCH",
     "OPERATORS",
+    "SCENARIOS",
     "ChannelSpec",
     "ExperimentScale",
     "ForecoSpec",
     "Knob",
+    "Registry",
+    "ResultMemo",
     "ResultStore",
     "ScenarioGrammar",
     "ScenarioSearch",

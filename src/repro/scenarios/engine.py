@@ -10,7 +10,9 @@ needs:
   predicted on directly; every session gets a deep copy, because
   forecasters may carry predict-time state (VARMA's residual window, or a
   registered custom class);
-* finished :class:`SessionResult` objects, cached by the spec hash.
+* finished :class:`SessionResult` objects, in a :class:`ResultMemo` keyed
+  by the spec hash (the same memo class every fleet, service and plan
+  engine and the sweep's store partition use).
 
 All caches are guarded by locks so the :class:`~repro.scenarios.sweep.
 SweepExecutor` can call :meth:`SessionEngine.run_many` from worker threads.
@@ -36,7 +38,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -437,36 +439,98 @@ class SessionResult:
         }
 
 
+# ----------------------------------------------------------------------- memo
+class ResultMemo:
+    """Finished results by spec hash, in front of an optional result store.
+
+    The one memory -> store -> compute -> write-back lookup: every engine
+    (session, fleet, service, capacity plan) owns one, and
+    :class:`~repro.scenarios.sweep.SweepExecutor` partitions a sweep
+    through the same memos.  :meth:`lookup` reads memory, then the store,
+    promoting a store hit into memory; :meth:`record` keeps a computed
+    result and writes it back.  A store miss is remembered until the next
+    lookup of that key or until it is recorded, so the engine that computes
+    a spec right after a sweep's partition missed it does not read the
+    shard again.
+    """
+
+    def __init__(self, store: "ResultStore | None" = None) -> None:
+        self.store = store
+        self._results: dict[str, Any] = {}
+        self._missed: set[str] = set()
+        self._lock = threading.Lock()
+
+    def lookup(self, spec) -> tuple[Any, bool]:
+        """``(result, loaded from the store)``, or ``(None, False)`` on a miss."""
+        key = spec.spec_hash()
+        with self._lock:
+            result = self._results.get(key)
+            if result is not None or self.store is None:
+                return result, False
+            if key in self._missed:
+                self._missed.discard(key)
+                return None, False
+        stored = self.store.get(spec)
+        with self._lock:
+            if stored is None:
+                self._missed.add(key)
+                return None, False
+            return self._results.setdefault(key, stored), True
+
+    def record(self, spec, result):
+        """Keep a computed result (the first one recorded wins) and store it."""
+        key = spec.spec_hash()
+        with self._lock:
+            self._missed.discard(key)
+            result = self._results.setdefault(key, result)
+        if self.store is not None:
+            self.store.put(spec, result)
+        return result
+
+    def fetch(self, spec, compute: Callable[[Any], Any]):
+        """The memoized result for ``spec``, computed and recorded on a miss."""
+        result, _ = self.lookup(spec)
+        return result if result is not None else self.record(spec, compute(spec))
+
+    def forget_miss(self, spec) -> None:
+        """Drop a remembered store miss (the spec was computed elsewhere)."""
+        with self._lock:
+            self._missed.discard(spec.spec_hash())
+
+    def cached(self, spec):
+        """The result held in memory for this spec, if any."""
+        with self._lock:
+            return self._results.get(spec.spec_hash())
+
+    def clear(self) -> None:
+        """Drop every result held in memory (the store keeps its shards)."""
+        with self._lock:
+            self._results.clear()
+            self._missed.clear()
+
+
 # --------------------------------------------------------------------- engine
 class SessionEngine:
     """Resolves scenario specs into simulation runs, with caching.
 
     Parameters
     ----------
-    cache_results:
-        Keep finished :class:`SessionResult` objects keyed by spec hash, so
-        re-running the same spec (e.g. across sweep rounds) is free.  The
-        forecaster and dataset caches are always on — they are pure
-        functions of the spec.
     store:
-        Optional persistent :class:`~repro.scenarios.store.ResultStore`.
-        Lookups go memory cache → disk store → compute; computed results are
-        written back immediately, so an interrupted sweep has persisted
-        everything it finished.  Store hits carry ``outcome=None`` (full
-        trajectories are not persisted — see the store module docs); the
-        summary row and delay trace round-trip bit-for-bit.
+        Optional persistent :class:`~repro.scenarios.store.ResultStore`,
+        held by the engine's :attr:`memo`.  Finished results are kept by
+        spec hash, so re-running the same spec (e.g. across sweep rounds)
+        is free; lookups go memory cache → disk store → compute, and
+        computed results are written back immediately, so an interrupted
+        sweep has persisted everything it finished.  Store hits carry
+        ``outcome=None`` (full trajectories are not persisted — see the
+        store module docs); the summary row and delay trace round-trip
+        bit-for-bit.  The forecaster and dataset caches are always on —
+        they are pure functions of the spec.
     """
 
-    def __init__(
-        self,
-        cache_results: bool = True,
-        store: "ResultStore | None" = None,
-    ) -> None:
-        self.cache_results = bool(cache_results)
-        self.store = store
-        self._results: dict[str, SessionResult] = {}
+    def __init__(self, store: "ResultStore | None" = None) -> None:
+        self.memo = ResultMemo(store)
         self._forecasters: dict[tuple, object] = {}
-        self._results_lock = threading.Lock()
         self._forecaster_lock = threading.Lock()
         self._training_locks: dict[tuple, threading.Lock] = {}
 
@@ -562,7 +626,7 @@ class SessionEngine:
         results: list[SessionResult | None] = [None] * len(specs)
         groups: dict[tuple, dict[str, list[int]]] = {}
         for index, spec in enumerate(specs):
-            known = self._lookup(spec)
+            known, _ = self.memo.lookup(spec)
             if known is not None:
                 results[index] = known
             else:
@@ -576,32 +640,14 @@ class SessionEngine:
                     results[index] = result
         return results  # type: ignore[return-value]
 
-    def _lookup(self, spec: ScenarioSpec) -> SessionResult | None:
-        """The memoized result for this spec: memory cache, then store."""
-        key = spec.spec_hash()
-        if self.cache_results:
-            with self._results_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                return cached
-        if self.store is not None:
-            stored = self.store.get(spec)
-            if stored is not None:
-                if self.cache_results:
-                    with self._results_lock:
-                        stored = self._results.setdefault(key, stored)
-                return stored
-        return None
-
     def _run_group(self, specs: list[ScenarioSpec]) -> list[SessionResult]:
-        """Compute one kernel group (distinct spec hashes) and memoize each row."""
+        """Compute one kernel group (distinct spec hashes) and record each row."""
         commands = self.test_commands(specs[0])
         results = []
         for spec, (outcomes, delays) in zip(specs, self._simulate(specs, commands)):
-            key = spec.spec_hash()
             result = SessionResult(
                 spec=spec,
-                spec_hash=key,
+                spec_hash=spec.spec_hash(),
                 n_commands=int(commands.shape[0]),
                 rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
                 rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
@@ -610,12 +656,7 @@ class SessionEngine:
                 outcome=outcomes[-1],
                 delays_ms=delays,
             )
-            if self.cache_results:
-                with self._results_lock:
-                    self._results.setdefault(key, result)
-            if self.store is not None:
-                self.store.put(spec, result)
-            results.append(result)
+            results.append(self.memo.record(spec, result))
         return results
 
     def _simulate(
@@ -653,13 +694,3 @@ class SessionEngine:
             start, stop = stop, stop + spec.repetitions
             split.append((outcomes[start:stop], delays_batch[stop - 1].copy()))
         return split
-
-    def cached_result(self, spec: ScenarioSpec) -> SessionResult | None:
-        """The cached result for this spec, if any."""
-        with self._results_lock:
-            return self._results.get(spec.spec_hash())
-
-    def clear(self) -> None:
-        """Drop the session-result cache (forecaster cache is kept)."""
-        with self._results_lock:
-            self._results.clear()

@@ -44,6 +44,8 @@ Use :func:`register_scenario` to add project-specific presets.
 
 from __future__ import annotations
 
+from typing import Any, ClassVar, Generic, Protocol, TypeVar
+
 from ..errors import ConfigurationError
 from .spec import (
     ScenarioSpec,
@@ -58,53 +60,118 @@ from .spec import (
     wireless_channel,
 )
 
-_REGISTRY: dict[str, tuple[ScenarioSpec, str]] = {}
 
-#: Alternate spellings accepted by :func:`get_scenario`.
-_ALIASES: dict[str, str] = {
-    "jammer+congestion": "jammer-congestion",
-}
+class _Preset(Protocol):
+    """What a :class:`Registry` needs of a spec kind (a frozen dataclass)."""
+
+    __dataclass_fields__: ClassVar[dict[str, Any]]
+
+    @property
+    def name(self) -> str: ...
+
+    def with_(self, **changes: Any) -> Any: ...
+
+    def with_template(self, **changes: Any) -> Any: ...
 
 
-def register_scenario(spec: ScenarioSpec, description: str = "", overwrite: bool = False) -> None:
-    """Register a preset under ``spec.name``.
+SpecT = TypeVar("SpecT", bound=_Preset)
 
-    Raises :class:`~repro.errors.ConfigurationError` when the name is taken
-    and ``overwrite`` is false.
+
+class Registry(Generic[SpecT]):
+    """Named presets of one spec kind (scenario, fleet, service or plan).
+
+    ``kind`` names the kind in messages, ``spec_type`` is its spec class,
+    ``default_name`` is the spec's placeholder name (never registrable) and
+    ``aliases`` maps alternate spellings to registered names.
     """
-    name = spec.name
-    if not name or name == "custom":
-        raise ConfigurationError("a registered scenario needs a distinctive name")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"scenario {name!r} is already registered")
-    _REGISTRY[name] = (spec, description)
+
+    def __init__(
+        self,
+        kind: str,
+        spec_type: type[SpecT],
+        default_name: str,
+        aliases: dict[str, str] | None = None,
+    ) -> None:
+        self.kind = kind
+        self.spec_type = spec_type
+        self.default_name = default_name
+        self.aliases = dict(aliases or {})
+        self._presets: dict[str, tuple[SpecT, str]] = {}
+
+    def register(self, spec: SpecT, description: str = "", overwrite: bool = False) -> None:
+        """Register a preset under ``spec.name``.
+
+        Raises :class:`~repro.errors.ConfigurationError` when the name is
+        taken and ``overwrite`` is false.
+        """
+        name = spec.name
+        if not name or name == self.default_name:
+            raise ConfigurationError(f"a registered {self.kind} needs a distinctive name")
+        if name in self._presets and not overwrite:
+            raise ConfigurationError(f"{self.kind} {name!r} is already registered")
+        self._presets[name] = (spec, description)
+
+    def get(self, name: str, scale=None, seed: int | None = None, **overrides) -> SpecT:
+        """Fetch a preset by name, optionally overriding its fields.
+
+        ``overrides`` replace top-level fields of the spec (e.g.
+        ``repetitions=10``, ``operators=8``, ``policy=...``, ``budget=4``);
+        a keyword that is not a field raises
+        :class:`~repro.errors.ConfigurationError` naming the valid ones.
+        ``scale`` (a name such as ``"ci"``, or an :class:`ExperimentScale`)
+        and ``seed`` go to the scenario the preset runs — the spec itself
+        for a scenario, the per-operator template for a fleet, service or
+        plan — through its ``with_template``.
+        """
+        try:
+            spec, _ = self._presets[self.aliases.get(name, name)]
+        except KeyError as exc:
+            raise ConfigurationError(f"unknown {self.kind} {name!r}; available: {self.names()}") from exc
+        spec = self.override(spec, **overrides)
+        template: dict[str, Any] = {}
+        if scale is not None:
+            template["scale"] = scale
+        if seed is not None:
+            template["seed"] = int(seed)
+        return spec.with_template(**template) if template else spec
+
+    def override(self, spec: SpecT, **overrides) -> SpecT:
+        """``spec`` with top-level fields replaced, each checked to be a field."""
+        if not overrides:
+            return spec
+        valid = sorted(self.spec_type.__dataclass_fields__)
+        unknown = sorted(set(overrides) - set(valid))
+        if unknown:
+            raise ConfigurationError(f"unknown {self.kind} field(s) {unknown}; valid fields: {valid}")
+        return spec.with_(**overrides)
+
+    def resolve(self, spec_or_name: SpecT | str) -> SpecT:
+        """The spec itself, or the preset a name fetches (see :meth:`get`)."""
+        spec = self.get(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
+        if not isinstance(spec, self.spec_type):
+            raise ConfigurationError(
+                f"expected a {self.spec_type.__name__} or a {self.kind} preset name, "
+                f"got {type(spec).__name__}"
+            )
+        return spec
+
+    def names(self) -> list[str]:
+        """Sorted names of the registered presets."""
+        return sorted(self._presets)
+
+    def catalog(self) -> dict[str, str]:
+        """Mapping of preset name to its one-line description."""
+        return {name: description for name, (_, description) in sorted(self._presets.items())}
 
 
-def get_scenario(name: str, **overrides) -> ScenarioSpec:
-    """Fetch a preset by name, optionally overriding top-level fields.
-
-    ``scale`` may be passed as a name ("ci", "standard", "full"); other
-    overrides are :class:`ScenarioSpec` fields, e.g. ``seed=7`` or
-    ``repetitions=10``.
-    """
-    key = _ALIASES.get(name, name)
-    try:
-        spec, _ = _REGISTRY[key]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; available: {scenario_names()}"
-        ) from exc
-    return spec.with_(**overrides) if overrides else spec
-
-
-def scenario_names() -> list[str]:
-    """Sorted names of the registered presets."""
-    return sorted(_REGISTRY)
-
-
-def scenario_catalog() -> dict[str, str]:
-    """Mapping of preset name to its one-line description."""
-    return {name: description for name, (_, description) in sorted(_REGISTRY.items())}
+#: The scenario presets.  ``jammer+congestion`` is an alternate spelling.
+SCENARIOS: Registry[ScenarioSpec] = Registry(
+    "scenario", ScenarioSpec, "custom", aliases={"jammer+congestion": "jammer-congestion"}
+)
+register_scenario = SCENARIOS.register
+get_scenario = SCENARIOS.get
+scenario_names = SCENARIOS.names
+scenario_catalog = SCENARIOS.catalog
 
 
 def _register_builtins() -> None:

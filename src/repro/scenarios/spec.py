@@ -577,6 +577,10 @@ class ScenarioSpec:
             changes["scale"] = get_scale(changes["scale"])
         return replace(self, **changes)
 
+    #: A scenario is its own per-operator template (every spec kind has
+    #: ``with_template``; preset registries send ``scale``/``seed`` there).
+    with_template = with_
+
     def with_channel(self, **params) -> "ScenarioSpec":
         """A copy with channel parameters merged over the current ones."""
         return replace(self, channel=self.channel.updated(**params))

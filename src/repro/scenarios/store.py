@@ -393,11 +393,9 @@ class ResultStore:
             self._account_put(path, old_size, len(data.encode("utf-8")))
         return path
 
-    def contains(self, spec) -> bool:
+    def __contains__(self, spec) -> bool:
         """Whether a shard exists for this spec (no validation, no touch)."""
         return self.shard_path(spec.spec_hash()).is_file()
-
-    __contains__ = contains
 
     def evict(self, spec) -> bool:
         """Remove one entry; returns whether anything was removed."""

@@ -86,9 +86,10 @@ class SweepResult:
 
     When the sweep ran against a persistent
     :class:`~repro.scenarios.store.ResultStore`, ``store_hits`` /
-    ``store_misses`` record how the specs partitioned: hits were loaded from
-    disk, misses were computed (and written back).  Both stay 0 for
-    store-less sweeps and for derived tables (:meth:`filter`).
+    ``store_misses`` record how the rows partitioned: hits were loaded from
+    disk, misses are every other row (computed and written back, already in
+    memory, or a repeat of another row's spec).  Both stay 0 for store-less
+    sweeps and for derived tables (:meth:`filter`).
     """
 
     rows: list[SessionResult] = field(default_factory=list)
@@ -162,16 +163,10 @@ class SweepResult:
 
 
 # ------------------------------------------------------------------- executor
-#: Per-process session engine for the ``"process"`` backend.  Created lazily
-#: in each worker on its first spec, so one worker amortises dataset and
-#: forecaster training across every spec it is handed.
-_WORKER_ENGINE: SessionEngine | None = None
-
-#: Per-process fleet engine (wraps the worker's session engine; lazy like it).
-_WORKER_FLEET_ENGINE = None
-
-#: Per-process service engine (wraps the worker's session engine; lazy like it).
-_WORKER_SERVICE_ENGINE = None
+#: Per-process executor for the ``"process"`` backend.  Created lazily in
+#: each worker on its first unit, so one worker amortises dataset and
+#: forecaster training across every unit it is handed.
+_WORKER_EXECUTOR: "SweepExecutor | None" = None
 
 
 def _run_unit_in_worker(task: tuple[list, tuple | None]) -> list:
@@ -182,34 +177,14 @@ def _run_unit_in_worker(task: tuple[list, tuple | None]) -> list:
     ``store_config`` is ``(root, epoch, max_entries, max_bytes)`` or ``None``;
     each worker process opens its own :class:`ResultStore` handle on it, so
     results are persisted the moment a worker finishes them (per-key atomic
-    renames make the concurrent writers safe).  Fleet specs route through a
-    per-process :class:`~repro.fleet.HybridFleetEngine` sharing the worker's
-    session engine and store (it runs both fleet tiers; exact-tier specs
-    take the plain :class:`~repro.fleet.FleetEngine` path unchanged).
+    renames make the concurrent writers safe).
     """
-    global _WORKER_ENGINE, _WORKER_FLEET_ENGINE, _WORKER_SERVICE_ENGINE
+    global _WORKER_EXECUTOR
     specs, store_config = task
-    if _WORKER_ENGINE is None:
+    if _WORKER_EXECUTOR is None:
         store = ResultStore(*store_config) if store_config is not None else None
-        _WORKER_ENGINE = SessionEngine(store=store)
-    spec = specs[0]
-    if isinstance(spec, ScenarioSpec):
-        return _WORKER_ENGINE.run_many(specs)
-    if getattr(spec, "store_kind", None) == "service":
-        if _WORKER_SERVICE_ENGINE is None:
-            from ..service import ServiceEngine  # deferred: service imports scenarios
-
-            _WORKER_SERVICE_ENGINE = ServiceEngine(
-                sessions=_WORKER_ENGINE, store=_WORKER_ENGINE.store
-            )
-        return [_WORKER_SERVICE_ENGINE.run(spec)]
-    if _WORKER_FLEET_ENGINE is None:
-        from ..fleet import HybridFleetEngine  # deferred: fleet imports scenarios
-
-        _WORKER_FLEET_ENGINE = HybridFleetEngine(
-            sessions=_WORKER_ENGINE, store=_WORKER_ENGINE.store
-        )
-    return [_WORKER_FLEET_ENGINE.run(spec)]
+        _WORKER_EXECUTOR = SweepExecutor(store=store)
+    return _WORKER_EXECUTOR._run_unit(specs)
 
 
 def _work_units(pending: Sequence[tuple[int, object]]) -> list[list[tuple[int, object]]]:
@@ -258,15 +233,16 @@ class SweepExecutor:
         for such specs on those platforms.
     store:
         Optional persistent :class:`~repro.scenarios.store.ResultStore`.
-        :meth:`run` first partitions the specs into store hits and misses
-        and fans out **only the misses** — the synchronisation-protocol
-        move: compute only what differs from what is already stored.  Every
-        computed result is written back as soon as it finishes (worker
-        processes open their own handle on the same directory), so an
-        interrupted sweep resumes where it crashed and a grown grid reuses
-        its overlap with previous grids.  When both ``engine`` and ``store``
-        are given, the store is attached to the engine (which must not
-        already carry a different one).
+        :meth:`run` first partitions the specs through the engines'
+        :class:`~repro.scenarios.engine.ResultMemo` (memory, then one store
+        read per distinct spec) and fans out **only the misses** — the
+        synchronisation-protocol move: compute only what differs from what
+        is already stored.  Every computed result is written back as soon as
+        it finishes (worker processes open their own handle on the same
+        directory), so an interrupted sweep resumes where it crashed and a
+        grown grid reuses its overlap with previous grids.  When both
+        ``engine`` and ``store`` are given, the store is attached to the
+        engine (which must not already carry a different one).
     """
 
     #: Accepted ``backend`` values.
@@ -287,13 +263,13 @@ class SweepExecutor:
         if engine is None:
             engine = SessionEngine(store=store)
         elif store is not None:
-            if engine.store is not None and engine.store is not store:
+            if engine.memo.store is not None and engine.memo.store is not store:
                 raise ConfigurationError("engine already carries a different result store")
-            engine.store = store
+            engine.memo.store = store
         self.engine = engine
         self.backend = backend
-        self.store = store if store is not None else engine.store
-        self._fleet_engine = None  # lazy FleetEngine for FleetSpec rows
+        self.store = engine.memo.store
+        self._fleet_engine = None  # lazy HybridFleetEngine for FleetSpec rows
         self._service_engine = None  # lazy ServiceEngine for ServiceSpec rows
 
     def _store_config(self) -> tuple | None:
@@ -302,86 +278,62 @@ class SweepExecutor:
             return None
         return (str(self.store.root), self.store.epoch, self.store.max_entries, self.store.max_bytes)
 
-    def _ensure_fleet_engine(self):
-        """The lazily created :class:`~repro.fleet.HybridFleetEngine` for fleet rows.
+    def _engine_for(self, spec):
+        """The engine a spec runs on, created on first use for fleet/service specs.
 
-        Shares this executor's session engine (and therefore its dataset /
-        forecaster caches) and store — so capacity sweeps mix freely with
-        scenario sweeps.  The hybrid engine runs *both* fleet tiers:
-        exact-tier specs take the plain :class:`~repro.fleet.FleetEngine`
-        path unchanged, hybrid-tier specs route through the city-scale
-        classifier (see :mod:`repro.fleet.hybrid`).
+        Fleet and service engines share this executor's session engine (and
+        therefore its dataset / forecaster caches) and store, so fleet,
+        service and scenario rows mix freely in one resumable sweep.  Fleet
+        specs run on a :class:`~repro.fleet.HybridFleetEngine`, which runs
+        *both* fleet tiers: exact-tier specs take the plain
+        :class:`~repro.fleet.FleetEngine` path unchanged.
         """
+        if isinstance(spec, ScenarioSpec):
+            return self.engine
+        if getattr(spec, "store_kind", None) == "service":
+            if self._service_engine is None:
+                from ..service import ServiceEngine  # deferred: service imports scenarios
+
+                self._service_engine = ServiceEngine(sessions=self.engine, store=self.store)
+            return self._service_engine
         if self._fleet_engine is None:
             from ..fleet import HybridFleetEngine  # deferred: fleet imports scenarios
 
             self._fleet_engine = HybridFleetEngine(sessions=self.engine, store=self.store)
         return self._fleet_engine
 
-    def _ensure_service_engine(self):
-        """The lazily created :class:`~repro.service.ServiceEngine` for service rows.
-
-        Like the fleet engine, it shares this executor's session engine and
-        store, so live-service runs mix freely with scenario and fleet rows
-        in one resumable sweep.
-        """
-        if self._service_engine is None:
-            from ..service import ServiceEngine  # deferred: service imports scenarios
-
-            self._service_engine = ServiceEngine(sessions=self.engine, store=self.store)
-        return self._service_engine
-
     def _run_unit(self, specs: list) -> list:
         """Run one work unit (see :func:`_work_units`) through the right engine."""
-        spec = specs[0]
-        if isinstance(spec, ScenarioSpec):
-            return self.engine.run_many(specs)
-        if getattr(spec, "store_kind", None) == "service":
-            return [self._ensure_service_engine().run(spec)]
-        return [self._ensure_fleet_engine().run(spec)]
+        engine = self._engine_for(specs[0])
+        if engine is self.engine:
+            return engine.run_many(specs)
+        return [engine.run(specs[0])]
 
     def run(self, specs: Iterable[ScenarioSpec]) -> SweepResult:
         """Execute every spec and return results in input order.
 
-        With a store attached, specs whose results are already persisted are
-        loaded instead of computed; only the misses fan out to workers.  The
-        rows are indistinguishable from a cold serial run (modulo the
-        in-memory-only ``outcome`` field on hits).
+        Each distinct spec is looked up once in its engine's memo (memory,
+        then store); only the misses fan out to workers, and a repeated spec
+        shares its first row.  The rows are indistinguishable from a cold
+        serial run (modulo the in-memory-only ``outcome`` field on hits).
         """
         specs = list(specs)
-        if not specs:
-            return SweepResult([])
-        rows: list[SessionResult | None] = [None] * len(specs)
+        keys = [spec.spec_hash() for spec in specs]
+        rows: list = [None] * len(specs)
+        first: dict[str, int] = {}
+        loaded: set[str] = set()
         pending: list[tuple[int, ScenarioSpec]] = []
-        hits = 0
-        if self.store is not None:
-            for index, spec in enumerate(specs):
-                # Partition with a cheap existence check; the stats-counted
-                # get() runs only for actual hits, so the per-spec miss is
-                # counted exactly once (by the engine, when it computes).
-                cached = self.store.get(spec) if self.store.contains(spec) else None
-                if cached is not None:
-                    rows[index] = cached
-                    hits += 1
-                else:
-                    pending.append((index, spec))
-        else:
-            pending = list(enumerate(specs))
-        misses = len(pending) if self.store is not None else 0
+        for index, (spec, key) in enumerate(zip(specs, keys)):
+            if key in first:
+                continue
+            first[key] = index
+            rows[index], stored = self._engine_for(spec).memo.lookup(spec)
+            if stored:
+                loaded.add(key)
+            elif rows[index] is None:
+                pending.append((index, spec))
 
         if pending:
-            pending_specs = [spec for _, spec in pending]
-            # Materialise the non-scenario engines before fanning out so
-            # worker threads never race their lazy construction.
-            kinds = {
-                getattr(spec, "store_kind", None)
-                for spec in pending_specs
-                if not isinstance(spec, ScenarioSpec)
-            }
-            if "service" in kinds:
-                self._ensure_service_engine()
-            if kinds - {"service"}:
-                self._ensure_fleet_engine()
             units = _work_units(pending)
             unit_specs = [[spec for _, spec in unit] for unit in units]
             if self.jobs == 1 or len(units) == 1:
@@ -391,6 +343,8 @@ class SweepExecutor:
                 tasks = [(group, store_config) for group in unit_specs]
                 with ProcessPoolExecutor(max_workers=min(self.jobs, len(units))) as pool:
                     computed = list(pool.map(_run_unit_in_worker, tasks))
+                for _, spec in pending:  # the workers read and wrote the store
+                    self._engine_for(spec).memo.forget_miss(spec)
             else:
                 # The engine trains distinct forecaster identities in parallel and
                 # serialises same-identity requests on a per-key lock, so workers
@@ -400,7 +354,12 @@ class SweepExecutor:
             for unit, unit_rows in zip(units, computed):
                 for (index, _), row in zip(unit, unit_rows):
                     rows[index] = row
-        return SweepResult(rows, store_hits=hits, store_misses=misses)
+        hits = sum(key in loaded for key in keys)
+        return SweepResult(
+            [rows[first[key]] for key in keys],
+            store_hits=hits,
+            store_misses=len(specs) - hits if self.store is not None else 0,
+        )
 
     def run_grid(self, base: ScenarioSpec, axes: dict[str, Sequence]) -> SweepResult:
         """Expand a grid (see :func:`scenario_grid`) and execute it."""

@@ -49,6 +49,7 @@ from .policies import (
     policy_names,
 )
 from .registry import (
+    SERVICES,
     get_service,
     register_service,
     service_catalog,
@@ -138,6 +139,7 @@ __all__ = [
     "POLICY_KIND_SUMMARIES",
     "POLICY_KINDS",
     "PolicyComparison",
+    "SERVICES",
     "ServiceEngine",
     "ServiceResult",
     "ServiceSnapshot",

@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
 from .engine import ServiceEngine, ServiceResult
-from .registry import get_service
+from .registry import SERVICES
 from .spec import POLICY_KINDS, ServiceSpec
 
 #: Default p99-recovery service-level objective the ranking scores against.
@@ -103,7 +103,7 @@ def compare_policies(
     order (:data:`~repro.service.spec.POLICY_KINDS`), keeping the ranking
     deterministic.
     """
-    spec = get_service(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
+    spec = SERVICES.resolve(spec_or_name)
     runner = engine if engine is not None else ServiceEngine(store=store)
     results = {policy: runner.run(spec.with_(policy=policy)) for policy in POLICY_KINDS}
     scores = {policy: policy_score(result, slo) for policy, result in results.items()}

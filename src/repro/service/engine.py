@@ -36,7 +36,6 @@ admitted/dropped/completed events the DES pass produced, sampled every
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -49,6 +48,7 @@ from ..des.engine import Event, Simulator
 from ..fleet.engine import FleetEngine, _Session
 from ..fleet.spec import sample_arrival_times
 from ..scenarios.engine import (
+    ResultMemo,
     SessionEngine,
     sample_channel_delays_batch,  # noqa: F401 - a binding perfbench/layers.py patches
 )
@@ -241,54 +241,30 @@ class ServiceEngine:
     sessions:
         The :class:`~repro.scenarios.SessionEngine` supplying datasets and
         trained forecasters (a private one is created when omitted).
-    cache_results:
-        Keep finished :class:`ServiceResult` objects keyed by spec hash.
     store:
-        Optional persistent :class:`~repro.scenarios.ResultStore`.  Service
-        results share the store (and its engine-epoch scheme) with session
-        and fleet results: lookups go memory -> disk -> compute, computed
-        services are written back immediately.
+        Optional persistent :class:`~repro.scenarios.ResultStore`, held by
+        the engine's :class:`~repro.scenarios.engine.ResultMemo`
+        (:attr:`memo`).  Service results share the store (and its
+        engine-epoch scheme) with session and fleet results: lookups go
+        memory -> disk -> compute, computed services are written back
+        immediately.
     """
 
     def __init__(
         self,
         sessions: SessionEngine | None = None,
-        cache_results: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
         self.sessions = sessions if sessions is not None else SessionEngine()
-        # Execution runs through FleetEngine.execute — caching stays at the
-        # service level, so the inner engine holds none.
-        self._fleet = FleetEngine(sessions=self.sessions, cache_results=False)
-        self.cache_results = bool(cache_results)
-        self.store = store
-        self._results: dict[str, ServiceResult] = {}
-        self._results_lock = threading.Lock()
+        # Execution runs through FleetEngine.execute; results are memoized
+        # at the service level only.
+        self._fleet = FleetEngine(sessions=self.sessions)
+        self.memo = ResultMemo(store)
 
     # ------------------------------------------------------------------- run
     def run(self, spec: ServiceSpec) -> ServiceResult:
         """Run one service (all repetitions) through its admission policy."""
-        key = spec.spec_hash()
-        if self.cache_results:
-            with self._results_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                return cached
-        if self.store is not None:
-            stored = self.store.get(spec)
-            if stored is not None:
-                if self.cache_results:
-                    with self._results_lock:
-                        stored = self._results.setdefault(key, stored)
-                return stored
-
-        result = self._compute(spec)
-        if self.cache_results:
-            with self._results_lock:
-                result = self._results.setdefault(key, result)
-        if self.store is not None:
-            self.store.put(spec, result)
-        return result
+        return self.memo.fetch(spec, self._compute)
 
     # ----------------------------------------------------- admission (online)
     def _serve_repetition(
@@ -460,14 +436,3 @@ class ServiceEngine:
             ServiceSnapshot(time, act, adm, drop, mig, done, rolling.get(done), tuple(util))
             for time, act, adm, drop, mig, done, util in zip(*(c.tolist() for c in columns))
         )
-
-    # --------------------------------------------------------------- caching
-    def cached_result(self, spec: ServiceSpec) -> ServiceResult | None:
-        """The cached result for this service, if any."""
-        with self._results_lock:
-            return self._results.get(spec.spec_hash())
-
-    def clear(self) -> None:
-        """Drop the service-result cache (the session engine keeps its own)."""
-        with self._results_lock:
-            self._results.clear()

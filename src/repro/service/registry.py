@@ -11,69 +11,16 @@ fleet experiments pin.
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
 from ..fleet.registry import get_fleet
+from ..scenarios.registry import Registry
 from .spec import ServiceSpec
 
-_REGISTRY: dict[str, tuple[ServiceSpec, str]] = {}
-
-
-def register_service(spec: ServiceSpec, description: str = "", overwrite: bool = False) -> None:
-    """Register a service preset under ``spec.name``.
-
-    Raises :class:`~repro.errors.ConfigurationError` when the name is taken
-    and ``overwrite`` is false.
-    """
-    name = spec.name
-    if not name or name == "service":
-        raise ConfigurationError("a registered service needs a distinctive name")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"service {name!r} is already registered")
-    _REGISTRY[name] = (spec, description)
-
-
-def get_service(
-    name: str,
-    policy: str | None = None,
-    scale: str | None = None,
-    seed: int | None = None,
-    **overrides,
-) -> ServiceSpec:
-    """Fetch a service preset by name, optionally overriding common knobs.
-
-    ``policy`` (and any other keyword accepted by
-    :meth:`ServiceSpec.with_`) replaces a service-level field; ``scale`` and
-    ``seed`` are forwarded to the fleet's per-operator template, mirroring
-    :func:`repro.fleet.get_fleet`.
-    """
-    try:
-        spec, _ = _REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown service {name!r}; available: {service_names()}"
-        ) from exc
-    if policy is not None:
-        overrides["policy"] = policy
-    if overrides:
-        spec = spec.with_(**overrides)
-    template_overrides: dict = {}
-    if scale is not None:
-        template_overrides["scale"] = scale
-    if seed is not None:
-        template_overrides["seed"] = int(seed)
-    if template_overrides:
-        spec = spec.with_template(**template_overrides)
-    return spec
-
-
-def service_names() -> list[str]:
-    """Sorted names of the registered service presets."""
-    return sorted(_REGISTRY)
-
-
-def service_catalog() -> dict[str, str]:
-    """Mapping of service preset name to its one-line description."""
-    return {name: description for name, (_, description) in sorted(_REGISTRY.items())}
+#: The live-service presets.
+SERVICES: Registry[ServiceSpec] = Registry("service", ServiceSpec, "service")
+register_service = SERVICES.register
+get_service = SERVICES.get
+service_names = SERVICES.names
+service_catalog = SERVICES.catalog
 
 
 def _register_builtins() -> None:

@@ -49,7 +49,7 @@ def _couple_reference(fleet, plans, base, n_commands, period):
 
 @pytest.fixture(scope="module")
 def engine():
-    return FleetEngine(sessions=SessionEngine(), cache_results=False)
+    return FleetEngine(sessions=SessionEngine())
 
 
 def _base_delays(fleet, plans, n_commands, period):
@@ -101,7 +101,7 @@ def test_migrated_service_admissions(engine):
     n_commands = int(engine.sessions.test_commands(fleet.template).shape[0])
     policy = make_policy(spec)
     # The service engine's own admission pass, per repetition, in its order.
-    service = ServiceEngine(sessions=engine.sessions, cache_results=False)
+    service = ServiceEngine(sessions=engine.sessions)
     plans = []
     for repetition in range(fleet.template.repetitions):
         admitted = service._serve_repetition(spec, repetition, n_commands, policy).admitted

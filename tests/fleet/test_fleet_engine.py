@@ -99,8 +99,8 @@ def test_batched_equals_serial_fleet_execution(engines):
     """The serial per-session loop is the oracle for the kernel pass."""
     _, fleets = engines
     fleet = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-    batched = FleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet)
-    serial = SerialFleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet)
+    batched = FleetEngine(sessions=fleets.sessions).run(fleet)
+    serial = SerialFleetEngine(sessions=fleets.sessions).run(fleet)
     assert batched.rmse_foreco_mm == serial.rmse_foreco_mm
     assert batched.rmse_no_forecast_mm == serial.rmse_no_forecast_mm
     assert batched.recovery_fraction == serial.recovery_fraction
@@ -132,7 +132,7 @@ class TestCoupling:
             ap_capacity=2,
             ap_service_ms=5.0,
         )
-        result = FleetEngine(sessions=fleets.sessions, cache_results=False).run(fleet)
+        result = FleetEngine(sessions=fleets.sessions).run(fleet)
         solo = fleets.run(_solo(template))
         # operator-major order: row 0 = operator 0, row 1 = operator 1; with
         # demand under budget (2 x 5 < 20 ms) the backlog is zero, so op 0
@@ -160,7 +160,7 @@ class TestCoupling:
                 _Session(operator=1, repetition=0, offset_slots=0, ap=1),
             ]
         ]
-        run = FleetEngine(sessions=fleets.sessions, cache_results=False).execute(fleet, plans)
+        run = FleetEngine(sessions=fleets.sessions).execute(fleet, plans)
         n_commands = run.delays_ms.shape[1]
         base = sample_channel_delays_batch(
             template.channel,
@@ -179,7 +179,7 @@ class TestCoupling:
     def test_execute_of_empty_plans_is_an_empty_record(self, engines):
         _, fleets = engines
         fleet = get_fleet("shared-ap").with_template(run_seconds=2.0)
-        run = FleetEngine(sessions=fleets.sessions, cache_results=False).execute(fleet, [[], []])
+        run = FleetEngine(sessions=fleets.sessions).execute(fleet, [[], []])
         assert run.sessions == [] and run.outcomes == []
         assert run.completion_time_s == ()
         assert run.ap_utilization == (0.0,) * fleet.aps
@@ -196,7 +196,7 @@ class TestCoupling:
             ap_capacity=2,
             ap_service_ms=15.0,  # 2 x 15 = 30 ms demand vs 20 ms budget
         )
-        result = FleetEngine(cache_results=False).run(fleet)
+        result = FleetEngine().run(fleet)
         delays = result.delays_ms  # operator 1's coupled delays
         # slot k starts with backlog 10k ms; op 1 additionally waits one
         # service behind op 0, so delay = base(1) + 10k + 15.
@@ -209,7 +209,7 @@ class TestCoupling:
         """The acceptance contract: coupling changes what operators see."""
         sessions, _ = engines
         fleet = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        result = FleetEngine(sessions=sessions, cache_results=False).run(fleet)
+        result = FleetEngine(sessions=sessions).run(fleet)
         independent = []
         for operator in range(fleet.operators):
             spec = operator_channel_spec(fleet, operator)
@@ -222,7 +222,7 @@ class TestCoupling:
         """Contention only adds wait: coupled >= base wherever delivered."""
         _, fleets = engines
         fleet = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        engine = FleetEngine(sessions=fleets.sessions, cache_results=False)
+        engine = FleetEngine(sessions=fleets.sessions)
         result = engine.run(fleet)
         solo = fleets.sessions.run(operator_channel_spec(fleet, 3))
         base = np.asarray(solo.delays_ms)
@@ -238,7 +238,7 @@ class TestAdmission:
         fleet = FleetSpec(
             name="overfull", template=template, operators=5, aps=1, ap_capacity=2
         )
-        result = FleetEngine(cache_results=False).run(fleet)
+        result = FleetEngine().run(fleet)
         assert result.admitted == 2
         assert result.dropped_sessions == 3
         assert len(result.rmse_foreco_mm) == 2
@@ -255,7 +255,7 @@ class TestAdmission:
             arrival="poisson",
             arrival_rate_hz=0.05,  # ~20 s mean gap vs 2 s sessions
         )
-        result = FleetEngine(cache_results=False).run(fleet)
+        result = FleetEngine().run(fleet)
         assert result.admitted + result.dropped_sessions == 6
         assert result.admitted >= 4  # overlap is rare at this rate
 
@@ -263,7 +263,7 @@ class TestAdmission:
 class TestMetricsAndDeterminism:
     def test_result_shapes_and_percentiles(self):
         fleet = get_fleet("peak-hour").with_template(run_seconds=RUN_SECONDS)
-        result = FleetEngine(cache_results=False).run(fleet)
+        result = FleetEngine().run(fleet)
         count = result.admitted
         for metric in (
             result.rmse_no_forecast_mm,
@@ -287,7 +287,7 @@ class TestMetricsAndDeterminism:
 
     def test_completion_time_of_a_clean_solo_session(self):
         template = get_scenario("clean").with_(run_seconds=2.0, repetitions=1)
-        result = FleetEngine(cache_results=False).run(_solo(template))
+        result = FleetEngine().run(_solo(template))
         n = result.n_commands
         period_ms = template.foreco.command_period_ms
         expected = ((n - 1) * period_ms + 1.0) / 1000.0  # last slot + 1 ms delay
@@ -308,6 +308,6 @@ class TestMetricsAndDeterminism:
         fleet = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
         first = engine.run(fleet)
         assert engine.run(fleet.with_(name="renamed")) is first
-        assert engine.cached_result(fleet) is first
-        engine.clear()
-        assert engine.cached_result(fleet) is None
+        assert engine.memo.cached(fleet) is first
+        engine.memo.clear()
+        assert engine.memo.cached(fleet) is None

@@ -38,13 +38,13 @@ def _assert_round_trips(computed, loaded):
 
 def test_fleet_result_round_trips_bit_for_bit(tmp_path, fleet):
     store = ResultStore(tmp_path / "store")
-    computed = FleetEngine(cache_results=False, store=store).run(fleet)
+    computed = FleetEngine(store=store).run(fleet)
     _assert_round_trips(computed, ResultStore(tmp_path / "store").get(fleet))
 
 
 def test_fleet_shards_are_tagged_and_epoch_scoped(tmp_path, fleet):
     store = ResultStore(tmp_path / "store")
-    FleetEngine(cache_results=False, store=store).run(fleet)
+    FleetEngine(store=store).run(fleet)
     path = store.shard_path(fleet.spec_hash())
     record = json.loads(path.read_text(encoding="utf-8"))
     assert record["kind"] == "fleet"
@@ -56,7 +56,7 @@ def test_fleet_shards_are_tagged_and_epoch_scoped(tmp_path, fleet):
 
 def test_corrupted_fleet_shard_is_a_miss(tmp_path, fleet):
     store = ResultStore(tmp_path / "store")
-    engine = FleetEngine(cache_results=False, store=store)
+    engine = FleetEngine(store=store)
     engine.run(fleet)
     path = store.shard_path(fleet.spec_hash())
     path.write_text('{"format": 1, "kind": "fleet"', encoding="utf-8")  # truncated

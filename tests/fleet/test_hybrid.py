@@ -114,10 +114,8 @@ class TestDegeneracy:
         """Every AP hot => the hybrid tier IS the exact computation."""
         sessions, _ = engines
         base = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        hybrid = HybridFleetEngine(sessions=sessions, cache_results=False).run(
-            base.with_(tier="hybrid", hot_threshold=1e-9)
-        )
-        exact = FleetEngine(sessions=sessions, cache_results=False).run(base)
+        hybrid = HybridFleetEngine(sessions=sessions).run(base.with_(tier="hybrid", hot_threshold=1e-9))
+        exact = FleetEngine(sessions=sessions).run(base)
         assert hybrid.tier == "hybrid"
         assert (hybrid.hot_aps, hybrid.cold_aps) == (1, 0)
         assert hybrid.exact_sessions == exact.admitted
@@ -133,8 +131,8 @@ class TestDegeneracy:
     def test_exact_tier_spec_takes_the_plain_path(self, engines):
         sessions, _ = engines
         base = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        via_hybrid = HybridFleetEngine(sessions=sessions, cache_results=False).run(base)
-        via_plain = FleetEngine(sessions=sessions, cache_results=False).run(base)
+        via_hybrid = HybridFleetEngine(sessions=sessions).run(base)
+        via_plain = FleetEngine(sessions=sessions).run(base)
         assert via_hybrid.to_dict() == via_plain.to_dict()
         assert via_hybrid.tier == "exact"
 
@@ -142,7 +140,7 @@ class TestDegeneracy:
         sessions, _ = engines
         fleet = _crossover_fleet()
         with pytest.raises(ConfigurationError):
-            FleetEngine(sessions=sessions, cache_results=False).run(fleet)
+            FleetEngine(sessions=sessions).run(fleet)
 
 
 class TestAccuracy:
@@ -152,10 +150,8 @@ class TestAccuracy:
     def pair(self, engines):
         sessions, _ = engines
         fleet = _crossover_fleet()
-        hybrid = HybridFleetEngine(sessions=sessions, cache_results=False).run(fleet)
-        exact = FleetEngine(sessions=sessions, cache_results=False).run(
-            fleet.with_(tier="exact")
-        )
+        hybrid = HybridFleetEngine(sessions=sessions).run(fleet)
+        exact = FleetEngine(sessions=sessions).run(fleet.with_(tier="exact"))
         return hybrid, exact
 
     def test_same_admission_plan(self, pair):
@@ -222,8 +218,8 @@ class TestDeterminism:
     def test_fresh_engine_reproduces_bit_for_bit(self, engines):
         sessions, _ = engines
         fleet = _crossover_fleet()
-        a = HybridFleetEngine(sessions=sessions, cache_results=False).run(fleet)
-        b = HybridFleetEngine(sessions=SessionEngine(), cache_results=False).run(fleet)
+        a = HybridFleetEngine(sessions=sessions).run(fleet)
+        b = HybridFleetEngine(sessions=SessionEngine()).run(fleet)
         assert a.to_dict() == b.to_dict()
 
     def test_sweep_jobs_do_not_change_hybrid_results(self):
@@ -249,9 +245,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        computed = HybridFleetEngine(
-            sessions=sessions, cache_results=False, store=store
-        ).run(fleet)
+        computed = HybridFleetEngine(sessions=sessions, store=store).run(fleet)
         loaded = ResultStore(tmp_path / "store").get(fleet)
         assert loaded is not None
         assert loaded.tier == "hybrid"
@@ -264,7 +258,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        HybridFleetEngine(sessions=sessions, cache_results=False, store=store).run(fleet)
+        HybridFleetEngine(sessions=sessions, store=store).run(fleet)
         assert ResultStore(tmp_path / "store").get(fleet.with_(tier="exact")) is None
 
     def test_tier_mismatched_shard_is_a_miss(self, tmp_path, engines):
@@ -272,7 +266,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        HybridFleetEngine(sessions=sessions, cache_results=False, store=store).run(fleet)
+        HybridFleetEngine(sessions=sessions, store=store).run(fleet)
         path = store.shard_path(fleet.spec_hash())
         record = json.loads(path.read_text(encoding="utf-8"))
         record["tier"] = "exact"

@@ -66,7 +66,7 @@ def test_probes_are_real_fleet_evaluations(probe_store):
     for probe in plan.probes:
         spec = plan.spec.probe_spec(probe.capacity)
         assert probe.spec_hash == spec.spec_hash()
-        assert probe_store.contains(spec)  # the probe shard is reusable
+        assert spec in probe_store  # the probe shard is reusable
 
 
 # -------------------------------------------------------------- determinism

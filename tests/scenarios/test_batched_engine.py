@@ -64,8 +64,8 @@ def _assert_bit_identical(serial: SessionResult, batched: SessionResult) -> None
 
 
 def _run_both(spec) -> tuple[SessionResult, SessionResult]:
-    serial = SerialSessionEngine(cache_results=False).run(spec)
-    batched = SessionEngine(cache_results=False).run(spec)
+    serial = SerialSessionEngine().run(spec)
+    batched = SessionEngine().run(spec)
     return serial, batched
 
 
@@ -147,15 +147,15 @@ def test_unbatchable_forecaster_forecasts_each_row_on_its_own_copy():
         base,
     ]
     assert len({kernel_group_key(spec) for spec in specs}) == 1
-    engine = SessionEngine(cache_results=False)
-    oracle = SerialSessionEngine(cache_results=False)
+    engine = SessionEngine()
+    oracle = SerialSessionEngine()
     for spec, row in zip(specs, engine.run_many(specs), strict=True):
         _assert_bit_identical(oracle.run(spec), row)
     assert engine.trained_forecaster(base).calls == 0  # the master never forecasts
 
     fleet = FleetSpec(name="custom", template=base, operators=3, aps=1, ap_capacity=3, ap_service_ms=4.0)
-    kernel = FleetEngine(cache_results=False).run(fleet)
-    serial = SerialFleetEngine(cache_results=False).run(fleet)
+    kernel = FleetEngine().run(fleet)
+    serial = SerialFleetEngine().run(fleet)
     assert kernel.rmse_foreco_mm == serial.rmse_foreco_mm
     assert kernel.rmse_no_forecast_mm == serial.rmse_no_forecast_mm
     assert kernel.recovery_fraction == serial.recovery_fraction
@@ -176,7 +176,7 @@ def test_batched_simulation_validates_shapes():
 
 def test_improvement_factor_inf_contract():
     """A zero/near-zero FoReCo RMSE denominator yields inf, never NaN."""
-    result = SessionEngine(cache_results=False).run(
+    result = SessionEngine().run(
         get_scenario("clean").with_(run_seconds=RUN_SECONDS)
     )
     # Documented contract: near-zero denominators (< 1e-12 mm) report inf.
@@ -236,8 +236,8 @@ def test_run_many_fig8_grid_equals_per_spec_runs():
     """The Fig. 8 ci grid is one kernel group; stacking it changes no bit."""
     specs = _fig8_ci_grid()
     assert len({kernel_group_key(spec) for spec in specs}) == 1
-    stacked = SessionEngine(cache_results=False).run_many(specs)
-    engine = SessionEngine(cache_results=False)
+    stacked = SessionEngine().run_many(specs)
+    engine = SessionEngine()
     assert len(stacked) == len(specs)
     for spec, row in zip(specs, stacked):
         _assert_same_row(engine.run(spec), row)
@@ -245,7 +245,7 @@ def test_run_many_fig8_grid_equals_per_spec_runs():
     # the serial loop, which shares no code with the stacked split.
     harshest = specs[-1]
     assert harshest.channel.options()["n_robots"] == max(FIG8_ROBOT_COUNTS)
-    serial = SerialSessionEngine(cache_results=False).run(harshest)
+    serial = SerialSessionEngine().run(harshest)
     _assert_same_row(serial, stacked[-1])
 
 
@@ -261,8 +261,8 @@ def test_hold_and_stop_specs_share_one_kernel_pass(use_pid):
         base.with_(fallback="stop", channel=loss_burst_channel(burst_length=12), repetitions=1),
     ]
     assert len({kernel_group_key(spec) for spec in specs}) == 1
-    stacked = SessionEngine(cache_results=False).run_many(specs)
-    oracle = SerialSessionEngine(cache_results=False)
+    stacked = SessionEngine().run_many(specs)
+    oracle = SerialSessionEngine()
     for spec, row in zip(specs, stacked, strict=True):
         _assert_same_row(oracle.run(spec), row)
 
@@ -300,7 +300,7 @@ def test_sweep_interleaving_kernel_groups_keeps_order_and_one_shard_per_spec(tmp
     assert sweep.store_hits == 1 and sweep.store_misses == len(specs)
     assert sweep[3] is warm
     assert sweep[len(specs)] is sweep[1]
-    oracle = SerialSessionEngine(cache_results=False)  # the serial loop
+    oracle = SerialSessionEngine()  # the serial loop
     for spec, row in zip(specs, sweep):
         expected = oracle.run(spec)
         if row.outcome is None:  # the store hit keeps no trajectories

@@ -117,15 +117,13 @@ def test_engine_caches_by_spec_hash():
     # Identical physics under a different label hits the cache.
     second = engine.run(spec.with_(name="relabelled"))
     assert second is first
-    assert engine.cached_result(spec) is first
-    engine.clear()
-    assert engine.cached_result(spec) is None
-    # With caching disabled every run is fresh but still deterministic.
-    uncached = SessionEngine(cache_results=False)
-    a = uncached.run(spec)
-    b = uncached.run(spec)
-    assert a is not b
-    assert a.rmse_foreco_mm == b.rmse_foreco_mm
+    assert engine.memo.cached(spec) is first
+    engine.memo.clear()
+    assert engine.memo.cached(spec) is None
+    # A cleared memo recomputes: a fresh row, still deterministic.
+    again = engine.run(spec)
+    assert again is not first
+    assert again.rmse_foreco_mm == first.rmse_foreco_mm
 
 
 def test_engine_shares_trained_forecaster():
@@ -144,7 +142,7 @@ def test_engine_shares_trained_forecaster():
 
 def test_engine_stateful_forecaster_stays_deterministic():
     """VARMA carries predict-time state; per-session copies must isolate it."""
-    engine = SessionEngine(cache_results=False)
+    engine = SessionEngine()
     # The periodic channel is identical in every repetition, so any RMSE
     # difference between reps could only come from leaked forecaster state.
     spec = _spec(periodic_loss_channel(period=100, burst_length=10), repetitions=2).with_foreco(
@@ -191,7 +189,7 @@ def test_fallback_policy_changes_no_result(use_pid):
     hold = get_scenario("jammer").with_(use_pid=use_pid, fallback="hold")
     stop = hold.with_(fallback="stop")
     assert hold.spec_hash() != stop.spec_hash()
-    engine = SessionEngine(cache_results=False)
+    engine = SessionEngine()
     held, stopped = engine.run(hold), engine.run(stop)
     assert held.mean_late_fraction > 0.0
     for metric in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):

@@ -23,7 +23,7 @@ from repro.scenarios import (
     get_scenario,
     run_search,
 )
-from repro.scenarios.registry import _REGISTRY
+from repro.scenarios.registry import SCENARIOS
 from repro.scenarios.search import adversarial_score, p99_recovery
 
 BUDGET = 8
@@ -83,7 +83,7 @@ def test_promotion_registers_adversarial_presets(reference):
             assert get_scenario(spec.name) == spec
     finally:
         for spec in promoted:
-            _REGISTRY.pop(spec.name, None)
+            SCENARIOS._presets.pop(spec.name, None)
 
 
 def test_search_config_validation():

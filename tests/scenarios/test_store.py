@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import load_sweep
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiments
+from repro.fleet import get_fleet
 from repro.scenarios import (
     ENGINE_EPOCH,
     ResultStore,
@@ -26,6 +27,7 @@ from repro.scenarios import (
     loss_burst_channel,
     scenario_grid,
 )
+from repro.service import get_service
 
 #: A short run so the engine-backed tests stay fast.
 RUN_SECONDS = 6.0
@@ -58,7 +60,7 @@ def test_round_trip_is_bit_identical(tmp_path):
     result = _synthetic_result(spec)
     store = ResultStore(tmp_path)
     path = store.put(spec, result)
-    assert path.is_file() and store.contains(spec) and spec in store
+    assert path.is_file() and spec in store
     assert len(store) == 1
 
     loaded = ResultStore(tmp_path).get(spec)
@@ -82,7 +84,7 @@ def test_contains_evict_clear_and_stats(tmp_path):
     for spec in specs:
         store.put(spec, _synthetic_result(spec))
     assert len(store) == 3
-    assert store.evict(specs[0]) and not store.contains(specs[0])
+    assert store.evict(specs[0]) and specs[0] not in store
     assert not store.evict(specs[0])  # already gone
     assert store.get(specs[0]) is None
     assert store.get(specs[1]) is not None
@@ -116,7 +118,7 @@ def test_epoch_invalidation(tmp_path):
 
     bumped = ResultStore(tmp_path, epoch=ENGINE_EPOCH + 1)
     assert bumped.get(spec) is None  # same spec hash, new code semantics
-    assert not bumped.contains(spec)
+    assert spec not in bumped
     assert len(bumped) == 0
     # The old epoch's shards survive untouched (a downgrade still reads them).
     assert ResultStore(tmp_path, epoch=ENGINE_EPOCH).get(spec) is not None
@@ -194,9 +196,9 @@ def test_lru_cap_evicts_least_recently_used(tmp_path):
     assert store.get(specs[0]) is not None  # refresh: seed-1 is now the MRU
     store.put(specs[2], _synthetic_result(specs[2]))
     assert len(store) == 2
-    assert store.contains(specs[0])  # survived thanks to the refresh
-    assert not store.contains(specs[1])  # the LRU entry went
-    assert store.contains(specs[2])  # the fresh write is never evicted
+    assert specs[0] in store  # survived thanks to the refresh
+    assert specs[1] not in store  # the LRU entry went
+    assert specs[2] in store  # the fresh write is never evicted
     assert store.stats().evictions == 1
 
 
@@ -212,7 +214,7 @@ def test_byte_cap_bounds_the_store(tmp_path):
         capped.put(s, _synthetic_result(s))
     assert len(capped) == 2  # only ~2.5 shards fit
     assert capped.stats().total_bytes <= capped.max_bytes
-    assert capped.contains(_spec(channel=clean_channel(), seed=4))
+    assert _spec(channel=clean_channel(), seed=4) in capped
 
 
 # ------------------------------------------------------- engine integration
@@ -261,8 +263,13 @@ def test_interrupted_sweep_resumes_and_matches_cold_serial(tmp_path):
     assert warm.hit_fraction == 1.0
 
 
-def test_sweep_partition_counts_each_lookup_once(tmp_path):
-    """Executor partition + engine lookup must not double-count misses."""
+def test_sweep_partition_counts_each_lookup_once(tmp_path, monkeypatch):
+    """Executor partition + engine lookup must not double-count misses.
+
+    Every spec, fleet and service rows included, is read from the store
+    exactly once per sweep (fresh or warm, serial or threaded), and no
+    lookup runs a separate existence check.
+    """
     base = _spec(repetitions=1)
     specs = scenario_grid(base, {"seed": (1, 2, 3)})
     cold_store = ResultStore(tmp_path)
@@ -274,6 +281,29 @@ def test_sweep_partition_counts_each_lookup_once(tmp_path):
     warm_stats = warm_store.stats()
     assert (warm_stats.hits, warm_stats.misses) == (3, 0)
     assert warm_stats.hit_fraction == 1.0
+
+    fleet = get_fleet("shared-ap", operators=2).with_template(run_seconds=8.0)
+    service = get_service("service-shared-ap").with_fleet(operators=3, aps=1)
+    mixed = specs + [fleet, service.with_template(run_seconds=8.0)]
+    reads: list[str] = []
+    real_get = ResultStore.get
+
+    def get(store, spec):
+        reads.append(spec.spec_hash())
+        return real_get(store, spec)
+
+    def contains(store, spec):
+        pytest.fail("an existence check (spec in store) on a lookup path")
+
+    monkeypatch.setattr(ResultStore, "get", get)
+    monkeypatch.setattr(ResultStore, "__contains__", contains)
+    for jobs in (1, 2):
+        root = tmp_path / f"jobs-{jobs}"
+        for expected_hits in (0, len(mixed)):  # fresh, then warm
+            reads.clear()
+            sweep = SweepExecutor(jobs=jobs, store=ResultStore(root)).run(mixed)
+            assert sorted(reads) == sorted(spec.spec_hash() for spec in mixed)
+            assert (sweep.store_hits, sweep.store_misses) == (expected_hits, len(mixed) - expected_hits)
 
 
 def test_store_root_expands_user(tmp_path, monkeypatch):
@@ -309,7 +339,7 @@ def test_process_backend_workers_write_back(tmp_path):
 def test_executor_store_engine_wiring(tmp_path):
     store = ResultStore(tmp_path)
     executor = SweepExecutor(store=store)
-    assert executor.engine.store is store  # private engine adopts the store
+    assert executor.engine.memo.store is store  # private engine adopts the store
     engine = SessionEngine(store=ResultStore(tmp_path / "other"))
     with pytest.raises(ConfigurationError):
         SweepExecutor(engine=engine, store=store)

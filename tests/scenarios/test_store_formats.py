@@ -56,11 +56,11 @@ def _fixture_specs() -> dict:
 def _cold(kind: str, spec, tmp_path: Path):
     """A cold computation of ``spec`` (no memory, no shared store)."""
     if kind == "session":
-        return SessionEngine(cache_results=False).run(spec)
+        return SessionEngine().run(spec)
     if kind == "fleet":
-        return FleetEngine(cache_results=False).run(spec)
+        return FleetEngine().run(spec)
     if kind == "service":
-        return ServiceEngine(cache_results=False).run(spec)
+        return ServiceEngine().run(spec)
     # The plan records its probes' store lookups, so it plans into a fresh store.
     return CapacityPlanner(store=ResultStore(tmp_path / "probes")).run(spec)
 

@@ -50,8 +50,8 @@ class TestDeterminism:
     def test_engine_memory_cache(self, spec):
         engine = ServiceEngine()
         assert engine.run(spec) is engine.run(spec)
-        engine.clear()
-        assert engine.cached_result(spec) is None
+        engine.memo.clear()
+        assert engine.memo.cached(spec) is None
 
 
 class TestFleetAnchor:
@@ -166,9 +166,7 @@ def test_snapshots_equal_the_per_slot_oracle(preset, policy, repetitions, until_
 
     monkeypatch.setattr(ServiceEngine, "_snapshots", staticmethod(recording))
     spec = get_service(preset).with_template(scale="ci", repetitions=repetitions)
-    result = ServiceEngine(sessions=sessions, cache_results=False).run(
-        spec.with_(policy=policy, until_s=until_s)
-    )
+    result = ServiceEngine(sessions=sessions).run(spec.with_(policy=policy, until_s=until_s))
     [(args, snapshots)] = calls
     assert snapshots == result.snapshots == snapshots_per_slot(*args)
 

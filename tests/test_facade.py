@@ -71,6 +71,22 @@ def test_facade_rejects_wrong_spec_types():
         repro.plan("no-such-preset")
 
 
+@pytest.mark.parametrize(
+    "fetch",
+    [
+        lambda: repro.get_scenario("clean", bogus=1),
+        lambda: repro.get_fleet("shared-ap", bogus=1),
+        lambda: repro.get_service("service-shared-ap", bogus=1),
+        lambda: repro.get_plan("plan-shared-ap", bogus=1),
+        lambda: repro.plan("plan-shared-ap", scale="ci"),
+    ],
+    ids=["scenario", "fleet", "service", "plan", "facade-plan"],
+)
+def test_unknown_override_is_a_configuration_error_naming_the_fields(fetch):
+    with pytest.raises(ConfigurationError, match="valid fields"):
+        fetch()
+
+
 def test_store_keyword_accepts_paths_and_stores(tmp_path):
     path_store = tmp_path / "by-path"
     repro.run_scenario("clean", store=path_store)
