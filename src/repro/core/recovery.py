@@ -346,7 +346,11 @@ class ForecoRecovery:
 
         on_time = np.isfinite(delays_ms) & (delays_ms <= self.config.deadline_ms)
         missing = ~on_time
+        # Every slot from ``record - 1`` on has a full window, so a ready
+        # model forecasts exactly the missing rows there.
         forecasted = np.zeros((n_batch, n_slots), dtype=bool)
+        if model_ready:
+            forecasted[:, record - 1 :] = missing[:, record - 1 :]
         # A row's window before slot ``t`` is rows ``t + 1 - record`` to ``t``
         # of ``feedback``: its effective commands behind the ``commands[0]``
         # seed, or the seeded command stream itself under oracle feedback.
@@ -354,8 +358,13 @@ class ForecoRecovery:
         ext = np.repeat(seeded[None], n_batch, axis=0)
         feedback = np.broadcast_to(seeded, ext.shape) if self.config.feedback == "oracle" else ext
 
-        for slot in np.flatnonzero(missing.any(axis=0)).tolist():
-            rows = np.flatnonzero(missing[:, slot])
+        # The (slot, row) pairs of every missing command, in slot order, split
+        # once into one run of rows per lossy slot (no runs without losses).
+        loss_slots, loss_rows = np.nonzero(missing.T)
+        starts = np.flatnonzero(np.diff(loss_slots, prepend=-1))
+        bounds = np.append(starts, loss_slots.size).tolist()
+        for slot, start, end in zip(loss_slots[starts].tolist(), bounds, bounds[1:]):
+            rows = loss_rows[start:end]
             if model_ready and slot + 1 >= record:
                 recent = feedback[rows, slot + 1 - record : slot + 1]
                 if row_forecasters is None:
@@ -368,11 +377,13 @@ class ForecoRecovery:
                             forecaster = row_forecasters[row] = copy.deepcopy(self.forecaster)
                         forecasts[index] = forecaster.predict_next(recent[index])
                 if max_step is not None:
+                    # Same clamp as :meth:`_forecast_missing`, in place.
                     previous = recent[:, -1, :]
-                    step = np.clip(forecasts - previous, -max_step, max_step)
-                    forecasts = previous + step
+                    forecasts = np.subtract(forecasts, previous)
+                    np.maximum(forecasts, -max_step, out=forecasts)
+                    np.minimum(forecasts, max_step, out=forecasts)
+                    np.add(previous, forecasts, out=forecasts)
                 ext[rows, slot + 1] = forecasts
-                forecasted[rows, slot] = True
             else:
                 # Not enough history yet: repeat the previous effective
                 # command (the robot's native fallback behaviour).

@@ -305,8 +305,8 @@ def run_experiments(
 
     results = {name: EXPERIMENTS[name](scale=scale, seed=seed, jobs=jobs) for name in names}
     # One executor serves every sweep-shaped run (scenario presets, fleet
-    # presets, service presets, search probes), so they share
-    # dataset/forecaster caches.
+    # presets, service presets, search probes), so they share one result
+    # memo.
     executor = SweepExecutor(jobs=jobs, backend=backend, store=result_store)
     search_result = None
     if search_requested:

@@ -271,6 +271,7 @@ class HybridFleetEngine(FleetEngine):
         deadline = float(template.foreco.to_config().deadline_ms)
         slot_ms = np.arange(n_commands) * period
         delivered = np.isfinite(solo_base)
+        on_time = delivered & (solo_base <= deadline)
         q_per_rep = delivered.mean(axis=1)
         base_last_ms = np.empty(repetitions)
         base_late = np.empty(repetitions)
@@ -281,7 +282,7 @@ class HybridFleetEngine(FleetEngine):
                 if mask.any()
                 else n_commands * period
             )
-            base_late[r] = float(1.0 - (mask & (solo_base[r] <= deadline)).mean())
+            base_late[r] = float(1.0 - on_time[r].mean())
 
         cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
         cold_util = np.zeros((repetitions, fleet.aps))
@@ -309,16 +310,12 @@ class HybridFleetEngine(FleetEngine):
                 cold_util[repetition, ap] = min(
                     1.0, concurrency * q * float(fleet.ap_service_ms) / period
                 )
-                for session, extra, j in zip(members, extras, boot):
-                    j = int(j)
-                    extra = float(extra)
-                    shift = float(
-                        (
-                            delivered[j]
-                            & (solo_base[j] <= deadline)
-                            & (solo_base[j] + extra > deadline)
-                        ).mean()
-                    )
+                # Share of each session's slots its extra delay makes late:
+                # on time in the solo trace, past the deadline once shifted.
+                shifts = np.count_nonzero(
+                    on_time[boot] & (solo_base[boot] + extras[:, None] > deadline), axis=1
+                ) / n_commands
+                for session, extra, j, shift in zip(members, extras.tolist(), boot.tolist(), shifts.tolist()):
                     late = min(1.0, max(0.0, base_late[j] + shift))
                     completion_s = (
                         session.offset_slots * period + base_last_ms[j] + extra

@@ -67,7 +67,6 @@ store loads the plan shard directly and recomputes nothing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -76,6 +75,7 @@ from typing import Callable
 from ..errors import ConfigurationError, StoreError
 from ..scenarios.engine import ResultMemo
 from ..scenarios.registry import Registry
+from ..scenarios.spec import SpecIdentity
 from ..scenarios.store import ResultStore, register_store_codec
 from ..scenarios.sweep import SweepExecutor
 from ..wireless.superposition import SuperpositionModel
@@ -100,7 +100,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class PlanSpec:
+class PlanSpec(SpecIdentity):
     """One fully-specified capacity-planning problem.
 
     Attributes
@@ -209,11 +209,6 @@ class PlanSpec:
                 "max_iterations": int(self.max_iterations),
             },
         }
-
-    def spec_hash(self) -> str:
-        """Stable short hash of the planning problem (``name`` excluded)."""
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     # --------------------------------------------------------------- builders
     def with_(self, **changes) -> "PlanSpec":

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..des.distributions import Exponential, UniformDistribution
 from ..errors import ConfigurationError
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioSpec, SpecIdentity
 from ..wireless.superposition import TAIL_KINDS
 
 #: Session arrival processes understood by the fleet engine.
@@ -85,7 +85,7 @@ def _coerce_float(name: str, value) -> float:
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(SpecIdentity):
     """One fully-specified multi-operator service workload.
 
     Attributes
@@ -255,11 +255,6 @@ class FleetSpec:
                 "diurnal_amplitude": float(self.diurnal_amplitude),
             },
         }
-
-    def spec_hash(self) -> str:
-        """Stable short hash of the physical configuration (``name`` excluded)."""
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     # ------------------------------------------------------------ convenience
     @property

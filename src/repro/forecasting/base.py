@@ -54,17 +54,16 @@ def sliding_windows(commands: np.ndarray, record: int) -> tuple[np.ndarray, np.n
     """
     commands = as_command_array("commands", commands)
     record = ensure_int("record", record, minimum=1)
-    n, d = commands.shape
+    n = commands.shape[0]
     if n <= record:
         raise DimensionError(
             f"need more than record={record} commands to build windows, got {n}"
         )
-    n_windows = n - record
-    windows = np.empty((n_windows, record, d))
-    targets = np.empty((n_windows, d))
-    for k in range(n_windows):
-        windows[k] = commands[k : k + record]
-        targets[k] = commands[k + record]
+    # Window ``k`` is rows ``k .. k + record - 1``: a strided view of the
+    # stream, copied once into fresh C-contiguous arrays the caller owns.
+    view = np.lib.stride_tricks.sliding_window_view(commands[:-1], record, axis=0)
+    windows = view.transpose(0, 2, 1).copy(order="C")
+    targets = commands[record:].copy(order="C")
     return windows, targets
 
 
@@ -284,8 +283,13 @@ def make_forecaster(name: str, record: int = 5, **kwargs) -> Forecaster:
     Built-in names: ``"var"``, ``"ma"``, ``"seq2seq"``, ``"varma"``,
     ``"ses"``; more can be added with :func:`register_forecaster`.
     """
+    return _forecaster_class(name)(record=record, **kwargs)
+
+
+def _forecaster_class(name: str) -> type[Forecaster]:
+    """The class :func:`make_forecaster` builds for ``name``."""
     key = name.lower()
     cls = _builtin_forecasters().get(key) or _CUSTOM_FORECASTERS.get(key)
     if cls is None:
         raise ConfigurationError(f"unknown forecaster {name!r}; available: {forecaster_names()}")
-    return cls(record=record, **kwargs)
+    return cls

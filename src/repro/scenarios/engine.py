@@ -5,7 +5,8 @@ needs:
 
 * the operator datasets, cached per *full* :class:`ExperimentScale` value
   plus seed (not just the scale name, so custom scales never alias);
-* trained forecasters, cached per training identity (algorithm, record,
+* trained master forecasters, cached per process like the datasets and
+  keyed by forecaster class plus training identity (algorithm, record,
   options, train fraction, scale, seed) — the fitted master is never
   predicted on directly; every session gets a deep copy, because
   forecasters may carry predict-time state (VARMA's residual window, or a
@@ -36,6 +37,7 @@ import copy
 import hashlib
 import json
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -48,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports engine
 from ..core.recovery import ForecoRecovery
 from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
 from ..errors import ConfigurationError
-from ..forecasting import make_forecaster
+from ..forecasting import Forecaster, make_forecaster
+from ..forecasting.base import _forecaster_class
 from ..teleop import (
     OperatorModel,
     RemoteController,
@@ -123,6 +126,48 @@ def build_datasets(scale: str | ExperimentScale = "ci", seed: int = 42) -> Share
     :class:`ExperimentScale` with a reused name still gets its own datasets.
     """
     return _cached_datasets(get_scale(scale), int(seed))
+
+
+# ---------------------------------------------------------------- forecasters
+#: Fitted masters kept per process, least recently used evicted first.
+_MAX_MASTERS = 32
+_masters: OrderedDict[tuple, Forecaster] = OrderedDict()
+_masters_lock = threading.Lock()
+_training_locks: dict[tuple, threading.Lock] = {}
+
+
+def _master_forecaster(spec: ScenarioSpec) -> Forecaster:
+    """The process-wide fitted master for ``spec``'s training identity.
+
+    Keyed by the forecaster class as well, so re-registering a custom name
+    with a new class never serves the old class's master.  Distinct keys
+    train in parallel; concurrent requests for one key serialise on a
+    per-key lock, so each master is fitted once.
+    """
+    foreco = spec.foreco
+    scale = get_scale(spec.scale)
+    key = (_forecaster_class(foreco.algorithm), foreco.training_identity(), scale, int(spec.seed))
+    with _masters_lock:
+        master = _masters.get(key)
+        if master is not None:
+            _masters.move_to_end(key)
+            return master
+        training_lock = _training_locks.setdefault(key, threading.Lock())
+    with training_lock:
+        with _masters_lock:
+            master = _masters.get(key)
+        if master is None:
+            try:
+                master = make_forecaster(foreco.algorithm, record=foreco.record, **foreco.options())
+                master.fit(build_datasets(scale, seed=spec.seed).experienced.commands)
+                with _masters_lock:
+                    _masters[key] = master
+                    if len(_masters) > _MAX_MASTERS:
+                        _masters.popitem(last=False)
+            finally:
+                with _masters_lock:
+                    _training_locks.pop(key, None)
+    return master
 
 
 # ------------------------------------------------------------------- channels
@@ -530,9 +575,6 @@ class SessionEngine:
 
     def __init__(self, store: "ResultStore | None" = None) -> None:
         self.memo = ResultMemo(store)
-        self._forecasters: dict[tuple, object] = {}
-        self._forecaster_lock = threading.Lock()
-        self._training_locks: dict[tuple, threading.Lock] = {}
 
     # ------------------------------------------------------------- datasets
     def datasets(self, spec: ScenarioSpec) -> SharedDatasets:
@@ -557,32 +599,11 @@ class SessionEngine:
     def trained_forecaster(self, spec: ScenarioSpec):
         """The fitted master forecaster for this spec's training identity.
 
-        Cached and never predicted on by the engine itself — sessions run
-        against deep copies (see :meth:`session_forecaster`) because
-        forecasters may carry predict-time state.  Training for distinct
-        identities proceeds in parallel; concurrent requests for the same
-        identity serialise on a per-key lock so the model is fitted once.
+        Shared by every engine in the process and never predicted on —
+        sessions run against deep copies (see :meth:`session_forecaster`)
+        because forecasters may carry predict-time state.
         """
-        key = (spec.foreco.training_identity(), spec.scale, int(spec.seed))
-        with self._forecaster_lock:
-            forecaster = self._forecasters.get(key)
-            if forecaster is not None:
-                return forecaster
-            training_lock = self._training_locks.setdefault(key, threading.Lock())
-        with training_lock:
-            with self._forecaster_lock:
-                forecaster = self._forecasters.get(key)
-                if forecaster is not None:
-                    return forecaster
-            forecaster = make_forecaster(
-                spec.foreco.algorithm,
-                record=spec.foreco.record,
-                **spec.foreco.options(),
-            )
-            forecaster.fit(self.datasets(spec).experienced.commands)
-            with self._forecaster_lock:
-                self._forecasters[key] = forecaster
-            return forecaster
+        return _master_forecaster(spec)
 
     def session_forecaster(self, spec: ScenarioSpec):
         """A private fitted forecaster for one session (deep copy of the master).

@@ -456,8 +456,42 @@ OPERATORS: tuple[str, ...] = ("inexperienced", "experienced", "mix")
 
 
 # ------------------------------------------------------------------ scenarios
+class SpecIdentity:
+    """Identity of a frozen spec: its hash and stored form, once per instance.
+
+    Spec classes define :meth:`canonical`; the fields are immutable, and
+    ``with_`` / ``replace`` build a new instance, so both are computed at
+    most once per instance.
+    """
+
+    def canonical(self) -> dict:
+        """JSON-safe canonical representation (the hashing domain)."""
+        raise NotImplementedError
+
+    def spec_hash(self) -> str:
+        """Stable short hash of the canonical form.
+
+        The ``name`` label is deliberately excluded: renaming a preset
+        must not invalidate cached results.
+        """
+        return self._spec_hash
+
+    @cached_property
+    def _spec_hash(self) -> str:
+        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    @cached_property
+    def stored_canonical(self) -> dict:
+        """:meth:`canonical` after a JSON round trip, as a store shard holds it.
+
+        Shared by every caller of this instance: read it, never mutate it.
+        """
+        return json.loads(json.dumps(self.canonical()))
+
+
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecIdentity):
     """One fully-specified remote-control scenario.
 
     Attributes
@@ -530,21 +564,6 @@ class ScenarioSpec:
             "use_pid": bool(self.use_pid),
             "fallback": self.fallback,
         }
-
-    def spec_hash(self) -> str:
-        """Stable short hash of the physical configuration.
-
-        The ``name`` label is deliberately excluded: renaming a scenario
-        must not invalidate cached results.  Computed once per instance:
-        the fields are immutable, and :meth:`with_` / ``replace`` build a
-        new instance.
-        """
-        return self._spec_hash
-
-    @cached_property
-    def _spec_hash(self) -> str:
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def channel_identity(self) -> dict:
         """The part of the spec that determines the channel realisation.

@@ -319,7 +319,7 @@ class ResultStore:
         kind = payload.get("kind", "session")
         if kind != expected:
             raise StoreError(f"record kind {kind!r} does not match the spec's {expected!r}")
-        if payload.get("spec") != json.loads(json.dumps(spec.canonical())):
+        if payload.get("spec") != spec.stored_canonical:
             raise StoreError("stored canonical spec does not match the caller's spec")
         _, decode = _CODECS[expected]
         return decode(spec, key, payload)
@@ -328,11 +328,12 @@ class ResultStore:
     def get(self, spec):
         """The stored result for ``spec``, or ``None`` on a miss.
 
-        ``spec`` is any hashable spec with a ``spec_hash()`` method and a
-        registered record kind (:class:`ScenarioSpec` or
-        :class:`~repro.fleet.FleetSpec`).  The returned row is attached to
+        ``spec`` is any :class:`~repro.scenarios.spec.SpecIdentity` spec
+        with a registered record kind (:class:`ScenarioSpec`,
+        :class:`~repro.fleet.FleetSpec`, …).  The returned row is attached to
         the *caller's* spec object once the shard's stored canonical spec
-        has been checked against the caller's (after JSON normalisation).
+        has been checked against the caller's
+        :attr:`~repro.scenarios.spec.SpecIdentity.stored_canonical`.
         Corrupted shards, including one whose stored spec disagrees, count
         as misses and are deleted.
         """

@@ -282,7 +282,7 @@ class SweepExecutor:
         """The engine a spec runs on, created on first use for fleet/service specs.
 
         Fleet and service engines share this executor's session engine (and
-        therefore its dataset / forecaster caches) and store, so fleet,
+        therefore its result memo) and store, so fleet,
         service and scenario rows mix freely in one resumable sweep.  Fleet
         specs run on a :class:`~repro.fleet.HybridFleetEngine`, which runs
         *both* fleet tiers: exact-tier specs take the plain

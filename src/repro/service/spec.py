@@ -28,13 +28,12 @@ realisations, which is what makes the policy-comparison experiment
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigurationError
 from ..fleet.spec import FleetSpec, _coerce_float, _coerce_int
+from ..scenarios.spec import SpecIdentity
 
 #: Admission policies understood by the service engine.
 POLICY_KINDS: tuple[str, ...] = ("static-cap", "utilization-threshold", "forecast-aware")
@@ -48,7 +47,7 @@ POLICY_KIND_SUMMARIES: dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(SpecIdentity):
     """One fully-specified live teleoperation service.
 
     Attributes
@@ -185,11 +184,6 @@ class ServiceSpec:
         }
         payload["snapshot_every_slots"] = int(self.snapshot_every_slots)
         return payload
-
-    def spec_hash(self) -> str:
-        """Stable short hash of the physical configuration (``name`` excluded)."""
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     # ------------------------------------------------------------ convenience
     @property

@@ -42,6 +42,49 @@ def test_sliding_windows_shapes():
         sliding_windows(commands[:3], record=5)
 
 
+def _sliding_windows_loop(commands: np.ndarray, record: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the window-by-window loop ``sliding_windows`` replaced."""
+    n, d = commands.shape
+    windows = np.empty((n - record, record, d))
+    targets = np.empty((n - record, d))
+    for k in range(n - record):
+        windows[k] = commands[k : k + record]
+        targets[k] = commands[k + record]
+    return windows, targets
+
+
+@pytest.mark.parametrize(
+    "n, d, record, strided",
+    [
+        (300, 6, 10, False),  # random streams
+        (57, 3, 5, False),
+        (40, 6, 1, False),  # record=1
+        (6, 2, 5, False),  # n = record + 1: a single window
+        (2, 4, 1, False),
+        (80, 6, 4, True),  # non-contiguous input
+        (30, 2, 1, True),
+    ],
+)
+def test_sliding_windows_equal_the_loop_byte_for_byte(n, d, record, strided):
+    rng = np.random.default_rng(n * 31 + d * 7 + record)
+    if strided:  # every other row and joint of a wider stream: a non-contiguous view
+        commands = rng.normal(size=(2 * n, 2 * d))[::2, ::2]
+        assert not commands.flags.c_contiguous
+    else:
+        commands = rng.normal(size=(n, d))
+    before = commands.copy()
+    windows, targets = sliding_windows(commands, record)
+    expected_windows, expected_targets = _sliding_windows_loop(commands, record)
+    for got, expected in ((windows, expected_windows), (targets, expected_targets)):
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous
+        assert not np.shares_memory(got, commands)
+    windows[...] = 0.0  # the caller owns its arrays: the stream is untouched
+    targets[...] = 0.0
+    assert np.array_equal(commands, before)
+
+
 def test_forecast_rmse():
     a = np.zeros((4, 2))
     b = np.ones((4, 2))

@@ -3,11 +3,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 from oracles import serial
 
 from repro.errors import ConfigurationError
+from repro.forecasting import Forecaster, MovingAverageForecaster, make_forecaster, register_forecaster
 from repro.scenarios import (
     ExperimentScale,
     ScenarioSpec,
@@ -16,6 +21,7 @@ from repro.scenarios import (
     build_datasets,
     clean_channel,
     compound_channel,
+    get_scale,
     get_scenario,
     jammer_channel,
     loss_burst_channel,
@@ -138,6 +144,70 @@ def test_engine_shares_trained_forecaster():
     # Sessions never predict on the master: they get private fitted copies.
     private = engine.session_forecaster(spec)
     assert private is not forecaster and private.is_fitted
+
+
+def test_master_forecaster_is_shared_by_every_engine_in_the_process():
+    spec = _spec(loss_burst_channel(burst_length=5), seed=4242)
+    master = SessionEngine().trained_forecaster(spec)
+    assert SessionEngine().trained_forecaster(spec) is master
+    # A scale given by name resolves to the same master as the scale value.
+    assert SessionEngine().trained_forecaster(dataclasses.replace(spec, scale="ci")) is master
+    assert SessionEngine().trained_forecaster(spec.with_(scale=get_scale("ci"))) is master
+    # The cached master is exactly what a cold fit produces.
+    cold = make_forecaster(spec.foreco.algorithm, record=spec.foreco.record, **spec.foreco.options())
+    cold.fit(build_datasets("ci", seed=4242).experienced.commands)
+    assert master.coefficients.tobytes() == cold.coefficients.tobytes()
+    assert master.intercept.tobytes() == cold.intercept.tobytes()
+
+
+def _custom_spec(cls: type[Forecaster]) -> ScenarioSpec:
+    register_forecaster(cls.name, cls, overwrite=True)
+    return _spec(clean_channel()).with_foreco(algorithm=cls.name)
+
+
+def test_concurrent_requests_fit_the_master_once():
+    entered, release = threading.Event(), threading.Event()
+    fits: list[int] = []
+
+    class SlowFit(MovingAverageForecaster):
+        name = "test-slow-fit"
+
+        def _fit(self, commands):
+            fits.append(1)
+            entered.set()
+            release.wait(timeout=10.0)
+            super()._fit(commands)
+
+    spec = _custom_spec(SlowFit)
+    masters: list[Forecaster] = []
+
+    def request() -> None:
+        masters.append(SessionEngine().trained_forecaster(spec))
+
+    first = threading.Thread(target=request)
+    first.start()
+    assert entered.wait(timeout=10.0)
+    second = threading.Thread(target=request)
+    second.start()
+    time.sleep(0.05)  # let the second request reach the training lock
+    release.set()
+    first.join()
+    second.join()
+    assert len(fits) == 1
+    assert len(masters) == 2 and masters[0] is masters[1]
+
+
+def test_reregistered_forecaster_class_gets_its_own_master():
+    class First(MovingAverageForecaster):
+        name = "test-reregistered"
+
+    class Second(MovingAverageForecaster):
+        name = "test-reregistered"
+
+    first = SessionEngine().trained_forecaster(_custom_spec(First))
+    second = SessionEngine().trained_forecaster(_custom_spec(Second))
+    assert type(first) is First and type(second) is Second
+    assert SessionEngine().trained_forecaster(_custom_spec(First)) is first
 
 
 def test_engine_stateful_forecaster_stays_deterministic():

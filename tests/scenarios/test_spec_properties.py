@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.fleet import get_fleet
+from repro.fleet import get_fleet, get_plan
 from repro.scenarios import ScenarioGrammar, get_scenario
 from repro.scenarios.grammar import _kind_knobs, _primitive_channel
+from repro.service import get_service
 
 SETTINGS = {"max_examples": 30, "deadline": None}
 
@@ -72,6 +73,16 @@ _PINNED_HASHES = {
     "jammer": "fc3ac20d84eb9889",
     "jammer-congestion": "5209d3a9a5b08a10",
 }
+
+
+#: Literal hashes of one fleet, service and plan preset at ENGINE_EPOCH 6.
+_PINNED_FLEET_SERVICE_PLAN_HASHES = {
+    "city-scale": ("fleet", "336514ed3faa5604"),
+    "service-shared-ap": ("service", "188142fdf1390797"),
+    "plan-shared-ap": ("plan", "49882e0c9479b7be"),
+}
+
+_GETTERS = {"fleet": get_fleet, "service": get_service, "plan": get_plan}
 
 
 @settings(**SETTINGS)
@@ -171,3 +182,31 @@ def test_cached_grammar_hash_equals_fresh_hash(seed):
 def test_invalid_grammar_kind_raises_configuration_error():
     with pytest.raises(ConfigurationError):
         _primitive_channel("bogus", {})
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FLEET_SERVICE_PLAN_HASHES))
+def test_fleet_service_and_plan_identity_is_computed_once(name, monkeypatch):
+    kind, pinned = _PINNED_FLEET_SERVICE_PLAN_HASHES[name]
+    spec = _GETTERS[kind](name)
+    assert spec.spec_hash() == pinned == _fresh_hash(spec)
+    assert spec.stored_canonical == json.loads(json.dumps(spec.canonical()))
+    copies = (
+        spec.with_(name="renamed-twin"),
+        spec.with_template(seed=12345),
+        dataclasses.replace(spec),
+        pickle.loads(pickle.dumps(spec)),
+    )
+    for derived in copies:
+        assert derived.spec_hash() == _fresh_hash(derived)
+        assert derived.stored_canonical == json.loads(json.dumps(derived.canonical()))
+    assert copies[0].spec_hash() == pinned
+    assert copies[1].spec_hash() != pinned
+
+    calls = []
+    canonical = type(spec).canonical
+    monkeypatch.setattr(type(spec), "canonical", lambda self: calls.append(1) or canonical(self))
+    fresh = dataclasses.replace(spec)
+    for _ in range(3):
+        assert fresh.spec_hash() == pinned
+        assert fresh.stored_canonical == spec.stored_canonical
+    assert len(calls) == 2  # once for the hash, once for the stored form
