@@ -31,15 +31,20 @@ MIN_SPEEDUP = 100.0
 EXACT_OPERATORS = 32
 
 
-def _best_of(callable_, rounds: int = 3) -> tuple[float, object]:
-    """Minimum wall-clock over ``rounds`` runs (robust to scheduler noise)."""
-    best = float("inf")
-    result = None
+def _best_of_alternating(*callables, rounds: int = 3) -> list[tuple[float, object]]:
+    """Minimum wall-clock of each callable over ``rounds`` interleaved rounds.
+
+    Each round runs every callable once, in turn, so a stretch of host load
+    slows all of them alike instead of only the one timed during it.
+    """
+    best = [float("inf")] * len(callables)
+    results: list[object] = [None] * len(callables)
     for _ in range(rounds):
-        start = time.perf_counter()
-        result = callable_()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for index, callable_ in enumerate(callables):
+            start = time.perf_counter()
+            results[index] = callable_()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return list(zip(best, results))
 
 
 def _rerun(engine, spec):
@@ -61,8 +66,9 @@ def test_bench_hybrid_city_scale(benchmark, bench_scale, bench_seed):
     hybrid_engine = HybridFleetEngine(sessions=sessions)
     exact_engine = FleetEngine(sessions=sessions)
 
-    t_hybrid, hybrid = _best_of(lambda: _rerun(hybrid_engine, city))
-    t_exact, exact = _best_of(lambda: _rerun(exact_engine, exact_small))
+    (t_hybrid, hybrid), (t_exact, exact) = _best_of_alternating(
+        lambda: _rerun(hybrid_engine, city), lambda: _rerun(exact_engine, exact_small)
+    )
 
     assert hybrid.admitted + hybrid.dropped_sessions >= city.operators
     assert hybrid.tier == "hybrid"

@@ -25,6 +25,7 @@ from .recovery import BatchedRecoveryResult, ForecoRecovery, RecoveryDecision, R
 from .simulation import (
     BatchedRemoteControlSimulation,
     RemoteControlSimulation,
+    SimulationBatch,
     SimulationOutcome,
     baseline_target_indices,
     compare_baseline_and_foreco,
@@ -45,6 +46,7 @@ __all__ = [
     "RecoveryDecision",
     "RecoveryStats",
     "RemoteControlSimulation",
+    "SimulationBatch",
     "SimulationOutcome",
     "compare_baseline_and_foreco",
 ]

@@ -52,6 +52,8 @@ class SimulationOutcome:
         Fraction of commands that missed their deadline in this run.
     defined / baseline / foreco:
         The three joint trajectories (for plotting Figs. 9/10-style curves).
+        Built by :meth:`SimulationBatch.outcome`, each holds an ``(n, d)``
+        array of its own, never a view into the kernel's ``(B, n, d)`` stacks.
     recovery_fraction:
         Fraction of missing slots FoReCo managed to fill with a forecast.
     """
@@ -70,6 +72,100 @@ class SimulationOutcome:
         if self.rmse_foreco_mm <= 0:
             return float("inf")
         return self.rmse_no_forecast_mm / self.rmse_foreco_mm
+
+
+class MetricColumns:
+    """Per-session metric columns and their means, for any batch of session rows.
+
+    Subclasses hold the four columns as ``tuple[float, ...]`` fields, one
+    entry per row, each with the meaning of the :class:`SimulationOutcome`
+    field of the same name.
+    """
+
+    rmse_no_forecast_mm: tuple[float, ...]
+    rmse_foreco_mm: tuple[float, ...]
+    late_fraction: tuple[float, ...]
+    recovery_fraction: tuple[float, ...]
+
+    @property
+    def repetitions(self) -> int:
+        """Number of session rows (entries per metric tuple)."""
+        return len(self.rmse_foreco_mm)
+
+    @property
+    def mean_rmse_no_forecast_mm(self) -> float:
+        """Baseline trajectory RMSE averaged over the rows."""
+        return float(np.mean(self.rmse_no_forecast_mm))
+
+    @property
+    def mean_rmse_foreco_mm(self) -> float:
+        """FoReCo trajectory RMSE averaged over the rows."""
+        return float(np.mean(self.rmse_foreco_mm))
+
+    @property
+    def mean_late_fraction(self) -> float:
+        """Late/lost command share averaged over the rows."""
+        return float(np.mean(self.late_fraction))
+
+    @property
+    def mean_recovery_fraction(self) -> float:
+        """Share of missing slots FoReCo filled, averaged over the rows."""
+        return float(np.mean(self.recovery_fraction))
+
+    @property
+    def improvement_factor(self) -> float:
+        """Mean baseline RMSE over mean FoReCo RMSE (the paper's ×18 / ×2).
+
+        ``inf``, never a NaN, an exception or a huge float, when the FoReCo
+        mean is below 1e-12 mm (a clean channel, where FoReCo replays the
+        defined trajectory exactly): callers that tabulate or JSON-encode
+        results must expect it.
+        """
+        denominator = self.mean_rmse_foreco_mm
+        if denominator < 1e-12:
+            return float("inf")
+        return self.mean_rmse_no_forecast_mm / denominator
+
+
+@dataclass(frozen=True, eq=False)
+class SimulationBatch(MetricColumns):
+    """One session-kernel pass: per-row metric columns, trajectories on demand.
+
+    The metric tuples hold one entry per row, in delay-trace order.  The
+    pass's ``(B, n, d)`` arrays stay here and :meth:`outcome` copies one row
+    out of them, so an outcome a caller keeps does not pin the batch.
+    ``SimulationBatch()`` is the empty batch.
+    """
+
+    rmse_no_forecast_mm: tuple[float, ...] = ()
+    rmse_foreco_mm: tuple[float, ...] = ()
+    late_fraction: tuple[float, ...] = ()
+    recovery_fraction: tuple[float, ...] = ()
+    #: Slot times ``(n,)``, the defined and clipped streams ``(n, d)``, the
+    #: baseline's source slots ``(B, n)`` and the executed baseline (PID mode
+    #: only: kinematic mode executes ``clipped[baseline_sources]``) and FoReCo.
+    times_s: np.ndarray | None = field(default=None, repr=False)
+    commands: np.ndarray | None = field(default=None, repr=False)
+    clipped: np.ndarray | None = field(default=None, repr=False)
+    baseline_sources: np.ndarray | None = field(default=None, repr=False)
+    baseline_executed: np.ndarray | None = field(default=None, repr=False)
+    foreco_executed: np.ndarray | None = field(default=None, repr=False)
+
+    def outcome(self, row: int) -> SimulationOutcome:
+        """Row ``row`` as an outcome whose three trajectories own ``(n, d)`` copies."""
+        if self.baseline_executed is None:
+            baseline = self.clipped[self.baseline_sources[row]]
+        else:
+            baseline = self.baseline_executed[row].copy()
+        return SimulationOutcome(
+            rmse_no_forecast_mm=self.rmse_no_forecast_mm[row],
+            rmse_foreco_mm=self.rmse_foreco_mm[row],
+            late_fraction=self.late_fraction[row],
+            recovery_fraction=self.recovery_fraction[row],
+            defined=JointTrajectory(self.times_s, self.commands.copy(), label="defined"),
+            baseline=JointTrajectory(self.times_s, baseline, label="no-forecast"),
+            foreco=JointTrajectory(self.times_s, self.foreco_executed[row].copy(), label="foreco"),
+        )
 
 
 def baseline_target_indices(delays_ms: np.ndarray, command_period_ms: float) -> np.ndarray:
@@ -155,9 +251,9 @@ class BatchedRemoteControlSimulation:
     share one command stream but see independent channel realisations.  Those
     repetitions are embarrassingly stackable: this class advances all ``B``
     delay traces, recovery state machines and robot trajectories in lockstep
-    ``(B, ...)`` arrays, then reduces to one :class:`SimulationOutcome` per
-    repetition.  Every array operation involved is elementwise or uses a
-    batch-size-invariant reduction, so each outcome is **bit-identical** to
+    ``(B, ...)`` arrays, then reduces them to one :class:`SimulationBatch` of
+    per-repetition metrics.  Every array operation involved is elementwise or
+    uses a batch-size-invariant reduction, so each row is **bit-identical** to
     a one-session-at-a-time run of its delay trace (the test suite keeps
     that serial path as its oracle).
 
@@ -194,7 +290,7 @@ class BatchedRemoteControlSimulation:
         self.use_pid = bool(use_pid)
 
     # ------------------------------------------------------------------ run
-    def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> list[SimulationOutcome]:
+    def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationBatch:
         """Execute ``B`` sessions given per-repetition delay traces.
 
         Parameters
@@ -208,8 +304,9 @@ class BatchedRemoteControlSimulation:
 
         Returns
         -------
-        list[SimulationOutcome]
-            One outcome per repetition, in delay-trace order.
+        SimulationBatch
+            The per-repetition metric columns, in delay-trace order; its
+            :meth:`~SimulationBatch.outcome` builds one row's trajectories.
         """
         commands = np.asarray(commands, dtype=float)
         delays_ms = np.asarray(delays_ms, dtype=float)
@@ -241,34 +338,37 @@ class BatchedRemoteControlSimulation:
         unclipped = (clipped.view(np.uint64) != commands.view(np.uint64)).any(axis=-1)
         if not unclipped.any():
             clipped = commands
-        late_fraction = (1.0 - batch.on_time.mean(axis=1)).tolist()
+        late_fraction = tuple((1.0 - batch.on_time.mean(axis=1)).tolist())
         stats, foreco_targets = batch.stats, batch.executed
-        # The rest of the batch is released before the ``(B, n, d)`` gathers.
+        # The rest of the batch is released before the ``(B, n, d)`` passes.
         missing = np.logical_not(batch.on_time, out=batch.on_time)
         del batch
         clip_rows = np.nonzero(missing | unclipped)
         foreco_targets[clip_rows] = np.clip(
             foreco_targets[clip_rows], limits.position_min, limits.position_max
         )
-        baseline_executed = self._execute_batch(clipped[baseline_sources], initial=commands[0])
-        foreco_executed = self._execute_batch(foreco_targets, initial=commands[0])
+        # Kinematic mode executes the targets as they are, so only PID mode
+        # materialises the ``(B, n, d)`` baseline gather.
+        baseline_executed, foreco_executed = None, foreco_targets
+        if self.use_pid:
+            baseline_executed = self._execute_batch(clipped[baseline_sources], initial=commands[0])
+            foreco_executed = self._execute_batch(foreco_targets, initial=commands[0])
 
         baseline_rmse, foreco_rmse = self._rmse_mm(
             commands, clipped, blocks, baseline_sources, baseline_executed, foreco_executed, missing
         )
-        times = np.arange(n_slots) * (period_ms / 1000.0)
-        return [
-            SimulationOutcome(
-                rmse_no_forecast_mm=baseline_rmse[index],
-                rmse_foreco_mm=foreco_rmse[index],
-                late_fraction=late_fraction[index],
-                recovery_fraction=stats[index].recovery_fraction,
-                defined=JointTrajectory(times, commands, label="defined"),
-                baseline=JointTrajectory(times, baseline_executed[index], label="no-forecast"),
-                foreco=JointTrajectory(times, foreco_executed[index], label="foreco"),
-            )
-            for index in range(n_batch)
-        ]
+        return SimulationBatch(
+            rmse_no_forecast_mm=baseline_rmse,
+            rmse_foreco_mm=foreco_rmse,
+            late_fraction=late_fraction,
+            recovery_fraction=tuple(row.recovery_fraction for row in stats),
+            commands=commands,
+            times_s=np.arange(n_slots) * (period_ms / 1000.0),
+            clipped=clipped,
+            baseline_sources=baseline_sources,
+            baseline_executed=baseline_executed,
+            foreco_executed=foreco_executed,
+        )
 
     # ---------------------------------------------------------------- metrics
     def _rmse_mm(
@@ -277,10 +377,10 @@ class BatchedRemoteControlSimulation:
         clipped: np.ndarray,
         blocks: list[slice],
         baseline_sources: np.ndarray,
-        baseline_executed: np.ndarray,
+        baseline_executed: np.ndarray | None,
         foreco_executed: np.ndarray,
         missing: np.ndarray,
-    ) -> tuple[list[float], list[float]]:
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-repetition baseline and FoReCo RMSE (mm) against ``commands``.
 
         ``clipped`` is the clamped command stream (``commands`` itself when
@@ -290,9 +390,10 @@ class BatchedRemoteControlSimulation:
         execute.  Only two kinds of slot get
         a fresh distance: lagged baseline slots, which gather the position of
         their source row, and *fresh* rows, which differ from their source
-        and get their own forward kinematics.  In kinematic mode the fresh
-        rows are FoReCo's missing slots; PID states are found by a bitwise
-        (``uint64``) compare, which keeps ``-0.0`` and ``0.0`` apart.
+        and get their own forward kinematics.  In kinematic mode
+        (``baseline_executed`` is ``None``) the fresh rows are FoReCo's
+        missing slots; PID states are found by a bitwise (``uint64``)
+        compare, which keeps ``-0.0`` and ``0.0`` apart.
         ``positions`` and the per-row norm are row-pure, so every distance is
         bit-identical to evaluating the whole executed trajectory, as
         :func:`~repro.robot.trajectory.trajectory_rmse_mm` does.
@@ -308,17 +409,17 @@ class BatchedRemoteControlSimulation:
         foreco_rmse: list[float] = []
         for block in blocks:
             sources = baseline_sources[block]
-            baseline_block = baseline_executed[block]
             foreco_block = foreco_executed[block]
-            if self.use_pid:
-                baseline_fresh = _fresh_rows(baseline_block, clipped_bits[sources])
-                foreco_fresh = _fresh_rows(foreco_block, clipped_bits)
-            else:
+            if baseline_executed is None:
                 baseline_fresh = np.zeros(sources.shape, dtype=bool)
                 foreco_fresh = missing[block]
-            fresh_mm = kinematics.positions(
-                np.concatenate((baseline_block[baseline_fresh], foreco_block[foreco_fresh]))
-            ) * 1000.0
+                fresh = foreco_block[foreco_fresh]
+            else:
+                baseline_block = baseline_executed[block]
+                baseline_fresh = _fresh_rows(baseline_block, clipped_bits[sources])
+                foreco_fresh = _fresh_rows(foreco_block, clipped_bits)
+                fresh = np.concatenate((baseline_block[baseline_fresh], foreco_block[foreco_fresh]))
+            fresh_mm = kinematics.positions(fresh) * 1000.0
             n_baseline_fresh = int(np.count_nonzero(baseline_fresh))
             baseline_errors = np.repeat(source_errors[None], sources.shape[0], axis=0)
             foreco_errors = baseline_errors.copy()
@@ -328,21 +429,18 @@ class BatchedRemoteControlSimulation:
             _refresh(foreco_errors, foreco_fresh, fresh_mm[n_baseline_fresh:], defined_mm)
             baseline_rmse += np.sqrt(np.mean(baseline_errors ** 2, axis=-1)).tolist()
             foreco_rmse += np.sqrt(np.mean(foreco_errors ** 2, axis=-1)).tolist()
-        return baseline_rmse, foreco_rmse
+        return tuple(baseline_rmse), tuple(foreco_rmse)
 
     # ------------------------------------------------------------- execution
     def _execute_batch(self, clamped: np.ndarray, initial: np.ndarray) -> np.ndarray:
-        """Drive ``(B, n, d)`` clamped per-slot targets through the robot stack.
+        """Drive ``(B, n, d)`` clamped per-slot targets through the PID controller.
 
-        Kinematic mode executes the targets as they are; dynamic mode steps
-        one :class:`~repro.robot.pid.JointPidController` whose ``B * d``
-        "joints" are the stacked repetitions, reusing the one-arm PID
+        One :class:`~repro.robot.pid.JointPidController` steps ``B * d``
+        "joints", the stacked repetitions, reusing the one-arm PID
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
         the (raw, unclamped) joint state the controller resets to.
         """
-        if not self.use_pid:
-            return clamped
         limits = self.arm.limits
         n_batch, n_slots, n_joints = clamped.shape
         controller = JointPidController(
@@ -380,7 +478,7 @@ class RemoteControlSimulation:
     # ------------------------------------------------------------------ run
     def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationOutcome:
         """Execute one session given per-command end-to-end delays."""
-        return self.kernel.run(commands, np.ravel(delays_ms)[None])[0]
+        return self.kernel.run(commands, np.ravel(delays_ms)[None]).outcome(0)
 
     def run_trace(self, commands: np.ndarray, trace: CommandDelayTrace) -> SimulationOutcome:
         """Convenience wrapper accepting a :class:`CommandDelayTrace`."""

@@ -60,4 +60,4 @@ def base_scenario(
     :class:`~repro.scenarios.ScenarioSpec` (e.g. ``use_pid=True``).
     """
     foreco = ForecoSpec.from_config(config) if config is not None else ForecoSpec()
-    return ScenarioSpec(name=name, scale=get_scale(scale), seed=int(seed), foreco=foreco, **fields)
+    return ScenarioSpec(name=name, scale=scale, seed=int(seed), foreco=foreco, **fields)

@@ -55,8 +55,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
-from ..core.recovery import ForecoRecovery
-from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
+from ..core.simulation import (
+    BatchedRemoteControlSimulation,
+    MetricColumns,
+    SimulationBatch,
+    SimulationOutcome,
+)
 from ..errors import ConfigurationError
 from ..scenarios.engine import ResultMemo, SessionEngine, repetition_seed, sample_channel_delays_batch
 from ..scenarios.spec import ScenarioSpec
@@ -82,8 +86,57 @@ def operator_channel_spec(fleet: FleetSpec, operator: int) -> ScenarioSpec:
 
 
 # -------------------------------------------------------------------- results
+def _percentile(values: tuple[float, ...], q: float) -> float:
+    """``np.percentile`` of ``values``; 0 when there are none."""
+    return float(np.percentile(values, q)) if values else 0.0
+
+
+class FleetColumns(MetricColumns):
+    """Service-level statistics of per-session columns, for fleet and service results.
+
+    Beyond the :class:`~repro.core.simulation.MetricColumns`, subclasses hold
+    ``completion_time_s`` (one entry per session) and ``ap_utilization``
+    (one entry per AP).  Each statistic reads 0 when its column is empty,
+    as for a service that admitted nothing.
+    """
+
+    completion_time_s: tuple[float, ...]
+    ap_utilization: tuple[float, ...]
+
+    @property
+    def p50_recovery(self) -> float:
+        """Median per-session recovery rate."""
+        return _percentile(self.recovery_fraction, 50)
+
+    @property
+    def p99_recovery(self) -> float:
+        """Recovery rate at least 99% of operator-sessions achieve.
+
+        Service-level semantics: this is the **1st percentile** of the
+        per-session recovery distribution — the tail that capacity planning
+        cares about ("99% of sessions recover at least this share of their
+        missing commands").
+        """
+        return _percentile(self.recovery_fraction, 1)
+
+    @property
+    def p50_completion_s(self) -> float:
+        """Median session completion time (fleet start to last delivery, s)."""
+        return _percentile(self.completion_time_s, 50)
+
+    @property
+    def p99_completion_s(self) -> float:
+        """99th-percentile session completion time in seconds (the slow tail)."""
+        return _percentile(self.completion_time_s, 99)
+
+    @property
+    def mean_ap_utilization(self) -> float:
+        """AP air-time utilisation averaged over access points."""
+        return float(np.mean(self.ap_utilization)) if self.ap_utilization else 0.0
+
+
 @dataclass
-class FleetResult:
+class FleetResult(FleetColumns):
     """Uniform per-fleet result row produced by the engine.
 
     The per-session metric tuples hold one entry per **admitted**
@@ -92,7 +145,8 @@ class FleetResult:
     with the :class:`~repro.scenarios.SessionResult` tuples of the template.
     ``outcome`` and ``delays_ms`` keep the last admitted session's full
     detail for transient analyses and are in-memory only (the store persists
-    everything else).
+    everything else).  Both hold ``(n, ...)`` arrays of their own, so a kept
+    result does not pin the fleet's ``(B, n, ...)`` stacks.
     """
 
     spec: FleetSpec
@@ -123,73 +177,9 @@ class FleetResult:
     store_kind = "fleet"
 
     @property
-    def repetitions(self) -> int:
-        """Number of admitted operator-sessions (entries per metric tuple)."""
-        return len(self.rmse_foreco_mm)
-
-    @property
     def operators(self) -> int:
         """Operator population the fleet was specified with."""
         return self.spec.operators
-
-    @property
-    def mean_rmse_no_forecast_mm(self) -> float:
-        """Baseline trajectory RMSE averaged over admitted sessions."""
-        return float(np.mean(self.rmse_no_forecast_mm))
-
-    @property
-    def mean_rmse_foreco_mm(self) -> float:
-        """FoReCo trajectory RMSE averaged over admitted sessions."""
-        return float(np.mean(self.rmse_foreco_mm))
-
-    @property
-    def mean_late_fraction(self) -> float:
-        """Late/lost command share averaged over admitted sessions."""
-        return float(np.mean(self.late_fraction))
-
-    @property
-    def mean_recovery_fraction(self) -> float:
-        """Share of missing slots FoReCo filled, averaged over sessions."""
-        return float(np.mean(self.recovery_fraction))
-
-    @property
-    def improvement_factor(self) -> float:
-        """Mean baseline RMSE over mean FoReCo RMSE (``inf`` on a ~zero denominator)."""
-        denominator = self.mean_rmse_foreco_mm
-        if denominator < 1e-12:
-            return float("inf")
-        return self.mean_rmse_no_forecast_mm / denominator
-
-    @property
-    def p50_recovery(self) -> float:
-        """Median per-session recovery rate."""
-        return float(np.percentile(self.recovery_fraction, 50))
-
-    @property
-    def p99_recovery(self) -> float:
-        """Recovery rate at least 99% of operator-sessions achieve.
-
-        Service-level semantics: this is the **1st percentile** of the
-        per-session recovery distribution — the tail that capacity planning
-        cares about ("99% of sessions recover at least this share of their
-        missing commands").
-        """
-        return float(np.percentile(self.recovery_fraction, 1))
-
-    @property
-    def p50_completion_s(self) -> float:
-        """Median session completion time (fleet start to last delivery, s)."""
-        return float(np.percentile(self.completion_time_s, 50))
-
-    @property
-    def p99_completion_s(self) -> float:
-        """99th-percentile session completion time in seconds (the slow tail)."""
-        return float(np.percentile(self.completion_time_s, 99))
-
-    @property
-    def mean_ap_utilization(self) -> float:
-        """AP air-time utilisation averaged over access points."""
-        return float(np.mean(self.ap_utilization))
 
     def to_dict(self) -> dict:
         """JSON-safe summary row (trajectories and raw delays excluded)."""
@@ -225,44 +215,35 @@ class FleetResult:
 
     def to_text(self) -> str:
         """Compact multi-line service report for one fleet."""
-        if len(self.ap_utilization) > 8:
-            busiest = sorted(
-                range(len(self.ap_utilization)),
-                key=lambda i: self.ap_utilization[i],
-                reverse=True,
-            )[:8]
-            ap_cells = "  ".join(f"ap{i} {self.ap_utilization[i]:.2f}" for i in sorted(busiest))
-            ap_cells += f"  ... ({len(self.ap_utilization)} APs, busiest 8 shown)"
-        else:
-            ap_cells = "  ".join(f"ap{i} {u:.2f}" for i, u in enumerate(self.ap_utilization))
+        utilization = self.ap_utilization
+        shown = sorted(sorted(range(len(utilization)), key=lambda i: utilization[i], reverse=True)[:8])
+        ap_cells = "  ".join(f"ap{i} {utilization[i]:.2f}" for i in shown)
+        if len(utilization) > 8:
+            ap_cells += f"  ... ({len(utilization)} APs, busiest 8 shown)"
         lines = [
-                self.spec.describe(),
-                (
-                    f"  sessions: {self.admitted} admitted, "
-                    f"{self.dropped_sessions} dropped | "
-                    f"{self.n_commands} commands/session"
-                ),
+            self.spec.describe(),
+            (
+                f"  sessions: {self.admitted} admitted, {self.dropped_sessions} dropped | "
+                f"{self.n_commands} commands/session"
+            ),
         ]
         if self.tier != "exact":
             lines.append(
                 f"  tier: {self.tier} | {self.hot_aps} hot / {self.cold_aps} cold APs | "
                 f"{self.exact_sessions} exact + {self.analytic_sessions} analytic sessions"
             )
-        lines.extend(
-            [
-                (
-                    f"  RMSE: baseline {self.mean_rmse_no_forecast_mm:.2f} mm -> "
-                    f"FoReCo {self.mean_rmse_foreco_mm:.2f} mm "
-                    f"(x{self.improvement_factor:.1f}, late {self.mean_late_fraction:.2f})"
-                ),
-                (
-                    f"  recovery: p50 {self.p50_recovery:.2f}, p99 {self.p99_recovery:.2f} | "
-                    f"completion: p50 {self.p50_completion_s:.1f} s, "
-                    f"p99 {self.p99_completion_s:.1f} s"
-                ),
-                f"  AP utilization: {ap_cells}",
-            ]
-        )
+        lines += [
+            (
+                f"  RMSE: baseline {self.mean_rmse_no_forecast_mm:.2f} mm -> "
+                f"FoReCo {self.mean_rmse_foreco_mm:.2f} mm "
+                f"(x{self.improvement_factor:.1f}, late {self.mean_late_fraction:.2f})"
+            ),
+            (
+                f"  recovery: p50 {self.p50_recovery:.2f}, p99 {self.p99_recovery:.2f} | "
+                f"completion: p50 {self.p50_completion_s:.1f} s, p99 {self.p99_completion_s:.1f} s"
+            ),
+            f"  AP utilization: {ap_cells}",
+        ]
         return "\n".join(lines)
 
 
@@ -292,7 +273,9 @@ class FleetExecution:
     delays_ms: np.ndarray
     #: Per-AP air-time utilisation, mean over repetitions, capped at 1.
     ap_utilization: tuple[float, ...]
-    outcomes: list[SimulationOutcome]
+    #: The session-kernel pass over ``delays_ms``: per-session metric
+    #: columns, and a session's trajectories built on demand.
+    outcomes: SimulationBatch
     #: Fleet start to last delivery, seconds.
     completion_time_s: tuple[float, ...]
 
@@ -423,19 +406,16 @@ class FleetEngine:
             n_commands=n_commands,
             admitted=len(run.sessions),
             dropped_sessions=dropped,
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in run.outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in run.outcomes),
-            late_fraction=tuple(o.late_fraction for o in run.outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in run.outcomes),
+            rmse_no_forecast_mm=run.outcomes.rmse_no_forecast_mm,
+            rmse_foreco_mm=run.outcomes.rmse_foreco_mm,
+            late_fraction=run.outcomes.late_fraction,
+            recovery_fraction=run.outcomes.recovery_fraction,
             completion_time_s=run.completion_time_s,
             ap_utilization=run.ap_utilization,
-            tier=fleet.tier,
             hot_aps=fleet.aps,
-            cold_aps=0,
             exact_sessions=len(run.sessions),
-            analytic_sessions=0,
-            outcome=run.outcomes[-1],
-            delays_ms=run.delays_ms[-1],
+            outcome=run.outcomes.outcome(-1),
+            delays_ms=run.delays_ms[-1].copy(),
         )
 
     def execute(self, fleet: FleetSpec, plans: list[list[_Session]]) -> FleetExecution:
@@ -473,7 +453,7 @@ class FleetEngine:
                 sessions=[],
                 delays_ms=np.zeros((0, n_commands)),
                 ap_utilization=(0.0,) * fleet.aps,
-                outcomes=[],
+                outcomes=SimulationBatch(),
                 completion_time_s=(),
             )
         for flat, session in enumerate(sessions):
@@ -545,14 +525,10 @@ class FleetEngine:
 
     def _simulate(
         self, template: ScenarioSpec, commands: np.ndarray, delays: np.ndarray
-    ) -> list[SimulationOutcome]:
+    ) -> SimulationBatch:
         """Execute the coupled delay stack through one session-kernel pass."""
-        recovery = ForecoRecovery(
-            config=template.foreco.to_config(),
-            forecaster=self.sessions.session_forecaster(template),
-        )
-        simulation = BatchedRemoteControlSimulation(recovery, use_pid=template.use_pid)
-        return simulation.run(commands, delays)
+        recovery = self.sessions.recovery(template)
+        return BatchedRemoteControlSimulation(recovery, use_pid=template.use_pid).run(commands, delays)
 
     @staticmethod
     def _completion_times(
@@ -566,16 +542,10 @@ class FleetEngine:
         A session's completion is the delivery time of its last delivered
         command on the global clock (arrival offset included); a session
         whose commands were all lost completes when its slot window ends.
+        Row ``i`` of ``coupled`` belongs to ``sessions_flat[i]``.
         """
-        slot_ms = np.arange(n_commands) * period
-        times = []
-        for session in sessions_flat:
-            delays = coupled[session.flat]
-            start_ms = session.offset_slots * period
-            delivered = np.isfinite(delays)
-            if delivered.any():
-                last_ms = float(np.max(slot_ms[delivered] + delays[delivered]))
-            else:
-                last_ms = n_commands * period
-            times.append((start_ms + last_ms) / 1000.0)
-        return tuple(times)
+        arrivals = np.where(np.isfinite(coupled), np.arange(n_commands) * period + coupled, -np.inf)
+        last_ms = arrivals.max(axis=1)
+        last_ms[np.isneginf(last_ms)] = n_commands * period
+        start_ms = np.array([session.offset_slots for session in sessions_flat]) * period
+        return tuple(((start_ms + last_ms) / 1000.0).tolist())

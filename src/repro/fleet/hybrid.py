@@ -204,21 +204,20 @@ class HybridFleetEngine(FleetEngine):
             (session for plan in plans for session in plan),
             key=lambda session: (session.operator, session.repetition),
         )
-        rows = []
-        for session in all_sessions:
-            if session.ap in hot_set:
-                outcome = hot.outcomes[session.flat]
-                rows.append(
-                    (
-                        outcome.rmse_no_forecast_mm,
-                        outcome.rmse_foreco_mm,
-                        outcome.late_fraction,
-                        outcome.recovery_fraction,
-                        hot.completion_time_s[session.flat],
-                    )
-                )
-            else:
-                rows.append(cold_values[(session.operator, session.repetition)])
+        batch = hot.outcomes
+        hot_rows = list(
+            zip(
+                batch.rmse_no_forecast_mm,
+                batch.rmse_foreco_mm,
+                batch.late_fraction,
+                batch.recovery_fraction,
+                hot.completion_time_s,
+            )
+        )
+        rows = [
+            hot_rows[s.flat] if s.ap in hot_set else cold_values[(s.operator, s.repetition)]
+            for s in all_sessions
+        ]
         rmse_nf, rmse_f, late_f, recovery, completion = (tuple(column) for column in zip(*rows))
 
         merged_util = list(hot.ap_utilization)
@@ -245,8 +244,8 @@ class HybridFleetEngine(FleetEngine):
             cold_aps=fleet.aps - len(hot_set),
             exact_sessions=len(hot.sessions),
             analytic_sessions=cold_session_count,
-            outcome=hot.outcomes[last.flat] if last_is_hot else None,
-            delays_ms=hot.delays_ms[last.flat] if last_is_hot else None,
+            outcome=batch.outcome(last.flat) if last_is_hot else None,
+            delays_ms=hot.delays_ms[last.flat].copy() if last_is_hot else None,
         )
 
     def _serve_cold(

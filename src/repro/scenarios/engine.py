@@ -48,7 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports engine
     from .store import ResultStore
 
 from ..core.recovery import ForecoRecovery
-from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
+from ..core.simulation import (
+    BatchedRemoteControlSimulation,
+    MetricColumns,
+    SimulationBatch,
+    SimulationOutcome,
+)
 from ..errors import ConfigurationError
 from ..forecasting import Forecaster, make_forecaster
 from ..forecasting.base import _forecaster_class
@@ -145,8 +150,7 @@ def _master_forecaster(spec: ScenarioSpec) -> Forecaster:
     per-key lock, so each master is fitted once.
     """
     foreco = spec.foreco
-    scale = get_scale(spec.scale)
-    key = (_forecaster_class(foreco.algorithm), foreco.training_identity(), scale, int(spec.seed))
+    key = (_forecaster_class(foreco.algorithm), foreco.training_identity(), spec.scale, int(spec.seed))
     with _masters_lock:
         master = _masters.get(key)
         if master is not None:
@@ -159,7 +163,7 @@ def _master_forecaster(spec: ScenarioSpec) -> Forecaster:
         if master is None:
             try:
                 master = make_forecaster(foreco.algorithm, record=foreco.record, **foreco.options())
-                master.fit(build_datasets(scale, seed=spec.seed).experienced.commands)
+                master.fit(build_datasets(spec.scale, seed=spec.seed).experienced.commands)
                 with _masters_lock:
                     _masters[key] = master
                     if len(_masters) > _MAX_MASTERS:
@@ -398,12 +402,12 @@ def _sample_one_channel(
 
 # -------------------------------------------------------------------- results
 @dataclass
-class SessionResult:
+class SessionResult(MetricColumns):
     """Uniform per-scenario result row produced by the engine.
 
     Scalar metric tuples hold one entry per repetition; ``outcome`` and
     ``delays_ms`` keep the *last* repetition's full detail for trajectory
-    plots and transient analyses (Figs. 9/10).
+    plots and transient analyses (Figs. 9/10), as arrays of their own.
     """
 
     spec: ScenarioSpec
@@ -415,46 +419,6 @@ class SessionResult:
     recovery_fraction: tuple[float, ...]
     outcome: SimulationOutcome | None = field(repr=False, default=None)
     delays_ms: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def repetitions(self) -> int:
-        """Number of repetitions actually run."""
-        return len(self.rmse_foreco_mm)
-
-    @property
-    def mean_rmse_no_forecast_mm(self) -> float:
-        """Baseline trajectory RMSE averaged over repetitions."""
-        return float(np.mean(self.rmse_no_forecast_mm))
-
-    @property
-    def mean_rmse_foreco_mm(self) -> float:
-        """FoReCo trajectory RMSE averaged over repetitions."""
-        return float(np.mean(self.rmse_foreco_mm))
-
-    @property
-    def mean_late_fraction(self) -> float:
-        """Late/lost command share averaged over repetitions."""
-        return float(np.mean(self.late_fraction))
-
-    @property
-    def mean_recovery_fraction(self) -> float:
-        """Share of missing slots FoReCo filled, averaged over repetitions."""
-        return float(np.mean(self.recovery_fraction))
-
-    @property
-    def improvement_factor(self) -> float:
-        """Mean baseline RMSE over mean FoReCo RMSE (the paper's ×18 / ×2).
-
-        Contract: when the FoReCo RMSE denominator is zero or numerically
-        negligible (< 1e-12 mm — e.g. a clean channel where FoReCo replays
-        the defined trajectory exactly), the factor is ``float("inf")``
-        rather than a NaN, an exception, or an arbitrary huge float.
-        Callers that tabulate or JSON-encode results must expect ``inf``.
-        """
-        denominator = self.mean_rmse_foreco_mm
-        if denominator < 1e-12:
-            return float("inf")
-        return self.mean_rmse_no_forecast_mm / denominator
 
     def to_dict(self) -> dict:
         """JSON-safe summary row (trajectories and raw delays excluded).
@@ -664,33 +628,37 @@ class SessionEngine:
     def _run_group(self, specs: list[ScenarioSpec]) -> list[SessionResult]:
         """Compute one kernel group (distinct spec hashes) and record each row."""
         commands = self.test_commands(specs[0])
+        batch, delays_batch = self._simulate(specs, commands)
         results = []
-        for spec, (outcomes, delays) in zip(specs, self._simulate(specs, commands)):
+        stop = 0
+        for spec in specs:
+            start, stop = stop, stop + spec.repetitions
             result = SessionResult(
                 spec=spec,
                 spec_hash=spec.spec_hash(),
                 n_commands=int(commands.shape[0]),
-                rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
-                rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
-                late_fraction=tuple(o.late_fraction for o in outcomes),
-                recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
-                outcome=outcomes[-1],
-                delays_ms=delays,
+                rmse_no_forecast_mm=batch.rmse_no_forecast_mm[start:stop],
+                rmse_foreco_mm=batch.rmse_foreco_mm[start:stop],
+                late_fraction=batch.late_fraction[start:stop],
+                recovery_fraction=batch.recovery_fraction[start:stop],
+                outcome=batch.outcome(stop - 1),
+                delays_ms=delays_batch[stop - 1].copy(),
             )
             results.append(self.memo.record(spec, result))
         return results
 
     def _simulate(
         self, specs: list[ScenarioSpec], commands: np.ndarray
-    ) -> list[tuple[list[SimulationOutcome], np.ndarray]]:
+    ) -> tuple[SimulationBatch, np.ndarray]:
         """The session kernel: every repetition of a kernel group in one pass.
 
         Channel realisations come from the vectorized batch sampler with
         each spec's own channel and spec-derived per-repetition seeds, and
         one private fitted forecaster serves the whole stack (the kernel
         gives each row its own copy when the forecaster cannot batch), so
-        every spec's outcomes equal one fresh session per repetition, bit
-        for bit.  Returns ``(outcomes, last repetition's delays)`` per spec.
+        every spec's rows equal one fresh session per repetition, bit for
+        bit.  Returns the batch and the ``(ΣB, n)`` delays, rows in spec
+        order.
         """
         first = specs[0]
         channels: list[ChannelSpec] = []
@@ -704,14 +672,5 @@ class SessionEngine:
             seeds,
             command_period_ms=first.foreco.command_period_ms,
         )
-        recovery = ForecoRecovery(
-            config=first.foreco.to_config(), forecaster=self.session_forecaster(first)
-        )
-        simulation = BatchedRemoteControlSimulation(recovery, use_pid=first.use_pid)
-        outcomes = simulation.run(commands, delays_batch)
-        split = []
-        stop = 0
-        for spec in specs:
-            start, stop = stop, stop + spec.repetitions
-            split.append((outcomes[start:stop], delays_batch[stop - 1].copy()))
-        return split
+        simulation = BatchedRemoteControlSimulation(self.recovery(first), use_pid=first.use_pid)
+        return simulation.run(commands, delays_batch), delays_batch

@@ -113,7 +113,7 @@ def get_scale(scale: str | ExperimentScale = "ci") -> ExperimentScale:
         return scale
     try:
         return _SCALES[scale]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigurationError(
             f"unknown experiment scale {scale!r}; available: {sorted(_SCALES)}"
         ) from exc
@@ -504,7 +504,8 @@ class ScenarioSpec(SpecIdentity):
     foreco:
         The recovery-engine configuration.
     scale:
-        Dataset/repetition sizing (ci / standard / full).
+        Dataset/repetition sizing (ci / standard / full); a scale name is
+        resolved to its :class:`ExperimentScale` on construction.
     operator:
         Which operator's stream is replayed through the channel:
         ``"inexperienced"`` (the paper's test operator), ``"experienced"``,
@@ -539,6 +540,7 @@ class ScenarioSpec(SpecIdentity):
     fallback: str = "hold"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", get_scale(self.scale))
         if self.operator not in OPERATORS:
             raise ConfigurationError(
                 f"unknown operator {self.operator!r}; available: {sorted(OPERATORS)}"
@@ -592,8 +594,6 @@ class ScenarioSpec(SpecIdentity):
     # ------------------------------------------------------------- builders
     def with_(self, **changes) -> "ScenarioSpec":
         """A copy with top-level fields replaced (``scale`` may be a name)."""
-        if "scale" in changes:
-            changes["scale"] = get_scale(changes["scale"])
         return replace(self, **changes)
 
     #: A scenario is its own per-operator template (every spec kind has

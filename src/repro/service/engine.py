@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
 from ..des.engine import Event, Simulator
-from ..fleet.engine import FleetEngine, _Session
+from ..fleet.engine import FleetColumns, FleetEngine, _Session
 from ..fleet.spec import sample_arrival_times
 from ..scenarios.engine import (
     ResultMemo,
@@ -104,7 +104,7 @@ class ServiceSnapshot:
 
 # -------------------------------------------------------------------- results
 @dataclass
-class ServiceResult:
+class ServiceResult(FleetColumns):
     """Uniform per-service result row produced by the engine.
 
     Per-session metric tuples hold one entry per **admitted** session in
@@ -148,34 +148,6 @@ class ServiceResult:
         if self.admitted == 0:
             return 0.0
         return self.migrated_sessions / self.admitted
-
-    @property
-    def p50_recovery(self) -> float:
-        """Median per-session recovery rate (0 when nothing was admitted)."""
-        if not self.recovery_fraction:
-            return 0.0
-        return float(np.percentile(self.recovery_fraction, 50))
-
-    @property
-    def p99_recovery(self) -> float:
-        """Recovery rate at least 99% of sessions achieve (1st percentile)."""
-        if not self.recovery_fraction:
-            return 0.0
-        return float(np.percentile(self.recovery_fraction, 1))
-
-    @property
-    def p99_completion_s(self) -> float:
-        """99th-percentile session completion time in seconds."""
-        if not self.completion_time_s:
-            return 0.0
-        return float(np.percentile(self.completion_time_s, 99))
-
-    @property
-    def mean_ap_utilization(self) -> float:
-        """AP air-time utilisation averaged over access points."""
-        if not self.ap_utilization:
-            return 0.0
-        return float(np.mean(self.ap_utilization))
 
     def to_dict(self) -> dict:
         """JSON-safe summary row (snapshot stream included)."""
@@ -350,17 +322,17 @@ class ServiceEngine:
             admitted=len(run.sessions),
             dropped_sessions=len(dropped_offsets),
             migrated_sessions=len(migrated_offsets),
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in run.outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in run.outcomes),
-            late_fraction=tuple(o.late_fraction for o in run.outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in run.outcomes),
+            rmse_no_forecast_mm=run.outcomes.rmse_no_forecast_mm,
+            rmse_foreco_mm=run.outcomes.rmse_foreco_mm,
+            late_fraction=run.outcomes.late_fraction,
+            recovery_fraction=run.outcomes.recovery_fraction,
             completion_time_s=run.completion_time_s,
             ap_utilization=run.ap_utilization,
             snapshots=self._snapshots(
                 spec,
                 n_commands,
                 run.sessions,
-                tuple(zip(run.completion_time_s, (o.recovery_fraction for o in run.outcomes))),
+                tuple(zip(run.completion_time_s, run.outcomes.recovery_fraction)),
                 admitted_offsets,
                 dropped_offsets,
                 migrated_offsets,

@@ -180,16 +180,22 @@ def _assert_batched_equals_serial(recovery, commands, delays, use_pid=False, fal
 
     The kernel takes no fallback; ``fallback`` selects the serial oracle's
     driver policy, which the kernel must match under either value."""
-    outcomes = BatchedRemoteControlSimulation(recovery, use_pid=use_pid).run(commands, delays)
+    batch = BatchedRemoteControlSimulation(recovery, use_pid=use_pid).run(commands, delays)
     oracle = serial.RemoteControlSimulation(recovery, use_pid=use_pid, fallback=fallback)
-    for row, outcome in zip(delays, outcomes, strict=True):
+    assert batch.repetitions == delays.shape[0]
+    for index, row in enumerate(delays):
         expected = oracle.run(commands, row)
-        assert outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
-        assert outcome.rmse_foreco_mm == expected.rmse_foreco_mm
-        assert outcome.late_fraction == expected.late_fraction
-        assert outcome.recovery_fraction == expected.recovery_fraction
+        outcome = batch.outcome(index)
+        assert batch.rmse_no_forecast_mm[index] == outcome.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
+        assert batch.rmse_foreco_mm[index] == outcome.rmse_foreco_mm == expected.rmse_foreco_mm
+        assert batch.late_fraction[index] == outcome.late_fraction == expected.late_fraction
+        assert batch.recovery_fraction[index] == outcome.recovery_fraction == expected.recovery_fraction
+        assert np.array_equal(outcome.defined.joints, commands)
         assert np.array_equal(outcome.baseline.joints, expected.baseline.joints)
         assert np.array_equal(outcome.foreco.joints, expected.foreco.joints)
+        for trajectory in (outcome.defined, outcome.baseline, outcome.foreco):
+            assert trajectory.joints.shape == commands.shape
+            assert trajectory.joints.flags.owndata
 
 
 def test_baseline_target_indices_rows_equal_single_sessions():

@@ -180,7 +180,8 @@ class TestCoupling:
         _, fleets = engines
         fleet = get_fleet("shared-ap").with_template(run_seconds=2.0)
         run = FleetEngine(sessions=fleets.sessions).execute(fleet, [[], []])
-        assert run.sessions == [] and run.outcomes == []
+        assert run.sessions == [] and run.outcomes.repetitions == 0
+        assert run.outcomes.rmse_foreco_mm == run.outcomes.recovery_fraction == ()
         assert run.completion_time_s == ()
         assert run.ap_utilization == (0.0,) * fleet.aps
         assert run.delays_ms.shape[0] == 0

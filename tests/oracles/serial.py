@@ -27,7 +27,7 @@ import numpy as np
 from oracles.driver import DriverConfig, RobotDriver
 
 from repro.core.recovery import ForecoRecovery
-from repro.core.simulation import SimulationOutcome, baseline_target_indices
+from repro.core.simulation import SimulationBatch, SimulationOutcome, baseline_target_indices
 from repro.errors import ConfigurationError, DimensionError
 from repro.fleet import FleetEngine
 from repro.robot.niryo import NiryoOneArm
@@ -170,13 +170,36 @@ class RemoteControlSimulation:
         return commands[baseline_target_indices(delays_ms, period)]
 
 
+def _as_batch(commands: np.ndarray, outcomes: list[SimulationOutcome]) -> SimulationBatch:
+    """Serial outcomes as the kernel's result type, both trajectories stacked."""
+    return SimulationBatch(
+        rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
+        rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
+        late_fraction=tuple(o.late_fraction for o in outcomes),
+        recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
+        commands=commands,
+        times_s=outcomes[0].defined.times_s,
+        baseline_executed=np.stack([o.baseline.joints for o in outcomes]),
+        foreco_executed=np.stack([o.foreco.joints for o in outcomes]),
+    )
+
+
 class SerialSessionEngine(SessionEngine):
     """A :class:`SessionEngine` that runs every repetition as its own session."""
 
     def _simulate(
         self, specs: list[ScenarioSpec], commands: np.ndarray
-    ) -> list[tuple[list[SimulationOutcome], np.ndarray]]:
-        return [self._run_serial(spec, commands) for spec in specs]
+    ) -> tuple[SimulationBatch, np.ndarray]:
+        outcomes: list[SimulationOutcome] = []
+        delays: list[np.ndarray] = []
+        for spec in specs:
+            for repetition in range(spec.repetitions):
+                simulation = RemoteControlSimulation(
+                    self.recovery(spec), use_pid=spec.use_pid, fallback=spec.fallback
+                )
+                delays.append(self._sample_delays(spec, commands.shape[0], repetition))
+                outcomes.append(simulation.run(commands, delays[-1]))
+        return _as_batch(commands, outcomes), np.stack(delays)
 
     def _sample_delays(self, spec: ScenarioSpec, n_commands: int, repetition: int) -> np.ndarray:
         """One repetition's channel realisation (seeded from the spec)."""
@@ -187,39 +210,17 @@ class SerialSessionEngine(SessionEngine):
             command_period_ms=spec.foreco.command_period_ms,
         )
 
-    def _run_serial(
-        self, spec: ScenarioSpec, commands: np.ndarray
-    ) -> tuple[list[SimulationOutcome], np.ndarray]:
-        """One full simulation per repetition."""
-        outcomes: list[SimulationOutcome] = []
-        delays: np.ndarray | None = None
-        for repetition in range(spec.repetitions):
-            recovery = ForecoRecovery(
-                config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec)
-            )
-            simulation = RemoteControlSimulation(
-                recovery, use_pid=spec.use_pid, fallback=spec.fallback
-            )
-            delays = self._sample_delays(spec, commands.shape[0], repetition)
-            outcomes.append(simulation.run(commands, delays))
-        assert delays is not None  # repetitions >= 1 by spec validation
-        return outcomes, delays
-
 
 class SerialFleetEngine(FleetEngine):
     """A :class:`FleetEngine` that runs every admitted session on its own."""
 
     def _simulate(
         self, template: ScenarioSpec, commands: np.ndarray, delays: np.ndarray
-    ) -> list[SimulationOutcome]:
+    ) -> SimulationBatch:
         outcomes: list[SimulationOutcome] = []
         for row in range(delays.shape[0]):
-            recovery = ForecoRecovery(
-                config=template.foreco.to_config(),
-                forecaster=self.sessions.session_forecaster(template),
-            )
             simulation = RemoteControlSimulation(
-                recovery, use_pid=template.use_pid, fallback=template.fallback
+                self.sessions.recovery(template), use_pid=template.use_pid, fallback=template.fallback
             )
             outcomes.append(simulation.run(commands, delays[row]))
-        return outcomes
+        return _as_batch(commands, outcomes)

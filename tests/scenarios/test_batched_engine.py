@@ -21,7 +21,7 @@ from repro.experiments.common import (
     FIG8_ROBOT_COUNTS,
     base_scenario,
 )
-from repro.fleet import FleetEngine, FleetSpec
+from repro.fleet import FleetEngine, FleetSpec, HybridFleetEngine
 from repro.forecasting import Forecaster, register_forecaster
 from repro.scenarios import (
     ResultStore,
@@ -162,6 +162,50 @@ def test_unbatchable_forecaster_forecasts_each_row_on_its_own_copy():
     assert np.array_equal(kernel.delays_ms, serial.delays_ms)
 
 
+@pytest.mark.parametrize("use_pid", [False, True], ids=["kinematic", "pid"])
+def test_every_kernel_row_equals_its_serial_session(use_pid):
+    """Every row of the engine's kernel pass, not only the kept last one."""
+    spec = get_scenario("jammer").with_(run_seconds=RUN_SECONDS, repetitions=REPETITIONS, use_pid=use_pid)
+    engine, oracle = SessionEngine(), SerialSessionEngine()
+    commands = engine.test_commands(spec)
+    batch, delays = engine._simulate([spec], commands)
+    expected, expected_delays = oracle._simulate([spec], commands)
+    assert np.array_equal(delays, expected_delays)
+    assert batch.repetitions == expected.repetitions == REPETITIONS
+    for row in range(REPETITIONS):
+        outcome, serial = batch.outcome(row), expected.outcome(row)
+        assert outcome.rmse_no_forecast_mm == serial.rmse_no_forecast_mm == batch.rmse_no_forecast_mm[row]
+        assert outcome.rmse_foreco_mm == serial.rmse_foreco_mm == batch.rmse_foreco_mm[row]
+        assert outcome.late_fraction == serial.late_fraction
+        assert outcome.recovery_fraction == serial.recovery_fraction
+        assert np.array_equal(outcome.baseline.joints, serial.baseline.joints)
+        assert np.array_equal(outcome.foreco.joints, serial.foreco.joints)
+
+
+def _assert_kept_row_owns_its_arrays(result, shape: tuple[int, int]) -> None:
+    """The kept outcome and delay row are copies, not views into the pass's stacks."""
+    assert result.outcome is not None and result.delays_ms is not None
+    for trajectory in (result.outcome.baseline, result.outcome.foreco):
+        assert trajectory.joints.shape == shape
+        assert trajectory.joints.flags.owndata
+    assert result.delays_ms.shape == shape[:1]
+    assert result.delays_ms.flags.owndata
+
+
+@pytest.mark.parametrize("use_pid", [False, True], ids=["kinematic", "pid"])
+def test_kept_session_fleet_and_hybrid_rows_own_their_arrays(use_pid):
+    sessions = SessionEngine()
+    spec = get_scenario("jammer").with_(run_seconds=RUN_SECONDS, repetitions=REPETITIONS, use_pid=use_pid)
+    shape = sessions.test_commands(spec).shape
+    _assert_kept_row_owns_its_arrays(sessions.run(spec), shape)
+
+    fleet = FleetSpec(name="custom", template=spec, operators=3, aps=1, ap_capacity=3, ap_service_ms=4.0)
+    _assert_kept_row_owns_its_arrays(FleetEngine(sessions=sessions).run(fleet), shape)
+    hybrid = HybridFleetEngine(sessions=sessions).run(fleet.with_(tier="hybrid", hot_threshold=1e-9))
+    assert hybrid.cold_aps == 0  # so the last admitted session is hot and kept
+    _assert_kept_row_owns_its_arrays(hybrid, shape)
+
+
 def test_batched_simulation_validates_shapes():
     rng = np.random.default_rng(0)
     train = np.cumsum(rng.normal(scale=0.02, size=(200, 6)), axis=0)
@@ -170,8 +214,8 @@ def test_batched_simulation_validates_shapes():
     commands = train[:50]
     with pytest.raises(DimensionError):
         simulation.run(commands, np.ones((2, 49)))
-    outcomes = simulation.run(commands, np.ones(50))  # 1-D => B = 1
-    assert len(outcomes) == 1
+    batch = simulation.run(commands, np.ones(50))  # 1-D => B = 1
+    assert batch.repetitions == 1 and len(batch.rmse_no_forecast_mm) == 1
 
 
 def test_improvement_factor_inf_contract():

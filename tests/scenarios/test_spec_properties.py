@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import get_fleet, get_plan
-from repro.scenarios import ScenarioGrammar, get_scenario
+from repro.fleet.engine import operator_channel_spec
+from repro.scenarios import ScenarioGrammar, ScenarioSpec, get_scale, get_scenario, repetition_seed
 from repro.scenarios.grammar import _kind_knobs, _primitive_channel
 from repro.service import get_service
 
@@ -83,6 +84,31 @@ _PINNED_FLEET_SERVICE_PLAN_HASHES = {
 }
 
 _GETTERS = {"fleet": get_fleet, "service": get_service, "plan": get_plan}
+
+#: Literal channel seeds at ENGINE_EPOCH 6, keyed ``(preset, repetition,
+#: stage)``: a faster seed derivation must reproduce every one of them.
+_PINNED_REPETITION_SEEDS = {
+    ("bursty-loss", 0, 0): 1797421753,
+    ("bursty-loss", 1, 0): 2466383143,
+    ("bursty-loss", 7, 0): 3301765304,
+    ("bursty-loss", 0, 1): 2448966611,
+    ("bursty-loss", 3, 2): 3597158069,
+    ("jammer", 0, 0): 3211592493,
+    ("jammer", 7, 0): 3596512111,
+    ("jammer", 3, 2): 1121977760,
+    ("jammer-congestion", 1, 0): 783317349,
+    ("jammer-congestion", 0, 1): 4076865641,
+    ("clean", 0, 0): 2830643400,
+    ("clean", 3, 2): 2441821629,
+}
+
+#: ``city-scale`` operators at ENGINE_EPOCH 6: the template seed of
+#: ``operator_channel_spec(fleet, op)`` and its repetition 0 and 1 seeds.
+_PINNED_OPERATOR_SEEDS = {
+    0: (42, (1797421753, 2466383143)),
+    1: (440098938, (1486448364, 1982376719)),
+    511: (1578842092, (2636603833, 4241593779)),
+}
 
 
 @settings(**SETTINGS)
@@ -210,3 +236,29 @@ def test_fleet_service_and_plan_identity_is_computed_once(name, monkeypatch):
         assert fresh.spec_hash() == pinned
         assert fresh.stored_canonical == spec.stored_canonical
     assert len(calls) == 2  # once for the hash, once for the stored form
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_REPETITION_SEEDS))
+def test_repetition_seed_matches_its_pin(key):
+    name, repetition, stage = key
+    assert repetition_seed(get_scenario(name), repetition, stage) == _PINNED_REPETITION_SEEDS[key]
+
+
+@pytest.mark.parametrize("operator", sorted(_PINNED_OPERATOR_SEEDS))
+def test_operator_channel_seed_matches_its_pin(operator):
+    seed, repetition_seeds = _PINNED_OPERATOR_SEEDS[operator]
+    spec = operator_channel_spec(get_fleet("city-scale"), operator)
+    assert spec.seed == seed
+    assert tuple(repetition_seed(spec, repetition) for repetition in range(2)) == repetition_seeds
+
+
+def test_scale_name_resolves_on_construction():
+    by_name = ScenarioSpec(scale="ci")
+    by_value = ScenarioSpec(scale=get_scale("ci"))
+    assert by_name == by_value and by_name.scale is get_scale("ci")
+    assert by_name.spec_hash() == by_value.spec_hash() == _fresh_hash(by_name)
+    assert by_name.resolved_run_seconds == by_value.resolved_run_seconds
+    assert dataclasses.replace(by_value, scale="standard").scale is get_scale("standard")
+    for bad in ("galactic", 3, None, ["ci"]):
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec(scale=bad)
