@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import get_scenario, sweep
+from repro import SessionEngine, get_scenario, sweep
 from repro.robot import NiryoOneArm
 
 
@@ -47,9 +47,11 @@ def main() -> None:
     # the trained forecaster across them).
     bursts = (5, 10, 25)
     results = sweep([base.with_channel(burst_length=burst) for burst in bursts])
+    engine = SessionEngine()
 
     for burst, result in zip(bursts, results):
-        outcome = result.outcome
+        # Replay the last repetition's kept delay trace for its trajectories.
+        trajectories = engine.trajectories(result)
         print(f"== {burst} consecutive losses ==")
         print(f"   no-forecast RMSE {result.mean_rmse_no_forecast_mm:6.2f} mm")
         print(f"   FoReCo RMSE      {result.mean_rmse_foreco_mm:6.2f} mm "
@@ -57,14 +59,14 @@ def main() -> None:
 
         # Zoom on the first burst, plus a little context either side.
         mask = ~np.isfinite(result.delays_ms)
-        commands = outcome.defined.joints
+        commands = trajectories.defined.joints
         start = int(np.argmax(mask))
         window = slice(max(0, start - 10), min(commands.shape[0], start + burst + 15))
         times = np.arange(commands.shape[0])[window] * 0.02
         series = {
             "defined": arm.trajectory_distance_mm(commands[window]),
-            "no forecast": arm.trajectory_distance_mm(outcome.baseline.joints[window]),
-            "FoReCo": arm.trajectory_distance_mm(outcome.foreco.joints[window]),
+            "no forecast": arm.trajectory_distance_mm(trajectories.baseline.joints[window]),
+            "FoReCo": arm.trajectory_distance_mm(trajectories.foreco.joints[window]),
         }
         print(text_plot(times, series))
         print()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import get_scenario, run_scenario
+from repro import SessionEngine, get_scenario, run_scenario
 from repro.robot import NiryoOneArm
 
 
@@ -25,7 +25,9 @@ def main() -> None:
     print(f"scenario         : {spec.describe()}")
 
     result = run_scenario(spec)
-    outcome = result.outcome
+    # The result keeps the last repetition's delay trace; its trajectories
+    # are replayed from it on demand.
+    trajectories = SessionEngine().trajectories(result)
     delays = result.delays_ms
     deadline_ms = spec.foreco.to_config().deadline_ms
     late = ~np.isfinite(delays) | (delays > deadline_ms)
@@ -39,8 +41,8 @@ def main() -> None:
 
     # Report the worst transient of the stock stack after an outage ends.
     arm = NiryoOneArm()
-    baseline = arm.kinematics.positions(outcome.baseline.joints) * 1000.0
-    defined = arm.kinematics.positions(outcome.defined.joints) * 1000.0
+    baseline = arm.kinematics.positions(trajectories.baseline.joints) * 1000.0
+    defined = arm.kinematics.positions(trajectories.defined.joints) * 1000.0
     errors = np.linalg.norm(baseline - defined, axis=1)
     worst_slot = int(np.argmax(errors))
     print(f"worst baseline error {errors.max():.1f} mm at t = {worst_slot * 0.02:.2f} s "

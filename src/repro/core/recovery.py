@@ -58,8 +58,9 @@ class BatchedRecoveryResult:
     ----------
     executed:
         ``(B, n, d)`` — per-repetition executed commands (real or forecast),
-        row-for-row bit-identical to ``B`` one-session
-        :meth:`ForecoRecovery.process_stream` runs.  It is the view
+        row-for-row bit-identical to ``B`` one-session runs of the serial
+        oracle's slot loop (``process_stream`` in ``tests/oracles/serial.py``,
+        one :meth:`ForecoRecovery.process_slot` call per slot).  It is the view
         ``ext[:, 1:]`` of the kernel's seeded ``(B, n + 1, d)`` array, so
         each ``executed[b]`` is contiguous but the whole array is not.
     on_time:
@@ -265,24 +266,6 @@ class ForecoRecovery:
         return forecast
 
     # ------------------------------------------------------------ streaming
-    def process_stream(self, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
-        """Process a full command stream and return the executed commands.
-
-        ``commands`` has shape ``(n, d)`` and ``delays_ms`` length ``n``
-        (``inf`` marks lost commands).  The first command is assumed to arrive
-        on time and also seeds the history window.
-        """
-        commands = np.asarray(commands, dtype=float)
-        delays_ms = np.asarray(delays_ms, dtype=float).ravel()
-        if commands.ndim != 2 or commands.shape[0] != delays_ms.size:
-            raise DimensionError("commands and delays_ms lengths must match")
-        self.reset(commands.shape[1], seed_history=commands[:1])
-        executed = np.empty_like(commands)
-        for index in range(commands.shape[0]):
-            decision = self.process_slot(commands[index], float(delays_ms[index]))
-            executed[index] = decision.executed_command
-        return executed
-
     def process_stream_batch(
         self, commands: np.ndarray, delays_ms: np.ndarray
     ) -> BatchedRecoveryResult:
@@ -305,9 +288,9 @@ class ForecoRecovery:
         Returns
         -------
         BatchedRecoveryResult
-            Whose ``executed[b]`` is bit-identical to
-            ``process_stream(commands, delays_ms[b])`` on a fresh recovery
-            engine.  A forecaster that honours
+            Whose ``executed[b]`` is bit-identical to the serial oracle's
+            ``process_stream(recovery, commands, delays_ms[b])`` on a fresh
+            recovery engine.  A forecaster that honours
             :attr:`~repro.forecasting.Forecaster.supports_batch_predict`
             forecasts every missing row of a slot in one call; any other
             forecaster is deep-copied once per row, at the row's first
@@ -322,7 +305,7 @@ class ForecoRecovery:
 
         Notes
         -----
-        Unlike :meth:`process_stream` this method keeps no per-slot dataset
+        Unlike the serial slot loop this method keeps no per-slot dataset
         and leaves the instance's serial state (``dataset``, ``stats``)
         untouched; all bookkeeping is returned in the result object.
         """

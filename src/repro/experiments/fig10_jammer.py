@@ -39,7 +39,7 @@ class Fig10Result:
     jammed_fraction: float
     longest_burst_commands: int
     pid_settling_ms: float
-    outcome: SimulationOutcome
+    trajectories: SimulationOutcome
 
     @property
     def improvement_factor(self) -> float:
@@ -93,23 +93,24 @@ def run(
         run_seconds=scale.run_seconds,
         use_pid=use_pid,
     )
-    row = SessionEngine().run(spec)
-    outcome = row.outcome
+    engine = SessionEngine()
+    row = engine.run(spec)
+    trajectories = engine.trajectories(row)
     delays = row.delays_ms
 
     period_ms = spec.foreco.command_period_ms
     deadline_ms = spec.foreco.to_config().deadline_ms
     late_mask = ~np.isfinite(delays) | (delays > deadline_ms)
     longest = _longest_run(late_mask)
-    settling_ms = _pid_settling_after_recovery(outcome, late_mask, period_ms)
+    settling_ms = _pid_settling_after_recovery(trajectories, late_mask, period_ms)
 
     return Fig10Result(
-        rmse_no_forecast_mm=outcome.rmse_no_forecast_mm,
-        rmse_foreco_mm=outcome.rmse_foreco_mm,
+        rmse_no_forecast_mm=trajectories.rmse_no_forecast_mm,
+        rmse_foreco_mm=trajectories.rmse_foreco_mm,
         jammed_fraction=float(late_mask.mean()),
         longest_burst_commands=longest,
         pid_settling_ms=settling_ms,
-        outcome=outcome,
+        trajectories=trajectories,
     )
 
 

@@ -38,7 +38,7 @@ class Fig9Result:
     rmse_no_forecast_mm: dict[int, float] = field(default_factory=dict)
     rmse_foreco_mm: dict[int, float] = field(default_factory=dict)
     max_error_foreco_mm: dict[int, float] = field(default_factory=dict)
-    outcomes: dict[int, SimulationOutcome] = field(default_factory=dict, repr=False)
+    trajectories: dict[int, SimulationOutcome] = field(default_factory=dict, repr=False)
 
     def to_text(self) -> str:
         """Text rendering of the three Fig. 9 panels."""
@@ -92,16 +92,17 @@ def run(
         run_seconds=scale.run_seconds,
     )
     specs = scenario_grid(base, {"channel.burst_length": burst_lengths})
-    sweep = SweepExecutor(jobs=jobs).run(specs)
+    executor = SweepExecutor(jobs=jobs)
+    sweep = executor.run(specs)
 
     result = Fig9Result(burst_lengths=list(burst_lengths))
     for burst, row in zip(burst_lengths, sweep):
-        outcome = row.outcome
-        foreco_errors = _per_step_errors(outcome)
+        trajectories = executor.engine.trajectories(row)
+        foreco_errors = _per_step_errors(trajectories)
         result.rmse_no_forecast_mm[burst] = row.mean_rmse_no_forecast_mm
         result.rmse_foreco_mm[burst] = row.mean_rmse_foreco_mm
         result.max_error_foreco_mm[burst] = float(foreco_errors.max()) if foreco_errors.size else 0.0
-        result.outcomes[burst] = outcome
+        result.trajectories[burst] = trajectories
     return result
 
 

@@ -122,7 +122,6 @@ def _decode_fleet(spec: FleetSpec, key: str, payload: dict) -> FleetResult:
         cold_aps=int(payload["cold_aps"]),
         exact_sessions=int(payload["exact_sessions"]),
         analytic_sessions=int(payload["analytic_sessions"]),
-        outcome=None,  # trajectories are in-memory only (store module docs)
         delays_ms=decode_delays(payload.get("delays_ms")),
         **metrics,
     )

@@ -59,7 +59,6 @@ from ..core.simulation import (
     BatchedRemoteControlSimulation,
     MetricColumns,
     SimulationBatch,
-    SimulationOutcome,
 )
 from ..errors import ConfigurationError
 from ..scenarios.engine import ResultMemo, SessionEngine, repetition_seed, sample_channel_delays_batch
@@ -143,10 +142,9 @@ class FleetResult(FleetColumns):
     operator-session, ordered operator-major (operator 0's repetitions
     first) — so for a single-operator fleet they coincide entry-for-entry
     with the :class:`~repro.scenarios.SessionResult` tuples of the template.
-    ``outcome`` and ``delays_ms`` keep the last admitted session's full
-    detail for transient analyses and are in-memory only (the store persists
-    everything else).  Both hold ``(n, ...)`` arrays of their own, so a kept
-    result does not pin the fleet's ``(B, n, ...)`` stacks.
+    ``delays_ms`` keeps the last admitted session's coupled delay trace as
+    an ``(n,)`` array of its own, so a kept result does not pin the fleet's
+    ``(B, n)`` stack; the result holds no trajectory.
     """
 
     spec: FleetSpec
@@ -170,7 +168,6 @@ class FleetResult(FleetColumns):
     exact_sessions: int = 0
     #: Admitted sessions serviced by the analytic superposition model.
     analytic_sessions: int = 0
-    outcome: SimulationOutcome | None = field(repr=False, default=None)
     delays_ms: np.ndarray | None = field(repr=False, default=None)
 
     #: Record kind this result stores under in a ResultStore.
@@ -182,7 +179,7 @@ class FleetResult(FleetColumns):
         return self.spec.operators
 
     def to_dict(self) -> dict:
-        """JSON-safe summary row (trajectories and raw delays excluded)."""
+        """JSON-safe summary row (raw delays excluded)."""
         factor = self.improvement_factor
         return {
             "fleet": self.spec.name,
@@ -414,7 +411,6 @@ class FleetEngine:
             ap_utilization=run.ap_utilization,
             hot_aps=fleet.aps,
             exact_sessions=len(run.sessions),
-            outcome=run.outcomes.outcome(-1),
             delays_ms=run.delays_ms[-1].copy(),
         )
 

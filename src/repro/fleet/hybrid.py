@@ -244,7 +244,6 @@ class HybridFleetEngine(FleetEngine):
             cold_aps=fleet.aps - len(hot_set),
             exact_sessions=len(hot.sessions),
             analytic_sessions=cold_session_count,
-            outcome=batch.outcome(last.flat) if last_is_hot else None,
             delays_ms=hot.delays_ms[last.flat].copy() if last_is_hot else None,
         )
 

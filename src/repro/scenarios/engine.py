@@ -51,6 +51,7 @@ from ..core.recovery import ForecoRecovery
 from ..core.simulation import (
     BatchedRemoteControlSimulation,
     MetricColumns,
+    RemoteControlSimulation,
     SimulationBatch,
     SimulationOutcome,
 )
@@ -405,9 +406,11 @@ def _sample_one_channel(
 class SessionResult(MetricColumns):
     """Uniform per-scenario result row produced by the engine.
 
-    Scalar metric tuples hold one entry per repetition; ``outcome`` and
-    ``delays_ms`` keep the *last* repetition's full detail for trajectory
-    plots and transient analyses (Figs. 9/10), as arrays of their own.
+    Scalar metric tuples hold one entry per repetition; ``delays_ms`` keeps
+    the *last* repetition's delay trace as an array of its own.  A result
+    is data: it holds no trajectory, and
+    :meth:`SessionEngine.trajectories` replays the kept trace when a
+    trajectory plot or transient analysis (Figs. 9/10) needs one.
     """
 
     spec: ScenarioSpec
@@ -417,11 +420,10 @@ class SessionResult(MetricColumns):
     rmse_foreco_mm: tuple[float, ...]
     late_fraction: tuple[float, ...]
     recovery_fraction: tuple[float, ...]
-    outcome: SimulationOutcome | None = field(repr=False, default=None)
     delays_ms: np.ndarray | None = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        """JSON-safe summary row (trajectories and raw delays excluded).
+        """JSON-safe summary row (raw delays excluded).
 
         A non-finite :attr:`improvement_factor` (the documented ``inf`` for
         a ~zero FoReCo RMSE) is serialised as ``None`` — ``json.dumps``
@@ -530,11 +532,11 @@ class SessionEngine:
         spec hash, so re-running the same spec (e.g. across sweep rounds)
         is free; lookups go memory cache → disk store → compute, and
         computed results are written back immediately, so an interrupted
-        sweep has persisted everything it finished.  Store hits carry
-        ``outcome=None`` (full trajectories are not persisted — see the
-        store module docs); the summary row and delay trace round-trip
-        bit-for-bit.  The forecaster and dataset caches are always on —
-        they are pure functions of the spec.
+        sweep has persisted everything it finished.  A store hit equals
+        the cold result bit for bit (summary row and delay trace), so
+        :meth:`trajectories` replays it exactly as it replays a computed
+        one.  The forecaster and dataset caches are always on — they are
+        pure functions of the spec.
     """
 
     def __init__(self, store: "ResultStore | None" = None) -> None:
@@ -583,6 +585,19 @@ class SessionEngine:
         """A fresh recovery engine around a private copy of the trained forecaster."""
         return ForecoRecovery(config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec))
 
+    def trajectories(self, result: SessionResult) -> SimulationOutcome:
+        """The last repetition's trajectories, replayed from ``result.delays_ms``.
+
+        One ``B = 1`` kernel pass, bit-identical to that repetition's row of
+        the pass that computed the result, whichever cache the result came
+        from.  A result without a delay trace raises ``ConfigurationError``.
+        """
+        if result.delays_ms is None:
+            raise ConfigurationError(f"result {result.spec_hash[:12]} keeps no delay trace to replay")
+        spec = result.spec
+        simulation = RemoteControlSimulation(self.recovery(spec), use_pid=spec.use_pid)
+        return simulation.run(self.test_commands(spec), result.delays_ms)
+
     # ------------------------------------------------------------- sessions
     def run(self, spec: ScenarioSpec) -> SessionResult:
         """Run one scenario (all its repetitions) and return the result row.
@@ -599,7 +614,7 @@ class SessionEngine:
         repetitions — across all its specs — are sampled in one
         :func:`sample_channel_delays_batch` call with per-row channels and
         run through one :class:`BatchedRemoteControlSimulation` pass over
-        the concatenated ``(ΣB, n)`` delays.  The outcomes are split back
+        the concatenated ``(ΣB, n)`` delays.  The metric columns are split back
         into one :class:`SessionResult` per spec, each cached and stored
         under its own spec hash.  The kernel is batch-invariant (every row
         is bit-identical to a run of that repetition alone), so a spec's
@@ -641,7 +656,6 @@ class SessionEngine:
                 rmse_foreco_mm=batch.rmse_foreco_mm[start:stop],
                 late_fraction=batch.late_fraction[start:stop],
                 recovery_fraction=batch.recovery_fraction[start:stop],
-                outcome=batch.outcome(stop - 1),
                 delays_ms=delays_batch[stop - 1].copy(),
             )
             results.append(self.memo.record(spec, result))

@@ -40,17 +40,17 @@ Layout and guarantees
 * An optional LRU cap (``max_entries`` / ``max_bytes``) bounds the store;
   recency is tracked through shard mtimes, which :meth:`get` refreshes.
 
-What a shard stores — and what it does not
-------------------------------------------
+What a shard stores
+-------------------
 
-A shard persists the complete summary row: the per-repetition metric tuples,
+A shard persists the complete result: the per-repetition metric tuples,
 the command count, the canonical spec (checked on load, and kept for audits)
-and the last repetition's delay trace.  The in-memory-only ``outcome``
-field (full trajectories, megabytes per session) is **not** persisted;
-results loaded from the store carry ``outcome=None``.  Everything the sweep
-tables, heatmaps and JSON reports read — :meth:`SessionResult.to_dict` and
-the metric tuples — round-trips bit-for-bit (metric floats are serialised
-with ``repr``-exact shortest form, delay traces as raw float64 bytes).
+and the last repetition's delay trace.  Every field round-trips bit-for-bit
+(metric floats are serialised with ``repr``-exact shortest form, delay
+traces as raw float64 bytes), so a store hit equals the cold result.  A
+result holds no trajectory: :meth:`SessionEngine.trajectories
+<repro.scenarios.engine.SessionEngine.trajectories>` replays the kept delay
+trace, for a stored result exactly as for a computed one.
 
 Record kinds
 ------------
@@ -161,7 +161,6 @@ def _decode_session(spec: ScenarioSpec, key: str, payload: dict) -> SessionResul
         spec=spec,
         spec_hash=key,
         n_commands=int(payload["n_commands"]),
-        outcome=None,  # trajectories are in-memory only (see module docs)
         delays_ms=decode_delays(payload.get("delays_ms")),
         **_metric_tuples(payload, _SESSION_METRICS),
     )

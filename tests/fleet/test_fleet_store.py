@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles.serial import assert_replays_last_session
 
 from repro.experiments.runner import run_experiments
 from repro.fleet import FleetEngine, FleetSpec, get_fleet
@@ -32,8 +33,8 @@ def _assert_round_trips(computed, loaded):
     assert loaded.admitted == computed.admitted
     assert loaded.dropped_sessions == computed.dropped_sessions
     assert np.array_equal(loaded.delays_ms, computed.delays_ms)
-    assert loaded.outcome is None  # trajectories are in-memory only
     assert loaded.to_dict() == computed.to_dict()
+    assert_replays_last_session(loaded, computed.spec.template)  # the last admitted session's row
 
 
 def test_fleet_result_round_trips_bit_for_bit(tmp_path, fleet):

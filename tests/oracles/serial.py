@@ -8,14 +8,17 @@ module is the one-repetition-at-a-time path, kept as their reference:
 
 * :func:`sample_channel_delays` builds each channel kind's own model and
   draws one realisation per seed through its per-class sampler;
-* :class:`RemoteControlSimulation` runs one session slot by slot
-  (:meth:`~repro.core.ForecoRecovery.process_stream`), executes the baseline
-  and FoReCo streams on two :class:`~oracles.driver.RobotDriver` runs and
-  scores them with :func:`~repro.robot.trajectory.trajectory_rmse_mm`;
+* :func:`process_stream` runs the recovery engine over one session, one
+  :meth:`~repro.core.ForecoRecovery.process_slot` call per slot;
+* :class:`RemoteControlSimulation` runs one session through
+  :func:`process_stream`, executes the baseline and FoReCo streams on two
+  :class:`~oracles.driver.RobotDriver` runs and scores them with
+  :func:`~repro.robot.trajectory.trajectory_rmse_mm`;
 * :class:`SerialSessionEngine` and :class:`SerialFleetEngine` are the
   library's engines with their kernel pass swapped for a loop over
   repetitions (sessions), each on a fresh deep copy of the trained
-  forecaster.
+  forecaster; :meth:`SerialSessionEngine.trajectories` replays a result's
+  kept delay trace through :class:`RemoteControlSimulation`.
 
 Every equality test and every benchmark ratio gate measures the kernel
 against this code, which shares none of the kernel's stacking.
@@ -32,7 +35,7 @@ from repro.errors import ConfigurationError, DimensionError
 from repro.fleet import FleetEngine
 from repro.robot.niryo import NiryoOneArm
 from repro.robot.trajectory import JointTrajectory, trajectory_rmse_mm
-from repro.scenarios import ChannelSpec, ScenarioSpec, SessionEngine, repetition_seed
+from repro.scenarios import ChannelSpec, ScenarioSpec, SessionEngine, SessionResult, repetition_seed
 from repro.scenarios.engine import _compound_stage_seeds, _trace_replay, _wireless_from_options
 from repro.wireless import (
     ConsecutiveLossInjector,
@@ -96,6 +99,24 @@ def sample_channel_delays(
     raise ConfigurationError(f"unknown channel kind {channel.kind!r}")
 
 
+def process_stream(recovery: ForecoRecovery, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
+    """Process a full command stream slot by slot and return the executed commands.
+
+    ``commands`` has shape ``(n, d)`` and ``delays_ms`` length ``n`` (``inf``
+    marks lost commands).  The first command is assumed to arrive on time and
+    also seeds the history window; ``recovery.stats`` counts the session.
+    """
+    commands = np.asarray(commands, dtype=float)
+    delays_ms = np.asarray(delays_ms, dtype=float).ravel()
+    if commands.ndim != 2 or commands.shape[0] != delays_ms.size:
+        raise DimensionError("commands and delays_ms lengths must match")
+    recovery.reset(commands.shape[1], seed_history=commands[:1])
+    executed = np.empty_like(commands)
+    for index in range(commands.shape[0]):
+        executed[index] = recovery.process_slot(commands[index], float(delays_ms[index])).executed_command
+    return executed
+
+
 class RemoteControlSimulation:
     """Replays a command stream through a channel, with and without FoReCo."""
 
@@ -123,7 +144,7 @@ class RemoteControlSimulation:
         config = self.recovery.config
 
         # FoReCo pass: compute per-slot executed targets (real or forecast).
-        foreco_targets = self.recovery.process_stream(commands, delays_ms)
+        foreco_targets = process_stream(self.recovery, commands, delays_ms)
         on_time_mask = np.array(
             [self.recovery.is_on_time(delay) for delay in delays_ms], dtype=bool
         )
@@ -187,6 +208,14 @@ def _as_batch(commands: np.ndarray, outcomes: list[SimulationOutcome]) -> Simula
 class SerialSessionEngine(SessionEngine):
     """A :class:`SessionEngine` that runs every repetition as its own session."""
 
+    def trajectories(self, result: SessionResult) -> SimulationOutcome:
+        """The kept delay trace replayed through the serial session loop."""
+        spec = result.spec
+        simulation = RemoteControlSimulation(
+            self.recovery(spec), use_pid=spec.use_pid, fallback=spec.fallback
+        )
+        return simulation.run(self.test_commands(spec), result.delays_ms)
+
     def _simulate(
         self, specs: list[ScenarioSpec], commands: np.ndarray
     ) -> tuple[SimulationBatch, np.ndarray]:
@@ -224,3 +253,40 @@ class SerialFleetEngine(FleetEngine):
             )
             outcomes.append(simulation.run(commands, delays[row]))
         return _as_batch(commands, outcomes)
+
+
+def assert_same_trajectories(
+    expected: SimulationOutcome, actual: SimulationOutcome, exact_times: bool = False
+) -> None:
+    """Two sessions' metrics and three joint trajectories, equal bit for bit.
+
+    Clocks are compared to rounding unless ``exact_times``: the serial driver
+    accumulates its clock slot by slot, the kernel scales the slot index.
+    """
+    assert actual.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
+    assert actual.rmse_foreco_mm == expected.rmse_foreco_mm
+    assert actual.late_fraction == expected.late_fraction
+    assert actual.recovery_fraction == expected.recovery_fraction
+    for name in ("defined", "baseline", "foreco"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.joints.dtype == want.joints.dtype and got.joints.shape == want.joints.shape, name
+        assert got.joints.tobytes() == want.joints.tobytes(), name
+        if exact_times:
+            assert got.times_s.tobytes() == want.times_s.tobytes(), name
+        else:
+            np.testing.assert_allclose(got.times_s, want.times_s, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def assert_replays_last_session(result, template: ScenarioSpec) -> None:
+    """The serial loop replays ``result.delays_ms`` to the last entry of each metric tuple.
+
+    ``template`` is the spec every session of ``result`` ran (a fleet's
+    per-operator template), so this holds for session and fleet rows alike.
+    """
+    sessions = SessionEngine()
+    simulation = RemoteControlSimulation(
+        sessions.recovery(template), use_pid=template.use_pid, fallback=template.fallback
+    )
+    replay = simulation.run(sessions.test_commands(template), result.delays_ms)
+    for metric in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):
+        assert getattr(replay, metric) == getattr(result, metric)[-1], metric

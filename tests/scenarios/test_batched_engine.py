@@ -9,9 +9,16 @@ reproduce each spec's own :meth:`SessionEngine.run`."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from oracles.serial import SerialFleetEngine, SerialSessionEngine
+from oracles.serial import (
+    SerialFleetEngine,
+    SerialSessionEngine,
+    assert_replays_last_session,
+    assert_same_trajectories,
+)
 
 from repro.core import BatchedRemoteControlSimulation, ForecoConfig, ForecoRecovery
 from repro.errors import ConfigurationError, DimensionError
@@ -58,9 +65,10 @@ def _assert_bit_identical(serial: SessionResult, batched: SessionResult) -> None
     assert serial.late_fraction == batched.late_fraction
     assert serial.recovery_fraction == batched.recovery_fraction
     assert np.array_equal(serial.delays_ms, batched.delays_ms)
-    assert serial.outcome is not None and batched.outcome is not None
-    assert np.array_equal(serial.outcome.foreco.joints, batched.outcome.foreco.joints)
-    assert np.array_equal(serial.outcome.baseline.joints, batched.outcome.baseline.joints)
+    # The serial loop's replay of the expected row against the kernel's of the batched one.
+    assert_same_trajectories(
+        SerialSessionEngine().trajectories(serial), SessionEngine().trajectories(batched)
+    )
 
 
 def _run_both(spec) -> tuple[SessionResult, SessionResult]:
@@ -182,28 +190,28 @@ def test_every_kernel_row_equals_its_serial_session(use_pid):
         assert np.array_equal(outcome.foreco.joints, serial.foreco.joints)
 
 
-def _assert_kept_row_owns_its_arrays(result, shape: tuple[int, int]) -> None:
-    """The kept outcome and delay row are copies, not views into the pass's stacks."""
-    assert result.outcome is not None and result.delays_ms is not None
-    for trajectory in (result.outcome.baseline, result.outcome.foreco):
-        assert trajectory.joints.shape == shape
-        assert trajectory.joints.flags.owndata
-    assert result.delays_ms.shape == shape[:1]
+def _assert_kept_row_owns_its_arrays(result, template: ScenarioSpec) -> None:
+    """The kept delay row is the result's one array, a copy of the last session's row."""
+    arrays = [f.name for f in fields(result) if isinstance(getattr(result, f.name), np.ndarray)]
+    assert arrays == ["delays_ms"]
+    assert result.delays_ms.shape == (result.n_commands,)
     assert result.delays_ms.flags.owndata
+    assert_replays_last_session(result, template)
 
 
 @pytest.mark.parametrize("use_pid", [False, True], ids=["kinematic", "pid"])
 def test_kept_session_fleet_and_hybrid_rows_own_their_arrays(use_pid):
     sessions = SessionEngine()
     spec = get_scenario("jammer").with_(run_seconds=RUN_SECONDS, repetitions=REPETITIONS, use_pid=use_pid)
-    shape = sessions.test_commands(spec).shape
-    _assert_kept_row_owns_its_arrays(sessions.run(spec), shape)
+    row = sessions.run(spec)
+    _assert_kept_row_owns_its_arrays(row, spec)
+    assert_same_trajectories(SerialSessionEngine().trajectories(row), sessions.trajectories(row))
 
     fleet = FleetSpec(name="custom", template=spec, operators=3, aps=1, ap_capacity=3, ap_service_ms=4.0)
-    _assert_kept_row_owns_its_arrays(FleetEngine(sessions=sessions).run(fleet), shape)
+    _assert_kept_row_owns_its_arrays(FleetEngine(sessions=sessions).run(fleet), spec)
     hybrid = HybridFleetEngine(sessions=sessions).run(fleet.with_(tier="hybrid", hot_threshold=1e-9))
     assert hybrid.cold_aps == 0  # so the last admitted session is hot and kept
-    _assert_kept_row_owns_its_arrays(hybrid, shape)
+    _assert_kept_row_owns_its_arrays(hybrid, spec)
 
 
 def test_batched_simulation_validates_shapes():
@@ -273,7 +281,6 @@ def _assert_same_row(expected: SessionResult, actual: SessionResult) -> None:
     assert actual.spec_hash == expected.spec_hash
     assert actual.n_commands == expected.n_commands
     _assert_bit_identical(expected, actual)
-    assert np.array_equal(expected.outcome.defined.joints, actual.outcome.defined.joints)
 
 
 def test_run_many_fig8_grid_equals_per_spec_runs():
@@ -345,13 +352,8 @@ def test_sweep_interleaving_kernel_groups_keeps_order_and_one_shard_per_spec(tmp
     assert sweep[3] is warm
     assert sweep[len(specs)] is sweep[1]
     oracle = SerialSessionEngine()  # the serial loop
-    for spec, row in zip(specs, sweep):
-        expected = oracle.run(spec)
-        if row.outcome is None:  # the store hit keeps no trajectories
-            assert row.to_dict() == expected.to_dict()
-            assert np.array_equal(row.delays_ms, expected.delays_ms)
-        else:
-            _assert_same_row(expected, row)
+    for spec, row in zip(specs, sweep):  # the store hit included
+        _assert_same_row(oracle.run(spec), row)
 
     shards = sorted(path.stem for path in store.epoch_dir.glob("??/*.json"))
     computed = {spec.spec_hash() for spec in specs} - {memory_hit.spec_hash()}
@@ -365,6 +367,7 @@ def test_stacked_sweep_jobs_1_equals_jobs_4(backend):
     serial = SweepExecutor(jobs=1).run(specs)
     parallel = SweepExecutor(jobs=4, backend=backend).run(specs)
     assert serial.to_records() == parallel.to_records()
+    engine = SessionEngine()
     for one, four in zip(serial, parallel):
         assert np.array_equal(one.delays_ms, four.delays_ms)
-        assert np.array_equal(one.outcome.foreco.joints, four.outcome.foreco.joints)
+        assert_same_trajectories(engine.trajectories(one), engine.trajectories(four), exact_times=True)

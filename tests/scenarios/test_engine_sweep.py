@@ -4,8 +4,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,11 +234,53 @@ def test_engine_session_result_shape():
     assert result.n_commands == int(RUN_SECONDS * 50)  # 50 Hz command rate
     assert result.mean_rmse_foreco_mm > 0.0
     assert result.improvement_factor > 0.0
-    assert result.outcome is not None
     assert result.delays_ms is not None and result.delays_ms.shape == (result.n_commands,)
+    # The kept trace replays to the last repetition, as the serial loop runs it.
+    replay = engine.trajectories(result)
+    assert replay.foreco.joints.shape == (result.n_commands, 6)
+    assert replay.rmse_foreco_mm == result.rmse_foreco_mm[-1]
+    serial.assert_same_trajectories(serial.SerialSessionEngine().trajectories(result), replay)
     row = result.to_dict()
     assert row["repetitions"] == 2
     assert row["mean_rmse_foreco_mm"] == result.mean_rmse_foreco_mm
+
+
+def test_memoized_result_holds_its_delay_row_and_metric_tuples_only():
+    """What the memo keeps per result: the ``(n,)`` delay row, the metric
+    tuples and a few small scalars — no ``(n, d)`` trajectory."""
+    base = _spec(loss_burst_channel(burst_length=10), run_seconds=20.0, repetitions=2)
+    engine = SessionEngine()
+    engine.run(base)  # the dataset and forecaster caches are filled outside the trace
+    specs = [base.with_(channel=loss_burst_channel(burst_length=b)) for b in (3, 4, 6, 7, 9, 11)]
+    for spec in specs:
+        spec.spec_hash()  # cached on the spec, which the caller holds anyway
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = engine.run_many(specs)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    n = results[0].n_commands
+    for result in results:
+        assert engine.memo.cached(result.spec) is result
+        fields = dataclasses.fields(result)
+        arrays = [f.name for f in fields if isinstance(getattr(result, f.name), np.ndarray)]
+        assert arrays == ["delays_ms"] and result.delays_ms.shape == (n,)
+        for metric in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):
+            values = getattr(result, metric)
+            assert type(values) is tuple and len(values) == 2 and all(type(v) is float for v in values)
+    # One result's trajectories would be 3 * n * 6 float64s (18x the delay row).
+    assert grown / len(specs) <= results[0].delays_ms.nbytes + 4096
+
+
+def test_trajectories_of_a_result_without_a_delay_trace_is_a_typed_error():
+    result = SessionEngine().run(_spec(clean_channel()))
+    with pytest.raises(ConfigurationError):
+        SessionEngine().trajectories(dataclasses.replace(result, delays_ms=None))
 
 
 def test_engine_operator_mix():
@@ -264,8 +308,9 @@ def test_fallback_policy_changes_no_result(use_pid):
     assert held.mean_late_fraction > 0.0
     for metric in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):
         assert getattr(held, metric) == getattr(stopped, metric)
-    assert np.array_equal(held.outcome.baseline.joints, stopped.outcome.baseline.joints)
-    assert np.array_equal(held.outcome.foreco.joints, stopped.outcome.foreco.joints)
+    # The serial loop honours ``fallback``; its replays of both rows agree.
+    oracle = serial.SerialSessionEngine()
+    serial.assert_same_trajectories(oracle.trajectories(held), oracle.trajectories(stopped))
 
 
 # ------------------------------------------------------------------- sweep

@@ -6,11 +6,13 @@ cold serial run."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
 import numpy as np
 import pytest
+from oracles.serial import SerialSessionEngine, assert_same_trajectories
 
 from repro.analysis import load_sweep
 from repro.errors import ConfigurationError
@@ -49,7 +51,6 @@ def _synthetic_result(spec: ScenarioSpec) -> SessionResult:
         rmse_foreco_mm=(1e-17, 2.5),
         late_fraction=(0.25, 0.0),
         recovery_fraction=(1.0, 0.75),
-        outcome=None,
         delays_ms=np.array([1.0, np.inf, 2.5, np.inf, 0.0]),
     )
 
@@ -75,7 +76,13 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert loaded.to_dict() == result.to_dict()
     assert np.array_equal(loaded.delays_ms, result.delays_ms)
     assert loaded.spec is spec  # attached to the caller's spec object
-    assert loaded.outcome is None  # trajectories are in-memory only
+    # The shard is the whole result: every field comes back, arrays bit for bit.
+    for f in dataclasses.fields(result):
+        got, want = getattr(loaded, f.name), getattr(result, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_contains_evict_clear_and_stats(tmp_path):
@@ -231,7 +238,8 @@ def test_engine_consults_store_before_computing(tmp_path):
     assert warm.to_dict() == cold.to_dict()
     assert warm.rmse_foreco_mm == cold.rmse_foreco_mm
     assert np.array_equal(warm.delays_ms, cold.delays_ms)
-    assert warm.outcome is None
+    # The store hit replays to the trajectories the serial loop gives the cold row.
+    assert_same_trajectories(SerialSessionEngine().trajectories(cold), warm_engine.trajectories(warm))
     # The disk hit lands in the memory cache: no second disk read.
     assert warm_engine.run(spec) is warm
     assert warm_store.stats().hits == 1

@@ -20,12 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import serial
 
 from repro.fleet import CapacityPlanner, FleetEngine, PlanSpec, get_fleet
 from repro.scenarios import (
     ResultStore,
     ScenarioSpec,
     SessionEngine,
+    SweepExecutor,
     compound_channel,
     loss_burst_channel,
     wireless_channel,
@@ -68,8 +70,8 @@ def _cold(kind: str, spec, tmp_path: Path):
 def _assert_same_result(loaded, cold) -> None:
     """Field-for-field equality; arrays are compared bit for bit."""
     for f in fields(cold):
-        if f.name in ("outcome", "from_store"):
-            continue  # in-memory only / provenance, not part of the record
+        if f.name == "from_store":
+            continue  # provenance, not part of the record
         got, want = getattr(loaded, f.name), getattr(cold, f.name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.shape == want.shape, f.name
@@ -108,6 +110,48 @@ def test_format1_fixture_hits_bit_for_bit(tmp_path, kind):
     if kind in ("session", "fleet"):
         assert set(rewritten["delays_ms"]) == {"dtype", "b64"}
     _assert_same_result(ResultStore(tmp_path / "store").get(spec), cold)
+
+
+def _format1_copy(spec, store: ResultStore, target: ResultStore) -> None:
+    """Write ``spec``'s format-2 shard from ``store`` into ``target`` as a format-1 shard."""
+    record = json.loads(store.shard_path(spec.spec_hash()).read_text(encoding="utf-8"))
+    delays = decode_delays(record["delays_ms"])
+    record["format"] = 1
+    record["delays_ms"] = [None if np.isinf(v) else float(v) for v in delays]
+    path = target.shard_path(spec.spec_hash())
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(record, allow_nan=False), encoding="utf-8")
+
+
+@pytest.mark.parametrize("use_pid", [False, True], ids=["kinematic", "pid"])
+def test_trajectories_replay_bit_for_bit_from_every_cache(tmp_path, use_pid):
+    """A cold row, a memory hit, format-2 and format-1 store hits and a
+    process-backend row all replay to the same trajectories, which equal the
+    serial loop's run of the same delay trace."""
+    spec = _fixture_specs()["session"].with_(use_pid=use_pid)
+    store = ResultStore(tmp_path / "format2")
+    engine = SessionEngine(store=store)
+    rows = {"cold": engine.run(spec), "memory": engine.run(spec)}
+    format2 = ResultStore(tmp_path / "format2")
+    rows["format-2 store"] = SessionEngine(store=format2).run(spec)
+    format1 = ResultStore(tmp_path / "format1")
+    if use_pid:  # no committed shard for the PID twin: rewrite this run's shard
+        _format1_copy(spec, store, format1)
+    else:
+        format1.shard_path(spec.spec_hash()).parent.mkdir(parents=True)
+        shutil.copyfile(FIXTURES / "session.json", format1.shard_path(spec.spec_hash()))
+    rows["format-1 store"] = SessionEngine(store=format1).run(spec)
+    twin = spec.with_(use_pid=not use_pid)  # a second kernel group, so workers run
+    rows["process"] = SweepExecutor(jobs=2, backend="process").run([spec, twin])[0]
+    assert (format2.stats().hits, format1.stats().hits) == (1, 1)
+
+    reference = engine.trajectories(rows["cold"])
+    oracle = serial.SerialSessionEngine().trajectories(rows["cold"])
+    for case, row in rows.items():
+        replay = SessionEngine().trajectories(row)
+        assert replay.rmse_foreco_mm == row.rmse_foreco_mm[-1], case
+        serial.assert_same_trajectories(reference, replay, exact_times=True)
+        serial.assert_same_trajectories(oracle, replay)
 
 
 # ------------------------------------------------------------- format 2
