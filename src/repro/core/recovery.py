@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigurationError, DatasetError, DimensionError
+from ..errors import ConfigurationError, DatasetError, DimensionError, SimulationError
 from ..forecasting import Forecaster, make_forecaster
 from .config import ForecoConfig
 from .dataset import CommandDataset
@@ -43,11 +45,6 @@ class RecoveryDecision:
     on_time: bool
     executed_command: np.ndarray
     forecasted: bool
-
-    @property
-    def was_recovered(self) -> bool:
-        """True when the slot's command was missing and a forecast was injected."""
-        return self.forecasted
 
 
 @dataclass
@@ -67,14 +64,13 @@ class BatchedRecoveryResult:
         ``(B, n)`` boolean — which commands met the ``Ω + τ`` deadline.
     forecasted:
         ``(B, n)`` boolean — which missing slots were filled by a forecast.
-    stats:
-        One :class:`RecoveryStats` per repetition.
+        Row ``b``'s counts are ``forecasted[b].sum()`` and
+        ``(~on_time[b]).sum()``.
     """
 
     executed: np.ndarray
     on_time: np.ndarray
     forecasted: np.ndarray
-    stats: "list[RecoveryStats]"
 
 
 @dataclass
@@ -85,7 +81,6 @@ class RecoveryStats:
     n_on_time: int = 0
     n_missing: int = 0
     n_forecasted: int = 0
-    forecast_errors_mm: list[float] = field(default_factory=list)
 
     @property
     def missing_fraction(self) -> float:
@@ -184,6 +179,13 @@ class ForecoRecovery:
         RecoveryDecision
             The executed command and whether it was a forecast.  Its
             ``executed_command`` is a fresh array the caller owns.
+
+        Raises
+        ------
+        ConfigurationError, DimensionError, DatasetError, SimulationError
+            Before :meth:`reset`; for a command of the wrong length; for a NaN
+            or infinite on-time command; for a NaN or infinite forecast.  None
+            of them changes the engine's state.
         """
         dataset = self.dataset
         if dataset is None:
@@ -202,12 +204,14 @@ class ForecoRecovery:
             executed = command.copy()
             feedback = executed
         else:
-            executed = self._forecast_missing()
-            forecasted = executed is not None
-            if executed is None:
-                # Not enough history (or untrained model): fall back to the
-                # robot's native behaviour and repeat the previous command.
-                executed = (self._window[self._end - 1] if self._end else command).copy()
+            end = self._end
+            if end:
+                window = self._window[max(end - self.config.record, 0) : end]
+                executed, forecasted = self._recover(window[None], self.forecaster.predict_next_batch)
+                executed = executed[0]
+            else:
+                # No history at all: the lost command is all there is to hold.
+                executed = command.copy()
             feedback = command if self.config.feedback == "oracle" else executed
         self._push_history(feedback)
 
@@ -240,30 +244,40 @@ class ForecoRecovery:
         self._window[end] = row
         self._end = end + 1
 
-    def _forecast_missing(self) -> np.ndarray | None:
-        """Forecast the command for a missing slot, or ``None`` if impossible."""
-        record = self.config.record
-        if not self.forecaster.is_fitted or self._end < record:
-            return None
-        history = self._window[self._end - record : self._end]
-        forecast = np.asarray(self.forecaster.predict_next(history), dtype=float).ravel()
+    def _recover(
+        self, windows: np.ndarray, predict: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, bool]:
+        """The FoReCo rule for ``k`` missing commands, given their windows.
+
+        ``windows`` is ``(k, w, d)``: each row's last ``w <= record``
+        effective commands.  With a trained model and full windows,
+        ``predict`` maps them to ``(k, d)`` forecasts, each clamped to the
+        per-step envelope around its row's last command; otherwise every row
+        holds its last command (the robot's native fallback).  Returns the
+        executed commands as a fresh ``(k, d)`` array, which no window
+        shares, and whether they are forecasts.  A NaN or infinite forecast
+        raises :class:`~repro.errors.SimulationError`.
+        """
+        previous = windows[:, -1]
+        if windows.shape[1] < self.config.record or not self.forecaster.is_fitted:
+            return previous.copy(), False
+        forecasts = predict(windows)
+        # The sum of squares is finite only when every element is, so the
+        # elementwise test runs only for a NaN, an infinity or an overflow.
+        if not math.isfinite(np.vdot(forecasts, forecasts)) and not np.isfinite(forecasts).all():
+            raise SimulationError(f"forecaster {self.forecaster.name!r} returned a non-finite forecast")
         max_step = self.config.max_step_rad
-        if max_step is not None:
-            # The remote controller never moves a joint by more than the
-            # robot's moving offset between consecutive commands, so an
-            # injected forecast is clamped to the same per-step envelope
-            # around the last executed command.  This keeps iterated
-            # forecasts physically plausible during long loss bursts.
-            previous = history[-1]
-            step = forecast - previous
-            np.maximum(step, -max_step, out=step)
-            np.minimum(step, max_step, out=step)
-            return np.add(previous, step, out=step)
-        if np.may_share_memory(forecast, self._window):
-            # The forecaster handed back a view of the window, which later
-            # slots overwrite; the caller must own what it is given.
-            forecast = forecast.copy()
-        return forecast
+        if max_step is None:
+            return forecasts.copy(), True
+        # The remote controller never moves a joint by more than the robot's
+        # moving offset between consecutive commands, so an injected forecast
+        # is clamped to the same per-step envelope around the last executed
+        # command.  This keeps iterated forecasts physically plausible during
+        # long loss bursts.
+        step = np.subtract(forecasts, previous)
+        np.maximum(step, -max_step, out=step)
+        np.minimum(step, max_step, out=step)
+        return np.add(previous, step, out=step), True
 
     # ------------------------------------------------------------ streaming
     def process_stream_batch(
@@ -302,12 +316,16 @@ class ForecoRecovery:
         ------
         DatasetError
             When a command is NaN or infinite.
+        SimulationError
+            When the forecaster returns a NaN or infinite forecast.
 
         Notes
         -----
-        Unlike the serial slot loop this method keeps no per-slot dataset
-        and leaves the instance's serial state (``dataset``, ``stats``)
-        untouched; all bookkeeping is returned in the result object.
+        Each lossy slot applies the same rule as :meth:`process_slot`
+        (:meth:`_recover`) to its missing rows.  Unlike the serial slot loop
+        this method keeps no per-slot dataset and leaves the instance's
+        serial state (``dataset``, ``stats``) untouched; the counts are the
+        sums of the result's ``on_time`` and ``forecasted`` masks.
         """
         commands = np.asarray(commands, dtype=float)
         delays_ms = np.asarray(delays_ms, dtype=float)
@@ -319,10 +337,9 @@ class ForecoRecovery:
             raise DatasetError("command contains NaN or infinite values")
         n_batch, n_slots = delays_ms.shape
         record = self.config.record
-        max_step = self.config.max_step_rad
-        model_ready = self.forecaster.is_fitted
-        # Row -> private forecaster copy; ``None`` when one shared instance
-        # may forecast every row at once.
+        # One shared instance forecasts every row at once, or each row
+        # forecasts on its own copy (made at its first forecast).
+        predict = self.forecaster.predict_next_batch
         row_forecasters: dict[int, Forecaster] | None = (
             None if getattr(self.forecaster, "supports_batch_predict", False) else {}
         )
@@ -332,7 +349,7 @@ class ForecoRecovery:
         # Every slot from ``record - 1`` on has a full window, so a ready
         # model forecasts exactly the missing rows there.
         forecasted = np.zeros((n_batch, n_slots), dtype=bool)
-        if model_ready:
+        if self.forecaster.is_fitted:
             forecasted[:, record - 1 :] = missing[:, record - 1 :]
         # A row's window before slot ``t`` is rows ``t + 1 - record`` to ``t``
         # of ``feedback``: its effective commands behind the ``commands[0]``
@@ -348,41 +365,22 @@ class ForecoRecovery:
         bounds = np.append(starts, loss_slots.size).tolist()
         for slot, start, end in zip(loss_slots[starts].tolist(), bounds, bounds[1:]):
             rows = loss_rows[start:end]
-            if model_ready and slot + 1 >= record:
-                recent = feedback[rows, slot + 1 - record : slot + 1]
-                if row_forecasters is None:
-                    forecasts = self.forecaster.predict_next_batch(recent)
-                else:
-                    forecasts = np.empty((rows.size, commands.shape[1]))
-                    for index, row in enumerate(rows.tolist()):
-                        forecaster = row_forecasters.get(row)
-                        if forecaster is None:
-                            forecaster = row_forecasters[row] = copy.deepcopy(self.forecaster)
-                        forecasts[index] = forecaster.predict_next(recent[index])
-                if max_step is not None:
-                    # Same clamp as :meth:`_forecast_missing`, in place.
-                    previous = recent[:, -1, :]
-                    forecasts = np.subtract(forecasts, previous)
-                    np.maximum(forecasts, -max_step, out=forecasts)
-                    np.minimum(forecasts, max_step, out=forecasts)
-                    np.add(previous, forecasts, out=forecasts)
-                ext[rows, slot + 1] = forecasts
-            else:
-                # Not enough history yet: repeat the previous effective
-                # command (the robot's native fallback behaviour).
-                ext[rows, slot + 1] = feedback[rows, slot]
+            if row_forecasters is not None:
+                predict = partial(_predict_each_row, self.forecaster, row_forecasters, rows)
+            windows = feedback[rows, max(slot + 1 - record, 0) : slot + 1]
+            executed, _ = self._recover(windows, predict)
+            ext[rows, slot + 1] = executed
 
-        n_on_time = on_time.sum(axis=1).tolist()
-        n_forecasted = forecasted.sum(axis=1).tolist()
-        stats = [
-            RecoveryStats(
-                n_slots=n_slots,
-                n_on_time=on_time_count,
-                n_missing=n_slots - on_time_count,
-                n_forecasted=forecast_count,
-            )
-            for on_time_count, forecast_count in zip(n_on_time, n_forecasted)
-        ]
-        return BatchedRecoveryResult(
-            executed=ext[:, 1:], on_time=on_time, forecasted=forecasted, stats=stats
-        )
+        return BatchedRecoveryResult(executed=ext[:, 1:], on_time=on_time, forecasted=forecasted)
+
+
+def _predict_each_row(
+    master: Forecaster, copies: dict[int, Forecaster], rows: np.ndarray, windows: np.ndarray
+) -> np.ndarray:
+    """Forecast ``windows[i]`` on row ``rows[i]``'s own deep copy of ``master``."""
+    forecasts = np.empty((rows.size, windows.shape[2]))
+    for index, row in enumerate(rows.tolist()):
+        if row not in copies:
+            copies[row] = copy.deepcopy(master)
+        forecasts[index] = copies[row].predict_next(windows[index])
+    return forecasts

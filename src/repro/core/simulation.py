@@ -339,7 +339,10 @@ class BatchedRemoteControlSimulation:
         if not unclipped.any():
             clipped = commands
         late_fraction = tuple((1.0 - batch.on_time.mean(axis=1)).tolist())
-        stats, foreco_targets = batch.stats, batch.executed
+        foreco_targets = batch.executed
+        # A row with nothing missing forecast nothing, so it reads 0 / 1.
+        n_missing = np.maximum(n_slots - batch.on_time.sum(axis=1), 1)
+        recovery_fraction = tuple((batch.forecasted.sum(axis=1) / n_missing).tolist())
         # The rest of the batch is released before the ``(B, n, d)`` passes.
         missing = np.logical_not(batch.on_time, out=batch.on_time)
         del batch
@@ -361,9 +364,9 @@ class BatchedRemoteControlSimulation:
             rmse_no_forecast_mm=baseline_rmse,
             rmse_foreco_mm=foreco_rmse,
             late_fraction=late_fraction,
-            recovery_fraction=tuple(row.recovery_fraction for row in stats),
+            recovery_fraction=recovery_fraction,
             commands=commands,
-            times_s=np.arange(n_slots) * (period_ms / 1000.0),
+            times_s=np.arange(n_slots) * period_ms / 1000.0,
             clipped=clipped,
             baseline_sources=baseline_sources,
             baseline_executed=baseline_executed,

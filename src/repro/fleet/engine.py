@@ -62,8 +62,8 @@ from ..core.simulation import (
 )
 from ..errors import ConfigurationError
 from ..scenarios.engine import ResultMemo, SessionEngine, repetition_seed, sample_channel_delays_batch
-from ..scenarios.spec import ScenarioSpec
-from .spec import FleetSpec, _hash_seed, sample_arrival_times
+from ..scenarios.spec import ScenarioSpec, _hash_seed
+from .spec import FleetSpec, sample_arrival_times
 
 
 def operator_channel_spec(fleet: FleetSpec, operator: int) -> ScenarioSpec:

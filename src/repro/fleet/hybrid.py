@@ -51,10 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..scenarios.engine import repetition_seed, sample_channel_delays_batch
+from ..scenarios.spec import _hash_seed
 from ..wireless.bianchi import saturation_score
 from ..wireless.superposition import SuperpositionModel
 from .engine import FleetEngine, FleetResult, _plan, _Session
-from .spec import FleetSpec, _hash_seed
+from .spec import FleetSpec
 
 
 # ------------------------------------------------------------- classification

@@ -25,7 +25,6 @@ so fleets are deterministic regardless of worker count or execution order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -34,7 +33,7 @@ import numpy as np
 
 from ..des.distributions import Exponential, UniformDistribution
 from ..errors import ConfigurationError
-from ..scenarios.spec import ScenarioSpec, SpecIdentity
+from ..scenarios.spec import ScenarioSpec, SpecIdentity, _hash_seed
 from ..wireless.superposition import TAIL_KINDS
 
 #: Session arrival processes understood by the fleet engine.
@@ -297,11 +296,6 @@ class FleetSpec(SpecIdentity):
 
 
 # ------------------------------------------------------------------- arrivals
-def _hash_seed(payload: str) -> int:
-    """32-bit seed from a payload string (same scheme as the session engine)."""
-    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:4], "big")
-
-
 def arrival_seed(fleet: FleetSpec, repetition: int) -> int:
     """Deterministic RNG seed for one fleet realisation's arrival draws.
 

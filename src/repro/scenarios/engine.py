@@ -34,7 +34,6 @@ still gets its own result, cache entry and shard.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import threading
 from collections import OrderedDict
@@ -80,7 +79,7 @@ from ..wireless import (
     sample_markov_delays_batch,
     sample_wireless_delays_batch,
 )
-from .spec import ChannelSpec, ExperimentScale, ScenarioSpec, _jsonify, get_scale
+from .spec import ChannelSpec, ExperimentScale, ScenarioSpec, _hash_seed, _jsonify, get_scale
 
 #: Engine/code epoch for persisted results.  Two runs may only share a
 #: :class:`~repro.scenarios.store.ResultStore` entry when both the spec hash
@@ -176,11 +175,6 @@ def _master_forecaster(spec: ScenarioSpec) -> Forecaster:
 
 
 # ------------------------------------------------------------------- channels
-def _hash_seed(payload: str) -> int:
-    """32-bit seed derived from a payload string (shared hashing scheme)."""
-    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:4], "big")
-
-
 def repetition_seed(spec: ScenarioSpec, repetition: int, stage: int = 0) -> int:
     """Deterministic per-repetition RNG seed for the channel samplers.
 

@@ -622,6 +622,11 @@ class ScenarioSpec(SpecIdentity):
         )
 
 
+def _hash_seed(payload: str) -> int:
+    """32-bit seed derived from a payload string (every engine's seeding scheme)."""
+    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:4], "big")
+
+
 def _jsonify(value):
     """Render frozen values (nested tuples) as JSON-safe structures."""
     if isinstance(value, tuple):

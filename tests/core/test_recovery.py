@@ -12,7 +12,7 @@ from oracles.serial import process_stream
 
 from repro.core import ForecoConfig, ForecoRecovery
 from repro.core.recovery import _WINDOW_SLACK
-from repro.errors import ConfigurationError, DatasetError, DimensionError
+from repro.errors import ConfigurationError, DatasetError, DimensionError, SimulationError
 from repro.forecasting import (
     Forecaster,
     MovingAverageForecaster,
@@ -20,7 +20,9 @@ from repro.forecasting import (
     make_forecaster,
     register_forecaster,
 )
+from repro.forecasting.base import _CUSTOM_FORECASTERS
 from repro.robot.niryo import NiryoOneArm
+from repro.scenarios import ScenarioSpec, SessionEngine, loss_burst_channel
 
 
 def _ramp(n: int = 200, d: int = 6, step: float = 0.005) -> np.ndarray:
@@ -213,10 +215,19 @@ def test_online_matches_batched_across_window_compactions(algorithm, overrides):
     assert np.array_equal(forecasted, batched.forecasted[0])
     assert np.array_equal(on_time, batched.on_time[0])
     assert 0 < recovery.stats.n_forecasted <= recovery.stats.n_missing < recovery.stats.n_slots
-    reference = batched.stats[0]
-    for name in ("n_slots", "n_on_time", "n_missing", "n_forecasted"):
-        assert getattr(recovery.stats, name) == getattr(reference, name)
+    for name, count in _mask_counts(batched, 0).items():
+        assert getattr(recovery.stats, name) == count
     assert len(recovery.dataset) == recovery.stats.n_on_time
+
+
+def _mask_counts(batched, row: int) -> dict[str, int]:
+    """A kernel row's four recovery counts, summed from its masks."""
+    return {
+        "n_slots": batched.on_time.shape[1],
+        "n_on_time": int(batched.on_time[row].sum()),
+        "n_missing": int((~batched.on_time[row]).sum()),
+        "n_forecasted": int(batched.forecasted[row].sum()),
+    }
 
 
 def _edge_case_holds(case: str, batched, commands: np.ndarray) -> bool:
@@ -264,9 +275,8 @@ def test_batched_kernel_edge_cases_match_online(case, kernel_edge_case, edge_cas
         executed = np.stack([decision.executed_command for decision in decisions])
         assert executed.tobytes() == batched.executed[row].tobytes()
         assert np.array_equal([decision.forecasted for decision in decisions], batched.forecasted[row])
-        reference = batched.stats[row]
-        for name in ("n_slots", "n_on_time", "n_missing", "n_forecasted"):
-            assert getattr(recovery.stats, name) == getattr(reference, name)
+        for name, count in _mask_counts(batched, row).items():
+            assert getattr(recovery.stats, name) == count
 
 
 # ---------------------------------------------------- ownership and errors
@@ -326,3 +336,42 @@ def test_nan_on_time_command_raises_and_leaves_state_untouched():
         assert got.executed_command.tobytes() == want.executed_command.tobytes()
     assert recovery.stats == reference.stats
     assert recovery.dataset.to_array().tobytes() == reference.dataset.to_array().tobytes()
+
+
+class _NanForecast(Forecaster):
+    """Forecasts NaN for every joint."""
+
+    name = "test-nan-forecast"
+
+    def _fit(self, commands):
+        return None
+
+    def _predict_next(self, history):
+        return np.full(history.shape[1], np.nan)
+
+
+def test_non_finite_forecast_raises_on_every_path():
+    """A NaN forecast fails with a typed error, never as a NaN RMSE."""
+    register_forecaster(_NanForecast.name, _NanForecast, overwrite=True)
+    try:
+        config = ForecoConfig(algorithm=_NanForecast.name)
+        commands, delays = _stream(300)
+        recovery = ForecoRecovery(config).train(commands)
+        recovery.reset(commands.shape[1], seed_history=commands[:1])
+        # The first missing command with a full window; earlier ones hold.
+        late = delays[config.record - 1 :] > config.deadline_ms
+        lost = config.record - 1 + int(np.flatnonzero(late)[0])
+        for row, delay in zip(commands[:lost], delays[:lost].tolist()):
+            assert not recovery.process_slot(row, delay).forecasted
+        with pytest.raises(SimulationError, match="non-finite forecast"):
+            recovery.process_slot(commands[lost], np.inf)
+        assert recovery.stats.n_slots == lost
+
+        with pytest.raises(SimulationError, match="non-finite forecast"):
+            ForecoRecovery(config).train(commands).process_stream_batch(commands, delays)
+
+        spec = ScenarioSpec(channel=loss_burst_channel(burst_length=10), run_seconds=8.0)
+        with pytest.raises(SimulationError, match="non-finite forecast"):
+            SessionEngine().run(spec.with_foreco(algorithm=_NanForecast.name))
+    finally:
+        _CUSTOM_FORECASTERS.pop(_NanForecast.name, None)

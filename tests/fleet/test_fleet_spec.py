@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet import (
     ARRIVAL_KINDS,
+    FLEETS,
     FleetSpec,
     arrival_seed,
     fleet_catalog,
@@ -141,10 +142,13 @@ class TestRegistry:
 
     def test_register_and_overwrite(self):
         spec = FleetSpec(name="test-register-fleet", template=ScenarioSpec(), operators=2)
-        register_fleet(spec, "temporary", overwrite=True)
-        assert get_fleet("test-register-fleet").operators == 2
-        register_fleet(spec.with_(operators=3), "temporary", overwrite=True)
-        assert get_fleet("test-register-fleet").operators == 3
+        try:
+            register_fleet(spec, "temporary", overwrite=True)
+            assert get_fleet("test-register-fleet").operators == 2
+            register_fleet(spec.with_(operators=3), "temporary", overwrite=True)
+            assert get_fleet("test-register-fleet").operators == 3
+        finally:
+            FLEETS._presets.pop(spec.name, None)
 
 
 class TestTierKnobs:

@@ -169,8 +169,8 @@ class RemoteControlSimulation:
         foreco_driver = RobotDriver(arm=self.arm, config=driver_config)
         foreco_log = foreco_driver.run(commands, on_time_mask, forecasts=foreco_targets)
 
-        period_s = config.command_period_ms / 1000.0
-        times = np.arange(commands.shape[0]) * period_s
+        # The driver's clock: slot * Ω / 1000.
+        times = np.arange(commands.shape[0]) * config.command_period_ms / 1000.0
         defined = JointTrajectory(times, commands, label="defined")
         baseline = baseline_log.executed_trajectory(label="no-forecast")
         foreco = foreco_log.executed_trajectory(label="foreco")
@@ -255,14 +255,8 @@ class SerialFleetEngine(FleetEngine):
         return _as_batch(commands, outcomes)
 
 
-def assert_same_trajectories(
-    expected: SimulationOutcome, actual: SimulationOutcome, exact_times: bool = False
-) -> None:
-    """Two sessions' metrics and three joint trajectories, equal bit for bit.
-
-    Clocks are compared to rounding unless ``exact_times``: the serial driver
-    accumulates its clock slot by slot, the kernel scales the slot index.
-    """
+def assert_same_trajectories(expected: SimulationOutcome, actual: SimulationOutcome) -> None:
+    """Two sessions' metrics and three joint trajectories, clocks included, equal bit for bit."""
     assert actual.rmse_no_forecast_mm == expected.rmse_no_forecast_mm
     assert actual.rmse_foreco_mm == expected.rmse_foreco_mm
     assert actual.late_fraction == expected.late_fraction
@@ -271,10 +265,7 @@ def assert_same_trajectories(
         got, want = getattr(actual, name), getattr(expected, name)
         assert got.joints.dtype == want.joints.dtype and got.joints.shape == want.joints.shape, name
         assert got.joints.tobytes() == want.joints.tobytes(), name
-        if exact_times:
-            assert got.times_s.tobytes() == want.times_s.tobytes(), name
-        else:
-            np.testing.assert_allclose(got.times_s, want.times_s, rtol=1e-12, atol=0.0, err_msg=name)
+        assert got.times_s.tobytes() == want.times_s.tobytes(), name
 
 
 def assert_replays_last_session(result, template: ScenarioSpec) -> None:

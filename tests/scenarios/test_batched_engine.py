@@ -370,4 +370,4 @@ def test_stacked_sweep_jobs_1_equals_jobs_4(backend):
     engine = SessionEngine()
     for one, four in zip(serial, parallel):
         assert np.array_equal(one.delays_ms, four.delays_ms)
-        assert_same_trajectories(engine.trajectories(one), engine.trajectories(four), exact_times=True)
+        assert_same_trajectories(engine.trajectories(one), engine.trajectories(four))

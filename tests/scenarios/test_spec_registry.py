@@ -7,6 +7,7 @@ import pytest
 from repro.core import ForecoConfig
 from repro.errors import ConfigurationError
 from repro.scenarios import (
+    SCENARIOS,
     ChannelSpec,
     ExperimentScale,
     ForecoSpec,
@@ -116,12 +117,15 @@ def test_register_scenario_guards():
         register_scenario(ScenarioSpec(name="custom"))
     with pytest.raises(ConfigurationError):
         register_scenario(ScenarioSpec(name="clean", channel=clean_channel()))
-    register_scenario(
-        ScenarioSpec(name="test-only-preset", channel=clean_channel()),
-        "temporary preset for this test",
-        overwrite=True,
-    )
-    assert "test-only-preset" in scenario_names()
+    try:
+        register_scenario(
+            ScenarioSpec(name="test-only-preset", channel=clean_channel()),
+            "temporary preset for this test",
+            overwrite=True,
+        )
+        assert "test-only-preset" in scenario_names()
+    finally:
+        SCENARIOS._presets.pop("test-only-preset", None)
 
 
 def test_get_scale_passthrough_and_custom_scale_hashable():

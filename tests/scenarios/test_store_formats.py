@@ -150,7 +150,7 @@ def test_trajectories_replay_bit_for_bit_from_every_cache(tmp_path, use_pid):
     for case, row in rows.items():
         replay = SessionEngine().trajectories(row)
         assert replay.rmse_foreco_mm == row.rmse_foreco_mm[-1], case
-        serial.assert_same_trajectories(reference, replay, exact_times=True)
+        serial.assert_same_trajectories(reference, replay)
         serial.assert_same_trajectories(oracle, replay)
 
 

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.fleet import FleetSpec, get_fleet
 from repro.service import (
     POLICY_KINDS,
+    SERVICES,
     ServiceSpec,
     get_service,
     register_service,
@@ -129,7 +130,10 @@ class TestRegistry:
 
     def test_register_and_overwrite(self):
         spec = ServiceSpec(name="test-register-service", policy="static-cap")
-        register_service(spec, "temporary", overwrite=True)
-        assert get_service("test-register-service").policy == "static-cap"
-        register_service(spec.with_(policy="forecast-aware"), "temporary", overwrite=True)
-        assert get_service("test-register-service").policy == "forecast-aware"
+        try:
+            register_service(spec, "temporary", overwrite=True)
+            assert get_service("test-register-service").policy == "static-cap"
+            register_service(spec.with_(policy="forecast-aware"), "temporary", overwrite=True)
+            assert get_service("test-register-service").policy == "forecast-aware"
+        finally:
+            SERVICES._presets.pop(spec.name, None)
