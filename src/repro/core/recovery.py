@@ -287,9 +287,9 @@ class ForecoRecovery:
 
         This is the vectorized core of the batched session kernel: all ``B``
         repetitions share the command stream but experience different channel
-        delays.  Every row starts as the command stream, so only slots where
-        some row misses its deadline cost a Python iteration, and each one
-        forecasts for the missing rows alone.
+        delays.  Every row starts as the command stream, and the missing
+        commands are filled one dependency wave per Python iteration: a
+        wave's forecasts read only earlier waves' results.
 
         Parameters
         ----------
@@ -306,11 +306,9 @@ class ForecoRecovery:
             ``process_stream(recovery, commands, delays_ms[b])`` on a fresh
             recovery engine.  A forecaster that honours
             :attr:`~repro.forecasting.Forecaster.supports_batch_predict`
-            forecasts every missing row of a slot in one call; any other
+            forecasts every missing command of a wave in one call; any other
             forecaster is deep-copied once per row, at the row's first
-            forecast, and each row predicts on its own copy.  ``executed``
-            is a view with contiguous rows, not a contiguous ``(B, n, d)``
-            array.
+            forecast, and each row predicts on its own copy, slot by slot.
 
         Raises
         ------
@@ -321,11 +319,10 @@ class ForecoRecovery:
 
         Notes
         -----
-        Each lossy slot applies the same rule as :meth:`process_slot`
-        (:meth:`_recover`) to its missing rows.  Unlike the serial slot loop
-        this method keeps no per-slot dataset and leaves the instance's
-        serial state (``dataset``, ``stats``) untouched; the counts are the
-        sums of the result's ``on_time`` and ``forecasted`` masks.
+        Each wave applies the same rule as :meth:`process_slot`
+        (:meth:`_recover`) to its missing commands.  Unlike the serial slot
+        loop this method keeps no per-slot dataset and leaves the instance's
+        serial state (``dataset``, ``stats``) untouched.
         """
         commands = np.asarray(commands, dtype=float)
         delays_ms = np.asarray(delays_ms, dtype=float)
@@ -340,36 +337,39 @@ class ForecoRecovery:
         # One shared instance forecasts every row at once, or each row
         # forecasts on its own copy (made at its first forecast).
         predict = self.forecaster.predict_next_batch
-        row_forecasters: dict[int, Forecaster] | None = (
-            None if getattr(self.forecaster, "supports_batch_predict", False) else {}
-        )
+        batched = getattr(self.forecaster, "supports_batch_predict", False)
+        row_forecasters: dict[int, Forecaster] = {}
 
         on_time = np.isfinite(delays_ms) & (delays_ms <= self.config.deadline_ms)
         missing = ~on_time
-        # Every slot from ``record - 1`` on has a full window, so a ready
-        # model forecasts exactly the missing rows there.
-        forecasted = np.zeros((n_batch, n_slots), dtype=bool)
-        if self.forecaster.is_fitted:
-            forecasted[:, record - 1 :] = missing[:, record - 1 :]
+        # From slot ``record - 1`` on windows are full: a ready model forecasts every loss.
+        forecasted = missing & (np.arange(n_slots) >= record - 1) & self.forecaster.is_fitted
         # A row's window before slot ``t`` is rows ``t + 1 - record`` to ``t``
         # of ``feedback``: its effective commands behind the ``commands[0]``
         # seed, or the seeded command stream itself under oracle feedback.
         seeded = np.concatenate((commands[:1], commands))
         ext = np.repeat(seeded[None], n_batch, axis=0)
         feedback = np.broadcast_to(seeded, ext.shape) if self.config.feedback == "oracle" else ext
-
-        # The (slot, row) pairs of every missing command, in slot order, split
-        # once into one run of rows per lossy slot (no runs without losses).
-        loss_slots, loss_rows = np.nonzero(missing.T)
-        starts = np.flatnonzero(np.diff(loss_slots, prepend=-1))
-        bounds = np.append(starts, loss_slots.size).tolist()
-        for slot, start, end in zip(loss_slots[starts].tolist(), bounds, bounds[1:]):
-            rows = loss_rows[start:end]
-            if row_forecasters is not None:
-                predict = partial(_predict_each_row, self.forecaster, row_forecasters, rows)
-            windows = feedback[rows, max(slot + 1 - record, 0) : slot + 1]
-            executed, _ = self._recover(windows, predict)
-            ext[rows, slot + 1] = executed
+        # Slots before ``record - 1`` have short windows and hold, in slot order.
+        for slot in range(min(record - 1, n_slots)):
+            rows = np.flatnonzero(missing[:, slot])
+            ext[rows, slot + 1] = self._recover(feedback[rows, : slot + 1], predict)[0]
+        # Later losses split into row clusters at gaps ``> record``; a forecast reads
+        # only earlier losses of its cluster, so each wave (place in the cluster; slot
+        # for copies) is one call.  ``windows[b, s]`` precedes slot ``s + record - 1``.
+        rows, slots = np.nonzero(missing[:, record - 1 :])
+        span = min(record, n_slots + 1)  # a shorter stream has no later losses
+        windows = np.lib.stride_tricks.sliding_window_view(feedback, span, axis=1).swapaxes(2, 3)
+        new = (np.diff(rows, prepend=-1) != 0) | (np.diff(slots, prepend=-record - 1) > record)
+        index = np.arange(rows.size)
+        waves = index - np.maximum.accumulate(new * index) if batched else slots
+        order = np.argsort(waves, kind="stable")
+        bounds = np.flatnonzero(np.diff(waves[order], prepend=-1, append=-1)).tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            r, s = rows[order[start:end]], slots[order[start:end]]
+            if not batched:
+                predict = partial(_predict_each_row, self.forecaster, row_forecasters, r)
+            ext[r, s + record] = self._recover(windows[r, s], predict)[0]
 
         return BatchedRecoveryResult(executed=ext[:, 1:], on_time=on_time, forecasted=forecasted)
 

@@ -46,6 +46,13 @@ def _edge_case(name: str) -> tuple[ForecoConfig, bool, np.ndarray, np.ndarray]:
         commands[40:50, 1] = upper + 0.1
         commands[50:, 1] = upper
         delays[:, 50:66] = np.inf
+    elif name in ("gap-equals-record", "gap-exceeds-record"):
+        # Two losses in a row: ``record`` slots apart the second forecast
+        # reads the first (one cluster); one slot further it cannot, and the
+        # second loss starts a new cluster at wave 0.
+        gap = config.record + (name == "gap-exceeds-record")
+        delays[::2, 20:50] = 1.0
+        delays[::2, [25, 25 + gap]] = np.inf
     elif name != "untrained":
         raise KeyError(name)
     return config, name != "untrained", commands, delays

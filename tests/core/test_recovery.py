@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles.serial import process_stream
 
 from repro.core import ForecoConfig, ForecoRecovery
@@ -244,6 +246,10 @@ def _edge_case_holds(case: str, batched, commands: np.ndarray) -> bool:
     if case == "fallback-equals-command":
         same_bits = (batched.executed.view(np.uint64) == commands.view(np.uint64)).all(axis=-1)
         return bool((missing & same_bits).any())
+    if case in ("gap-equals-record", "gap-exceeds-record"):
+        gap = ForecoConfig().record + (case == "gap-exceeds-record")
+        lost = np.flatnonzero(missing[0, 20:50]) + 20
+        return lost.tolist() == [25, 25 + gap] and bool(batched.forecasted[0, lost].all())
     upper = NiryoOneArm().limits.position_max[1]
     overshoot = batched.forecasted & (batched.executed[:, :, 1] > upper) & (commands[:, 1] <= upper)
     return bool(overshoot.any())
@@ -259,6 +265,8 @@ def _edge_case_holds(case: str, batched, commands: np.ndarray) -> bool:
         "untrained",
         "fallback-equals-command",
         "clipped-forecast",
+        "gap-equals-record",
+        "gap-exceeds-record",
     ],
 )
 def test_batched_kernel_edge_cases_match_online(case, kernel_edge_case, edge_case_training):
@@ -277,6 +285,45 @@ def test_batched_kernel_edge_cases_match_online(case, kernel_edge_case, edge_cas
         assert np.array_equal([decision.forecasted for decision in decisions], batched.forecasted[row])
         for name, count in _mask_counts(batched, row).items():
             assert getattr(recovery.stats, name) == count
+
+
+#: Loss bursts of one row, as ``(first slot, length)`` pairs.
+_BURSTS = st.lists(st.tuples(st.integers(0, 95), st.integers(1, 24)), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    record=st.sampled_from([1, 3, 10]),
+    feedback=st.sampled_from(["forecast", "oracle"]),
+    clamped=st.booleans(),
+    n_slots=st.integers(1, 96),
+    head=st.integers(0, 12),
+    bursts=st.lists(_BURSTS, min_size=1, max_size=4),
+)
+def test_batched_kernel_matches_online_on_random_bursts(record, feedback, clamped, n_slots, head, bursts):
+    """Every kernel row equals its ``process_slot`` run, whatever the loss pattern.
+
+    Bursts overlap, touch and sit ``record`` slots apart at random, so losses
+    share a cluster or start new ones; ``head`` loses row 0's first slots,
+    before the window fills, and a stream may end before it ever fills.
+    """
+    config = ForecoConfig(record=record, feedback=feedback, max_step_rad=0.04 if clamped else None)
+    commands = _stream(96)[0][:n_slots]
+    delays = np.full((len(bursts), commands.shape[0]), 1.0)
+    for row, row_bursts in enumerate(bursts):
+        for start, length in row_bursts:
+            delays[row, start : start + length] = np.inf
+    delays[0, :head] = np.inf
+    forecaster = _fitted("var", record)
+    batched = ForecoRecovery(config, forecaster=copy.deepcopy(forecaster)).process_stream_batch(
+        commands, delays
+    )
+    for row, row_delays in enumerate(delays):
+        _, decisions = _online(config, forecaster, commands, row_delays)
+        executed = np.stack([decision.executed_command for decision in decisions])
+        assert executed.tobytes() == batched.executed[row].tobytes()
+        assert np.array_equal([decision.forecasted for decision in decisions], batched.forecasted[row])
+        assert np.array_equal([decision.on_time for decision in decisions], batched.on_time[row])
 
 
 # ---------------------------------------------------- ownership and errors

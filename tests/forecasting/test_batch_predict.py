@@ -62,10 +62,11 @@ def test_batch_matches_looped_predict_next(name):
 def test_batch_rows_are_pure(name):
     """A row's forecast has the same bits alone, in a larger batch and permuted.
 
-    The batched recovery kernel forecasts only the rows that miss a slot, so
-    the rows sharing a call change from slot to slot; that is exact only if
-    each row's bits depend on its own history alone.  Constant histories,
-    ``-0.0`` entries and large values are included.
+    The batched recovery kernel forecasts one dependency wave of missing
+    commands per call, so the rows sharing a call change from wave to wave
+    and a wave can hold thousands of rows; that is exact only if each row's
+    bits depend on its own history alone.  Constant histories, ``-0.0``
+    entries and large values are included.
     """
     forecaster = make_forecaster(name, record=RECORD, **FORECASTERS[name])
     forecaster.fit(_training_stream())
@@ -81,7 +82,7 @@ def test_batch_rows_are_pure(name):
 
     for index in range(histories.shape[0]):
         assert np.array_equal(batch_bits(histories[index : index + 1]), bits[index : index + 1])
-    larger = np.concatenate((_histories(n_batch=300, length=RECORD, seed=4), histories))
+    larger = np.concatenate((_histories(n_batch=4096, length=RECORD, seed=4), histories))
     assert np.array_equal(batch_bits(larger)[-histories.shape[0] :], bits)
     rng = np.random.default_rng(5)
     order = rng.permutation(histories.shape[0])
