@@ -74,12 +74,10 @@ def test_bench_batched_kernel_throughput(benchmark, bench_scale, bench_seed):
 
         t_serial, serial = _best_of(lambda: _rerun(oracle, spec))
         t_batched, batched = _best_of(lambda: _rerun(engine, spec))
-        # Process backend: one single-repetition shard per worker, the
+        # Worker processes: one single-repetition shard per worker, the
         # multi-core route for grids whose sessions cannot share a cache.
         shards = [spec.with_(repetitions=1, seed=bench_seed + i) for i in range(4)]
-        t_process, _ = _best_of(
-            lambda: SweepExecutor(jobs=4, backend="process").run(shards), rounds=1
-        )
+        t_process, _ = _best_of(lambda: SweepExecutor(jobs=4).run(shards), rounds=1)
 
         assert serial.rmse_foreco_mm == batched.rmse_foreco_mm
         assert serial.rmse_no_forecast_mm == batched.rmse_no_forecast_mm

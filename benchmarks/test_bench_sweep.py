@@ -39,7 +39,7 @@ def _specs(bench_scale, bench_seed):
 
 
 def test_bench_sweep_parallel(benchmark, bench_scale, bench_seed):
-    """8-cell grid x 2 repetitions on 4 worker threads."""
+    """8-cell grid x 2 repetitions at ``jobs=4`` (one kernel group, run as one stacked pass)."""
     specs = _specs(bench_scale, bench_seed)
     # Warm the dataset/forecaster caches so the benchmark isolates the sweep.
     serial_engine = SessionEngine()

@@ -57,6 +57,8 @@ def main() -> None:
 
     base = get_scenario("bursty-loss", seed=9).with_channel(burst_length=15)
     specs = scenario_grid(base, {"foreco.algorithm": tuple(LABELS)})
+    # jobs=2 forks worker processes, which inherit the registration; where
+    # the platform cannot fork (Windows), sweep runtime registrations with jobs=1.
     sweep = repro.sweep(specs, jobs=2)
 
     print(f"{'forecaster':<30s} {'FoReCo RMSE [mm]':>18s}")

@@ -3,7 +3,7 @@
 
 Declares the sweep as a grid of :class:`repro.ScenarioSpec` values — robots
 sharing the 802.11 medium x interference probability x burst duration — and
-fans it out over worker threads with the :func:`repro.sweep` facade.  The
+fans it out over worker processes with the :func:`repro.sweep` facade.  The
 result is a uniform table with the trajectory RMSE of the stock stack and of
 FoReCo for every cell; thanks to spec-derived seeding it is identical no
 matter how many workers run it.  The full-size sweep lives in

@@ -12,8 +12,8 @@ store and asserts the planner's whole contract on a clean checkout:
 * the warm pass is **100% store hits** — the plan records are loaded
   whole, zero probes recomputed — and renders a bit-identical ``plans``
   section;
-* a ``--jobs 4`` process-backend pass (fresh store) produces the same
-  plans byte for byte (jobs/backend invariance).
+* a ``--jobs 4`` pass (fresh store) produces the same plans byte for byte
+  as the ``--jobs 1`` cold pass (jobs invariance).
 
 Exit code 0 on success, 1 with a diagnostic on any violated expectation.
 Run it from an environment where ``repro`` is importable (CI installs the
@@ -32,10 +32,9 @@ SEED = 11
 KNEE = 3
 
 
-def _plan(store: str, resume: bool, jobs: int = 2, backend: str = "thread") -> dict:
+def _plan(store: str, resume: bool, jobs: int = 1) -> dict:
     report = run_experiments(
-        ["plan"], scale="ci", seed=SEED, jobs=jobs, backend=backend,
-        fmt="json", store=store, resume=resume,
+        ["plan"], scale="ci", seed=SEED, jobs=jobs, fmt="json", store=store, resume=resume
     )
     return json.loads(report)
 
@@ -45,7 +44,7 @@ def main() -> int:
         first = _plan(root, resume=False)
         second = _plan(root, resume=True)
     with tempfile.TemporaryDirectory(prefix="foreco-plan-smoke-") as root:
-        process = _plan(root, resume=False, jobs=4, backend="process")
+        fanned = _plan(root, resume=False, jobs=4)
 
     failures = []
     for row in first["plans"]:
@@ -70,8 +69,8 @@ def main() -> int:
         )
     if second["plans"] != first["plans"]:
         failures.append("warm plans differ from the cold pass (determinism broken)")
-    if process["plans"] != first["plans"]:
-        failures.append("process-backend plans differ from thread plans (invariance broken)")
+    if fanned["plans"] != first["plans"]:
+        failures.append("--jobs 4 plans differ from --jobs 1 plans (invariance broken)")
 
     if failures:
         for failure in failures:
@@ -80,7 +79,7 @@ def main() -> int:
     print(
         f"plan smoke ok: {n_plans} presets at the knee (capacity {KNEE}), warm pass "
         f"{second['store']['hits']}/{n_plans} plan records reused (zero recompute), "
-        f"process backend identical"
+        f"--jobs 4 identical to --jobs 1"
     )
     return 0
 

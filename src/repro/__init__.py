@@ -52,7 +52,7 @@ Package layout
 Facade
 ------
 The five entry points most users need are exposed directly on the package,
-with uniform keyword names (``store=``, ``jobs=``, ``backend=``):
+with uniform keyword names (``store=``, ``jobs=``):
 
 * :func:`run_scenario` — one scenario preset/spec to a session result;
 * :func:`run_fleet` — one fleet preset/spec to a fleet result;
@@ -231,21 +231,20 @@ def run_fleet(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     return _run_one(spec if seed is None else spec.with_template(seed=int(seed)), store, jobs)
 
 
-def sweep(specs, *, jobs: int = 1, backend: str = "thread", store=None) -> SweepResult:
+def sweep(specs, *, jobs: int = 1, store=None) -> SweepResult:
     """Run a list of specs in parallel and return the ordered result table.
 
     ``specs`` may mix :class:`ScenarioSpec`, :class:`FleetSpec` and
     :class:`ServiceSpec` values; each routes through the right engine.
-    ``jobs`` workers fan the list out over the ``backend`` (``"thread"`` or
-    ``"process"``); with a ``store``, already-persisted results are loaded
-    instead of recomputed and the sweep is resumable.  Results are
-    bit-identical for any worker count.
+    ``jobs`` worker processes fan the list out; with a ``store``,
+    already-persisted results are loaded instead of recomputed and the
+    sweep is resumable.  Results are bit-identical for any worker count.
 
     >>> table = sweep([get_scenario("clean")], jobs=4)   # doctest: +SKIP
     >>> len(table)                                          # doctest: +SKIP
     1
     """
-    executor = SweepExecutor(jobs=jobs, backend=backend, store=_as_store(store))
+    executor = SweepExecutor(jobs=jobs, store=_as_store(store))
     return executor.run(specs)
 
 
@@ -268,26 +267,23 @@ def serve(service_spec, *, until=None, store=None) -> ServiceResult:
     return _run_one(spec if until is None else spec.with_(until_s=float(until)), store)
 
 
-def plan(
-    plan_spec, *, jobs: int = 1, backend: str = "thread", store=None, **overrides
-) -> CapacityPlan:
+def plan(plan_spec, *, jobs: int = 1, store=None, **overrides) -> CapacityPlan:
     """Run one capacity-planning search and return its :class:`CapacityPlan`.
 
     ``plan_spec`` is a :class:`PlanSpec` or a registered ``plan-*`` preset
     name (see :func:`repro.fleet.plan_names`).  Keyword ``overrides``
     (``slo_p99=``, ``slo_drop=``, ``budget=``, ``method=``, ...) replace
-    plan-level fields before the search runs.  ``store``/``jobs``/
-    ``backend`` behave exactly as in :func:`sweep`: every capacity probe
-    memoizes through the store, the finished plan persists under its own
-    content address, and the plan is bit-identical for any worker count or
-    backend.
+    plan-level fields before the search runs.  ``store``/``jobs`` behave
+    exactly as in :func:`sweep`: every capacity probe memoizes through the
+    store, the finished plan persists under its own content address, and
+    the plan is bit-identical for any worker count.
 
     >>> report = plan("plan-shared-ap")              # doctest: +SKIP
     >>> report.capacity                              # doctest: +SKIP
     3
     """
     spec = PLANS.override(PLANS.resolve(plan_spec), **overrides)
-    planner = CapacityPlanner(jobs=jobs, backend=backend, store=_as_store(store))
+    planner = CapacityPlanner(jobs=jobs, store=_as_store(store))
     return planner.run(spec)
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from concurrent.futures import ThreadPoolExecutor
-
 from ..forecasting import make_forecaster, multi_step_rmse
 from ..scenarios import SessionEngine
 from .common import ExperimentScale, base_scenario, get_scale
@@ -83,9 +81,8 @@ def run(
 ) -> Fig7Result:
     """Reproduce the Fig. 7 sweep at the requested scale.
 
-    ``jobs`` parallelises the (algorithm, record-length) candidate fits;
-    the per-candidate evaluation is self-contained, so the selected curves
-    are identical to the serial run.
+    ``jobs`` is accepted for CLI uniformity but ignored: the candidate
+    fits run in order in the calling process.
     """
     scale = get_scale(scale)
     datasets = SessionEngine().datasets(base_scenario("fig7", scale, seed))
@@ -97,48 +94,30 @@ def run(
     horizons = [max(1, int(round(w / period_ms))) for w in windows_ms]
     stride = max(1, (test.shape[0] - 60) // max(1, scale.forecast_evaluations))
 
-    candidates = [
-        (algorithm, record)
-        for algorithm in algorithms
-        for record in _candidate_records(algorithm, scale)
-    ]
-
-    def evaluate(candidate: tuple[str, int]) -> tuple[str, int, list[float], int]:
-        algorithm, record = candidate
-        forecaster = _build(algorithm, record, scale, seed)
-        forecaster.fit(train)
-        rmse = [
-            multi_step_rmse(
-                forecaster, test, horizon, stride=stride,
-                max_evaluations=scale.forecast_evaluations,
-            )
-            for horizon in horizons
-        ]
-        return algorithm, record, rmse, int(getattr(forecaster, "n_parameters", 0) or 0)
-
-    if max(1, int(jobs)) > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            evaluations = list(pool.map(evaluate, candidates))
-    else:
-        evaluations = [evaluate(candidate) for candidate in candidates]
-
     result = Fig7Result(windows_ms=windows_ms)
     for algorithm in algorithms:
         best_rmse: list[float] | None = None
         best_record = 0
         best_params = 0
-        for name, record, rmse, n_params in evaluations:
-            if name != algorithm:
-                continue
+        for record in _candidate_records(algorithm, scale):
+            forecaster = _build(algorithm, record, scale, seed)
+            forecaster.fit(train)
+            rmse = [
+                multi_step_rmse(
+                    forecaster, test, horizon, stride=stride,
+                    max_evaluations=scale.forecast_evaluations,
+                )
+                for horizon in horizons
+            ]
             if best_rmse is None or np.mean(rmse) < np.mean(best_rmse):
                 best_rmse = rmse
                 best_record = record
-                best_params = n_params
+                best_params = int(getattr(forecaster, "n_parameters", 0) or 0)
         assert best_rmse is not None
         result.rmse_mm[algorithm] = [float(v) for v in best_rmse]
         result.best_record[algorithm] = best_record
         if best_params:
-            result.n_parameters[algorithm] = int(best_params)
+            result.n_parameters[algorithm] = best_params
     return result
 
 

@@ -8,8 +8,8 @@ once with the stock robot stack ("no forecasting") and once with FoReCo.
 
 The sweep itself is declarative: one :class:`ScenarioSpec` per heatmap cell,
 expanded with :func:`repro.scenarios.scenario_grid` and executed by the
-:class:`repro.scenarios.SweepExecutor` (pass ``jobs`` to fan the cells out
-over worker threads; results are identical to the serial run).
+:class:`repro.scenarios.SweepExecutor` (the cells differ only in channel, so
+they form one kernel group and run as one stacked pass for any ``jobs``).
 
 Reported outcome (the shape this experiment reproduces):
 

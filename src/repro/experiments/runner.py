@@ -18,7 +18,7 @@ Each experiment prints the text rendering of its result (the same tables the
 benchmark harness produces) or, with ``--format json``, a JSON document, so
 the paper-vs-measured comparison recorded in EXPERIMENTS.md can be
 regenerated with a single command.  ``--jobs`` fans sweep-style experiments
-out over worker threads through the scenario engine; results are identical
+out over worker processes through the scenario engine; results are identical
 to the serial run.  ``--scenario`` runs named presets from
 :mod:`repro.scenarios.registry` (repeat the flag for several; the special
 name ``all`` runs every preset).
@@ -37,7 +37,7 @@ The ``search`` keyword runs the budgeted coverage-guided scenario search
 sets the number of candidate evaluations, ``--promote`` registers the
 top-discovered worst cases as ``adversarial-*`` presets for the rest of the
 invocation (they then run like any preset via ``--scenario all``), and
-``--store``/``--resume``/``--jobs``/``--backend`` memoize and parallelise
+``--store``/``--resume``/``--jobs`` memoize and parallelise
 the probes exactly like scenario sweeps — a warm rerun against the same
 store recomputes nothing.
 
@@ -67,7 +67,7 @@ The ``plan`` keyword runs every capacity-plan preset from
 capacities (see ``docs/fleet.md`` "Capacity planning").  ``--slo-p99`` and
 ``--slo-drop`` override the p99-recovery and drop-rate gates of every
 preset, ``--budget N`` caps the number of capacities probed, and
-``--jobs``/``--backend``/``--store``/``--resume`` parallelise and memoize
+``--jobs``/``--store``/``--resume`` parallelise and memoize
 the probes exactly like scenario sweeps; with a store, the finished plans
 persist under their own content addresses, so a warm rerun loads the plan
 records and recomputes nothing.
@@ -138,10 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment scale (default: ci)")
     parser.add_argument("--seed", type=int, default=42, help="random seed (default: 42)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sweep-style experiments (default: 1)")
-    parser.add_argument("--backend", default="thread", choices=["thread", "process"],
-                        help="--scenario sweep backend: shared-cache threads or "
-                        "multi-core worker processes (default: thread)")
+                        help="worker processes for sweep-style experiments (default: 1)")
     parser.add_argument(
         "--scenario",
         action="append",
@@ -242,7 +239,6 @@ def run_experiments(
     jobs: int = 1,
     fmt: str = "text",
     scenarios: list[str] | None = None,
-    backend: str = "thread",
     store: str | None = None,
     resume: bool = False,
     fleet: int | None = None,
@@ -307,7 +303,7 @@ def run_experiments(
     # One executor serves every sweep-shaped run (scenario presets, fleet
     # presets, service presets, search probes), so they share one result
     # memo.
-    executor = SweepExecutor(jobs=jobs, backend=backend, store=result_store)
+    executor = SweepExecutor(jobs=jobs, store=result_store)
     search_result = None
     if search_requested:
         from ..scenarios.search import ScenarioSearch, SearchConfig  # deferred: keeps import light
@@ -525,7 +521,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             fmt=args.fmt,
             scenarios=args.scenario,
-            backend=args.backend,
             store=args.store,
             resume=args.resume,
             fleet=args.fleet,

@@ -38,9 +38,9 @@ exact engine's per-``(operator, repetition)`` seeds, and the cold-AP draws
 consume one generator per repetition (seeded from
 :meth:`~repro.fleet.spec.FleetSpec.workload_identity`) in a fixed
 repetition-major, AP-ascending, operator-ascending block order.  Hybrid
-runs are therefore bit-identical across worker counts and thread/process
-backends, and a fleet whose every AP classifies hot degenerates to the
-plain exact computation bit for bit.
+runs are therefore bit-identical across worker counts, and a fleet whose
+every AP classifies hot degenerates to the plain exact computation bit for
+bit.
 """
 
 from __future__ import annotations

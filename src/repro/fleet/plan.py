@@ -56,13 +56,13 @@ Determinism and memoization
 
 Every probe is a real :class:`~repro.fleet.FleetSpec` evaluation routed
 through a :class:`~repro.scenarios.SweepExecutor`, so probes parallelise
-over threads or processes and memoize through the content-addressed
+over worker processes and memoize through the content-addressed
 :class:`~repro.scenarios.ResultStore`.  The planner consumes **no
 randomness at all** — probe sequences are pure functions of the spec — so
-a plan is bit-identical across ``--jobs 1`` vs ``--jobs N`` and thread vs
-process backends.  Finished plans persist under the ``"plan"`` record kind
-of the same epoch scheme as every other result: a rerun against the same
-store loads the plan shard directly and recomputes nothing.
+a plan is bit-identical across ``--jobs 1`` vs ``--jobs N``.  Finished
+plans persist under the ``"plan"`` record kind of the same epoch scheme as
+every other result: a rerun against the same store loads the plan shard
+directly and recomputes nothing.
 """
 
 from __future__ import annotations
@@ -477,9 +477,9 @@ class CapacityPlanner:
     ----------
     executor:
         The sweep executor probes run through.  Built from ``jobs`` /
-        ``backend`` / ``store`` when omitted; pass an explicit executor to
-        share engine caches (and the store) with other sweeps.
-    jobs / backend / store:
+        ``store`` when omitted; pass an explicit executor to share engine
+        caches (and the store) with other sweeps.
+    jobs / store:
         Convenience constructor arguments for the default executor
         (ignored when ``executor`` is given).
     evaluator:
@@ -498,14 +498,13 @@ class CapacityPlanner:
         self,
         executor: SweepExecutor | None = None,
         jobs: int = 1,
-        backend: str = "thread",
         store: ResultStore | None = None,
         evaluator: Callable[[FleetSpec], object] | None = None,
     ) -> None:
         if evaluator is not None and executor is not None:
             raise ConfigurationError("pass either an executor or an evaluator, not both")
         if evaluator is None and executor is None:
-            executor = SweepExecutor(jobs=jobs, backend=backend, store=store)
+            executor = SweepExecutor(jobs=jobs, store=store)
         self.evaluator = evaluator
         self.executor = executor
         self.memo = ResultMemo(None if executor is None else executor.store)
@@ -517,7 +516,7 @@ class CapacityPlanner:
         Already-probed capacities are free; fresh ones beyond the remaining
         budget are silently skipped, which is how both methods stop probing
         at budget exhaustion.  Batches route through the executor in probe
-        order, so parallel backends return bit-identical ledgers.
+        order, so any worker count returns bit-identical ledgers.
         """
         fresh: list[int] = []
         for capacity in capacities:

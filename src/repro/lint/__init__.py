@@ -1,7 +1,7 @@
 """``replint`` — the repository's reproducibility contract checker.
 
 The properties this codebase stakes its results on — bit-identical runs
-across ``--jobs`` and backends, spec-derived block-ordered RNG,
+across ``--jobs`` counts, spec-derived block-ordered RNG,
 content-addressed store shards invalidated by ``ENGINE_EPOCH``, the typed
 :mod:`repro.errors` taxonomy — are *conventions*: nothing in the type system
 stops a stray ``np.random.default_rng(42)``, a wall-clock read in a sampler,

@@ -1,7 +1,7 @@
 """RNG discipline rules: every random draw must flow from a spec-derived seed.
 
 The repository's determinism contract (bit-identical results across
-``--jobs`` and backends) holds only because all randomness is drawn from
+``--jobs`` counts) holds only because all randomness is drawn from
 ``np.random.Generator`` instances seeded from spec hashes and repetition
 indices.  Three rules police that:
 

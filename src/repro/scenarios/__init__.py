@@ -19,7 +19,7 @@ and the ``foreco-experiments`` CLI all describe work as
   forecaster caching, and the :class:`ResultMemo` (memory -> store ->
   write-back by spec hash) every engine and the sweep share;
 * :mod:`repro.scenarios.sweep` — fans lists/grids of specs out over worker
-  threads and returns a uniform :class:`SweepResult` table;
+  processes and returns a uniform :class:`SweepResult` table;
 * :mod:`repro.scenarios.store` — persistent, content-addressed
   :class:`ResultStore` (spec hash + :data:`ENGINE_EPOCH`) making sweeps
   resumable: executors compute only the specs missing from the store;

@@ -15,8 +15,8 @@ needs:
   by the spec hash (the same memo class every fleet, service and plan
   engine and the sweep's store partition use).
 
-All caches are guarded by locks so the :class:`~repro.scenarios.sweep.
-SweepExecutor` can call :meth:`SessionEngine.run_many` from worker threads.
+All caches are guarded by locks, so a caller may drive one engine from its
+own threads.
 Determinism is by construction: every random draw is seeded from the spec
 hash and the repetition index, never from execution order, so a sweep
 produces bit-identical results with 1 or N workers.
@@ -453,10 +453,12 @@ class ResultMemo:
     :class:`~repro.scenarios.sweep.SweepExecutor` partitions a sweep
     through the same memos.  :meth:`lookup` reads memory, then the store,
     promoting a store hit into memory; :meth:`record` keeps a computed
-    result and writes it back.  A store miss is remembered until the next
-    lookup of that key or until it is recorded, so the engine that computes
-    a spec right after a sweep's partition missed it does not read the
-    shard again.
+    result and writes it back, and :meth:`adopt` keeps a row a sweep
+    worker computed and stored.  A store miss is remembered until the next
+    lookup of that key or until the key is kept, so the engine that
+    computes a spec right after a sweep's partition missed it does not read
+    the shard again; :meth:`note_miss` hands such a miss to a sweep
+    worker's memo.
     """
 
     def __init__(self, store: "ResultStore | None" = None) -> None:
@@ -484,10 +486,7 @@ class ResultMemo:
 
     def record(self, spec, result):
         """Keep a computed result (the first one recorded wins) and store it."""
-        key = spec.spec_hash()
-        with self._lock:
-            self._missed.discard(key)
-            result = self._results.setdefault(key, result)
+        result = self.adopt(spec, result)
         if self.store is not None:
             self.store.put(spec, result)
         return result
@@ -497,10 +496,17 @@ class ResultMemo:
         result, _ = self.lookup(spec)
         return result if result is not None else self.record(spec, compute(spec))
 
-    def forget_miss(self, spec) -> None:
-        """Drop a remembered store miss (the spec was computed elsewhere)."""
+    def adopt(self, spec, result):
+        """Keep a result computed and stored elsewhere (the first one kept wins)."""
+        key = spec.spec_hash()
         with self._lock:
-            self._missed.discard(spec.spec_hash())
+            self._missed.discard(key)
+            return self._results.setdefault(key, result)
+
+    def note_miss(self, spec) -> None:
+        """Remember a store miss another process already read for ``spec``."""
+        with self._lock:
+            self._missed.add(spec.spec_hash())
 
     def cached(self, spec):
         """The result held in memory for this spec, if any."""
@@ -570,7 +576,7 @@ class SessionEngine:
 
         The copy makes every session start from pristine fitted state, so
         stateful forecasters (VARMA's residual window, custom registered
-        classes) cannot leak state across repetitions, sessions or worker
+        classes) cannot leak state across repetitions, sessions or caller
         threads — results stay independent of execution order.
         """
         return copy.deepcopy(self.trained_forecaster(spec))

@@ -21,7 +21,7 @@ from which candidates are produced two ways:
 Every candidate is a frozen, hashable
 :class:`~repro.scenarios.spec.ScenarioSpec`, so the search memoizes probes
 through the content-addressed :class:`~repro.scenarios.store.ResultStore`
-and stays bit-deterministic across worker counts and backends.  Invalid
+and stays bit-deterministic across worker counts.  Invalid
 grammar configurations and out-of-range knobs raise
 :class:`~repro.errors.ConfigurationError` — never a bare ``ValueError`` —
 matching the spec layer's validation contract.

@@ -17,15 +17,14 @@ per-repetition recovery fractions, SLO semantics as in
 higher scores mean worse service.
 
 Every probe runs through a :class:`~repro.scenarios.sweep.SweepExecutor`,
-so evaluation parallelises over threads or processes and — when a
+so evaluation parallelises over worker processes and — when a
 :class:`~repro.scenarios.store.ResultStore` is attached — memoizes through
 the content-addressed store: a repeated search recomputes **nothing** (the
 smoke gate in ``scripts/search_smoke.py`` asserts a warm second pass is
 100 % store hits).  All random draws happen in the coordinating thread in a
 fixed order seeded from :attr:`SearchConfig.seed`, and candidate evaluation
 is a pure function of the spec, so a search with a fixed seed and budget is
-bit-deterministic across ``--jobs 1`` vs ``--jobs N`` and thread vs process
-backends.
+bit-deterministic across ``--jobs 1`` vs ``--jobs N``.
 
 Discovered worst cases graduate to named presets through
 :meth:`SearchResult.promote` — they appear as ``adversarial-*`` entries in
@@ -265,9 +264,9 @@ class ScenarioSearch:
         Budget/seed/refinement knobs (default: :class:`SearchConfig`).
     executor:
         The sweep executor probes run through.  Built from ``jobs`` /
-        ``backend`` / ``store`` when omitted; pass an explicit executor to
-        share engine caches with other sweeps.
-    jobs / backend / store:
+        ``store`` when omitted; pass an explicit executor to share engine
+        caches with other sweeps.
+    jobs / store:
         Convenience constructor arguments for the default executor
         (ignored when ``executor`` is given).
     """
@@ -278,7 +277,6 @@ class ScenarioSearch:
         config: SearchConfig | None = None,
         executor: SweepExecutor | None = None,
         jobs: int = 1,
-        backend: str = "thread",
         store: ResultStore | None = None,
     ) -> None:
         self.grammar = grammar if grammar is not None else ScenarioGrammar()
@@ -286,7 +284,7 @@ class ScenarioSearch:
             raise ConfigurationError("grammar must be a ScenarioGrammar")
         self.config = config if config is not None else SearchConfig()
         if executor is None:
-            executor = SweepExecutor(jobs=jobs, backend=backend, store=store)
+            executor = SweepExecutor(jobs=jobs, store=store)
         self.executor = executor
 
     def _evaluate(
@@ -314,7 +312,7 @@ class ScenarioSearch:
         in a fixed order (independent of worker scheduling), candidates are
         deduplicated by spec hash, and evaluation is a pure function of the
         spec — so fixed ``(seed, budget)`` always yields the same probes in
-        the same order, for any job count or backend.
+        the same order, for any job count.
         """
         config = self.config
         rng = np.random.default_rng(config.seed)
@@ -373,7 +371,6 @@ def run_search(
     seed: int = 0,
     top_k: int = 2,
     jobs: int = 1,
-    backend: str = "thread",
     store: ResultStore | None = None,
     grammar: ScenarioGrammar | None = None,
 ) -> SearchResult:
@@ -384,7 +381,5 @@ def run_search(
     contract.
     """
     config = SearchConfig(budget=budget, seed=seed, top_k=top_k)
-    search = ScenarioSearch(
-        grammar=grammar, config=config, jobs=jobs, backend=backend, store=store
-    )
+    search = ScenarioSearch(grammar=grammar, config=config, jobs=jobs, store=store)
     return search.run()

@@ -11,7 +11,7 @@ a pure value:
   :meth:`ScenarioSpec.spec_hash`;
 * a sweep is just a list of specs, which the
   :class:`~repro.scenarios.sweep.SweepExecutor` can fan out over worker
-  threads without any shared mutable state;
+  processes without any shared mutable state;
 * experiments, examples, benchmarks and the CLI all describe workloads in
   the same vocabulary instead of hand-wiring channels and recovery engines.
 

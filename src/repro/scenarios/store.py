@@ -29,7 +29,7 @@ Layout and guarantees
   so an old store survives an upgrade and simply re-fills.
 * Writes are atomic: the record lands in a per-writer temp file in the shard
   directory and is ``os.replace``-d into place, so concurrent writers
-  (sweep threads, worker processes, parallel CI jobs sharing a cache
+  (caller threads, sweep worker processes, parallel CI jobs sharing a cache
   directory) can race on the same key and readers still only ever see a
   complete record — last writer wins, and equal specs write equal bytes
   anyway.

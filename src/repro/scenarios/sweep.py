@@ -12,14 +12,13 @@ spec-seeded too, so they stay bit-identical across worker counts).  The
 scenario specs sharing a :func:`~repro.scenarios.engine.kernel_group_key`
 (e.g. every cell of the Fig. 8 grid, which differ only in channel) run as one
 stacked kernel pass through :meth:`SessionEngine.run_many`; each fleet or
-service spec is a unit of its own.  The executor fans the units out over a
-thread pool (each unit is NumPy-bound and self-contained, and the engine's
-caches are lock-guarded) or, with ``backend="process"``, over a process pool
-for true multi-core grids — placing every row back at its input index in the
-returned :class:`SweepResult` either way.
+service spec is a unit of its own.  With ``jobs > 1`` and more than one
+unit, the executor fans the units out over a process pool for true
+multi-core grids, placing every row back at its input index in the
+returned :class:`SweepResult`.
 Because every random draw is seeded from the spec itself (see
 :func:`repro.scenarios.engine.repetition_seed`), the result is bit-identical
-whether the sweep runs with 1 worker or N, threads or processes.
+whether the sweep runs with 1 worker or N.
 
 :func:`scenario_grid` expands axis definitions into the cross-product of
 specs — the declarative replacement for the nested ``for`` loops the
@@ -30,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -163,7 +163,7 @@ class SweepResult:
 
 
 # ------------------------------------------------------------------- executor
-#: Per-process executor for the ``"process"`` backend.  Created lazily in
+#: Per-process executor of a pool worker.  Created lazily in
 #: each worker on its first unit, so one worker amortises dataset and
 #: forecaster training across every unit it is handed.
 _WORKER_EXECUTOR: "SweepExecutor | None" = None
@@ -177,14 +177,25 @@ def _run_unit_in_worker(task: tuple[list, tuple | None]) -> list:
     ``store_config`` is ``(root, epoch, max_entries, max_bytes)`` or ``None``;
     each worker process opens its own :class:`ResultStore` handle on it, so
     results are persisted the moment a worker finishes them (per-key atomic
-    renames make the concurrent writers safe).
+    renames make the concurrent writers safe).  Every spec in a task is one
+    the parent's partition found missing, so the worker does not read it
+    from the store again.
     """
     global _WORKER_EXECUTOR
     specs, store_config = task
     if _WORKER_EXECUTOR is None:
         store = ResultStore(*store_config) if store_config is not None else None
         _WORKER_EXECUTOR = SweepExecutor(store=store)
+    for spec in specs:
+        _WORKER_EXECUTOR._engine_for(spec).memo.note_miss(spec)
     return _WORKER_EXECUTOR._run_unit(specs)
+
+
+def _pool_context():
+    """The ``fork`` start method where the platform has it, else the default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
 
 
 def _work_units(pending: Sequence[tuple[int, object]]) -> list[list[tuple[int, object]]]:
@@ -207,30 +218,28 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker count; ``1`` (default) runs serially in the calling thread.
-        Workers take whole kernel groups (see the module docs), so a sweep
-        with fewer groups than workers leaves the extra workers idle.
-    engine:
-        Shared :class:`SessionEngine`; a private one is created when omitted,
-        so repeated ``run`` calls on one executor reuse its caches.  Ignored
-        by the ``"process"`` backend (see below).
-    backend:
-        ``"thread"`` (default) fans groups out over a thread pool sharing
-        ``engine`` and its caches — the right choice when sweeps reuse
-        datasets/forecasters heavily or results must land in this process's
-        cache.  ``"process"`` uses a :class:`~concurrent.futures.
-        ProcessPoolExecutor` for true multi-core scaling of NumPy-bound
-        grids: every worker process builds a private engine on first use
-        (caches cannot be shared across processes), specs and result rows
-        travel by pickling.  Because all randomness is seeded from the spec,
-        both backends return results bit-identical to a serial run.
+        Worker count; ``1`` (default) runs serially in the calling thread,
+        and so does a sweep with a single work unit.  Otherwise the units go
+        to a :class:`~concurrent.futures.ProcessPoolExecutor` of at most
+        ``jobs`` workers, one pool per :meth:`run` call.  Workers take whole
+        kernel groups (see the module docs), so a sweep with fewer groups
+        than workers leaves the extra workers idle.  Every worker process
+        builds a private engine on first use; specs and result rows travel
+        by pickling, and every returned row is kept in its engine's memo in
+        this process.  What else a worker warms (dataset and forecaster
+        caches, a hybrid fleet's template session) stays in the worker.
+        Because all randomness is seeded from the spec, the rows are
+        bit-identical to a serial run.
 
         Caveat: runtime registrations (``register_forecaster`` /
-        ``register_scenario``) live in per-process module globals.  Workers
-        inherit them under the ``fork`` start method (Linux default) but NOT
-        under ``spawn`` (macOS/Windows default), where specs referencing
-        them fail with a ``ConfigurationError``; use ``backend="thread"``
-        for such specs on those platforms.
+        ``register_scenario``) live in per-process module globals.  The pool
+        uses the ``fork`` start method wherever the platform has it (Linux,
+        macOS), so workers inherit them.  Where only ``spawn`` exists
+        (Windows), specs referencing them fail in the workers with a
+        ``ConfigurationError``; run such specs with ``jobs=1`` there.
+    engine:
+        Shared :class:`SessionEngine`; a private one is created when omitted,
+        so repeated ``run`` calls on one executor reuse its caches.
     store:
         Optional persistent :class:`~repro.scenarios.store.ResultStore`.
         :meth:`run` first partitions the specs through the engines'
@@ -245,20 +254,12 @@ class SweepExecutor:
         engine (which must not already carry a different one).
     """
 
-    #: Accepted ``backend`` values.
-    BACKENDS: tuple[str, ...] = ("thread", "process")
-
     def __init__(
         self,
         jobs: int = 1,
         engine: SessionEngine | None = None,
-        backend: str = "thread",
         store: ResultStore | None = None,
     ) -> None:
-        if backend not in self.BACKENDS:
-            raise ConfigurationError(
-                f"unknown sweep backend {backend!r}; available: {sorted(self.BACKENDS)}"
-            )
         self.jobs = max(1, int(jobs))
         if engine is None:
             engine = SessionEngine(store=store)
@@ -267,7 +268,6 @@ class SweepExecutor:
                 raise ConfigurationError("engine already carries a different result store")
             engine.memo.store = store
         self.engine = engine
-        self.backend = backend
         self.store = engine.memo.store
         self._fleet_engine = None  # lazy HybridFleetEngine for FleetSpec rows
         self._service_engine = None  # lazy ServiceEngine for ServiceSpec rows
@@ -338,19 +338,18 @@ class SweepExecutor:
             unit_specs = [[spec for _, spec in unit] for unit in units]
             if self.jobs == 1 or len(units) == 1:
                 computed = [self._run_unit(group) for group in unit_specs]
-            elif self.backend == "process":
+            else:
                 store_config = self._store_config()
                 tasks = [(group, store_config) for group in unit_specs]
-                with ProcessPoolExecutor(max_workers=min(self.jobs, len(units))) as pool:
+                workers = min(self.jobs, len(units))
+                with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
                     computed = list(pool.map(_run_unit_in_worker, tasks))
-                for _, spec in pending:  # the workers read and wrote the store
-                    self._engine_for(spec).memo.forget_miss(spec)
-            else:
-                # The engine trains distinct forecaster identities in parallel and
-                # serialises same-identity requests on a per-key lock, so workers
-                # can start immediately.
-                with ThreadPoolExecutor(max_workers=min(self.jobs, len(units))) as pool:
-                    computed = list(pool.map(self._run_unit, unit_specs))
+                # Keep each worker row in this process's memo; the worker
+                # already wrote it to the store.
+                computed = [
+                    [self._engine_for(spec).memo.adopt(spec, row) for spec, row in zip(group, got)]
+                    for group, got in zip(unit_specs, computed)
+                ]
             for unit, unit_rows in zip(units, computed):
                 for (index, _), row in zip(unit, unit_rows):
                     rows[index] = row

@@ -28,7 +28,7 @@ import numpy as np
 
 from .._validation import ensure_positive, ensure_probability, rng_from
 from ..errors import ChannelError
-from .channel import ChannelSample, CommandDelayTrace, trace_from_delays
+from .channel import CommandDelayTrace, trace_from_delays
 
 
 @dataclass
@@ -101,35 +101,6 @@ class GilbertElliottJammer:
     def reset(self) -> None:
         """Force the channel back into the good state."""
         self.state = self.GOOD
-
-    def _step_state(self) -> None:
-        if self.state == self.GOOD:
-            if self.rng.random() < self.config.p_good_to_jammed:
-                self.state = self.JAMMED
-        else:
-            if self.rng.random() < self.config.p_jammed_to_good:
-                self.state = self.GOOD
-
-    def sample_command(self, index: int = 0) -> ChannelSample:
-        """Sample the fate of one command under the current jammer state.
-
-        One-off convenience path; it draws its variates per command (and the
-        delay draw only for delivered commands), so a sequence of
-        ``sample_command`` calls consumes the RNG stream differently from one
-        :meth:`sample_trace` call of the same length.
-        """
-        self._step_state()
-        config = self.config
-        if self.state == self.JAMMED:
-            loss_probability = config.loss_probability_jammed
-            mean_delay = config.delay_jammed_ms
-        else:
-            loss_probability = config.loss_probability_good
-            mean_delay = config.delay_good_ms
-        if self.rng.random() < loss_probability:
-            return ChannelSample(index=index, delay_ms=float("inf"), lost=True)
-        delay = float(self.rng.exponential(mean_delay))
-        return ChannelSample(index=index, delay_ms=delay, lost=False)
 
     def _scan_states(self, step_uniforms: np.ndarray) -> np.ndarray:
         """Advance the two-state chain through pre-drawn transition uniforms."""

@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_parser, main, run_experiments
-from repro.scenarios import SweepExecutor
 
 
 def _message(excinfo) -> str:
@@ -119,12 +118,6 @@ def test_nothing_to_run():
         run_experiments([], scale="ci", seed=1)
     assert "nothing to run" in _message(excinfo)
     assert "serve" in _message(excinfo)
-
-
-def test_malformed_executor_values_raise_configuration_error():
-    with pytest.raises(ConfigurationError) as excinfo:
-        SweepExecutor(backend="quantum")
-    assert "unknown sweep backend" in str(excinfo.value)
 
 
 def test_main_exits_cleanly_on_misuse(capsys):

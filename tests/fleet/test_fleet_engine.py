@@ -301,8 +301,8 @@ class TestMetricsAndDeterminism:
             get_scenario("random-loss").with_(run_seconds=RUN_SECONDS),
         ]
         serial = SweepExecutor(jobs=1).run(specs)
-        threaded = SweepExecutor(jobs=4).run(specs)
-        assert [row.to_dict() for row in serial] == [row.to_dict() for row in threaded]
+        fanned = SweepExecutor(jobs=4).run(specs)
+        assert [row.to_dict() for row in serial] == [row.to_dict() for row in fanned]
 
     def test_engine_caches_by_spec_hash(self):
         engine = FleetEngine()

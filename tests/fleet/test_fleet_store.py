@@ -90,10 +90,10 @@ def test_mixed_scenario_and_fleet_sweep(tmp_path, fleet):
     assert fleet.name in sweep.to_table()
 
 
-def test_process_backend_matches_serial(fleet):
+def test_worker_processes_match_serial(fleet):
     specs = [fleet, get_fleet("peak-hour", operators=4).with_template(run_seconds=RUN_SECONDS)]
     serial = SweepExecutor(jobs=1).run(specs)
-    process = SweepExecutor(jobs=2, backend="process").run(specs)
+    process = SweepExecutor(jobs=2).run(specs)
     assert [row.to_dict() for row in process] == [row.to_dict() for row in serial]
 
 

@@ -70,12 +70,11 @@ def test_probes_are_real_fleet_evaluations(probe_store):
 
 
 # -------------------------------------------------------------- determinism
-def test_plan_is_bit_identical_across_jobs_and_backends(probe_store):
+def test_plan_is_bit_identical_across_jobs(probe_store):
     spec = get_plan("plan-shared-ap")
     serial = _plan(spec, probe_store, jobs=1).to_dict()
-    threaded = _plan(spec, probe_store, jobs=4).to_dict()
-    process = _plan(spec, probe_store, jobs=4, backend="process").to_dict()
-    assert serial == threaded == process
+    for jobs in (2, 4):
+        assert _plan(spec, probe_store, jobs=jobs).to_dict() == serial
 
 
 def test_golden_plan_is_bit_identical_across_jobs(probe_store):

@@ -361,13 +361,13 @@ def test_sweep_interleaving_kernel_groups_keeps_order_and_one_shard_per_spec(tmp
     assert store.stats().writes == len(computed) - 1  # the store hit was not rewritten
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_stacked_sweep_jobs_1_equals_jobs_4(backend):
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_stacked_sweep_jobs_1_equals_jobs_n(jobs):
     specs = _interleaved_specs()
     serial = SweepExecutor(jobs=1).run(specs)
-    parallel = SweepExecutor(jobs=4, backend=backend).run(specs)
+    parallel = SweepExecutor(jobs=jobs).run(specs)
     assert serial.to_records() == parallel.to_records()
     engine = SessionEngine()
-    for one, four in zip(serial, parallel):
-        assert np.array_equal(one.delays_ms, four.delays_ms)
-        assert_same_trajectories(engine.trajectories(one), engine.trajectories(four))
+    for one, many in zip(serial, parallel):
+        assert np.array_equal(one.delays_ms, many.delays_ms)
+        assert_same_trajectories(engine.trajectories(one), engine.trajectories(many))

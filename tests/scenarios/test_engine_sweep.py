@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import multiprocessing
 import threading
 import time
 import tracemalloc
@@ -34,6 +35,7 @@ from repro.scenarios import (
     scenario_grid,
     wireless_channel,
 )
+from repro.scenarios.sweep import _pool_context
 
 #: A short run so the engine tests stay fast.
 RUN_SECONDS = 8.0
@@ -343,12 +345,12 @@ def test_sweep_executor_parallel_matches_serial():
         assert row_s.recovery_fraction == row_p.recovery_fraction
 
 
-def test_sweep_process_backend_matches_serial():
-    """backend="process" returns the same rows as a serial run, in order."""
+def test_sweep_worker_processes_match_serial():
+    """Rows fanned out over worker processes equal a serial run, in order."""
     base = _spec(loss_burst_channel(burst_length=10), repetitions=2)
     axes = {"channel.burst_length": (5, 15), "seed": (1, 2)}
     serial = SweepExecutor(jobs=1).run_grid(base, axes)
-    process = SweepExecutor(jobs=2, backend="process").run_grid(base, axes)
+    process = SweepExecutor(jobs=2).run_grid(base, axes)
     assert len(serial) == len(process) == 4
     for row_s, row_p in zip(serial, process):
         assert row_s.spec_hash == row_p.spec_hash
@@ -358,9 +360,19 @@ def test_sweep_process_backend_matches_serial():
         assert row_s.recovery_fraction == row_p.recovery_fraction
 
 
-def test_sweep_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        SweepExecutor(jobs=2, backend="bogus")
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_runtime_registrations_reach_the_worker_processes():
+    """Workers are forked, whatever the interpreter's default start method."""
+
+    class LateRegistered(MovingAverageForecaster):
+        name = "test-late-registered"
+
+    assert _pool_context().get_start_method() == "fork"
+    base = _custom_spec(LateRegistered)
+    specs = [base, base.with_(seed=base.seed + 1)]  # two kernel groups
+    serial_rows = SweepExecutor(jobs=1).run(specs)
+    fanned = SweepExecutor(jobs=2).run(specs)
+    assert [row.to_dict() for row in fanned] == [row.to_dict() for row in serial_rows]
 
 
 def test_sweep_result_table_json_and_selectors():

@@ -2,8 +2,7 @@
 
 The acceptance bar for the coverage-guided search (see docs/validation.md):
 
-* fixed ``(seed, budget)`` is bit-deterministic across ``jobs`` counts and
-  thread vs process backends;
+* fixed ``(seed, budget)`` is bit-deterministic across ``jobs`` counts;
 * a rerun against the same store recomputes nothing (100 % hits);
 * discovered worst cases promote to ``adversarial-*`` presets, and the two
   presets baked into the registry stay pinned to their discovered
@@ -37,8 +36,8 @@ def _signature(result):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The serial-thread reference run every determinism test compares to."""
-    return run_search(budget=BUDGET, seed=SEED, jobs=1, backend="thread")
+    """The serial reference run every determinism test compares to."""
+    return run_search(budget=BUDGET, seed=SEED, jobs=1)
 
 
 def test_search_spends_exactly_its_budget(reference):
@@ -48,14 +47,10 @@ def test_search_spends_exactly_its_budget(reference):
     assert len(set(hashes)) == BUDGET  # deduplicated probes
 
 
-def test_search_deterministic_across_jobs(reference):
-    parallel = run_search(budget=BUDGET, seed=SEED, jobs=4, backend="thread")
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_search_deterministic_across_jobs(reference, jobs):
+    parallel = run_search(budget=BUDGET, seed=SEED, jobs=jobs)
     assert _signature(parallel) == _signature(reference)
-
-
-def test_search_deterministic_across_backends(reference):
-    process = run_search(budget=BUDGET, seed=SEED, jobs=2, backend="process")
-    assert _signature(process) == _signature(reference)
 
 
 def test_warm_rerun_recomputes_nothing(tmp_path, reference):

@@ -29,6 +29,7 @@ from repro.scenarios import (
     loss_burst_channel,
     scenario_grid,
 )
+from repro.scenarios.engine import ResultMemo
 from repro.service import get_service
 
 #: A short run so the engine-backed tests stay fast.
@@ -275,8 +276,9 @@ def test_sweep_partition_counts_each_lookup_once(tmp_path, monkeypatch):
     """Executor partition + engine lookup must not double-count misses.
 
     Every spec, fleet and service rows included, is read from the store
-    exactly once per sweep (fresh or warm, serial or threaded), and no
-    lookup runs a separate existence check.
+    exactly once per sweep (fresh or warm, serial or fanned out), and no
+    lookup runs a separate existence check.  Reads are logged to a file so
+    the count includes the forked worker processes.
     """
     base = _spec(repetitions=1)
     specs = scenario_grid(base, {"seed": (1, 2, 3)})
@@ -293,11 +295,12 @@ def test_sweep_partition_counts_each_lookup_once(tmp_path, monkeypatch):
     fleet = get_fleet("shared-ap", operators=2).with_template(run_seconds=8.0)
     service = get_service("service-shared-ap").with_fleet(operators=3, aps=1)
     mixed = specs + [fleet, service.with_template(run_seconds=8.0)]
-    reads: list[str] = []
+    read_log = tmp_path / "reads.log"
     real_get = ResultStore.get
 
     def get(store, spec):
-        reads.append(spec.spec_hash())
+        with open(read_log, "a") as log:
+            log.write(spec.spec_hash() + "\n")
         return real_get(store, spec)
 
     def contains(store, spec):
@@ -308,9 +311,9 @@ def test_sweep_partition_counts_each_lookup_once(tmp_path, monkeypatch):
     for jobs in (1, 2):
         root = tmp_path / f"jobs-{jobs}"
         for expected_hits in (0, len(mixed)):  # fresh, then warm
-            reads.clear()
+            read_log.write_text("")
             sweep = SweepExecutor(jobs=jobs, store=ResultStore(root)).run(mixed)
-            assert sorted(reads) == sorted(spec.spec_hash() for spec in mixed)
+            assert sorted(read_log.read_text().split()) == sorted(spec.spec_hash() for spec in mixed)
             assert (sweep.store_hits, sweep.store_misses) == (expected_hits, len(mixed) - expected_hits)
 
 
@@ -333,15 +336,29 @@ def test_grown_grid_reuses_the_overlap(tmp_path):
     assert (sweep.store_hits, sweep.store_misses) == (2, 2)
 
 
-def test_process_backend_workers_write_back(tmp_path):
+def test_worker_processes_write_back(tmp_path):
     base = _spec(repetitions=1)
     specs = scenario_grid(base, {"seed": (1, 2, 3)})
-    sweep = SweepExecutor(jobs=2, backend="process", store=ResultStore(tmp_path)).run(specs)
+    sweep = SweepExecutor(jobs=2, store=ResultStore(tmp_path)).run(specs)
     assert sweep.store_misses == 3
     assert len(ResultStore(tmp_path)) == 3  # persisted from the worker processes
-    warm = SweepExecutor(jobs=2, backend="process", store=ResultStore(tmp_path)).run(specs)
+    warm = SweepExecutor(jobs=2, store=ResultStore(tmp_path)).run(specs)
     assert (warm.store_hits, warm.store_misses) == (3, 0)
     assert [row.to_dict() for row in warm] == [row.to_dict() for row in sweep]
+
+
+def test_memo_adopts_a_row_stored_elsewhere_without_writing_it(tmp_path):
+    spec = _spec(repetitions=1)
+    store = ResultStore(tmp_path)
+    memo = ResultMemo(store)
+    assert memo.lookup(spec) == (None, False)  # the miss is remembered
+    row = SessionEngine().run(spec)
+    assert memo.adopt(spec, row) is row
+    assert memo.adopt(spec, SessionEngine().run(spec)) is row  # the first row kept wins
+    result, loaded = memo.lookup(spec)
+    assert result is row and not loaded
+    assert spec not in store
+    assert (store.stats().writes, store.stats().misses) == (0, 1)
 
 
 def test_executor_store_engine_wiring(tmp_path):

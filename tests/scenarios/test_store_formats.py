@@ -126,7 +126,7 @@ def _format1_copy(spec, store: ResultStore, target: ResultStore) -> None:
 @pytest.mark.parametrize("use_pid", [False, True], ids=["kinematic", "pid"])
 def test_trajectories_replay_bit_for_bit_from_every_cache(tmp_path, use_pid):
     """A cold row, a memory hit, format-2 and format-1 store hits and a
-    process-backend row all replay to the same trajectories, which equal the
+    worker-process row all replay to the same trajectories, which equal the
     serial loop's run of the same delay trace."""
     spec = _fixture_specs()["session"].with_(use_pid=use_pid)
     store = ResultStore(tmp_path / "format2")
@@ -142,7 +142,7 @@ def test_trajectories_replay_bit_for_bit_from_every_cache(tmp_path, use_pid):
         shutil.copyfile(FIXTURES / "session.json", format1.shard_path(spec.spec_hash()))
     rows["format-1 store"] = SessionEngine(store=format1).run(spec)
     twin = spec.with_(use_pid=not use_pid)  # a second kernel group, so workers run
-    rows["process"] = SweepExecutor(jobs=2, backend="process").run([spec, twin])[0]
+    rows["process"] = SweepExecutor(jobs=2).run([spec, twin])[0]
     assert (format2.stats().hits, format1.stats().hits) == (1, 1)
 
     reference = engine.trajectories(rows["cold"])

@@ -3,7 +3,7 @@
 The executor dispatches rows by ``store_kind``: plain scenario specs go to
 the session engine, ``FleetSpec`` values to the (hybrid-capable) fleet
 engine and ``ServiceSpec`` values to the live-service engine — all three
-sharing one session engine and one store, in either backend.
+sharing one session engine and one store, for any worker count.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import pytest
 
 from repro.fleet import FleetResult, get_fleet
 from repro.scenarios import ResultStore, SessionResult, SweepExecutor, get_scenario
+from repro.scenarios.engine import kernel_group_key
 from repro.service import ServiceResult, get_service
 
 
@@ -38,10 +39,34 @@ def test_mixed_sweep_routes_by_store_kind(tmp_path):
         assert cold_row.to_dict() == warm_row.to_dict()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_service_rows_match_across_backends_and_jobs(backend):
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_service_rows_match_across_jobs(jobs):
     specs = [_service_spec(), _service_spec().with_(policy="utilization-threshold")]
     serial = SweepExecutor(jobs=1).run(specs)
-    fanned = SweepExecutor(jobs=2, backend=backend).run(specs)
+    fanned = SweepExecutor(jobs=jobs).run(specs)
     for row_s, row_f in zip(serial, fanned):
         assert row_s.to_dict() == row_f.to_dict()
+
+
+def test_fanned_out_sweep_leaves_every_memo_as_an_inline_run_would(tmp_path):
+    clean = get_scenario("clean").with_(repetitions=1)
+    specs = [
+        clean,
+        clean.with_(seed=clean.seed + 1),  # a second kernel group
+        get_fleet("shared-ap", operators=2).with_template(scale="ci"),
+        _service_spec(),
+        clean,  # a repeat shares its first row
+    ]
+    assert len({kernel_group_key(spec) for spec in specs[:2]}) == 2
+    store = ResultStore(tmp_path / "store")
+    executor = SweepExecutor(jobs=2, store=store)
+    sweep = executor.run(specs)
+    for spec, row in zip(specs, sweep):
+        assert row is executor._engine_for(spec).memo.cached(spec)
+    distinct = len({spec.spec_hash() for spec in specs})
+    # Each row was stored once, by the worker that computed it.
+    stats = store.stats()
+    assert (stats.entries, stats.writes) == (distinct, 0)
+    inline_store = ResultStore(tmp_path / "inline")
+    SweepExecutor(jobs=1, store=inline_store).run(specs)
+    assert inline_store.stats().writes == distinct
