@@ -102,8 +102,8 @@ class HyperExponential(Distribution):
     """
 
     def __init__(self, probs: Sequence[float], rates: Sequence[float]) -> None:
-        probs_arr = np.asarray(probs, dtype=float)
-        rates_arr = np.asarray(rates, dtype=float)
+        probs_arr = np.array(probs, dtype=float)
+        rates_arr = np.array(rates, dtype=float)
         if probs_arr.ndim != 1 or rates_arr.ndim != 1 or probs_arr.size != rates_arr.size:
             raise ConfigurationError("probs and rates must be 1-D sequences of equal length")
         if probs_arr.size == 0:
@@ -114,6 +114,15 @@ class HyperExponential(Distribution):
             raise ConfigurationError("phase rates must be strictly positive")
         self.probs = probs_arr / probs_arr.sum()
         self.rates = rates_arr
+        # The phase CDF and the per-phase scales that ``Generator.choice(p=)``
+        # and ``Generator.exponential(scale=)`` would rebuild on every call.
+        # All four arrays are read-only, so they cannot drift apart; the
+        # inputs were copied above, so a caller's array is never frozen.
+        self._cdf = self.probs.cumsum()
+        self._cdf /= self._cdf[-1]
+        self._scales = 1.0 / self.rates
+        for array in (self.probs, self.rates, self._cdf, self._scales):
+            array.setflags(write=False)
 
     @property
     def n_phases(self) -> int:
@@ -121,17 +130,27 @@ class HyperExponential(Distribution):
         return self.probs.size
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
+        """Draw one variate (``size=None``) or an array of ``size`` variates.
+
+        Bit for bit, and with the same stream consumption, this is
+        ``phases = rng.choice(n_phases, size=n, p=probs)`` followed by
+        ``rng.exponential(1 / rates[phases])``: NumPy's ``choice`` draws
+        ``rng.random(n)`` and looks each uniform up in ``cumsum(p) / sum``
+        with ``searchsorted(side="right")``, and ``exponential(scale)`` is
+        ``scale * standard_exponential``.  Both are done here with the CDF
+        and the scales built once, in ``__init__``.
+        """
         n = 1 if size is None else int(size)
-        phases = rng.choice(self.n_phases, size=n, p=self.probs)
-        values = rng.exponential(1.0 / self.rates[phases])
+        phases = self._cdf.searchsorted(rng.random(n), side="right")
+        values = rng.standard_exponential(n) * self._scales[phases]
         if size is None:
             return float(values[0])
         return values
 
     def sample_with_phase(self, rng: np.random.Generator) -> tuple[float, int]:
         """Draw one variate and also return the phase index that produced it."""
-        phase = int(rng.choice(self.n_phases, p=self.probs))
-        value = float(rng.exponential(1.0 / self.rates[phase]))
+        phase = int(self._cdf.searchsorted(rng.random(), side="right"))
+        value = float(rng.standard_exponential() * self._scales[phase])
         return value, phase
 
     def mean(self) -> float:

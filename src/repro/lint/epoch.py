@@ -35,6 +35,7 @@ from .registry import ProjectContext, Rule, register
 #: are added by glob).
 _TRACKED_FIXED = (
     "src/repro/core/recovery.py",
+    "src/repro/des/distributions.py",
     "src/repro/forecasting/base.py",
     "src/repro/forecasting/var.py",
     "src/repro/core/simulation.py",
@@ -65,7 +66,8 @@ def tracked_files(root: Path) -> list[str]:
 
     The fixed set (scenario engine and spec, recovery kernel, forecaster
     base and VAR forecaster, fleet couplers and spec, service admission
-    engine and policies) plus every module of
+    engine and policies, the random-variate distributions behind every
+    AP-queue service time) plus every module of
     :mod:`repro.wireless` — all delay samplers and channel models live
     there, and a new sampler is engine-semantic by construction — and every
     module of :mod:`repro.teleop`, which synthesises the operator datasets

@@ -309,8 +309,8 @@ def sample_channel_delays_batch(
     sampler does — but the heavy samplers (the 802.11 AP queue, the Markov chains,
     the loss injectors) advance every row together in NumPy arrays and
     expensive derived state (the Bianchi DCF fixed point, service
-    distributions) is built once per distinct channel instead of once per
-    row.  With per-row channels, every wireless row (whatever its station
+    distributions) is built once per DCF parameter set per process instead
+    of once per row.  With per-row channels, every wireless row (whatever its station
     count, interference or queue capacity) shares one AP-queue pass
     (:func:`repro.wireless.sample_wireless_delays_batch`); rows of other
     kinds are sampled once per distinct channel and scattered back into row

@@ -46,12 +46,33 @@ Sampling comes in two flavours with one randomness contract:
   longest busy period rather than once per command.  The rows may come from
   different channels (a sweep stacks every cell of a grid into one pass);
   :meth:`WirelessChannel.sample_delays_batch` is the one-channel case.
+
+The randomness contract is that of a per-variate draw: for one repetition,
+a scalar ``rng.exponential(gap_mean)`` per interference burst until a burst
+would start past the horizon, then ``rng.choice(p=...)`` and
+``rng.exponential(1 / rates)`` per service time, then the block, air-loss
+and interference-loss uniforms.  Both paths draw the same values, and leave
+the stream at the same position, with block draws instead.  The burst gaps
+are drawn as one block after saving the bit generator's state; the starts
+are the block's running sum, whose sequential adds are the loop's ``t +=
+on + gap``.  The state is then restored, and exactly the draws the loop
+would have consumed are made again.  The service times look their uniforms
+up in a phase CDF built once per distribution (see
+:meth:`repro.des.distributions.HyperExponential.sample`).
+``tests/oracles/serial.py`` keeps the per-variate draw as the reference.
+
+Channels with equal DCF parameters share one contention model (one Bianchi
+solve, one service distribution) from a bounded per-process memo keyed by
+the parameters' values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,6 +155,38 @@ def trace_from_delays(delays: np.ndarray) -> CommandDelayTrace:
     return trace
 
 
+#: Contention models kept per process, least recently used evicted first.
+_MAX_CONTENTION_MODELS = 64
+_contention_models: OrderedDict[tuple, Ieee80211DelayModel] = OrderedDict()
+_contention_lock = threading.Lock()
+#: Every field of :class:`DcfParameters` but the interference source, which
+#: is not hashable and enters the memo key by its two values.
+_dcf_values = attrgetter(*(f.name for f in fields(DcfParameters) if f.name != "interference"))
+
+
+def _contention_model(params: DcfParameters) -> Ieee80211DelayModel:
+    """The process-wide contention model (one Bianchi solve) for ``params``' values.
+
+    Keyed by the parameters' type and values, not by the object, so the
+    channels of a grid share one model per station count.  The model is
+    built from a private copy: mutating ``params`` afterwards reaches neither
+    the memo nor another channel.
+    """
+    interference = params.interference
+    key = (type(params), _dcf_values(params), interference.probability, interference.duration_slots)
+    with _contention_lock:
+        model = _contention_models.get(key)
+        if model is not None:
+            _contention_models.move_to_end(key)
+            return model
+    model = Ieee80211DelayModel(replace(params, interference=replace(interference)))
+    with _contention_lock:
+        model = _contention_models.setdefault(key, model)
+        if len(_contention_models) > _MAX_CONTENTION_MODELS:
+            _contention_models.popitem(last=False)
+    return model
+
+
 class WirelessChannel:
     """End-to-end command delay sampler for an 802.11 link with interference.
 
@@ -195,17 +248,27 @@ class WirelessChannel:
             "interference_loss_probability", interference_loss_probability
         )
         self.interference = interference if interference is not None else InterferenceSource()
-        self.rng = rng_from(seed)
+        self._seed = seed
 
         # Contention model: Bianchi DCF for n stations, no interference term
         # (interference is realised in the time domain below).  The caller's
-        # dcf_params is copied, not mutated.
+        # dcf_params is copied, not mutated; channels with equal parameters
+        # share one memoised model.
         base_params = dcf_params if dcf_params is not None else DcfParameters()
         contention_params = replace(
             base_params, n_stations=n_robots, interference=InterferenceSource()
         )
         self.params = contention_params
-        self.contention_model = Ieee80211DelayModel(contention_params)
+        self.contention_model = _contention_model(contention_params)
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The channel's own stream, built on first use.
+
+        Batched sampling passes each row's generator explicitly and never
+        reads it, so a channel built only for that costs no entropy read.
+        """
+        return rng_from(self._seed)
 
     @cached_property
     def delay_model(self) -> Ieee80211DelayModel:
@@ -243,19 +306,39 @@ class WirelessChannel:
 
     def _interference_intervals(
         self, horizon_ms: float, rng: np.random.Generator | None = None
-    ) -> list[tuple[float, float]]:
-        """Sample the ON intervals of the interferer over ``[0, horizon_ms]``."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(on_start, on_end)`` of the interferer's ON intervals in ``[0, horizon_ms)``.
+
+        The bursts follow ``t = gap_0``, then ``t += on + gap_i`` while
+        ``t < horizon_ms``, with exponential gaps.  The gaps are drawn as one
+        block and the starts are their running sum, so the sums are the
+        loop's sequential adds.  The stream is then rewound and exactly the
+        draws the loop would have made are made again (the bursts kept plus
+        the one that passed the horizon), so the stream's position does not
+        depend on the block size.
+        """
         rng = self.rng if rng is None else rng
-        intervals: list[tuple[float, float]] = []
         if not self.interference.is_active:
-            return intervals
+            return np.empty(0), np.empty(0)
         on = self.burst_duration_ms()
         gap_mean = self.mean_gap_ms()
-        t = float(rng.exponential(gap_mean))
-        while t < horizon_ms:
-            intervals.append((t, t + on))
-            t += on + float(rng.exponential(gap_mean))
-        return intervals
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        # The expected burst count plus a margin; a block that ends before
+        # the horizon is rewound and drawn again twice as long.
+        size = int(1.25 * horizon_ms / (on + gap_mean)) + 16
+        while True:
+            steps = rng.standard_exponential(size) * gap_mean
+            steps[1:] += on
+            starts = steps.cumsum()
+            kept = int(starts.searchsorted(horizon_ms, side="left"))
+            bit_generator.state = state
+            if kept < size:
+                break
+            size *= 2
+        rng.standard_exponential(kept + 1)
+        starts = starts[:kept]
+        return starts, starts + on
 
     # ------------------------------------------------------------ sampling
     def sample_trace(self, n_commands: int, use_queue: bool = True) -> CommandDelayTrace:
@@ -274,30 +357,29 @@ class WirelessChannel:
             wireless_delays = self._direct_delays(n_commands)
         return trace_from_delays(wireless_delays)
 
-    def _draw_queue_randomness(self, rng: np.random.Generator, n_commands: int, service_dist):
+    def _draw_queue_randomness(self, rng: np.random.Generator, n_commands: int):
         """All random inputs of the queue simulation, in fixed block order.
 
         Both the serial and the batched path consume one repetition's RNG
         stream through this helper — interference intervals first, then the
-        per-command service times (from ``service_dist``, the contention
-        model's service distribution, which callers build once per channel),
-        block, air-loss and interference-loss draws as whole arrays — so a
-        given seed yields the same randomness on either path by construction.
+        per-command service times (from the contention model's service
+        distribution), block, air-loss and interference-loss draws as whole
+        arrays — so a given seed yields the same randomness on either path by
+        construction.
         """
         horizon_ms = (n_commands + 1) * self.command_period_ms
         intervals = self._interference_intervals(horizon_ms, rng)
-        work = service_dist.sample_many(rng, n_commands)
+        work = self.contention_model.service_distribution().sample_many(rng, n_commands)
         blocked = rng.random(n_commands) < self.interference_block_probability
         base_lost = rng.random(n_commands) < self.contention_model.loss_probability
         interference_lost = rng.random(n_commands) < self.interference_loss_probability
         return intervals, work, blocked, base_lost, interference_lost
 
     @staticmethod
-    def _advance_through_interference(
-        intervals: list[tuple[float, float]], start: float, work_ms: float
-    ) -> tuple[float, bool]:
+    def _advance_through_interference(intervals, start: float, work_ms: float) -> tuple[float, bool]:
         """Return (completion time, overlapped_interference) for ``work_ms``
-        of transmission work beginning at ``start``."""
+        of transmission work beginning at ``start``; ``intervals`` yields the
+        ``(on_start, on_end)`` pairs of the bursts in time order."""
         t = start
         remaining = work_ms
         overlapped = False
@@ -331,9 +413,10 @@ class WirelessChannel:
         oracle for :meth:`sample_delays_batch`.
         """
         rng = self.rng if rng is None else rng
-        intervals, work, blocked, base_lost, interference_lost = self._draw_queue_randomness(
-            rng, n_commands, self.contention_model.service_distribution()
+        (on_start, on_end), work, blocked, base_lost, interference_lost = (
+            self._draw_queue_randomness(rng, n_commands)
         )
+        intervals = list(zip(on_start.tolist(), on_end.tolist()))
 
         delays = np.full(n_commands, np.inf)
         server_free = 0.0
@@ -408,9 +491,9 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     per-element arithmetic.  The rows may come from different channels
     (station count, interference, queue capacity, loss probabilities): each
     row's randomness is drawn through its own channel's
-    :meth:`WirelessChannel._draw_queue_randomness`, with each channel's
-    service distribution built once.  All channels must share the command
-    period (it sets the common arrival grid).
+    :meth:`WirelessChannel._draw_queue_randomness`, from the service
+    distribution its DCF parameters share.  All channels must share the
+    command period (it sets the common arrival grid).
 
     The Lindley recursion ``start_i = max(arrival_i, completion_{i-1})`` is
     solved in *busy-period rounds* instead of one step per command.  Round 0
@@ -425,11 +508,11 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     elementwise, from the first interference interval still ON at its start.
 
     Admission is *optimistic*: the rounds assume every arrival fits in the
-    buffer.  A vectorized post-check recomputes the backlog every command
-    would have seen (one ``searchsorted`` per row over the monotone
-    completion times); the rare rows whose backlog ever reaches their
-    channel's buffer capacity are re-sampled through that channel's serial
-    oracle, whose drop handling is exact by definition.
+    buffer.  A vectorized post-check finds the rows where some command would
+    have found the buffer full (one comparison per command against the
+    monotone completion times); those rare rows are re-sampled through
+    their channel's serial oracle, whose drop handling is exact by
+    definition.
     """
     n_commands = ensure_int("n_commands", n_commands, minimum=1)
     channels = list(channels)
@@ -444,10 +527,8 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     if any(channel.command_period_ms != period for channel in channels):
         raise ConfigurationError("stacked wireless rows must share one command period")
     batch = len(seeds)
-    distinct = {id(channel): channel for channel in channels}
-    services = {key: channel.contention_model.service_distribution() for key, channel in distinct.items()}
     drawn = [
-        channel._draw_queue_randomness(rng_from(seed), n_commands, services[id(channel)])
+        channel._draw_queue_randomness(rng_from(seed), n_commands)
         for channel, seed in zip(channels, seeds)
     ]
     work = np.concatenate([d[1] for d in drawn])
@@ -457,22 +538,28 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
 
     # Pad each row's interference intervals to a common width; the +inf
     # sentinel closing every row keeps an interval pointer inside its row.
-    stride = max(len(d[0]) for d in drawn) + 1
+    stride = max(d[0][0].size for d in drawn) + 1
     on_start = np.full((batch, stride), np.inf)
     on_end = np.full((batch, stride), np.inf)
-    for row, d in enumerate(drawn):
-        if d[0]:
-            on_start[row, : len(d[0])], on_end[row, : len(d[0])] = np.array(d[0]).T
+    for row, ((starts, ends), *_) in enumerate(drawn):
+        on_start[row, : starts.size] = starts
+        on_end[row, : ends.size] = ends
 
     # Round 0: every command starts at its arrival.  ``ptr`` indexes the
     # flattened interval tables at the first interval still ON at a command's
-    # start (the serial scan's ``on_end <= t: continue``).  It stays at the
-    # start, never past the bursts a service consumed: a later round's larger
-    # start may still overlap them.
+    # start (the serial scan's ``on_end <= t: continue``): the row's count of
+    # bursts ending by the arrival.  A burst ending at ``on_end`` counts from
+    # the first arrival ``>= on_end`` on, so one ``searchsorted`` over the
+    # whole table and a running count per row give every pointer.  A pointer
+    # stays at its command's start, never past the bursts a service consumed:
+    # a later round's larger start may still overlap them.
     arrivals = np.arange(n_commands) * period
-    ptr = np.concatenate(
-        [np.searchsorted(on_end[row], arrivals, side="right") + row * stride for row in range(batch)]
-    )
+    ends_by = np.searchsorted(arrivals, on_end, side="left")
+    ends_by += np.arange(batch)[:, None] * (n_commands + 1)
+    ended = np.bincount(ends_by.ravel(), minlength=batch * (n_commands + 1))
+    ptr = ended.reshape(batch, n_commands + 1)[:, :n_commands].cumsum(axis=1)
+    ptr += np.arange(batch)[:, None] * stride
+    ptr = ptr.ravel()
     on_start = on_start.ravel()
     on_end = on_end.ravel()
     start = np.tile(arrivals, batch)
@@ -502,16 +589,17 @@ def sample_wireless_delays_batch(channels, n_commands: int, seeds) -> np.ndarray
     lost = base_lost | (overlapped.reshape(batch, n_commands) & interference_lost)
     delays = np.where(lost, np.inf, completions - arrivals[None, :])
 
-    # Admission repair: the backlog command ``i`` finds is the number of
-    # earlier admitted commands still in the system, ``i - #{completion <=
-    # arrival_i}``.  Rows that never hit their buffer capacity took no drops,
-    # so the optimistic pass already matches the serial oracle; the rest are
-    # re-sampled serially through their own channel (drops reshape their
-    # timeline).
-    indices = np.arange(n_commands)
+    # Admission repair: the backlog command ``k`` finds is the number of
+    # earlier admitted commands still in the system, ``k - #{completion <=
+    # arrival_k}``.  A row's completions never decrease, so that backlog
+    # reaches the capacity ``Q`` exactly when ``completion_{k-Q} >
+    # arrival_k``: one comparison per command, on views of the row.  Rows
+    # that never hit their buffer capacity took no drops, so the optimistic
+    # pass already matches the serial oracle; the rest are re-sampled
+    # serially through their own channel (drops reshape their timeline).
     for row, (channel, seed) in enumerate(zip(channels, seeds)):
-        in_system = indices - np.searchsorted(completions[row], arrivals, side="right")
-        if np.any(in_system >= channel.queue_capacity):
+        capacity = channel.queue_capacity
+        if (completions[row, : max(n_commands - capacity, 0)] > arrivals[capacity:]).any():
             delays[row] = channel._medium_delays(n_commands, rng_from(seed))
     return delays
 

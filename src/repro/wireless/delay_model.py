@@ -27,6 +27,7 @@ Appendix:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,10 +147,18 @@ class Ieee80211DelayModel:
         return float(np.sum(cond * self._delays_ms))
 
     def service_distribution(self) -> HyperExponential:
-        """Hyper-exponential service distribution of the G/HEXP/1/Q queue."""
+        """Hyper-exponential service distribution of the G/HEXP/1/Q queue.
+
+        One instance per model, built on the first call (a model whose frames
+        are never delivered has none, and still constructs) and returned by
+        every later one; its arrays are read-only, so sharing it is safe.
+        """
+        return self._service
+
+    @cached_property
+    def _service(self) -> HyperExponential:
         cond = self._retx.conditional_probabilities()
-        rates = 1.0 / self._delays_ms
-        return HyperExponential(probs=cond, rates=rates)
+        return HyperExponential(probs=cond, rates=1.0 / self._delays_ms)
 
     # ------------------------------------------------------------- appendix
     def expected_delay_bound_ms(self, transport_bound_ms: float = 0.0) -> float:

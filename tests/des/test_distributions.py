@@ -96,3 +96,60 @@ def test_exponential_samples_non_negative(rate):
     rng = np.random.default_rng(0)
     dist = Exponential(rate)
     assert np.all(dist.sample_many(rng, 100) >= 0.0)
+
+
+def _untemper(word: int) -> int:
+    """Invert MT19937's output tempering (the state word behind an output)."""
+
+    def undo_right(value: int, shift: int) -> int:
+        result = value
+        for _ in range(32 // shift + 1):
+            result = value ^ (result >> shift)
+        return result & 0xFFFFFFFF
+
+    def undo_left(value: int, shift: int, mask: int) -> int:
+        result = value
+        for _ in range(32 // shift + 1):
+            result = value ^ ((result << shift) & mask)
+        return result & 0xFFFFFFFF
+
+    word = undo_right(word, 18)
+    word = undo_left(word, 15, 0xEFC60000)
+    word = undo_left(word, 7, 0x9D2C5680)
+    return undo_right(word, 11)
+
+
+def _generator_starting_with(uniforms) -> np.random.Generator:
+    """An MT19937 generator whose first ``random()`` draws are exactly ``uniforms``.
+
+    NumPy builds a double from two 32-bit outputs as ``((a >> 5) * 2**26 +
+    (b >> 6)) / 2**53``, so each uniform ``k / 2**53`` is planted as the two
+    state words that temper to ``(k >> 26) << 5`` and ``(k % 2**26) << 6``.
+    """
+    bit_generator = np.random.MT19937(0)
+    key = bit_generator.state["state"]["key"].copy()
+    for index, uniform in enumerate(uniforms):
+        k = int(uniform * 2**53)
+        assert k / 2**53 == uniform
+        key[2 * index] = _untemper((k >> 26) << 5)
+        key[2 * index + 1] = _untemper((k % 2**26) << 6)
+    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bit_generator)
+
+
+def test_hyperexponential_phase_ties_match_generator_choice():
+    """A uniform that lands exactly on a step of the phase CDF picks the phase
+    ``Generator.choice`` picks (the next one, ``searchsorted(side="right")``),
+    and a zero-probability phase is never picked.  Random seeds almost never
+    hit a step, so the steps are planted in the stream."""
+    from oracles.serial import hyperexponential_draw
+
+    dist = HyperExponential(probs=[0.5, 0.0, 0.25, 0.25], rates=[1.0, 2.0, 0.5, 0.1])
+    steps = [0.0, 0.5, 0.75, 0.25, 0.5 + 2.0**-53]
+    assert _generator_starting_with(steps).random(len(steps)).tolist() == steps
+    values = dist.sample(_generator_starting_with(steps), size=len(steps))
+    expected, phases = hyperexponential_draw(dist, _generator_starting_with(steps), len(steps))
+    assert phases.tolist() == [0, 2, 3, 0, 2]
+    assert values.tobytes() == expected.tobytes()
+    for step, phase in zip(steps, phases):
+        assert dist.sample_with_phase(_generator_starting_with([step]))[1] == phase

@@ -8,6 +8,13 @@ module is the one-repetition-at-a-time path, kept as their reference:
 
 * :func:`sample_channel_delays` builds each channel kind's own model and
   draws one realisation per seed through its per-class sampler;
+* :func:`draw_queue_randomness` draws the AP queue's random inputs one
+  variate at a time: one scalar exponential per interference burst, and
+  ``Generator.choice`` plus ``Generator.exponential`` for each
+  hyper-exponential service time (:func:`hyperexponential_draw`).  It is
+  the reference for the block draws of
+  :meth:`~repro.wireless.WirelessChannel._draw_queue_randomness`, which
+  every AP-queue sample, serial or batched, goes through;
 * :func:`process_stream` runs the recovery engine over one session, one
   :meth:`~repro.core.ForecoRecovery.process_slot` call per slot;
 * :class:`RemoteControlSimulation` runs one session through
@@ -97,6 +104,40 @@ def sample_channel_delays(
             )
         return total
     raise ConfigurationError(f"unknown channel kind {channel.kind!r}")
+
+
+def hyperexponential_draw(dist, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, phases)`` of ``size`` hyper-exponential variates, one phase
+    pick by ``Generator.choice(p=...)`` and one exponential per variate."""
+    phases = rng.choice(dist.n_phases, size=size, p=dist.probs)
+    return rng.exponential(1.0 / dist.rates[phases]), phases
+
+
+def interference_intervals(channel, horizon_ms: float, rng: np.random.Generator) -> list[tuple[float, float]]:
+    """The interferer's ``(on_start, on_end)`` intervals in ``[0, horizon_ms)``,
+    one scalar exponential gap per burst."""
+    intervals: list[tuple[float, float]] = []
+    if not channel.interference.is_active:
+        return intervals
+    on = channel.burst_duration_ms()
+    gap_mean = channel.mean_gap_ms()
+    t = float(rng.exponential(gap_mean))
+    while t < horizon_ms:
+        intervals.append((t, t + on))
+        t += on + float(rng.exponential(gap_mean))
+    return intervals
+
+
+def draw_queue_randomness(channel, rng: np.random.Generator, n_commands: int):
+    """``(intervals, work, blocked, base_lost, interference_lost)`` of one AP-queue
+    repetition, in the block order of ``WirelessChannel._draw_queue_randomness``."""
+    horizon_ms = (n_commands + 1) * channel.command_period_ms
+    intervals = interference_intervals(channel, horizon_ms, rng)
+    work, _ = hyperexponential_draw(channel.contention_model.service_distribution(), rng, n_commands)
+    blocked = rng.random(n_commands) < channel.interference_block_probability
+    base_lost = rng.random(n_commands) < channel.contention_model.loss_probability
+    interference_lost = rng.random(n_commands) < channel.interference_loss_probability
+    return intervals, work, blocked, base_lost, interference_lost
 
 
 def process_stream(recovery: ForecoRecovery, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.queueing import FiniteQueueSimulator
+from oracles.serial import draw_queue_randomness, hyperexponential_draw
 
 from repro._validation import rng_from
 from repro.des.distributions import Deterministic
@@ -19,6 +20,7 @@ from repro.wireless import (
     expected_delay_bound,
     sample_wireless_delays_batch,
 )
+from repro.wireless import channel as channel_module
 from repro.wireless.channel import ChannelSample, CommandDelayTrace
 
 
@@ -278,6 +280,92 @@ def test_batched_mixed_channels_equal_serial_oracle(pool, rows, n_commands):
     assert batched.shape == (len(rows), n_commands)
     for row, (channel, seed) in enumerate(zip(row_channels, seeds)):
         assert np.array_equal(batched[row], channel._medium_delays(n_commands, rng_from(seed)))
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_CHANNEL_ARGS, seed=st.integers(0, 2**32 - 1), n_commands=st.integers(1, 3000))
+@example(args=(5, 0.0, 1, 50, 1.0, 0.6), seed=0, n_commands=1)
+@example(args=(5, 1.0, 1, 50, 1.0, 0.6), seed=1, n_commands=3000)
+@example(args=(5, 1.0, 2000, 50, 1.0, 0.6), seed=2, n_commands=3000)
+@example(args=(25, 0.05, 100, 50, 1.0, 0.6), seed=3, n_commands=2063)
+def test_queue_randomness_equals_per_variate_reference(args, seed, n_commands):
+    """Property: the block draws of ``_draw_queue_randomness`` (one block of
+    burst gaps with a rewind, the hyper-exponential's precomputed CDF) equal
+    the per-variate reference draws bit for bit, and leave the stream at the
+    same position.  The batch-vs-serial property above cannot see a wrong
+    draw: both of its sides draw through this one helper."""
+    channel = _channel(*args)
+    rng, reference = rng_from(seed), rng_from(seed)
+    (on_start, on_end), *arrays = channel._draw_queue_randomness(rng, n_commands)
+    intervals, *expected = draw_queue_randomness(channel, reference, n_commands)
+    assert _same_bits(on_start, np.array([start for start, _ in intervals], dtype=float))
+    assert _same_bits(on_end, np.array([end for _, end in intervals], dtype=float))
+    for got, want in zip(arrays, expected):
+        assert _same_bits(got, want)
+    assert rng.random() == reference.random()
+    # The one-variate forms draw like a one-element block.
+    service = channel.contention_model.service_distribution()
+    values, _ = hyperexponential_draw(service, reference, 1)
+    assert _same_bits(service.sample(rng), float(values[0]))
+    values, phases = hyperexponential_draw(service, reference, 1)
+    assert service.sample_with_phase(rng) == (float(values[0]), int(phases[0]))
+    assert rng.random() == reference.random()
+
+
+def test_equal_dcf_parameters_share_one_memoised_contention_model():
+    """Channels with equal DCF parameters share one contention model (one
+    Bianchi solve), equal field for field to a freshly built one, and no
+    later mutation of a caller's or a channel's parameters reaches it."""
+    caller = DcfParameters(cw_min=32)
+    first = WirelessChannel(n_robots=7, dcf_params=caller)
+    second = WirelessChannel(
+        n_robots=7, dcf_params=DcfParameters(cw_min=32), interference=InterferenceSource(0.05, 100)
+    )
+    model = first.contention_model
+    assert second.contention_model is model
+    assert second.contention_model.service_distribution() is model.service_distribution()
+
+    fresh = Ieee80211DelayModel(DcfParameters(n_stations=7, cw_min=32))
+    assert model.solution == fresh.solution
+    assert np.array_equal(
+        model.retransmission_distribution.probabilities,
+        fresh.retransmission_distribution.probabilities,
+    )
+    assert np.array_equal(model.per_retransmission_delays_ms, fresh.per_retransmission_delays_ms)
+    assert model.loss_probability == fresh.loss_probability
+    assert np.array_equal(model.service_distribution().probs, fresh.service_distribution().probs)
+    assert np.array_equal(model.service_distribution().rates, fresh.service_distribution().rates)
+
+    caller.cw_min = 64
+    first.params.interference.probability = 0.5
+    first.params.interference.duration_slots = 10
+    first.params.cw_min = 128
+    assert model.params.cw_min == 32 and not model.params.interference.is_active
+    assert second.params.cw_min == 32
+    assert WirelessChannel(n_robots=7, dcf_params=DcfParameters(cw_min=32)).contention_model is model
+    changed = WirelessChannel(n_robots=7, dcf_params=caller).contention_model
+    assert changed is not model and changed.params.cw_min == 64
+
+
+def test_contention_memo_is_bounded():
+    for payload_bits in range(1, channel_module._MAX_CONTENTION_MODELS + 10):
+        WirelessChannel(n_robots=3, dcf_params=DcfParameters(payload_bits=payload_bits))
+    assert len(channel_module._contention_models) == channel_module._MAX_CONTENTION_MODELS
+
+
+def test_channel_stream_is_built_on_first_use():
+    """Batched sampling never reads a channel's own stream, so it is not
+    built until something does; then it is the stream of the seed."""
+    channel = WirelessChannel(n_robots=5, seed=11)
+    channel.sample_delays_batch(50, [1, 2])
+    assert "rng" not in vars(channel)
+    assert channel.rng is channel.rng
+    assert channel.rng.random() == rng_from(11).random()
 
 
 @settings(max_examples=10, deadline=None)
