@@ -25,8 +25,8 @@ import tempfile
 from repro.experiments.runner import run_experiments
 from repro.scenarios import ResultStore, SessionEngine, get_scenario
 
-#: Small presets exercising two different channel kinds.
-SCENARIOS = ["bursty-loss", "random-loss"]
+#: Small presets exercising three channel kinds, one carrying ``inf`` delays.
+SCENARIOS = ["bursty-loss", "random-loss", "trace-replay"]
 
 
 def _trajectory_bytes(engine: SessionEngine, row) -> list[bytes]:

@@ -80,7 +80,7 @@ def operator_channel_spec(fleet: FleetSpec, operator: int) -> ScenarioSpec:
         raise ConfigurationError("operator index must be >= 0")
     if operator == 0:
         return fleet.template
-    derived = _hash_seed(f"fleet-operator::{int(fleet.template.seed)}::{operator}")
+    derived = _hash_seed("fleet-operator", int(fleet.template.seed), operator)
     return fleet.template.with_(seed=derived)
 
 

@@ -45,7 +45,6 @@ bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +152,7 @@ def cold_draw_seed(fleet: FleetSpec, repetition: int) -> int:
     knobs themselves, so sweeping ``hot_threshold`` keeps the cold draws of
     still-cold APs aligned.
     """
-    identity = json.dumps(fleet.workload_identity(), sort_keys=True, separators=(",", ":"))
-    return _hash_seed(f"{identity}::cold::{int(repetition)}")
+    return _hash_seed(fleet.workload_identity_json, "cold", int(repetition))
 
 
 # --------------------------------------------------------------------- engine

@@ -25,15 +25,15 @@ so fleets are deterministic regardless of worker count or execution order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from ..des.distributions import Exponential, UniformDistribution
 from ..errors import ConfigurationError
-from ..scenarios.spec import ScenarioSpec, SpecIdentity, _hash_seed
+from ..scenarios.spec import ScenarioSpec, SpecIdentity, _hash_seed, canonical_json
 from ..wireless.superposition import TAIL_KINDS
 
 #: Session arrival processes understood by the fleet engine.
@@ -255,6 +255,11 @@ class FleetSpec(SpecIdentity):
             },
         }
 
+    @cached_property
+    def workload_identity_json(self) -> str:
+        """:func:`canonical_json` of :meth:`workload_identity`, once per instance."""
+        return canonical_json(self.workload_identity())
+
     # ------------------------------------------------------------ convenience
     @property
     def channel(self):
@@ -305,8 +310,7 @@ def arrival_seed(fleet: FleetSpec, repetition: int) -> int:
     exactly, and independent of the simulation tier, so a hybrid fleet and
     its exact twin realise identical arrivals.
     """
-    identity = json.dumps(fleet.workload_identity(), sort_keys=True, separators=(",", ":"))
-    return _hash_seed(f"{identity}::arrivals::{int(repetition)}")
+    return _hash_seed(fleet.workload_identity_json, "arrivals", int(repetition))
 
 
 def sample_arrival_times(fleet: FleetSpec, repetition: int) -> np.ndarray:

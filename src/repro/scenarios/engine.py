@@ -34,7 +34,6 @@ still gets its own result, cache entry and shard.
 from __future__ import annotations
 
 import copy
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -70,6 +69,7 @@ from ..wireless import (
     HandoverConfig,
     InterferenceSource,
     JammerConfig,
+    LossPattern,
     MarkovChannelConfig,
     PeriodicLossInjector,
     RandomLossInjector,
@@ -79,7 +79,7 @@ from ..wireless import (
     sample_markov_delays_batch,
     sample_wireless_delays_batch,
 )
-from .spec import ChannelSpec, ExperimentScale, ScenarioSpec, _hash_seed, _jsonify, get_scale
+from .spec import ChannelSpec, ExperimentScale, ScenarioSpec, _hash_seed, get_scale
 
 #: Engine/code epoch for persisted results.  Two runs may only share a
 #: :class:`~repro.scenarios.store.ResultStore` entry when both the spec hash
@@ -190,8 +190,7 @@ def repetition_seed(spec: ScenarioSpec, repetition: int, stage: int = 0) -> int:
     :func:`compound_stage_seed`), keyed on stage *content* rather than stage
     position so superposition stays order-invariant.
     """
-    identity = json.dumps(spec.channel_identity(), sort_keys=True, separators=(",", ":"))
-    return _hash_seed(f"{identity}::{int(repetition)}::{int(stage)}")
+    return _hash_seed(spec.channel_identity_json, int(repetition), int(stage))
 
 
 def kernel_group_key(spec: ScenarioSpec) -> tuple:
@@ -217,26 +216,15 @@ def kernel_group_key(spec: ScenarioSpec) -> tuple:
 def compound_stage_seed(seed: int, stage: ChannelSpec, occurrence: int = 0) -> int:
     """Hash-derived RNG seed for one stage of a compound channel.
 
-    The old additive scheme (``seed + 9973 * (index + 1)``) could collide or
-    correlate across dense 32-bit repetition seeds; this derivation feeds the
-    base seed, the stage's *content* (kind + parameters) and its occurrence
-    count among identical stages through the same sha256 construction as
-    :func:`repetition_seed`.  Keying on content instead of position makes
-    superposition order-invariant: reordering the stages of a compound
-    channel permutes only the summation order, never the per-stage
+    Feeds the base seed, the stage's *content* (its cached
+    :attr:`~repro.scenarios.spec.ChannelSpec.identity_json`) and its
+    occurrence count among identical stages through the same ``_hash_seed``
+    construction as :func:`repetition_seed`.  Keying on content instead of
+    position makes superposition order-invariant: reordering the stages of a
+    compound channel permutes only the summation order, never the per-stage
     realisations or the union of losses.
-
-    Compatibility: spec hashes are unchanged (seed derivation is not part of
-    the hashing domain), but compound-channel delay traces differ from those
-    produced before this scheme — cached ``SessionResult`` rows for compound
-    specs from older runs are not comparable.
     """
-    identity = json.dumps(
-        {"kind": stage.kind, "params": _jsonify(stage.params)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return _hash_seed(f"{int(seed)}::{identity}::{int(occurrence)}")
+    return _hash_seed(int(seed), stage.identity_json, int(occurrence))
 
 
 def _compound_stage_seeds(stages, seed: int) -> list[int]:
@@ -348,6 +336,14 @@ def sample_channel_delays_batch(
     return delays
 
 
+#: Loss injector per loss channel kind; delivered commands get the nominal delay.
+_LOSS_INJECTORS: dict[str, Callable[..., LossPattern]] = {
+    "loss-burst": ConsecutiveLossInjector,
+    "periodic-loss": PeriodicLossInjector,
+    "random-loss": RandomLossInjector,
+}
+
+
 def _sample_one_channel(
     channel: ChannelSpec, n_commands: int, seeds: list[int], command_period_ms: float
 ) -> np.ndarray:
@@ -362,17 +358,9 @@ def _sample_one_channel(
         return np.full((batch, n_commands), float(options.get("nominal_delay_ms", 1.0)))
     if channel.kind == "jammer":
         return sample_jammer_delays_batch(JammerConfig(**options), n_commands, seeds)
-    if channel.kind == "loss-burst":
+    if channel.kind in _LOSS_INJECTORS:
         nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = ConsecutiveLossInjector(**options)
-        return np.where(injector.lost_mask_batch(n_commands, seeds), np.inf, nominal)
-    if channel.kind == "periodic-loss":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = PeriodicLossInjector(**options)
-        return np.where(injector.lost_mask_batch(n_commands, seeds), np.inf, nominal)
-    if channel.kind == "random-loss":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = RandomLossInjector(**options)
+        injector = _LOSS_INJECTORS[channel.kind](**options)
         return np.where(injector.lost_mask_batch(n_commands, seeds), np.inf, nominal)
     if channel.kind == "trace":
         return _trace_replay(options, n_commands, seeds)

@@ -227,6 +227,11 @@ class ChannelSpec:
         merged.update(params)
         return ChannelSpec.make(self.kind, **merged)
 
+    @cached_property
+    def identity_json(self) -> str:
+        """:func:`canonical_json` of the kind and parameters, once per instance."""
+        return canonical_json(_jsonify(self))
+
     def describe(self) -> str:
         """Compact one-line rendering, e.g. ``wireless(n_robots=25, ...)``."""
         if self.kind == "compound":
@@ -410,18 +415,9 @@ class ForecoSpec:
 
     @classmethod
     def from_config(cls, config: ForecoConfig) -> "ForecoSpec":
-        """Derive a frozen spec from a runtime configuration."""
-        return cls.make(
-            command_period_ms=config.command_period_ms,
-            tolerance_ms=config.tolerance_ms,
-            record=config.record,
-            train_fraction=config.train_fraction,
-            algorithm=config.algorithm,
-            algorithm_options=dict(config.algorithm_options),
-            max_history=config.max_history,
-            feedback=config.feedback,
-            max_step_rad=config.max_step_rad,
-        )
+        """Derive a frozen spec from a runtime configuration (the fields share names)."""
+        values = {f.name: getattr(config, f.name) for f in fields(cls)}
+        return cls.make(**{**values, "algorithm_options": dict(config.algorithm_options)})
 
     def options(self) -> dict:
         """``algorithm_options`` as a plain dict."""
@@ -438,17 +434,8 @@ class ForecoSpec:
 
     def to_config(self) -> ForecoConfig:
         """Materialise the runtime :class:`ForecoConfig` (validates values)."""
-        return ForecoConfig(
-            command_period_ms=self.command_period_ms,
-            tolerance_ms=self.tolerance_ms,
-            record=self.record,
-            train_fraction=self.train_fraction,
-            algorithm=self.algorithm,
-            algorithm_options=self.options(),
-            max_history=self.max_history,
-            feedback=self.feedback,
-            max_step_rad=self.max_step_rad,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return ForecoConfig(**{**values, "algorithm_options": self.options()})
 
 
 #: Operator roles a scenario can replay as the *test* stream.
@@ -457,16 +444,19 @@ OPERATORS: tuple[str, ...] = ("inexperienced", "experienced", "mix")
 
 # ------------------------------------------------------------------ scenarios
 class SpecIdentity:
-    """Identity of a frozen spec: its hash and stored form, once per instance.
+    """Identity of a frozen spec: one canonical string per instance.
 
-    Spec classes define :meth:`canonical`; the fields are immutable, and
-    ``with_`` / ``replace`` build a new instance, so both are computed at
-    most once per instance.
+    Spec classes define :meth:`canonical`, which runs at most once per (immutable)
+    instance; its :func:`canonical_json` string feeds the hash and the stored form.
     """
 
     def canonical(self) -> dict:
         """JSON-safe canonical representation (the hashing domain)."""
         raise NotImplementedError
+
+    @cached_property
+    def _canonical_json(self) -> str:
+        return canonical_json(self.canonical())
 
     def spec_hash(self) -> str:
         """Stable short hash of the canonical form.
@@ -478,16 +468,15 @@ class SpecIdentity:
 
     @cached_property
     def _spec_hash(self) -> str:
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(self._canonical_json.encode("utf-8")).hexdigest()[:16]
 
     @cached_property
     def stored_canonical(self) -> dict:
-        """:meth:`canonical` after a JSON round trip, as a store shard holds it.
+        """:meth:`canonical` as a store shard holds it (``inf`` as ``"Infinity"``).
 
         Shared by every caller of this instance: read it, never mutate it.
         """
-        return json.loads(json.dumps(self.canonical()))
+        return json.loads(self._canonical_json, parse_constant=str)
 
 
 @dataclass(frozen=True)
@@ -554,11 +543,9 @@ class ScenarioSpec(SpecIdentity):
     def canonical(self) -> dict:
         """JSON-safe canonical representation (the hashing domain)."""
         return {
-            "channel": {"kind": self.channel.kind, "params": _jsonify(self.channel.params)},
-            "foreco": {
-                f.name: _jsonify(getattr(self.foreco, f.name)) for f in fields(self.foreco)
-            },
-            "scale": {f.name: _jsonify(getattr(self.scale, f.name)) for f in fields(self.scale)},
+            "channel": _jsonify(self.channel),
+            "foreco": _jsonify(self.foreco),
+            "scale": _jsonify(self.scale),
             "operator": self.operator,
             "seed": int(self.seed),
             "repetitions": int(self.repetitions),
@@ -577,13 +564,18 @@ class ScenarioSpec(SpecIdentity):
         parameterises the delay samplers.
         """
         return {
-            "channel": {"kind": self.channel.kind, "params": _jsonify(self.channel.params)},
+            "channel": _jsonify(self.channel),
             "operator": self.operator,
-            "scale": {f.name: _jsonify(getattr(self.scale, f.name)) for f in fields(self.scale)},
+            "scale": _jsonify(self.scale),
             "seed": int(self.seed),
             "run_seconds": self.resolved_run_seconds,
             "command_period_ms": self.foreco.command_period_ms,
         }
+
+    @cached_property
+    def channel_identity_json(self) -> str:
+        """:func:`canonical_json` of :meth:`channel_identity`, once per instance."""
+        return canonical_json(self.channel_identity())
 
     # ------------------------------------------------------------ resolving
     @property
@@ -622,15 +614,27 @@ class ScenarioSpec(SpecIdentity):
         )
 
 
-def _hash_seed(payload: str) -> int:
-    """32-bit seed derived from a payload string (every engine's seeding scheme)."""
-    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest()[:4], "big")
+def canonical_json(value) -> str:
+    """The one canonical encoding: sorted keys, no whitespace (``inf`` as ``Infinity``)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _hash_seed(*parts) -> int:
+    """32-bit seed from ``parts`` joined with ``"::"`` (every engine's seeding scheme)."""
+    return int.from_bytes(hashlib.sha256("::".join(map(str, parts)).encode("utf-8")).digest()[:4], "big")
+
+
+#: The frozen spec values :func:`_jsonify` renders as the dict of their fields.
+_SPEC_VALUES = frozenset({ChannelSpec, ForecoSpec, ExperimentScale})
 
 
 def _jsonify(value):
-    """Render frozen values (nested tuples) as JSON-safe structures."""
+    """Render frozen values as JSON-safe structures (a spec value as the dict of its fields).
+
+    The one rendering of channels, FoReCo specs and scales in every identity.
+    """
     if isinstance(value, tuple):
         return [_jsonify(v) for v in value]
-    if isinstance(value, ChannelSpec):
-        return {"kind": value.kind, "params": _jsonify(value.params)}
+    if type(value) in _SPEC_VALUES:
+        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)}
     return value

@@ -15,7 +15,8 @@ Layout and guarantees
 
 * One JSON shard per result at ``<root>/epoch-<E>/<hh>/<hash>.json`` (``hh``
   = first two hex digits of the hash, keeping directories small at millions
-  of entries).  Records are RFC 8259-strict JSON.  Record format 2 stores a
+  of entries).  Records are RFC 8259-strict JSON (the stored spec holds
+  non-finite floats as strings, see ``stored_canonical``).  Format 2 stores a
   delay trace as binary: ``{"dtype": "<f8", "b64": ...}``, the base64 of
   its little-endian float64 bytes, so ``inf`` (= lost command), ``-0.0``
   and NaN payloads round-trip exactly.  Format-1 shards, whose traces are
@@ -147,10 +148,7 @@ def _encode_session(result: SessionResult) -> dict:
     """Kind-specific payload fields for a session record."""
     return {
         "n_commands": int(result.n_commands),
-        "rmse_no_forecast_mm": [float(v) for v in result.rmse_no_forecast_mm],
-        "rmse_foreco_mm": [float(v) for v in result.rmse_foreco_mm],
-        "late_fraction": [float(v) for v in result.late_fraction],
-        "recovery_fraction": [float(v) for v in result.recovery_fraction],
+        **{metric: [float(v) for v in getattr(result, metric)] for metric in _SESSION_METRICS},
         "delays_ms": encode_delays(result.delays_ms),
     }
 
@@ -301,7 +299,7 @@ class ResultStore:
             "spec_hash": key,
             "kind": kind,
             "name": result.spec.name,
-            "spec": result.spec.canonical(),
+            "spec": result.spec.stored_canonical,
         }
         record.update(encode(result))
         return record

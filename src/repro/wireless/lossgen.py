@@ -25,6 +25,7 @@ injector seeded with ``seeds[b]`` would produce.
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,13 @@ from .channel import ChannelSample, CommandDelayTrace
 
 class LossPattern(abc.ABC):
     """Common interface of controlled loss injectors."""
+
+    _seed: int | np.random.Generator | None = None
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The injector's own stream, built on first use (:meth:`lost_mask_batch` never reads it)."""
+        return rng_from(self._seed)
 
     @abc.abstractmethod
     def _lost_mask(self, rng: np.random.Generator, n_commands: int) -> np.ndarray:
@@ -103,7 +111,7 @@ class ConsecutiveLossInjector(LossPattern):
         self.burst_length = ensure_int("burst_length", burst_length, minimum=1)
         self.n_bursts = ensure_int("n_bursts", n_bursts, minimum=1)
         self.min_gap = ensure_int("min_gap", min_gap, minimum=0)
-        self.rng = rng_from(seed)
+        self._seed = seed
 
     def _lost_mask(self, rng: np.random.Generator, n_commands: int) -> np.ndarray:
         n_commands = ensure_int("n_commands", n_commands, minimum=1)
@@ -132,7 +140,6 @@ class PeriodicLossInjector(LossPattern):
         self.burst_length = ensure_int("burst_length", burst_length, minimum=1)
         self.period = ensure_int("period", period, minimum=1)
         self.offset = ensure_int("offset", offset, minimum=0)
-        self.rng = rng_from(None)  # unused: the pattern is deterministic
         if self.burst_length >= self.period:
             raise ConfigurationError("burst_length must be smaller than period")
 
@@ -151,7 +158,7 @@ class RandomLossInjector(LossPattern):
 
     def __init__(self, loss_probability: float, seed: int | np.random.Generator | None = None) -> None:
         self.loss_probability = ensure_probability("loss_probability", loss_probability)
-        self.rng = rng_from(seed)
+        self._seed = seed
 
     def _lost_mask(self, rng: np.random.Generator, n_commands: int) -> np.ndarray:
         n_commands = ensure_int("n_commands", n_commands, minimum=1)

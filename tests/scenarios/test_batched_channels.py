@@ -84,6 +84,15 @@ def test_batched_equals_serial_for_every_preset_channel(name):
     assert np.array_equal(serial, sample_channel_delays_batch(channel, N, SEEDS[:2]))
 
 
+@pytest.mark.parametrize("kind", ["loss-burst", "periodic-loss", "random-loss"])
+def test_loss_injectors_build_generators_only_for_the_row_seeds(kind, monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: built.append(seed) or default_rng(seed))
+    sample_channel_delays_batch(KIND_SPECS[kind], N, SEEDS)
+    assert built == SEEDS
+
+
 def test_batch_sampler_rejects_empty_seed_list():
     with pytest.raises(ConfigurationError):
         sample_channel_delays_batch(clean_channel(), N, [])

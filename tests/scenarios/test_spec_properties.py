@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.fleet import get_fleet, get_plan
 from repro.fleet.engine import operator_channel_spec
+from repro.fleet.hybrid import cold_draw_seed
+from repro.fleet.spec import arrival_seed
 from repro.scenarios import ScenarioGrammar, ScenarioSpec, get_scale, get_scenario, repetition_seed
+from repro.scenarios.engine import compound_stage_seed
 from repro.scenarios.grammar import _kind_knobs, _primitive_channel
 from repro.service import get_service
 
@@ -67,12 +70,14 @@ def _derived_specs(spec):
     )
 
 
-#: Literal hashes of three presets at ENGINE_EPOCH 6: moving one orphans
-#: every stored shard of that preset.
+#: Literal hashes of four presets at ENGINE_EPOCH 6: moving one orphans
+#: every stored shard of that preset.  ``trace-replay`` carries ``inf``
+#: delays, so its hashed bytes hold the non-standard ``Infinity`` token.
 _PINNED_HASHES = {
     "bursty-loss": "6f44cf38fe6ccc7d",
     "jammer": "fc3ac20d84eb9889",
     "jammer-congestion": "5209d3a9a5b08a10",
+    "trace-replay": "dd93fa18a39b23f3",
 }
 
 
@@ -108,6 +113,28 @@ _PINNED_OPERATOR_SEEDS = {
     0: (42, (1797421753, 2466383143)),
     1: (440098938, (1486448364, 1982376719)),
     511: (1578842092, (2636603833, 4241593779)),
+}
+
+
+#: Literal arrival seeds at ENGINE_EPOCH 6, keyed ``(preset, repetition)``:
+#: one poisson and one diurnal fleet.
+_PINNED_ARRIVAL_SEEDS = {
+    ("peak-hour", 0): 2854821469,
+    ("peak-hour", 1): 951951654,
+    ("diurnal-campus", 0): 2801408447,
+    ("diurnal-campus", 1): 1106909619,
+}
+
+#: ``city-scale`` (hybrid tier) cold-AP draw seeds at ENGINE_EPOCH 6.
+_PINNED_COLD_DRAW_SEEDS = {0: 892090138, 1: 236071108}
+
+#: ``jammer-congestion`` stage seeds at ENGINE_EPOCH 6 under base seed
+#: 1797421753, keyed ``(stage index, occurrence)``.
+_PINNED_COMPOUND_STAGE_SEEDS = {
+    (0, 0): 2063625226,
+    (0, 1): 3586605415,
+    (1, 0): 156247818,
+    (1, 1): 2844880286,
 }
 
 
@@ -235,7 +262,7 @@ def test_fleet_service_and_plan_identity_is_computed_once(name, monkeypatch):
     for _ in range(3):
         assert fresh.spec_hash() == pinned
         assert fresh.stored_canonical == spec.stored_canonical
-    assert len(calls) == 2  # once for the hash, once for the stored form
+    assert len(calls) == 1  # one canonical string feeds the hash and the stored form
 
 
 @pytest.mark.parametrize("key", sorted(_PINNED_REPETITION_SEEDS))
@@ -250,6 +277,26 @@ def test_operator_channel_seed_matches_its_pin(operator):
     spec = operator_channel_spec(get_fleet("city-scale"), operator)
     assert spec.seed == seed
     assert tuple(repetition_seed(spec, repetition) for repetition in range(2)) == repetition_seeds
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_ARRIVAL_SEEDS))
+def test_arrival_seed_matches_its_pin(key):
+    name, repetition = key
+    assert arrival_seed(get_fleet(name), repetition) == _PINNED_ARRIVAL_SEEDS[key]
+
+
+@pytest.mark.parametrize("repetition", sorted(_PINNED_COLD_DRAW_SEEDS))
+def test_cold_draw_seed_matches_its_pin(repetition):
+    seed = cold_draw_seed(get_fleet("city-scale"), repetition)
+    assert seed == _PINNED_COLD_DRAW_SEEDS[repetition]
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_COMPOUND_STAGE_SEEDS))
+def test_compound_stage_seed_matches_its_pin(key):
+    index, occurrence = key
+    stage = get_scenario("jammer-congestion").channel.options()["stages"][index]
+    seed = compound_stage_seed(1797421753, stage, occurrence)
+    assert seed == _PINNED_COMPOUND_STAGE_SEEDS[key]
 
 
 def test_scale_name_resolves_on_construction():

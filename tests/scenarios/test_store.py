@@ -17,7 +17,7 @@ from oracles.serial import SerialSessionEngine, assert_same_trajectories
 from repro.analysis import load_sweep
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiments
-from repro.fleet import get_fleet
+from repro.fleet import fleet_names, get_fleet, get_plan, plan_names
 from repro.scenarios import (
     ENGINE_EPOCH,
     ResultStore,
@@ -26,11 +26,13 @@ from repro.scenarios import (
     SessionResult,
     SweepExecutor,
     clean_channel,
+    get_scenario,
     loss_burst_channel,
     scenario_grid,
+    scenario_names,
 )
 from repro.scenarios.engine import ResultMemo
-from repro.service import get_service
+from repro.service import get_service, service_names
 
 #: A short run so the engine-backed tests stay fast.
 RUN_SECONDS = 6.0
@@ -244,6 +246,39 @@ def test_engine_consults_store_before_computing(tmp_path):
     # The disk hit lands in the memory cache: no second disk read.
     assert warm_engine.run(spec) is warm
     assert warm_store.stats().hits == 1
+
+
+def test_trace_replay_preset_stores_and_hits(tmp_path):
+    """A trace channel's ``inf`` delays survive the RFC-strict shard writer."""
+    spec = get_scenario("trace-replay")
+    store = ResultStore(tmp_path)
+    cold = SessionEngine(store=store).run(spec)
+    assert store.stats().writes == 1
+
+    warm_store = ResultStore(tmp_path)
+    warm_engine = SessionEngine(store=warm_store)
+    warm = warm_engine.run(spec)
+    assert (warm_store.stats().hits, warm_store.stats().writes) == (1, 0)
+    assert warm.to_dict() == cold.to_dict()
+    assert warm.rmse_foreco_mm == cold.rmse_foreco_mm
+    assert warm.delays_ms.tobytes() == cold.delays_ms.tobytes()
+    assert_same_trajectories(SessionEngine().trajectories(cold), warm_engine.trajectories(warm))
+
+
+_REGISTRIES = (
+    (scenario_names, get_scenario),
+    (fleet_names, get_fleet),
+    (service_names, get_service),
+    (plan_names, get_plan),
+)
+
+
+@pytest.mark.parametrize(
+    "get, name",
+    [pytest.param(get, name, id=name) for names, get in _REGISTRIES for name in names()],
+)
+def test_every_preset_stored_spec_is_strict_json(get, name):
+    json.dumps(get(name).stored_canonical, allow_nan=False)
 
 
 # -------------------------------------------------------- sweep integration

@@ -98,6 +98,17 @@ def test_periodic_injector_pattern():
         PeriodicLossInjector(burst_length=10, period=10)
 
 
+def test_seeded_injector_masks_are_pinned():
+    """The lazily built stream is the seed's stream, advanced call by call."""
+    burst = ConsecutiveLossInjector(3, n_bursts=2, min_gap=5, seed=7)
+    assert "rng" not in vars(burst)
+    masks = [np.flatnonzero(burst.lost_mask(40)).tolist() for _ in range(2)]
+    assert masks == [[11, 12, 13, 29, 30, 31], [12, 13, 14, 26, 27, 28]]
+    iid = RandomLossInjector(0.2, seed=7)
+    masks = [np.flatnonzero(iid.lost_mask(30)).tolist() for _ in range(2)]
+    assert masks == [[6, 21, 23, 24], [2, 3, 7, 9, 16, 22, 25]]
+
+
 def test_random_injector_rate():
     injector = RandomLossInjector(0.2, seed=0)
     mask = injector.lost_mask(20000)
