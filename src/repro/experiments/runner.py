@@ -17,81 +17,55 @@ Installed as the ``foreco-experiments`` console script::
 Each experiment prints the text rendering of its result (the same tables the
 benchmark harness produces) or, with ``--format json``, a JSON document, so
 the paper-vs-measured comparison recorded in EXPERIMENTS.md can be
-regenerated with a single command.  ``--jobs`` fans sweep-style experiments
-out over worker processes through the scenario engine; results are identical
-to the serial run.  ``--scenario`` runs named presets from
-:mod:`repro.scenarios.registry` (repeat the flag for several; the special
-name ``all`` runs every preset).
+regenerated with a single command.  ``--jobs N`` (``N >= 1``) fans
+sweep-style runs out over worker processes; results are identical to the
+serial run.
+
+Four preset sections share one dispatch: ``--scenario NAME`` runs named
+presets from :mod:`repro.scenarios.registry` (repeat the flag for several;
+``all`` runs every preset), and the keywords ``fleet``
+(:mod:`repro.fleet.registry`, multi-operator workloads; ``--fleet N``
+overrides every preset's operator count and implies the keyword,
+``--fleet-tier exact|hybrid`` its simulation tier), ``serve``
+(:mod:`repro.service.registry`, live admission on the virtual clock;
+``--policy NAME`` and ``--until SECONDS``) and ``plan``
+(:mod:`repro.fleet.plan`, SLO-driven capacity plans; ``--slo-p99``,
+``--slo-drop`` and ``--budget N``) run every preset of their registry with
+those overrides (see ``docs/fleet.md``).  The ``search`` keyword runs the
+budgeted coverage-guided scenario search (:mod:`repro.scenarios.search`):
+``--budget N`` candidate evaluations, and ``--promote`` registers the top
+discoveries as ``adversarial-*`` presets for the rest of the invocation
+(``--scenario all`` then runs them too).
 
 ``--store PATH`` attaches a persistent :class:`repro.scenarios.ResultStore`
-to the scenario sweep: results already stored are loaded instead of
-recomputed, everything newly computed is written back, and the report states
-the hit/miss partition — so an interrupted or extended sweep only ever
-computes what is missing.  ``--resume`` additionally *requires* the store to
-exist and be non-empty, guarding against a mistyped path silently
-recomputing a whole grid from scratch.  (The figure/table experiments run
-their own pipelines and are not stored.)
+to every preset and search run: stored results are loaded instead of
+recomputed, everything newly computed is written back, and each text
+section ends with its ``store:`` hit/miss line (the JSON report sums them),
+so an interrupted or extended run only computes what is missing.  The text
+is rendered after every keyword has run, so all ``store:`` lines state the
+same end-of-run entry count.  ``--resume`` additionally *requires* the store
+to exist and be non-empty, guarding against a mistyped path silently
+recomputing from scratch.  (The figure/table experiments run their own
+pipelines and are not stored.)
 
-The ``search`` keyword runs the budgeted coverage-guided scenario search
-(:mod:`repro.scenarios.search`) over the combinator grammar: ``--budget N``
-sets the number of candidate evaluations, ``--promote`` registers the
-top-discovered worst cases as ``adversarial-*`` presets for the rest of the
-invocation (they then run like any preset via ``--scenario all``), and
-``--store``/``--resume``/``--jobs`` memoize and parallelise
-the probes exactly like scenario sweeps — a warm rerun against the same
-store recomputes nothing.
-
-The ``fleet`` keyword runs every fleet preset from
-:mod:`repro.fleet.registry` — multi-operator service workloads with shared
-access points, admission control and arrival processes (see
-``docs/fleet.md``).  ``--fleet N`` overrides the operator population of
-every fleet preset (and implies the ``fleet`` run); ``--fleet-tier
-hybrid|exact`` overrides the simulation tier (the city-scale hybrid tier
-classifies APs hot/cold and services the cold tail analytically — see
-``docs/fleet.md`` "City scale"); fleets honour ``--jobs``, ``--store`` and
-``--resume`` exactly like scenario sweeps.  Reports carry a tier section:
-per-fleet tier fields in JSON rows plus an aggregate ``fleet_tier`` block,
-and a ``tier:`` summary line in text mode.
-
-The ``serve`` keyword runs every live-service preset from
-:mod:`repro.service.registry` — fleet workloads operated under online
-admission control on the virtual clock (see ``docs/fleet.md`` "Live
-operations").  ``--policy NAME`` overrides each preset's admission policy
-(``static-cap``, ``utilization-threshold`` or ``forecast-aware``) and
-``--until SECONDS`` bounds the virtual admission horizon; serve runs honour
-``--jobs``, ``--store`` and ``--resume`` exactly like the other sweeps and
-are bit-identical for any worker count.
-
-The ``plan`` keyword runs every capacity-plan preset from
-:mod:`repro.fleet.plan` — SLO-driven searches over per-AP admission
-capacities (see ``docs/fleet.md`` "Capacity planning").  ``--slo-p99`` and
-``--slo-drop`` override the p99-recovery and drop-rate gates of every
-preset, ``--budget N`` caps the number of capacities probed, and
-``--jobs``/``--store``/``--resume`` parallelise and memoize
-the probes exactly like scenario sweeps; with a store, the finished plans
-persist under their own content addresses, so a warm rerun loads the plan
-records and recomputes nothing.
-
-Flags that only make sense for one keyword are rejected when that keyword
-is absent (``--fleet-tier`` without ``fleet``, ``--budget`` without
-``search``/``plan``, ``--promote`` without ``search``,
-``--policy``/``--until`` without ``serve``, ``--slo-p99``/``--slo-drop``
-without ``plan``): the
-library entry point :func:`run_experiments` raises
-:class:`~repro.errors.ConfigurationError`, which :func:`main` renders as a
-clean CLI error.  JSON reports carry a top-level ``"report_version"``
-field (:data:`REPORT_VERSION`); consumers should pin it.
+A keyword-scoped flag without its keyword is misuse: the library entry
+point :func:`run_experiments` raises
+:class:`~repro.errors.ConfigurationError` (``"<flag> only applies to the
+<keywords> keyword(s)"``), which :func:`main` renders as a clean CLI error.
+JSON reports carry a top-level ``"report_version"`` field
+(:data:`REPORT_VERSION`); consumers should pin it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from ..errors import ConfigurationError
-from ..scenarios import ResultStore, SweepExecutor, get_scenario, scenario_catalog, scenario_names
+from ..scenarios import ResultStore, SweepExecutor, scenario_names
 from . import (
     fig6_dataset,
     fig7_forecast_accuracy,
@@ -119,6 +93,33 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
+#: Keywords that select a run beyond the figure/table experiments.
+_KEYWORDS = ("fleet", "search", "serve", "plan")
+
+#: Keyword-scoped option -> (CLI flag, keywords it needs, how its value prints).
+_SCOPED_FLAGS = {
+    "fleet_tier": ("--fleet-tier", ("fleet",), "{}"),
+    "budget": ("--budget", ("search", "plan"), "{}"),
+    "promote": ("--promote", ("search",), "{}"),
+    "policy": ("--policy", ("serve",), "{}"),
+    "until": ("--until", ("serve",), "{:g}"),
+    "slo_p99": ("--slo-p99", ("plan",), "{:g}"),
+    "slo_drop": ("--slo-drop", ("plan",), "{:g}"),
+}
+
+#: Preset section, in report order -> (text title, JSON key, registry module
+#: and attribute, the options that override its specs).
+_SECTIONS = {
+    "scenario": ("# scenario presets", "scenarios", "..scenarios", "SCENARIOS", ()),
+    "fleet": ("# fleet presets", "fleets", "..fleet", "FLEETS", ("fleet_tier", "fleet")),
+    "serve": ("# service presets", "services", "..service", "SERVICES", ("policy", "until")),
+    "plan": ("# capacity plans", "plans", "..fleet", "PLANS", ("slo_p99", "slo_drop", "budget")),
+}
+
+#: Option -> the spec field it overrides, where the two names differ.
+_SPEC_FIELDS = {"fleet_tier": "tier", "fleet": "operators", "until": "until_s"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``foreco-experiments`` entry point."""
     parser = argparse.ArgumentParser(
@@ -138,9 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment scale (default: ci)")
     parser.add_argument("--seed", type=int, default=42, help="random seed (default: 42)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweep-style experiments (default: 1)")
+                        help="worker processes (>= 1) for sweep-style runs (default: 1)")
     parser.add_argument(
         "--scenario",
+        dest="scenarios",
         action="append",
         default=[],
         metavar="NAME",
@@ -187,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     parser.add_argument("--output", default=None, help="also write the report to this file")
     parser.add_argument("--store", default=None, metavar="PATH",
-                        help="persistent result store for --scenario sweeps: stored "
-                        "results are reused, computed ones written back")
+                        help="persistent result store for every preset and search "
+                        "run: stored results are reused, computed ones written back")
     parser.add_argument("--resume", action="store_true",
                         help="require --store to exist and be non-empty (refuses to "
                         "silently recompute a whole sweep from a mistyped path)")
@@ -210,11 +212,6 @@ def _open_store(path: str | None, resume: bool) -> ResultStore | None:
     return store
 
 
-def _given(options: dict) -> dict:
-    """The options the command line set (``None`` means not given)."""
-    return {key: value for key, value in options.items() if value is not None}
-
-
 def _plan_store_partition(plans) -> tuple[int, int]:
     """This-run store hits/misses attributable to the ``plan`` keyword.
 
@@ -223,13 +220,63 @@ def _plan_store_partition(plans) -> tuple[int, int]:
     the failed plan-record lookup.
     """
     hits = misses = 0
-    for report in plans or ():
+    for report in plans:
         if report.from_store:
             hits += 1
         else:
             hits += report.store_hits
             misses += report.store_misses + 1
     return hits, misses
+
+
+def _store_line(hits: int, misses: int, stats) -> str:
+    """The text report's ``store:`` line for one section's partition."""
+    lookups = hits + misses
+    reused = 100.0 * hits / lookups if lookups else 0.0
+    return (
+        f"store: {hits} hits / {misses} misses ({reused:.0f}% reused), "
+        f"{stats.entries} entries at {stats.root} (epoch {stats.epoch})"
+    )
+
+
+class _Section(NamedTuple):
+    """One preset section of the report, built after its keyword ran."""
+
+    title: str  # text heading
+    key: str  # JSON key of the row records
+    names: list[str]  # the preset names as requested
+    rows: Sequence  # one result per spec (a SweepResult, or capacity plans)
+    catalog: dict[str, str]  # preset name -> description
+    notes: list[str]  # text lines after the rows
+    partition: tuple[int, int]  # this section's store (hits, misses)
+    extra: dict  # further JSON sections that follow the rows
+
+
+def _flag(option: str, value) -> str:
+    """A scoped option as the command line spells it (``--until 60``)."""
+    flag, _, value_format = _SCOPED_FLAGS[option]
+    return f"{flag} {value_format.format(value)}"
+
+
+def _tier_summary(rows, override: str | None) -> tuple[list[str], dict]:
+    """The fleet section's ``tier:`` text line and JSON ``fleet_tier`` block."""
+    exact = sum(row.exact_sessions for row in rows)
+    analytic = sum(row.analytic_sessions for row in rows)
+    line = (
+        f"tier: {sum(row.tier != 'exact' for row in rows)}/{len(rows)} presets hybrid "
+        f"({exact} exact + {analytic} analytic sessions)"
+    )
+    if override is not None:
+        line += f" | {_flag('fleet_tier', override)} override"
+    block = {
+        "override": override,
+        "tiers": {row.spec.name: row.tier for row in rows},
+        "hot_aps": sum(row.hot_aps for row in rows),
+        "cold_aps": sum(row.cold_aps for row in rows),
+        "exact_sessions": exact,
+        "analytic_sessions": analytic,
+    }
+    return [line], {"fleet_tier": block}
 
 
 def run_experiments(
@@ -257,105 +304,83 @@ def run_experiments(
     :class:`~repro.errors.ConfigurationError` rather than exiting the
     process, so programmatic callers can handle it.
     """
-    names = list(names)
-    fleet_requested = fleet is not None or "fleet" in names
-    search_requested = "search" in names
-    serve_requested = "serve" in names
-    plan_requested = "plan" in names
-    names = [name for name in names if name not in ("fleet", "search", "serve", "plan")]
-    if any(name == "all" for name in names):
+    options = {
+        "fleet": fleet,
+        "fleet_tier": fleet_tier,
+        "budget": budget,
+        "promote": promote or None,
+        "policy": policy,
+        "until": until,
+        "slo_p99": slo_p99,
+        "slo_drop": slo_drop,
+    }
+    keywords = {name for name in names if name in _KEYWORDS}
+    if fleet is not None:
+        keywords.add("fleet")
+    names = [name for name in names if name not in _KEYWORDS]
+    if "all" in names:
         names = sorted(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         raise ConfigurationError(f"unknown experiment(s): {', '.join(unknown)}")
-    if fleet_tier is not None and not fleet_requested:
-        raise ConfigurationError(
-            "--fleet-tier only applies to fleet runs: add the 'fleet' keyword or --fleet N"
-        )
-    if budget is not None and not (search_requested or plan_requested):
-        raise ConfigurationError("--budget only applies to the 'search' and 'plan' keywords")
-    if promote and not search_requested:
-        raise ConfigurationError("--promote only applies to the 'search' keyword")
-    if policy is not None and not serve_requested:
-        raise ConfigurationError("--policy only applies to the 'serve' keyword")
-    if until is not None and not serve_requested:
-        raise ConfigurationError("--until only applies to the 'serve' keyword")
-    if slo_p99 is not None and not plan_requested:
-        raise ConfigurationError("--slo-p99 only applies to the 'plan' keyword")
-    if slo_drop is not None and not plan_requested:
-        raise ConfigurationError("--slo-drop only applies to the 'plan' keyword")
+    for option, (flag, needs, _) in _SCOPED_FLAGS.items():
+        if options[option] is not None and not keywords.intersection(needs):
+            quoted = " and ".join(f"'{keyword}'" for keyword in needs)
+            plural = "s" if len(needs) > 1 else ""
+            raise ConfigurationError(f"{flag} only applies to the {quoted} keyword{plural}")
     scenarios = list(scenarios or [])
-    if (
-        not names
-        and not scenarios
-        and not fleet_requested
-        and not search_requested
-        and not serve_requested
-        and not plan_requested
-    ):
+    if not names and not scenarios and not keywords:
         raise ConfigurationError(
             "nothing to run: pass experiment names, 'fleet', 'serve', 'search', "
             "'plan' and/or --scenario"
         )
     result_store = _open_store(store, resume)
+    # One executor serves every sweep-shaped run (scenario presets, fleet
+    # presets, service presets, search and plan probes), so they share one
+    # result memo.
+    executor = SweepExecutor(jobs=jobs, store=result_store)
 
     results = {name: EXPERIMENTS[name](scale=scale, seed=seed, jobs=jobs) for name in names}
-    # One executor serves every sweep-shaped run (scenario presets, fleet
-    # presets, service presets, search probes), so they share one result
-    # memo.
-    executor = SweepExecutor(jobs=jobs, store=result_store)
     search_result = None
-    if search_requested:
+    if "search" in keywords:
         from ..scenarios.search import ScenarioSearch, SearchConfig  # deferred: keeps import light
 
         config = SearchConfig(budget=16 if budget is None else budget, seed=seed)
         search_result = ScenarioSearch(config=config, executor=executor).run()
         if promote:
             search_result.promote()
-    if any(name == "all" for name in scenarios):
+    if "all" in scenarios:
         # Expanded after a possible --promote, so 'all' includes presets the
         # search registered moments ago.
         scenarios = scenario_names()
-    sweep = None
     if scenarios:
-        specs = [get_scenario(name, scale=scale, seed=seed) for name in scenarios]
-        sweep = executor.run(specs)
-    fleet_sweep = None
-    fleet_presets: list[str] = []
-    if fleet_requested:
-        from ..fleet import fleet_names, get_fleet  # deferred: keeps import light
+        keywords.add("scenario")
 
-        fleet_presets = fleet_names()
-        fleet_overrides = _given({"tier": fleet_tier, "operators": fleet})
-        fleet_specs = [
-            get_fleet(name, scale=scale, seed=seed, **fleet_overrides) for name in fleet_presets
-        ]
-        fleet_sweep = executor.run(fleet_specs)
-    service_sweep = None
-    service_presets: list[str] = []
-    if serve_requested:
-        from ..service import get_service, service_names  # deferred: keeps import light
+    sections: list[_Section] = []
+    for keyword, (title, key, module, attribute, overrides) in _SECTIONS.items():
+        if keyword not in keywords:
+            continue
+        registry = getattr(importlib.import_module(module, __package__), attribute)
+        presets = scenarios if keyword == "scenario" else registry.names()
+        given = [option for option in overrides if options[option] is not None]
+        fields = {_SPEC_FIELDS.get(option, option): options[option] for option in given}
+        specs = [registry.get(name, scale=scale, seed=seed, **fields) for name in presets]
+        if keyword == "plan":
+            from ..fleet import CapacityPlanner  # deferred: keeps import light
 
-        service_presets = service_names()
-        service_specs = [
-            get_service(name, scale=scale, seed=seed, **_given({"policy": policy}))
-            for name in service_presets
-        ]
-        if until is not None:
-            service_specs = [spec.with_(until_s=until) for spec in service_specs]
-        service_sweep = executor.run(service_specs)
-    plans = None
-    plan_presets: list[str] = []
-    if plan_requested:
-        from ..fleet import CapacityPlanner, get_plan, plan_names  # deferred: keeps import light
-
-        plan_overrides = _given({"slo_p99": slo_p99, "slo_drop": slo_drop, "budget": budget})
-        plan_presets = plan_names()
-        planner = CapacityPlanner(executor=executor)
-        plans = [
-            planner.run(get_plan(name, scale=scale, seed=seed, **plan_overrides))
-            for name in plan_presets
-        ]
+            planner = CapacityPlanner(executor=executor)
+            rows: Sequence = [planner.run(spec) for spec in specs]
+            partition = _plan_store_partition(rows)
+        else:
+            rows = executor.run(specs)
+            partition = (rows.store_hits, rows.store_misses)
+        if keyword == "fleet":
+            notes, extra = _tier_summary(rows, fleet_tier)
+        else:
+            flags = " ".join(_flag(option, options[option]) for option in given)
+            notes, extra = ([f"overrides: {flags}"] if given else []), {}
+        sections.append(_Section(title, key, presets, rows, registry.catalog(), notes, partition, extra))
+    stats = result_store.stats() if result_store is not None and sections else None
 
     if fmt == "json":
         document: dict = {
@@ -366,177 +391,53 @@ def run_experiments(
         }
         if search_result is not None:
             document["search"] = search_result.to_dict()
-        if sweep is not None:
-            document["scenarios"] = sweep.to_records()
-        if fleet_sweep is not None:
-            document["fleets"] = fleet_sweep.to_records()
-            document["fleet_tier"] = {
-                "override": fleet_tier,
-                "tiers": {row.spec.name: row.tier for row in fleet_sweep},
-                "hot_aps": sum(row.hot_aps for row in fleet_sweep),
-                "cold_aps": sum(row.cold_aps for row in fleet_sweep),
-                "exact_sessions": sum(row.exact_sessions for row in fleet_sweep),
-                "analytic_sessions": sum(row.analytic_sessions for row in fleet_sweep),
-            }
-        if service_sweep is not None:
-            document["services"] = service_sweep.to_records()
-        if plans is not None:
-            document["plans"] = [report.to_dict() for report in plans]
-        sweeps = (sweep, fleet_sweep, service_sweep)
-        if result_store is not None and (any(s is not None for s in sweeps) or plans is not None):
-            stats = result_store.stats()
-            hits = sum(s.store_hits for s in sweeps if s is not None)
-            misses = sum(s.store_misses for s in sweeps if s is not None)
-            plan_hits, plan_misses = _plan_store_partition(plans)
-            hits += plan_hits
-            misses += plan_misses
+        for section in sections:
+            document[section.key] = [row.to_dict() for row in section.rows]
+            document.update(section.extra)
+        if stats is not None:
             document["store"] = {
-                "path": str(result_store.root),
-                "epoch": result_store.epoch,
-                "hits": hits,
-                "misses": misses,
+                "path": stats.root,
+                "epoch": stats.epoch,
+                "hits": sum(section.partition[0] for section in sections),
+                "misses": sum(section.partition[1] for section in sections),
                 "entries": stats.entries,
                 "total_bytes": stats.total_bytes,
             }
         return json.dumps(document, indent=2) + "\n"
 
-    sections = []
+    lines = []
     for result in results.values():
-        sections.append(result.to_text())
-        sections.append("")
+        lines += [result.to_text(), ""]
     if search_result is not None:
-        sections.append("# scenario search")
-        sections.append(search_result.to_text())
-        sections.append("")
-    if sweep is not None:
-        catalog = scenario_catalog()
-        sections.append("# scenario presets")
-        for name, row in zip(scenarios, sweep):
-            description = catalog.get(row.spec.name, "")
+        lines += ["# scenario search", search_result.to_text(), ""]
+    for section in sections:
+        lines.append(section.title)
+        for name, row in zip(section.names, section.rows):
+            description = section.catalog.get(row.spec.name, "")
             if description:
-                sections.append(f"## {name} — {description}")
-        sections.append(sweep.to_table())
-        if result_store is not None:
-            stats = result_store.stats()
-            sections.append(
-                f"store: {sweep.store_hits} hits / {sweep.store_misses} misses "
-                f"({100.0 * sweep.hit_fraction:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    if fleet_sweep is not None:
-        from ..fleet import fleet_catalog
-
-        catalog = fleet_catalog()
-        sections.append("# fleet presets")
-        for name, row in zip(fleet_presets, fleet_sweep):
-            description = catalog.get(row.spec.name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-            sections.append(row.to_text())
-        hybrid_rows = [row for row in fleet_sweep if row.tier != "exact"]
-        tier_line = (
-            f"tier: {len(hybrid_rows)}/{len(fleet_sweep)} presets hybrid "
-            f"({sum(r.exact_sessions for r in fleet_sweep)} exact + "
-            f"{sum(r.analytic_sessions for r in fleet_sweep)} analytic sessions)"
-        )
-        if fleet_tier is not None:
-            tier_line += f" | --fleet-tier {fleet_tier} override"
-        sections.append(tier_line)
-        if result_store is not None:
-            stats = result_store.stats()
-            sections.append(
-                f"store: {fleet_sweep.store_hits} hits / {fleet_sweep.store_misses} misses "
-                f"({100.0 * fleet_sweep.hit_fraction:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    if service_sweep is not None:
-        from ..service import service_catalog  # deferred: keeps import light
-
-        catalog = service_catalog()
-        sections.append("# service presets")
-        for name, row in zip(service_presets, service_sweep):
-            description = catalog.get(name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-            sections.append(row.to_text())
-        overrides = []
-        if policy is not None:
-            overrides.append(f"--policy {policy}")
-        if until is not None:
-            overrides.append(f"--until {until:g}")
-        if overrides:
-            sections.append(f"overrides: {' '.join(overrides)}")
-        if result_store is not None:
-            stats = result_store.stats()
-            sections.append(
-                f"store: {service_sweep.store_hits} hits / {service_sweep.store_misses} misses "
-                f"({100.0 * service_sweep.hit_fraction:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    if plans is not None:
-        from ..fleet import plan_catalog  # deferred: keeps import light
-
-        catalog = plan_catalog()
-        sections.append("# capacity plans")
-        for name, report in zip(plan_presets, plans):
-            description = catalog.get(name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-            sections.append(report.to_text())
-        overrides = []
-        if slo_p99 is not None:
-            overrides.append(f"--slo-p99 {slo_p99:g}")
-        if slo_drop is not None:
-            overrides.append(f"--slo-drop {slo_drop:g}")
-        if budget is not None:
-            overrides.append(f"--budget {budget}")
-        if overrides:
-            sections.append(f"overrides: {' '.join(overrides)}")
-        if result_store is not None:
-            stats = result_store.stats()
-            plan_hits, plan_misses = _plan_store_partition(plans)
-            lookups = plan_hits + plan_misses
-            reused = 100.0 * plan_hits / lookups if lookups else 0.0
-            sections.append(
-                f"store: {plan_hits} hits / {plan_misses} misses "
-                f"({reused:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    return "\n".join(sections).rstrip() + "\n"
+                lines.append(f"## {name} — {description}")
+            if section.key != "scenarios":  # one to_text() per row, or one table
+                lines.append(row.to_text())
+        if section.key == "scenarios":
+            lines.append(section.rows.to_table())
+        lines += section.notes
+        if stats is not None:
+            lines.append(_store_line(*section.partition, stats))
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point used by the console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    output = options.pop("output")
     try:
-        report = run_experiments(
-            args.experiments,
-            scale=args.scale,
-            seed=args.seed,
-            jobs=args.jobs,
-            fmt=args.fmt,
-            scenarios=args.scenario,
-            store=args.store,
-            resume=args.resume,
-            fleet=args.fleet,
-            fleet_tier=args.fleet_tier,
-            budget=args.budget,
-            promote=args.promote,
-            policy=args.policy,
-            until=args.until,
-            slo_p99=args.slo_p99,
-            slo_drop=args.slo_drop,
-        )
+        report = run_experiments(options.pop("experiments"), **options)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from exc
     sys.stdout.write(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(report)
     return 0
 

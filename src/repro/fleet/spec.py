@@ -25,6 +25,7 @@ so fleets are deterministic regardless of worker count or execution order.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -238,11 +239,12 @@ class FleetSpec(SpecIdentity):
         (:func:`arrival_seed`) derive from it, so a hybrid fleet and its
         exact twin realise identical arrivals (and, since channel seeds
         come from the template, identical channels) — the property the
-        hybrid-vs-exact error gate measures against.
+        hybrid-vs-exact error gate measures against.  The template entry
+        decodes the template's cached canonical string (``inf`` stays a float).
         """
         return {
             "kind": "fleet",
-            "template": self.template.canonical(),
+            "template": json.loads(self.template._canonical_json),
             "operators": int(self.operators),
             "aps": int(self.aps),
             "ap_capacity": int(self.ap_capacity),

@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -255,6 +255,16 @@ def _wireless_from_options(
     )
 
 
+@lru_cache(maxsize=64)
+def _batch_wireless_model(channel: ChannelSpec, command_period_ms: float) -> WirelessChannel:
+    """The seedless model the batched sampler draws a wireless spec's rows from.
+
+    A bounded per-process memo: the model is a pure function of its arguments
+    and batched sampling passes each row's generator explicitly.
+    """
+    return _wireless_from_options(channel.options(), command_period_ms)
+
+
 def _trace_replay(options: dict, n_commands: int, seeds) -> np.ndarray:
     """``(B, n)`` replay of a recorded delay trace with per-seed phase offsets."""
     recorded = np.asarray(options.get("delays_ms", ()), dtype=float)
@@ -322,7 +332,7 @@ def sample_channel_delays_batch(
     wireless_models: list[WirelessChannel] = []
     for spec, rows in rows_by_channel.items():
         if spec.kind == "wireless":
-            model = _wireless_from_options(spec.options(), command_period_ms)
+            model = _batch_wireless_model(spec, command_period_ms)
             wireless_rows.extend(rows)
             wireless_models.extend([model] * len(rows))
         else:
@@ -433,6 +443,17 @@ class SessionResult(MetricColumns):
 
 
 # ----------------------------------------------------------------------- memo
+def for_spec(result, spec):
+    """``result`` under the caller's ``spec`` (a shallow copy when the spec differs).
+
+    Specs differing only in name share a hash and one memoized result; each
+    caller gets it labelled with its own spec, exactly as a store hit is.
+    """
+    if result is None or result.spec is spec:
+        return result
+    return replace(result, spec=spec)
+
+
 class ResultMemo:
     """Finished results by spec hash, in front of an optional result store.
 
@@ -442,11 +463,12 @@ class ResultMemo:
     through the same memos.  :meth:`lookup` reads memory, then the store,
     promoting a store hit into memory; :meth:`record` keeps a computed
     result and writes it back, and :meth:`adopt` keeps a row a sweep
-    worker computed and stored.  A store miss is remembered until the next
-    lookup of that key or until the key is kept, so the engine that
-    computes a spec right after a sweep's partition missed it does not read
-    the shard again; :meth:`note_miss` hands such a miss to a sweep
-    worker's memo.
+    worker computed and stored.  Every row they return carries the spec
+    the caller passed (see :func:`for_spec`).  A store miss is remembered
+    until the next lookup of that key or until the key is kept, so the
+    engine that computes a spec right after a sweep's partition missed it
+    does not read the shard again; :meth:`note_miss` hands such a miss to a
+    sweep worker's memo.
     """
 
     def __init__(self, store: "ResultStore | None" = None) -> None:
@@ -461,7 +483,7 @@ class ResultMemo:
         with self._lock:
             result = self._results.get(key)
             if result is not None or self.store is None:
-                return result, False
+                return for_spec(result, spec), False
             if key in self._missed:
                 self._missed.discard(key)
                 return None, False
@@ -470,7 +492,7 @@ class ResultMemo:
             if stored is None:
                 self._missed.add(key)
                 return None, False
-            return self._results.setdefault(key, stored), True
+            return for_spec(self._results.setdefault(key, stored), spec), True
 
     def record(self, spec, result):
         """Keep a computed result (the first one recorded wins) and store it."""
@@ -487,9 +509,10 @@ class ResultMemo:
     def adopt(self, spec, result):
         """Keep a result computed and stored elsewhere (the first one kept wins)."""
         key = spec.spec_hash()
+        result = for_spec(result, spec)  # a worker's row carries an unpickled copy
         with self._lock:
             self._missed.discard(key)
-            return self._results.setdefault(key, result)
+            return for_spec(self._results.setdefault(key, result), spec)
 
     def note_miss(self, spec) -> None:
         """Remember a store miss another process already read for ``spec``."""
@@ -608,7 +631,7 @@ class SessionEngine:
         is bit-identical to a run of that repetition alone), so a spec's
         result does not depend on which other specs shared its pass.
 
-        Returns the results in input order.
+        Returns the results in input order, each carrying its own spec.
         """
         specs = list(specs)
         results: list[SessionResult | None] = [None] * len(specs)
@@ -625,7 +648,7 @@ class SessionEngine:
             computed = self._run_group(group_specs)
             for indices, result in zip(group.values(), computed):
                 for index in indices:
-                    results[index] = result
+                    results[index] = for_spec(result, specs[index])
         return results  # type: ignore[return-value]
 
     def _run_group(self, specs: list[ScenarioSpec]) -> list[SessionResult]:

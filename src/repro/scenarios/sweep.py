@@ -34,8 +34,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from .._validation import ensure_int
 from ..errors import ConfigurationError
-from .engine import SessionEngine, SessionResult, kernel_group_key
+from .engine import SessionEngine, SessionResult, for_spec, kernel_group_key
 from .spec import ScenarioSpec
 from .store import ResultStore
 
@@ -218,8 +219,9 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker count; ``1`` (default) runs serially in the calling thread,
-        and so does a sweep with a single work unit.  Otherwise the units go
+        Worker count, an integer ``>= 1`` (anything else raises
+        ``ConfigurationError``); ``1`` (default) runs serially in the calling
+        thread, and so does a sweep with a single work unit.  Otherwise the units go
         to a :class:`~concurrent.futures.ProcessPoolExecutor` of at most
         ``jobs`` workers, one pool per :meth:`run` call.  Workers take whole
         kernel groups (see the module docs), so a sweep with fewer groups
@@ -260,7 +262,7 @@ class SweepExecutor:
         engine: SessionEngine | None = None,
         store: ResultStore | None = None,
     ) -> None:
-        self.jobs = max(1, int(jobs))
+        self.jobs = ensure_int("jobs", jobs, minimum=1)
         if engine is None:
             engine = SessionEngine(store=store)
         elif store is not None:
@@ -314,8 +316,8 @@ class SweepExecutor:
 
         Each distinct spec is looked up once in its engine's memo (memory,
         then store); only the misses fan out to workers, and a repeated spec
-        shares its first row.  The rows are indistinguishable from a cold
-        serial run, hits included.
+        shares its first row, labelled with its own spec.  The rows are
+        indistinguishable from a cold serial run, hits included.
         """
         specs = list(specs)
         keys = [spec.spec_hash() for spec in specs]
@@ -355,7 +357,7 @@ class SweepExecutor:
                     rows[index] = row
         hits = sum(key in loaded for key in keys)
         return SweepResult(
-            [rows[first[key]] for key in keys],
+            [for_spec(rows[first[key]], spec) for spec, key in zip(specs, keys)],
             store_hits=hits,
             store_misses=len(specs) - hits if self.store is not None else 0,
         )

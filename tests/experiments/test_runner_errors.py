@@ -80,6 +80,14 @@ def test_until_requires_serve_keyword():
     assert "serve" in _message(excinfo)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_refuses_fewer_than_one_worker(jobs, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--scenario", "clean", "--jobs", jobs])
+    assert "jobs must be >= 1" in str(excinfo.value)
+    assert capsys.readouterr().out == ""  # refused before anything ran
+
+
 def test_resume_requires_store():
     with pytest.raises(ConfigurationError) as excinfo:
         run_experiments([], scale="ci", seed=1, scenarios=["clean"], resume=True)

@@ -308,7 +308,13 @@ class TestMetricsAndDeterminism:
         engine = FleetEngine()
         fleet = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
         first = engine.run(fleet)
-        assert engine.run(fleet.with_(name="renamed")) is first
+        # A renamed fleet hits the cache without recomputing, under its own spec.
+        renamed = fleet.with_(name="renamed")
+        second = engine.run(renamed)
+        assert second.spec is renamed
+        for column in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):
+            assert getattr(second, column) is getattr(first, column)
+        assert second.delays_ms is first.delays_ms
         assert engine.memo.cached(fleet) is first
         engine.memo.clear()
         assert engine.memo.cached(fleet) is None

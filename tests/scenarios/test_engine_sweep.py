@@ -32,6 +32,7 @@ from repro.scenarios import (
     random_loss_channel,
     repetition_seed,
     sample_channel_delays,
+    sample_channel_delays_batch,
     scenario_grid,
     wireless_channel,
 )
@@ -97,6 +98,28 @@ def test_sample_channel_delays_kinds():
     assert np.all(wireless[np.isfinite(wireless)] >= 0.0)
 
 
+def test_batched_sampler_builds_one_wireless_model_per_spec(monkeypatch):
+    from repro.scenarios import engine as engine_module
+
+    built = []
+
+    class CountingChannel(engine_module.WirelessChannel):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "WirelessChannel", CountingChannel)
+    engine_module._batch_wireless_model.cache_clear()
+    channel = wireless_channel(n_robots=7, probability=0.03, duration_slots=40)
+    first = sample_channel_delays_batch([channel, channel], 300, [1, 2])
+    second = sample_channel_delays_batch(channel, 300, [1, 2])
+    assert len(built) == 1
+    assert first.tobytes() == second.tobytes()
+    for row, seed in enumerate([1, 2]):
+        assert first[row].tobytes() == serial.sample_channel_delays(channel, 300, seed).tobytes()
+    engine_module._batch_wireless_model.cache_clear()  # drop the counting model
+
+
 def test_compound_channel_superposes_stages():
     n = 400
     stage_a = loss_burst_channel(burst_length=10, n_bursts=2, nominal_delay_ms=1.0)
@@ -124,9 +147,15 @@ def test_engine_caches_by_spec_hash():
     engine = SessionEngine()
     spec = _spec(loss_burst_channel(burst_length=5))
     first = engine.run(spec)
-    # Identical physics under a different label hits the cache.
-    second = engine.run(spec.with_(name="relabelled"))
-    assert second is first
+    # Identical physics under a different label hits the cache: nothing is
+    # recomputed (every column is the very object of the first row), and the
+    # row carries the caller's spec.
+    relabelled = spec.with_(name="relabelled")
+    second = engine.run(relabelled)
+    assert second.spec is relabelled
+    for column in ("rmse_no_forecast_mm", "rmse_foreco_mm", "late_fraction", "recovery_fraction"):
+        assert getattr(second, column) is getattr(first, column)
+    assert second.delays_ms is first.delays_ms
     assert engine.memo.cached(spec) is first
     engine.memo.clear()
     assert engine.memo.cached(spec) is None
@@ -343,6 +372,31 @@ def test_sweep_executor_parallel_matches_serial():
         assert row_s.rmse_foreco_mm == row_p.rmse_foreco_mm
         assert row_s.late_fraction == row_p.late_fraction
         assert row_s.recovery_fraction == row_p.recovery_fraction
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5])
+def test_worker_count_below_one_is_a_typed_error(jobs):
+    from repro import sweep
+    from repro.fleet import CapacityPlanner
+
+    with pytest.raises(ConfigurationError, match="jobs"):
+        SweepExecutor(jobs=jobs)
+    with pytest.raises(ConfigurationError, match="jobs"):
+        sweep([get_scenario("clean")], jobs=jobs)
+    with pytest.raises(ConfigurationError, match="jobs"):
+        CapacityPlanner(jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repeated_specs_under_other_names_carry_their_own_spec(jobs):
+    spec = _spec(loss_burst_channel(burst_length=5))
+    other = spec.with_(seed=spec.seed + 1)  # a second work unit for jobs=2
+    specs = [spec, other, spec.with_(name="again"), other.with_(name="other-again")]
+    sweep = SweepExecutor(jobs=jobs).run(specs)
+    assert all(row.spec is given for row, given in zip(sweep, specs))
+    assert sweep[2].rmse_foreco_mm is sweep[0].rmse_foreco_mm  # shared, not recomputed
+    rows = SessionEngine().run_many(specs)
+    assert all(row.spec is given for row, given in zip(rows, specs))
 
 
 def test_sweep_worker_processes_match_serial():

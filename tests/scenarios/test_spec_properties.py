@@ -27,6 +27,7 @@ from repro.fleet.spec import arrival_seed
 from repro.scenarios import ScenarioGrammar, ScenarioSpec, get_scale, get_scenario, repetition_seed
 from repro.scenarios.engine import compound_stage_seed
 from repro.scenarios.grammar import _kind_knobs, _primitive_channel
+from repro.scenarios.spec import canonical_json
 from repro.service import get_service
 
 SETTINGS = {"max_examples": 30, "deadline": None}
@@ -263,6 +264,17 @@ def test_fleet_service_and_plan_identity_is_computed_once(name, monkeypatch):
         assert fresh.spec_hash() == pinned
         assert fresh.stored_canonical == spec.stored_canonical
     assert len(calls) == 1  # one canonical string feeds the hash and the stored form
+
+    # A fresh template renders once, however many identities embed it.
+    renders = []
+    render = ScenarioSpec.canonical
+    monkeypatch.setattr(ScenarioSpec, "canonical", lambda self: renders.append(1) or render(self))
+    fresh = spec.with_template(seed=4242)
+    fleet = fresh if kind == "fleet" else fresh.fleet
+    assert fresh.spec_hash() == _fresh_hash(fresh)
+    assert fleet.workload_identity_json == canonical_json(fleet.workload_identity())
+    fleet.template.spec_hash()
+    assert len(renders) == 1
 
 
 @pytest.mark.parametrize("key", sorted(_PINNED_REPETITION_SEEDS))

@@ -80,6 +80,33 @@ def _assert_same_result(loaded, cold) -> None:
             assert got == want, f.name
 
 
+def _engine(kind: str, store: ResultStore):
+    """The engine that memoizes ``kind`` results in front of ``store``."""
+    if kind == "session":
+        return SessionEngine(store=store)
+    if kind == "fleet":
+        return FleetEngine(store=store)
+    if kind == "service":
+        return ServiceEngine(store=store)
+    return CapacityPlanner(store=store)
+
+
+@pytest.mark.parametrize("kind", ["session", "fleet", "service", "plan"])
+def test_relabelled_memory_hit_equals_a_store_hit(tmp_path, kind):
+    """Specs differing only in name share a hash and one memoized row; a
+    memory hit carries the caller's spec exactly as a store hit does."""
+    spec = _fixture_specs()[kind]
+    renamed = spec.with_(name=f"renamed-{kind}")
+    assert renamed.spec_hash() == spec.spec_hash()
+    engine = _engine(kind, ResultStore(tmp_path / "store"))
+    first = engine.run(spec)
+    memory = engine.run(renamed)
+    loaded = _engine(kind, ResultStore(tmp_path / "store")).run(renamed)
+    assert memory.spec is renamed and loaded.spec is renamed
+    _assert_same_result(memory, loaded)
+    assert engine.memo.cached(spec) is first  # the memo keeps the first row
+
+
 # ------------------------------------------------------------- format 1
 @pytest.mark.parametrize("kind", ["session", "fleet", "service", "plan"])
 def test_format1_fixture_hits_bit_for_bit(tmp_path, kind):
