@@ -225,7 +225,7 @@ def baseline_target_indices(delays_ms: np.ndarray, command_period_ms: float) -> 
 
 #: Slots per block of batch rows in the baseline-index and forward-kinematics
 #: passes; bounds the ``(rows, n, ...)`` temporaries a stacked pass allocates.
-_BLOCK_SLOTS = 1 << 13
+_BLOCK_SLOTS = 1 << 15
 
 
 def _row_blocks(n_batch: int, n_slots: int) -> list[slice]:

@@ -61,7 +61,7 @@ from ..core.simulation import (
     SimulationBatch,
 )
 from ..errors import ConfigurationError
-from ..scenarios.engine import ResultMemo, SessionEngine, repetition_seed, sample_channel_delays_batch
+from ..scenarios.engine import ResultMemo, SessionEngine, _identity_seed, sample_channel_delays_batch
 from ..scenarios.spec import ScenarioSpec, _hash_seed
 from .spec import FleetSpec, sample_arrival_times
 
@@ -76,12 +76,33 @@ def operator_channel_spec(fleet: FleetSpec, operator: int) -> ScenarioSpec:
     index, so their channels are independent realisations of the same model.
     """
     operator = int(operator)
+    if operator == 0:
+        return fleet.template
+    return fleet.template.with_(seed=_operator_seed(fleet, operator))
+
+
+def _operator_seed(fleet: FleetSpec, operator: int) -> int:
+    """The template seed of :func:`operator_channel_spec` ``(fleet, operator)``."""
     if operator < 0:
         raise ConfigurationError("operator index must be >= 0")
     if operator == 0:
-        return fleet.template
-    derived = _hash_seed("fleet-operator", int(fleet.template.seed), operator)
-    return fleet.template.with_(seed=derived)
+        return int(fleet.template.seed)
+    return _hash_seed("fleet-operator", int(fleet.template.seed), operator)
+
+
+def _session_seeds(fleet: FleetSpec, sessions: list[_Session]) -> list[int]:
+    """Each session's ``repetition_seed(operator_channel_spec(fleet, operator), repetition)``.
+
+    Operators differ from the template only in ``seed``, so the template's
+    identity is encoded once, split around its seed, and each operator's seed
+    is spliced in: the same sha256 input bytes as the operator spec's own
+    encoding, without building that spec or encoding it again.
+    """
+    head, tail = fleet.template.channel_identity_split
+    return [
+        _identity_seed(head + str(_operator_seed(fleet, session.operator)) + tail, session.repetition)
+        for session in sessions
+    ]
 
 
 # -------------------------------------------------------------------- results
@@ -455,16 +476,8 @@ class FleetEngine:
         for flat, session in enumerate(sessions):
             session.flat = flat
 
-        operator_specs: dict[int, ScenarioSpec] = {}
-        seeds = []
-        for session in sessions:
-            spec = operator_specs.get(session.operator)
-            if spec is None:
-                spec = operator_channel_spec(fleet, session.operator)
-                operator_specs[session.operator] = spec
-            seeds.append(repetition_seed(spec, session.repetition))
         base = sample_channel_delays_batch(
-            template.channel, n_commands, seeds, command_period_ms=period
+            template.channel, n_commands, _session_seeds(fleet, sessions), command_period_ms=period
         )
         coupled, utilization = self._couple(fleet, plans, base, n_commands, period)
         return FleetExecution(

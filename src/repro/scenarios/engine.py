@@ -190,7 +190,12 @@ def repetition_seed(spec: ScenarioSpec, repetition: int, stage: int = 0) -> int:
     :func:`compound_stage_seed`), keyed on stage *content* rather than stage
     position so superposition stays order-invariant.
     """
-    return _hash_seed(spec.channel_identity_json, int(repetition), int(stage))
+    return _identity_seed(spec.channel_identity_json, repetition, stage)
+
+
+def _identity_seed(identity_json: str, repetition: int, stage: int = 0) -> int:
+    """:func:`repetition_seed` of the spec whose channel identity encodes as ``identity_json``."""
+    return _hash_seed(identity_json, int(repetition), int(stage))
 
 
 def kernel_group_key(spec: ScenarioSpec) -> tuple:

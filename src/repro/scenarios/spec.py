@@ -573,6 +573,25 @@ class ScenarioSpec(SpecIdentity):
         }
 
     @cached_property
+    def channel_identity_split(self) -> tuple[str, str]:
+        """:attr:`channel_identity_json` split around its seed value: ``(head, tail)``.
+
+        Specs that differ only in ``seed`` share both parts, so the identity of
+        any seed is ``head + str(seed) + tail`` without re-encoding (``json``
+        writes an int as its ``str``); fleets seed their operators this way.
+        The seed slot is found by encoding a marker in its place; a channel
+        that holds the marker itself raises.
+        """
+        identity = self.channel_identity()
+        identity["seed"] = _SEED_MARK
+        parts = canonical_json(identity).split(canonical_json(_SEED_MARK))
+        if len(parts) != 2:
+            raise ConfigurationError(
+                f"channel identity holds the seed marker {len(parts) - 1} times, expected once"
+            )
+        return parts[0], parts[1]
+
+    @cached_property
     def channel_identity_json(self) -> str:
         """:func:`canonical_json` of :meth:`channel_identity`, once per instance."""
         return canonical_json(self.channel_identity())
@@ -617,6 +636,10 @@ class ScenarioSpec(SpecIdentity):
 def canonical_json(value) -> str:
     """The one canonical encoding: sorted keys, no whitespace (``inf`` as ``Infinity``)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: Stand-in for the seed value while :attr:`ScenarioSpec.channel_identity_split` encodes.
+_SEED_MARK = "\x00seed\x00"
 
 
 def _hash_seed(*parts) -> int:

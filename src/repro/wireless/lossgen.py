@@ -61,7 +61,11 @@ class LossPattern(abc.ABC):
         seeds = list(seeds)
         if not seeds:
             raise ConfigurationError("lost_mask_batch needs at least one seed")
-        return np.stack([self._lost_mask(rng_from(seed), n_commands) for seed in seeds])
+        return self._lost_masks([rng_from(seed) for seed in seeds], n_commands)
+
+    def _lost_masks(self, rngs: list[np.random.Generator], n_commands: int) -> np.ndarray:
+        """``(B, n)``: one :meth:`_lost_mask` realisation per generator, stacked."""
+        return np.stack([self._lost_mask(rng, n_commands) for rng in rngs])
 
     def to_delays(self, n_commands: int, nominal_delay_ms: float = 1.0) -> np.ndarray:
         """Per-command delay array: ``nominal_delay_ms`` or ``inf`` when lost."""
@@ -114,6 +118,16 @@ class ConsecutiveLossInjector(LossPattern):
         self._seed = seed
 
     def _lost_mask(self, rng: np.random.Generator, n_commands: int) -> np.ndarray:
+        return self._lost_masks([rng], n_commands)[0]
+
+    def _lost_masks(self, rngs: list[np.random.Generator], n_commands: int) -> np.ndarray:
+        """Each row draws its slacks from its own generator; all bursts are placed at once.
+
+        Bursts go left-to-right with random slack so they never overlap: burst
+        ``k`` starts after the first ``k + 1`` slacks, half a gap and ``k``
+        bursts with their gaps.  The clamp never binds (the last start is at
+        most ``n - burst_length - ceil(min_gap / 2)``).
+        """
         n_commands = ensure_int("n_commands", n_commands, minimum=1)
         required = self.n_bursts * (self.burst_length + self.min_gap)
         if required > n_commands:
@@ -121,15 +135,14 @@ class ConsecutiveLossInjector(LossPattern):
                 f"cannot place {self.n_bursts} bursts of {self.burst_length} lost commands "
                 f"with gap {self.min_gap} in only {n_commands} commands"
             )
-        mask = np.zeros(n_commands, dtype=bool)
-        # Place bursts left-to-right with random slack so they never overlap.
-        slack_total = n_commands - required
-        slacks = rng.multinomial(slack_total, np.ones(self.n_bursts + 1) / (self.n_bursts + 1))
-        cursor = int(slacks[0]) + self.min_gap // 2
-        for burst in range(self.n_bursts):
-            start = min(cursor, n_commands - self.burst_length)
-            mask[start : start + self.burst_length] = True
-            cursor = start + self.burst_length + self.min_gap + int(slacks[burst + 1])
+        shares = np.ones(self.n_bursts + 1) / (self.n_bursts + 1)
+        slacks = np.stack([rng.multinomial(n_commands - required, shares) for rng in rngs])
+        stride = self.burst_length + self.min_gap
+        starts = np.cumsum(slacks[:, :-1], axis=1) + self.min_gap // 2 + stride * np.arange(self.n_bursts)
+        starts = np.minimum(starts, n_commands - self.burst_length)
+        mask = np.zeros((len(rngs), n_commands), dtype=bool)
+        rows = np.arange(len(rngs))[:, None, None]
+        mask[rows, starts[:, :, None] + np.arange(self.burst_length)] = True
         return mask
 
 

@@ -239,8 +239,9 @@ def test_batched_rmse_equals_serial_with_stop_fallback(trained_recovery, inexper
 
 def test_batched_rmse_equals_serial_across_row_blocks(trained_recovery, inexperienced_stream):
     """A batch one row larger than a block runs the gather over two blocks."""
-    n_slots = 1000
+    n_slots = 2000
     commands = inexperienced_stream.commands[:n_slots]
+    assert commands.shape[0] == n_slots
     rows_per_block = simulation_module._BLOCK_SLOTS // n_slots
     assert 1 <= rows_per_block < 20
     delays = _jammed_delays(rows_per_block + 1, n_slots)

@@ -20,8 +20,9 @@ from repro.fleet import (
     get_fleet,
     operator_channel_spec,
 )
-from repro.fleet.engine import _Session
+from repro.fleet.engine import _plan, _Session
 from repro.scenarios import (
+    ScenarioSpec,
     SessionEngine,
     SweepExecutor,
     get_scenario,
@@ -117,6 +118,21 @@ class TestOperatorDecorrelation:
         fleet = get_fleet("shared-ap")
         seeds = {operator_channel_spec(fleet, i).seed for i in range(4)}
         assert len(seeds) == 4  # template seed + 3 distinct derivations
+
+    def test_execute_encodes_the_channel_identity_once(self, engines, monkeypatch):
+        """512 operators splice their seeds into one encoding of the template's identity."""
+        _, fleets = engines
+        fleet = get_fleet("city-scale", operators=512, aps=64, tier="exact")
+        fleet = fleet.with_template(run_seconds=RUN_SECONDS)  # a fresh template: nothing cached
+        plans, _ = _plan(fleet, int(fleets.sessions.test_commands(fleet.template).shape[0]))
+        encodings = []
+        identity = ScenarioSpec.channel_identity
+        monkeypatch.setattr(
+            ScenarioSpec, "channel_identity", lambda self: encodings.append(1) or identity(self)
+        )
+        run = fleets.execute(fleet, plans)
+        assert {session.operator for session in run.sessions} == set(range(512))
+        assert len(encodings) == 1
 
 
 class TestCoupling:

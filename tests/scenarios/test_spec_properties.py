@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import get_fleet, get_plan
-from repro.fleet.engine import operator_channel_spec
+from repro.fleet import FleetSpec
+from repro.fleet.engine import _Session, _session_seeds, operator_channel_spec
 from repro.fleet.hybrid import cold_draw_seed
 from repro.fleet.spec import arrival_seed
 from repro.scenarios import ScenarioGrammar, ScenarioSpec, get_scale, get_scenario, repetition_seed
 from repro.scenarios.engine import compound_stage_seed
 from repro.scenarios.grammar import _kind_knobs, _primitive_channel
-from repro.scenarios.spec import canonical_json
+from repro.scenarios.spec import ChannelSpec, _hash_seed, canonical_json
 from repro.service import get_service
 
 SETTINGS = {"max_examples": 30, "deadline": None}
@@ -289,6 +290,58 @@ def test_operator_channel_seed_matches_its_pin(operator):
     spec = operator_channel_spec(get_fleet("city-scale"), operator)
     assert spec.seed == seed
     assert tuple(repetition_seed(spec, repetition) for repetition in range(2)) == repetition_seeds
+
+
+def _sessions(operators, repetitions: int = 2) -> list[_Session]:
+    return [
+        _Session(operator=operator, repetition=repetition, offset_slots=0, ap=0)
+        for operator in operators
+        for repetition in range(repetitions)
+    ]
+
+
+def _assert_splice_equals_operator_specs(fleet, operators) -> None:
+    """Spliced identities and seeds equal the reference form, operator by operator."""
+    head, tail = fleet.template.channel_identity_split
+    for operator in operators:
+        reference = operator_channel_spec(fleet, operator)
+        assert head + str(reference.seed) + tail == reference.channel_identity_json
+    sessions = _sessions(operators)
+    expected = [repetition_seed(operator_channel_spec(fleet, s.operator), s.repetition) for s in sessions]
+    assert _session_seeds(fleet, sessions) == expected
+
+
+def test_spliced_seeds_equal_the_operator_specs_on_every_city_scale_operator():
+    fleet = get_fleet("city-scale", operators=512)
+    _assert_splice_equals_operator_specs(fleet, range(fleet.operators))
+    for operator, (_, repetition_seeds) in _PINNED_OPERATOR_SEEDS.items():
+        assert tuple(_session_seeds(fleet, _sessions([operator]))) == repetition_seeds
+
+
+@pytest.mark.parametrize("name", ["jammer-congestion", "trace-replay", "congested-ap"])
+def test_spliced_seeds_equal_the_operator_specs_on_other_channel_kinds(name):
+    """A compound channel, a trace holding ``Infinity`` and a wireless channel."""
+    fleet = FleetSpec(name="splice", template=get_scenario(name), operators=8, aps=2)
+    _assert_splice_equals_operator_specs(fleet, [0, 1, 2, 7, 511])
+    head, tail = fleet.template.channel_identity_split
+    assert head.endswith('"seed":') and tail == "}"
+    if name == "trace-replay":
+        assert "Infinity" in head
+
+
+def test_channel_identity_split_refuses_an_ambiguous_seed_slot():
+    """A channel value equal to the seed marker would make the split a guess.
+
+    Only the fleet splice refuses it: a single session still seeds from the
+    spec's own encoding.
+    """
+    spec = ScenarioSpec(channel=ChannelSpec.make("clean", label="\x00seed\x00"))
+    with pytest.raises(ConfigurationError, match="2 times"):
+        spec.channel_identity_split
+    fleet = FleetSpec(name="marker", template=spec, operators=2, aps=1)
+    with pytest.raises(ConfigurationError, match="2 times"):
+        _session_seeds(fleet, _sessions([0, 1]))
+    assert repetition_seed(spec, 0) == _hash_seed(canonical_json(spec.channel_identity()), 0, 0)
 
 
 @pytest.mark.parametrize("key", sorted(_PINNED_ARRIVAL_SEEDS))

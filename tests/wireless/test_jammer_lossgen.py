@@ -139,3 +139,34 @@ def _run_lengths(mask: np.ndarray) -> list[int]:
     if current:
         runs.append(current)
     return runs
+
+
+@pytest.mark.parametrize(
+    "burst, n_bursts, min_gap, n_commands",
+    [
+        (3, 2, 5, 40),  # odd gap: half a gap is rounded down before the first burst
+        (10, 5, 60, 1500),  # the loss-burst presets' shape
+        (4, 3, 7, 33),  # required == n_commands: no slack to spread
+        (25, 1, 50, 400),  # one burst
+        (1, 4, 0, 9),  # no gap at all
+    ],
+)
+def test_consecutive_batch_equals_per_seed_masks(burst, n_bursts, min_gap, n_commands):
+    """Each stacked row equals the mask a fresh injector draws from that row's seed."""
+    seeds = [0, 7, 12345, 2**32 - 1, *range(100, 140)]
+    injector = ConsecutiveLossInjector(burst, n_bursts=n_bursts, min_gap=min_gap)
+    batch = injector.lost_mask_batch(n_commands, seeds)
+    fresh = [ConsecutiveLossInjector(burst, n_bursts=n_bursts, min_gap=min_gap, seed=seed) for seed in seeds]
+    serial = np.stack([one.lost_mask(n_commands) for one in fresh])
+    assert batch.dtype == serial.dtype == bool
+    np.testing.assert_array_equal(batch, serial)
+    assert (batch.sum(axis=1) == burst * n_bursts).all()
+    assert "rng" not in vars(injector)
+
+
+def test_consecutive_batch_refuses_bursts_that_do_not_fit():
+    injector = ConsecutiveLossInjector(4, n_bursts=3, min_gap=7)
+    with pytest.raises(ConfigurationError, match="cannot place 3 bursts"):
+        injector.lost_mask_batch(32, [0, 1])
+    with pytest.raises(ConfigurationError):
+        injector.lost_mask_batch(33, [])
