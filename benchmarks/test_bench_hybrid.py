@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from repro.fleet import FleetEngine, HybridFleetEngine, get_fleet
+from repro.fleet import FleetEngine, get_fleet
 from repro.scenarios import SessionEngine
 
 from conftest import emit, record_metric
@@ -63,7 +63,7 @@ def test_bench_hybrid_city_scale(benchmark, bench_scale, bench_seed):
     sessions = SessionEngine()
     sessions.run(city.template)  # warm dataset/forecaster/solo caches
 
-    hybrid_engine = HybridFleetEngine(sessions=sessions)
+    hybrid_engine = FleetEngine(sessions=sessions)
     exact_engine = FleetEngine(sessions=sessions)
 
     (t_hybrid, hybrid), (t_exact, exact) = _best_of_alternating(
@@ -80,7 +80,7 @@ def test_bench_hybrid_city_scale(benchmark, bench_scale, bench_seed):
     speedup = hybrid_rate / exact_rate
 
     def run():
-        return HybridFleetEngine(sessions=sessions).run(city)
+        return FleetEngine(sessions=sessions).run(city)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     record_metric(

@@ -29,7 +29,7 @@ import sys
 import tempfile
 
 from repro.experiments.runner import run_experiments
-from repro.fleet import FleetEngine, HybridFleetEngine, get_fleet
+from repro.fleet import FleetEngine, get_fleet
 from repro.scenarios import SessionEngine
 
 #: Operator population of the smoke fleet (small but genuinely contended).
@@ -80,7 +80,7 @@ def main() -> int:
     exact_fleet = get_fleet("shared-ap", operators=OPERATORS)
     hybrid_fleet = exact_fleet.with_(tier="hybrid", hot_threshold=1e-9)
     exact_row = FleetEngine(sessions=sessions).run(exact_fleet)
-    hybrid_row = HybridFleetEngine(sessions=sessions).run(hybrid_fleet)
+    hybrid_row = FleetEngine(sessions=sessions).run(hybrid_fleet)
     if (
         hybrid_row.rmse_foreco_mm != exact_row.rmse_foreco_mm
         or hybrid_row.completion_time_s != exact_row.completion_time_s

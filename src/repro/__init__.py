@@ -220,8 +220,8 @@ def run_fleet(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     ``spec_or_preset`` is a :class:`FleetSpec` or a registered fleet preset
     name (see :func:`repro.fleet.fleet_names`).  ``seed`` overrides the
     per-operator template's seed; ``store``/``jobs`` behave exactly as in
-    :func:`run_scenario`.  Both fleet tiers are supported (hybrid-tier
-    specs route through the city-scale engine).
+    :func:`run_scenario`.  Both fleet tiers are supported (one
+    :class:`~repro.fleet.FleetEngine` runs either).
 
     >>> result = run_fleet("shared-ap")              # doctest: +SKIP
     >>> result.dropped_sessions >= 0                 # doctest: +SKIP

@@ -3,9 +3,11 @@
 The engine is a classic event-calendar simulator: callers schedule
 :class:`Event` objects at absolute simulation times, and :class:`Simulator`
 pops them in chronological order, advancing the clock and invoking each
-event's callback.  Callbacks may schedule further events.  The live
-service's admission pass (:mod:`repro.service.engine`) schedules one event
-per operator arrival.
+event's callback.  Callbacks may schedule further events.  The event-driven
+G/HEXP/1/Q reference queue of the test suite runs on it.  The live
+service's admission pass no longer does: its arrivals are all known up
+front and none schedules another, so it walks them in sorted order
+(:func:`repro.fleet.engine.admit_arrivals`).
 
 The engine is intentionally small — it only needs to support the workloads in
 this reproduction — but it is written as a reusable component: events carry

@@ -9,16 +9,17 @@ serving heavy traffic actually sees.
   population, arrival process, AP topology/capacity, per-operator
   :class:`~repro.scenarios.ScenarioSpec` template) and the arrival-process
   samplers built on :mod:`repro.des.distributions`;
-* :mod:`repro.fleet.engine` — the :class:`FleetEngine`: admission control,
-  the shared per-AP Lindley backlog that couples co-scheduled sessions, and
-  one batched session-kernel pass over every admitted operator-session;
+* :mod:`repro.fleet.engine` — the :class:`FleetEngine`, one engine for
+  both tiers: the admission pass the fleet rule and every service policy
+  share, the per-AP Lindley backlog that couples co-scheduled sessions,
+  and one batched session-kernel pass over every admitted operator-session;
   :class:`FleetResult` carries the service-level metrics (p50/p99 recovery,
   completion-time distribution, AP utilisation, dropped sessions);
-* :mod:`repro.fleet.hybrid` — the :class:`HybridFleetEngine` city-scale
-  tier: Bianchi-classified hot APs run the exact path, the cold long tail
-  is serviced by the analytic Gaussian/heavy-tail superposition model
-  (:mod:`repro.wireless.superposition`) — deterministic and
-  store-cacheable like everything else;
+* :mod:`repro.fleet.hybrid` — the classifier and cold tier of
+  ``tier="hybrid"`` fleets: Bianchi-classified hot APs run the exact path,
+  the cold long tail is serviced by the analytic Gaussian/heavy-tail
+  superposition model (:mod:`repro.wireless.superposition`) —
+  deterministic and store-cacheable like everything else;
 * :mod:`repro.fleet.registry` — named fleet presets (``shared-ap``,
   ``peak-hour``, ``diurnal-campus``, ``city-scale``);
 * :mod:`repro.fleet.plan` / :mod:`repro.fleet.objective` — SLO-driven
@@ -46,7 +47,7 @@ from ..scenarios.store import (
     register_store_codec,
 )
 from .engine import FleetEngine, FleetResult, operator_channel_spec
-from .hybrid import ApClassification, HybridFleetEngine, classify_aps, cold_draw_seed
+from .hybrid import ApClassification, classify_aps, cold_draw_seed
 from .objective import PlanProbe, admitted_estimate, assess_probe, quality_violations, select_probe
 from .plan import (
     METHOD_KIND_SUMMARIES,
@@ -139,7 +140,6 @@ __all__ = [
     "FleetEngine",
     "FleetResult",
     "FleetSpec",
-    "HybridFleetEngine",
     "METHOD_KIND_SUMMARIES",
     "METHOD_KINDS",
     "PLAN_VERSION",

@@ -38,17 +38,24 @@ Sessions and admission
 Operators start at the spec's arrival-process times (slot-quantised) and are
 statically assigned to AP ``i % aps``.  A session whose AP already serves
 ``ap_capacity`` concurrent sessions at its arrival is **dropped**: it is
-counted, never simulated.  All admitted operator-sessions across all
+counted, never simulated.  That rule (:func:`static_cap`) is one placement
+rule of :func:`admit_arrivals`, the admission pass a live service's
+policies run through too.  All admitted operator-sessions across all
 repetitions then advance through ONE batched session kernel call (the
 ``(B, n)`` stack of coupled delays), which is what makes fleet execution
 several times faster than running the sessions one by one.
+
+One engine runs both tiers: a ``tier="hybrid"`` spec serves its cold APs
+analytically (:mod:`repro.fleet.hybrid`) and its hot APs through the same
+exact pipeline.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -63,6 +70,7 @@ from ..core.simulation import (
 from ..errors import ConfigurationError
 from ..scenarios.engine import ResultMemo, SessionEngine, _identity_seed, sample_channel_delays_batch
 from ..scenarios.spec import ScenarioSpec, _hash_seed
+from .hybrid import ApClassification, classify_aps, serve_cold
 from .spec import FleetSpec, sample_arrival_times
 
 
@@ -298,53 +306,94 @@ class FleetExecution:
     completion_time_s: tuple[float, ...]
 
 
-def _plan_repetition(fleet: FleetSpec, repetition: int, n_commands: int) -> tuple[list[_Session], int]:
-    """Admission plan for one fleet realisation: (admitted sessions, dropped).
+class AdmissionState:
+    """Per-AP admitted start offsets of one repetition, for a placement rule to read.
 
-    Operators arrive at the arrival-process times (quantised to command
-    slots) and are processed in arrival order (ties broken by operator
-    index).  An arrival whose AP already serves ``ap_capacity`` overlapping
-    sessions is dropped.  Operator 0 always arrives first among ties, so at
-    least one session per repetition is admitted.
+    Every session occupies exactly ``n_commands`` consecutive command slots,
+    so the number of sessions active on an AP at slot ``offset`` is a
+    window count over that AP's (nondecreasing) admitted offsets: the ones
+    still active are a suffix, found by bisection.  O(N log N) overall,
+    which keeps admission negligible at city scale.
+    """
+
+    def __init__(self, fleet: FleetSpec, n_commands: int) -> None:
+        self.n_commands = int(n_commands)
+        self.capacity = fleet.ap_capacity
+        self.aps = fleet.aps
+        self._admitted: list[list[int]] = [[] for _ in range(fleet.aps)]
+
+    def active(self, ap: int, offset: int) -> int:
+        """Sessions active on ``ap`` at command slot ``offset``."""
+        offsets = self._admitted[ap]
+        return len(offsets) - bisect_right(offsets, offset - self.n_commands)
+
+    def admit(self, ap: int, offset: int) -> None:
+        """Record an admitted session on ``ap`` starting at ``offset``."""
+        insort(self._admitted[ap], offset)
+
+
+def static_cap(state: AdmissionState, home_ap: int, offset: int) -> int | None:
+    """The fleet rule: the home AP while it has a free slot, else drop."""
+    return home_ap if state.active(home_ap, offset) < state.capacity else None
+
+
+_State = TypeVar("_State", bound=AdmissionState)
+
+
+def admit_arrivals(
+    fleet: FleetSpec,
+    n_commands: int,
+    place: Callable[[_State, int, int], int | None],
+    new_state: Callable[[], _State],
+    until_s: float | None,
+) -> tuple[list[list[_Session]], list[int], list[int]]:
+    """The admission pass, for the fleet rule and every service policy.
+
+    Per repetition, arrivals are quantised to command slots and offered in
+    slot order, ties broken by operator index, to ``place(state, home_ap,
+    offset)``, which returns the AP that takes the session (its home AP
+    ``operator % aps`` or another one, a migration) or ``None`` to drop it.
+    ``place`` sees only the decisions made before the arrival, through a
+    fresh ``new_state()`` per repetition.  An arrival later than ``until_s``
+    seconds ends the repetition's pass (one exactly at the horizon is still
+    offered).  Operator 0 arrives first among ties, so the fleet rule
+    admits at least one session per repetition.
+
+    Returns the admitted sessions per repetition in operator order, and the
+    slot offsets of the dropped and of the migrated arrivals.
     """
     period_s = fleet.template.foreco.command_period_ms / 1000.0
-    arrivals = sample_arrival_times(fleet, repetition)
-    offsets = np.floor(arrivals / period_s).astype(int)
-    order = np.argsort(offsets, kind="stable")
-    admitted: list[_Session] = []
-    # Per-AP admitted arrival offsets, in admission (nondecreasing) order —
-    # the sessions still active at a new arrival are a suffix, found by
-    # bisection.  O(N log N) overall, which is what keeps admission planning
-    # negligible at city scale (thousands of operators).
-    per_ap_offsets: dict[int, list[int]] = {}
-    dropped = 0
-    for operator in order:
-        operator = int(operator)
-        offset = int(offsets[operator])
-        ap = operator % fleet.aps
-        active_offsets = per_ap_offsets.setdefault(ap, [])
-        # active iff offset_slots + n_commands > offset
-        active = len(active_offsets) - bisect_right(active_offsets, offset - n_commands)
-        if active >= fleet.ap_capacity:
-            dropped += 1
-            continue
-        active_offsets.append(offset)
-        admitted.append(
-            _Session(operator=operator, repetition=repetition, offset_slots=offset, ap=ap)
-        )
-    admitted.sort(key=lambda session: session.operator)
-    return admitted, dropped
+    plans: list[list[_Session]] = []
+    dropped: list[int] = []
+    migrated: list[int] = []
+    for repetition in range(fleet.template.repetitions):
+        offsets = np.floor(sample_arrival_times(fleet, repetition) / period_s).astype(int)
+        state = new_state()
+        admitted: list[_Session] = []
+        for operator in np.argsort(offsets, kind="stable").tolist():
+            offset = int(offsets[operator])
+            if until_s is not None and offset * period_s > until_s:
+                break
+            home_ap = operator % fleet.aps
+            ap = place(state, home_ap, offset)
+            if ap is None:
+                dropped.append(offset)
+                continue
+            state.admit(ap, offset)
+            if ap != home_ap:
+                migrated.append(offset)
+            admitted.append(_Session(operator=operator, repetition=repetition, offset_slots=offset, ap=ap))
+        admitted.sort(key=lambda session: session.operator)
+        plans.append(admitted)
+    return plans, dropped, migrated
 
 
 def _plan(fleet: FleetSpec, n_commands: int) -> tuple[list[list[_Session]], int]:
     """Static admission plans for every repetition: (per-repetition plans, dropped)."""
-    plans: list[list[_Session]] = []
-    dropped = 0
-    for repetition in range(fleet.template.repetitions):
-        admitted, dropped_here = _plan_repetition(fleet, repetition, n_commands)
-        plans.append(admitted)
-        dropped += dropped_here
-    return plans, dropped
+    plans, dropped, _ = admit_arrivals(
+        fleet, n_commands, static_cap, lambda: AdmissionState(fleet, n_commands), None
+    )
+    return plans, len(dropped)
 
 
 def _lindley_backlog(work_ms: np.ndarray, period_ms: float) -> np.ndarray:
@@ -365,7 +414,7 @@ def _lindley_backlog(work_ms: np.ndarray, period_ms: float) -> np.ndarray:
 
 # --------------------------------------------------------------------- engine
 class FleetEngine:
-    """Resolves fleet specs into coupled multi-session runs, with caching.
+    """Resolves fleet specs of either tier into coupled multi-session runs, with caching.
 
     Parameters
     ----------
@@ -381,6 +430,7 @@ class FleetEngine:
         (:attr:`memo`).  Fleet results share the store (and its
         engine-epoch scheme) with session results: lookups go memory ->
         disk -> compute, computed fleets are written back immediately.
+        The tier lives in the spec, so one engine serves mixed-tier sweeps.
     """
 
     def __init__(
@@ -398,42 +448,77 @@ class FleetEngine:
 
     # --------------------------------------------------------------- compute
     def _compute(self, fleet: FleetSpec) -> FleetResult:
-        """Plan, sample, couple and simulate one fleet from scratch.
+        """Plan, sample, couple and simulate one fleet from scratch, in its tier.
 
-        The base engine handles the ``"exact"`` tier only; hybrid-tier
-        specs need the :class:`~repro.fleet.hybrid.HybridFleetEngine`
-        (which subclasses this engine and reuses the exact path for hot
-        APs).  The guard keeps tier selection explicit — an exact engine
-        silently approximating would break the content-address contract.
+        The ``"exact"`` tier runs every admitted session through
+        :meth:`execute`.  The ``"hybrid"`` tier classifies the APs (see
+        :func:`~repro.fleet.hybrid.classify_aps`), runs the hot APs' sessions
+        through :meth:`execute` (the coupling is per AP, so their rows are
+        bit-identical to an exact run's) and serves the cold APs' sessions
+        with :func:`~repro.fleet.hybrid.serve_cold`.  A hybrid fleet whose
+        every AP classifies hot is the exact computation bit for bit.
         """
-        if fleet.tier != "exact":
-            raise ConfigurationError(
-                f"FleetEngine runs tier='exact' fleets only, got tier={fleet.tier!r}; "
-                "use repro.fleet.HybridFleetEngine (it handles both tiers)"
-            )
-        return self._compute_exact(fleet)
-
-    def _compute_exact(self, fleet: FleetSpec) -> FleetResult:
-        """The exact path: every admitted session through the Lindley backlog."""
         n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
         plans, dropped = _plan(fleet, n_commands)
-        run = self.execute(fleet, plans)
+        hot_aps = set(range(fleet.aps))
+        if fleet.tier == "hybrid":
+            hot_aps = {verdict.ap for verdict in classify_aps(fleet, plans, n_commands) if verdict.hot}
+        hot = self.execute(fleet, [[s for s in plan if s.ap in hot_aps] for plan in plans])
+        cold_plans = [[s for s in plan if s.ap not in hot_aps] for plan in plans]
+        analytic = sum(len(plan) for plan in cold_plans)
+        cold_rows: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
+        utilization = hot.ap_utilization
+        if analytic:
+            cold_rows, cold_utilization = serve_cold(self.sessions, fleet, cold_plans, n_commands)
+            utilization = tuple(
+                u if ap in hot_aps else float(cold_utilization[ap]) for ap, u in enumerate(utilization)
+            )
+
+        # Hot and cold sessions merged in the canonical operator-major order.
+        sessions = sorted(
+            (session for plan in plans for session in plan),
+            key=lambda session: (session.operator, session.repetition),
+        )
+        batch = hot.outcomes
+        hot_rows = list(
+            zip(
+                batch.rmse_no_forecast_mm,
+                batch.rmse_foreco_mm,
+                batch.late_fraction,
+                batch.recovery_fraction,
+                hot.completion_time_s,
+            )
+        )
+        rows = [
+            hot_rows[s.flat] if s.ap in hot_aps else cold_rows[(s.operator, s.repetition)]
+            for s in sessions
+        ]
+        rmse_nf, rmse_f, late, recovery, completion = (tuple(column) for column in zip(*rows))
+        last = sessions[-1] if sessions else None
         return FleetResult(
             spec=fleet,
             spec_hash=fleet.spec_hash(),
             n_commands=n_commands,
-            admitted=len(run.sessions),
+            admitted=len(sessions),
             dropped_sessions=dropped,
-            rmse_no_forecast_mm=run.outcomes.rmse_no_forecast_mm,
-            rmse_foreco_mm=run.outcomes.rmse_foreco_mm,
-            late_fraction=run.outcomes.late_fraction,
-            recovery_fraction=run.outcomes.recovery_fraction,
-            completion_time_s=run.completion_time_s,
-            ap_utilization=run.ap_utilization,
-            hot_aps=fleet.aps,
-            exact_sessions=len(run.sessions),
-            delays_ms=run.delays_ms[-1].copy(),
+            rmse_no_forecast_mm=rmse_nf,
+            rmse_foreco_mm=rmse_f,
+            late_fraction=late,
+            recovery_fraction=recovery,
+            completion_time_s=completion,
+            ap_utilization=tuple(float(u) for u in utilization),
+            tier=fleet.tier,
+            hot_aps=len(hot_aps),
+            cold_aps=fleet.aps - len(hot_aps),
+            exact_sessions=len(hot.sessions),
+            analytic_sessions=analytic,
+            delays_ms=hot.delays_ms[last.flat].copy() if last is not None and last.ap in hot_aps else None,
         )
+
+    def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
+        """The hot/cold verdicts the hybrid tier would use for this fleet."""
+        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
+        return classify_aps(fleet, _plan(fleet, n_commands)[0], n_commands)
 
     def execute(self, fleet: FleetSpec, plans: list[list[_Session]]) -> FleetExecution:
         """Execute admitted sessions: sample, couple, simulate, time completion.

@@ -2,31 +2,34 @@
 
 At city scale the overwhelming majority of access points are lightly
 loaded: simulating every one through the exact per-command Lindley backlog
-is wasted work.  This module adds a hierarchical tier above
-:class:`~repro.fleet.engine.FleetEngine` that
+is wasted work.  A ``tier="hybrid"`` fleet spec makes
+:class:`~repro.fleet.engine.FleetEngine`
 
-1. **classifies** every AP as *hot* or *cold* with the Bianchi-derived
-   saturation score (:func:`repro.wireless.bianchi.saturation_score`)
-   computed from the AP's peak admitted concurrency and its air-time load
+1. **classify** every AP as *hot* or *cold* (:func:`classify_aps`) with the
+   Bianchi-derived saturation score
+   (:func:`repro.wireless.bianchi.saturation_score`) computed from the AP's
+   peak admitted concurrency and its air-time load
    ``m * ap_service_ms / command_period_ms`` — admission capacity bounds
    the concurrency, so the classifier sees the *admitted* load, not the
    offered one;
-2. runs hot APs through :meth:`~repro.fleet.engine.FleetEngine.execute`,
+2. run hot APs through :meth:`~repro.fleet.engine.FleetEngine.execute`,
    the exact fleet pipeline, on the hot sessions only — because the exact
    coupling is per-AP, the hot sessions' results are bit-identical to what
    a pure-exact run would produce for them;
-3. services cold APs with the **analytic Gaussian/heavy-tail superposition
-   delay model** (:class:`repro.wireless.superposition.SuperpositionModel`):
-   per-session metrics bootstrap the template's own repetition statistics
-   and shift them by an analytic extra-queueing-delay draw, sampled with a
+3. serve cold APs with the **analytic Gaussian/heavy-tail superposition
+   delay model** (:func:`serve_cold`, on
+   :class:`repro.wireless.superposition.SuperpositionModel`): per-session
+   metrics bootstrap the template's own repetition statistics and shift
+   them by an analytic extra-queueing-delay draw, sampled with a
    spec-derived block-ordered RNG so runs stay deterministic and
    store-cacheable.
 
-This turns fleet cost from ``O(operators x commands)`` into
-``O(hot-operators x commands + APs)`` — the single biggest lever for the
-"fleets of millions" north star.  The error-vs-exact gate and the
-crossover guidance live in ``docs/fleet.md`` ("City scale"); the
-``>=100x`` operators-per-second claim is asserted by
+This module holds the classifier and the cold tier; the engine holds the
+one pipeline both tiers run through.  The tier turns fleet cost from
+``O(operators x commands)`` into ``O(hot-operators x commands + APs)`` —
+the single biggest lever for the "fleets of millions" north star.  The
+error-vs-exact gate and the crossover guidance live in ``docs/fleet.md``
+("City scale"); the ``>=100x`` operators-per-second claim is asserted by
 ``benchmarks/test_bench_hybrid.py``.
 
 Determinism
@@ -46,15 +49,18 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..scenarios.engine import repetition_seed, sample_channel_delays_batch
+from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
 from ..scenarios.spec import _hash_seed
 from ..wireless.bianchi import saturation_score
 from ..wireless.superposition import SuperpositionModel
-from .engine import FleetEngine, FleetResult, _plan, _Session
 from .spec import FleetSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from .engine import _Session
 
 
 # ------------------------------------------------------------- classification
@@ -155,174 +161,84 @@ def cold_draw_seed(fleet: FleetSpec, repetition: int) -> int:
     return _hash_seed(fleet.workload_identity_json, "cold", int(repetition))
 
 
-# --------------------------------------------------------------------- engine
-class HybridFleetEngine(FleetEngine):
-    """Fleet engine with the hybrid exact/analytic city-scale tier.
+# ------------------------------------------------------------------ cold tier
+def serve_cold(
+    sessions: SessionEngine, fleet: FleetSpec, cold_plans: list[list[_Session]], n_commands: int
+) -> tuple[dict[tuple[int, int], tuple[float, float, float, float, float]], np.ndarray]:
+    """Analytic superposition around the template's solo statistics.
 
-    Runs ``tier="exact"`` specs exactly like the base
-    :class:`~repro.fleet.engine.FleetEngine` and routes ``tier="hybrid"``
-    specs through the classifier + exact-hot / analytic-cold pipeline (see
-    the module docstring).  Caching, store integration and the constructor
-    signature are inherited unchanged — the tier lives in the spec, so one
-    engine instance serves mixed-tier sweeps.
+    Returns the five metric entries of every cold session keyed by
+    ``(operator, repetition)`` and the per-AP utilisation (mean over
+    repetitions) of the cold APs.  ``sessions`` runs the template solo.
     """
-
-    def _compute(self, fleet: FleetSpec) -> FleetResult:
-        if fleet.tier == "exact":
-            return self._compute_exact(fleet)
-        return self._compute_hybrid(fleet)
-
-    # -------------------------------------------------------------- classify
-    def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
-        """Classification the hybrid tier would use for this fleet."""
-        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
-        return classify_aps(fleet, _plan(fleet, n_commands)[0], n_commands)
-
-    # ---------------------------------------------------------------- hybrid
-    def _compute_hybrid(self, fleet: FleetSpec) -> FleetResult:
-        """Classify, simulate hot APs exactly, service cold APs analytically."""
-        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
-        plans, dropped = _plan(fleet, n_commands)
-
-        classifications = classify_aps(fleet, plans, n_commands)
-        hot_set = {c.ap for c in classifications if c.hot}
-        cold_plans = [[s for s in plan if s.ap not in hot_set] for plan in plans]
-        cold_session_count = sum(len(plan) for plan in cold_plans)
-
-        # Hot APs: the exact pipeline, restricted to the hot sub-fleet.  With
-        # no cold sessions this is the whole exact computation, bit for bit
-        # (only the tier metadata and the spec hash differ from the twin).
-        hot = self.execute(fleet, [[s for s in plan if s.ap in hot_set] for plan in plans])
-        cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
-        cold_util = np.zeros(fleet.aps)
-        if cold_session_count:
-            cold_values, cold_util = self._serve_cold(fleet, cold_plans, n_commands)
-
-        # ---- merge hot and cold sessions in the canonical flat order ----
-        all_sessions: list[_Session] = sorted(
-            (session for plan in plans for session in plan),
-            key=lambda session: (session.operator, session.repetition),
+    template = fleet.template
+    period = float(template.foreco.command_period_ms)
+    solo = sessions.run(template)
+    repetitions = template.repetitions
+    solo_base = sample_channel_delays_batch(
+        template.channel,
+        n_commands,
+        [repetition_seed(template, r) for r in range(repetitions)],
+        command_period_ms=period,
+    )
+    deadline = float(template.foreco.to_config().deadline_ms)
+    slot_ms = np.arange(n_commands) * period
+    delivered = np.isfinite(solo_base)
+    on_time = delivered & (solo_base <= deadline)
+    q_per_rep = delivered.mean(axis=1)
+    base_last_ms = np.empty(repetitions)
+    base_late = np.empty(repetitions)
+    for r in range(repetitions):
+        mask = delivered[r]
+        base_last_ms[r] = (
+            float(np.max(slot_ms[mask] + solo_base[r][mask]))
+            if mask.any()
+            else n_commands * period
         )
-        batch = hot.outcomes
-        hot_rows = list(
-            zip(
-                batch.rmse_no_forecast_mm,
-                batch.rmse_foreco_mm,
-                batch.late_fraction,
-                batch.recovery_fraction,
-                hot.completion_time_s,
+        base_late[r] = float(1.0 - on_time[r].mean())
+
+    cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
+    cold_util = np.zeros((repetitions, fleet.aps))
+    for repetition, plan in enumerate(cold_plans):
+        rng = np.random.default_rng(cold_draw_seed(fleet, repetition))
+        members_by_ap: dict[int, list[_Session]] = {}
+        for session in plan:
+            members_by_ap.setdefault(session.ap, []).append(session)
+        for ap in sorted(members_by_ap):
+            members = members_by_ap[ap]
+            peak = _peak_overlap([s.offset_slots for s in members], n_commands)
+            q = float(q_per_rep[repetition])
+            model = SuperpositionModel(
+                sessions=max(peak, 1),
+                delivery_probability=q,
+                service_ms=float(fleet.ap_service_ms),
+                period_ms=period,
+                tail=fleet.cold_tail,
+                tail_index=float(fleet.cold_tail_index),
             )
-        )
-        rows = [
-            hot_rows[s.flat] if s.ap in hot_set else cold_values[(s.operator, s.repetition)]
-            for s in all_sessions
-        ]
-        rmse_nf, rmse_f, late_f, recovery, completion = (tuple(column) for column in zip(*rows))
-
-        merged_util = list(hot.ap_utilization)
-        for classification in classifications:
-            if not classification.hot:
-                merged_util[classification.ap] = float(cold_util[classification.ap])
-
-        last = all_sessions[-1] if all_sessions else None
-        last_is_hot = last is not None and last.ap in hot_set
-        return FleetResult(
-            spec=fleet,
-            spec_hash=fleet.spec_hash(),
-            n_commands=n_commands,
-            admitted=len(all_sessions),
-            dropped_sessions=dropped,
-            rmse_no_forecast_mm=rmse_nf,
-            rmse_foreco_mm=rmse_f,
-            late_fraction=late_f,
-            recovery_fraction=recovery,
-            completion_time_s=completion,
-            ap_utilization=tuple(float(u) for u in merged_util),
-            tier="hybrid",
-            hot_aps=len(hot_set),
-            cold_aps=fleet.aps - len(hot_set),
-            exact_sessions=len(hot.sessions),
-            analytic_sessions=cold_session_count,
-            delays_ms=hot.delays_ms[last.flat].copy() if last_is_hot else None,
-        )
-
-    def _serve_cold(
-        self, fleet: FleetSpec, cold_plans: list[list[_Session]], n_commands: int
-    ) -> tuple[dict[tuple[int, int], tuple[float, float, float, float, float]], np.ndarray]:
-        """Analytic superposition around the template's solo statistics.
-
-        Returns the five metric entries of every cold session keyed by
-        ``(operator, repetition)`` and the per-AP utilisation (mean over
-        repetitions) of the cold APs.
-        """
-        template = fleet.template
-        period = float(template.foreco.command_period_ms)
-        solo = self.sessions.run(template)
-        repetitions = template.repetitions
-        solo_base = sample_channel_delays_batch(
-            template.channel,
-            n_commands,
-            [repetition_seed(template, r) for r in range(repetitions)],
-            command_period_ms=period,
-        )
-        deadline = float(template.foreco.to_config().deadline_ms)
-        slot_ms = np.arange(n_commands) * period
-        delivered = np.isfinite(solo_base)
-        on_time = delivered & (solo_base <= deadline)
-        q_per_rep = delivered.mean(axis=1)
-        base_last_ms = np.empty(repetitions)
-        base_late = np.empty(repetitions)
-        for r in range(repetitions):
-            mask = delivered[r]
-            base_last_ms[r] = (
-                float(np.max(slot_ms[mask] + solo_base[r][mask]))
-                if mask.any()
-                else n_commands * period
+            extras = model.sample_extra_delays(rng, len(members))
+            boot = rng.integers(0, repetitions, size=len(members))
+            total_slots = max(s.offset_slots for s in members) + n_commands
+            concurrency = len(members) * n_commands / total_slots
+            cold_util[repetition, ap] = min(
+                1.0, concurrency * q * float(fleet.ap_service_ms) / period
             )
-            base_late[r] = float(1.0 - on_time[r].mean())
-
-        cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
-        cold_util = np.zeros((repetitions, fleet.aps))
-        for repetition, plan in enumerate(cold_plans):
-            rng = np.random.default_rng(cold_draw_seed(fleet, repetition))
-            members_by_ap: dict[int, list[_Session]] = {}
-            for session in plan:
-                members_by_ap.setdefault(session.ap, []).append(session)
-            for ap in sorted(members_by_ap):
-                members = members_by_ap[ap]
-                peak = _peak_overlap([s.offset_slots for s in members], n_commands)
-                q = float(q_per_rep[repetition])
-                model = SuperpositionModel(
-                    sessions=max(peak, 1),
-                    delivery_probability=q,
-                    service_ms=float(fleet.ap_service_ms),
-                    period_ms=period,
-                    tail=fleet.cold_tail,
-                    tail_index=float(fleet.cold_tail_index),
+            # Share of each session's slots its extra delay makes late:
+            # on time in the solo trace, past the deadline once shifted.
+            shifts = np.count_nonzero(
+                on_time[boot] & (solo_base[boot] + extras[:, None] > deadline), axis=1
+            ) / n_commands
+            for session, extra, j, shift in zip(members, extras.tolist(), boot.tolist(), shifts.tolist()):
+                late = min(1.0, max(0.0, base_late[j] + shift))
+                completion_s = (
+                    session.offset_slots * period + base_last_ms[j] + extra
+                ) / 1000.0
+                cold_values[(session.operator, session.repetition)] = (
+                    float(solo.rmse_no_forecast_mm[j]),
+                    float(solo.rmse_foreco_mm[j]),
+                    late,
+                    float(solo.recovery_fraction[j]),
+                    completion_s,
                 )
-                extras = model.sample_extra_delays(rng, len(members))
-                boot = rng.integers(0, repetitions, size=len(members))
-                total_slots = max(s.offset_slots for s in members) + n_commands
-                concurrency = len(members) * n_commands / total_slots
-                cold_util[repetition, ap] = min(
-                    1.0, concurrency * q * float(fleet.ap_service_ms) / period
-                )
-                # Share of each session's slots its extra delay makes late:
-                # on time in the solo trace, past the deadline once shifted.
-                shifts = np.count_nonzero(
-                    on_time[boot] & (solo_base[boot] + extras[:, None] > deadline), axis=1
-                ) / n_commands
-                for session, extra, j, shift in zip(members, extras.tolist(), boot.tolist(), shifts.tolist()):
-                    late = min(1.0, max(0.0, base_late[j] + shift))
-                    completion_s = (
-                        session.offset_slots * period + base_last_ms[j] + extra
-                    ) / 1000.0
-                    cold_values[(session.operator, session.repetition)] = (
-                        float(solo.rmse_no_forecast_mm[j]),
-                        float(solo.rmse_foreco_mm[j]),
-                        late,
-                        float(solo.recovery_fraction[j]),
-                        completion_s,
-                    )
 
-        return cold_values, cold_util.mean(axis=0)
+    return cold_values, cold_util.mean(axis=0)

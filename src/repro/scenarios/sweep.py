@@ -2,12 +2,14 @@
 
 A sweep is an ordered list of :class:`ScenarioSpec` values — or
 :class:`~repro.fleet.FleetSpec` values, which route through a
-:class:`~repro.fleet.HybridFleetEngine` sharing the executor's session
-engine and store (capacity-planning sweeps resume and parallelise like any
-other; the hybrid engine runs both the exact and the hybrid fleet tier), or
+:class:`~repro.fleet.FleetEngine` sharing the executor's session engine and
+store (capacity-planning sweeps resume and parallelise like any other; the
+engine runs both the exact and the hybrid fleet tier), or
 :class:`~repro.service.ServiceSpec` values, which route through a
 :class:`~repro.service.ServiceEngine` the same way (live-service runs are
-spec-seeded too, so they stay bit-identical across worker counts).  The
+spec-seeded too, so they stay bit-identical across worker counts).  Any
+other value is refused with a ``ConfigurationError`` before the sweep reads
+the store.  The
 :class:`SweepExecutor`'s unit of work is a **kernel group**: the pending
 scenario specs sharing a :func:`~repro.scenarios.engine.kernel_group_key`
 (e.g. every cell of the Fig. 8 grid, which differ only in channel) run as one
@@ -271,7 +273,7 @@ class SweepExecutor:
             engine.memo.store = store
         self.engine = engine
         self.store = engine.memo.store
-        self._fleet_engine = None  # lazy HybridFleetEngine for FleetSpec rows
+        self._fleet_engine = None  # lazy FleetEngine for FleetSpec rows
         self._service_engine = None  # lazy ServiceEngine for ServiceSpec rows
 
     def _store_config(self) -> tuple | None:
@@ -285,24 +287,28 @@ class SweepExecutor:
 
         Fleet and service engines share this executor's session engine (and
         therefore its result memo) and store, so fleet,
-        service and scenario rows mix freely in one resumable sweep.  Fleet
-        specs run on a :class:`~repro.fleet.HybridFleetEngine`, which runs
-        *both* fleet tiers: exact-tier specs take the plain
-        :class:`~repro.fleet.FleetEngine` path unchanged.
+        service and scenario rows mix freely in one resumable sweep.  Any
+        value that is not a scenario, fleet or service spec raises
+        ``ConfigurationError``.
         """
         if isinstance(spec, ScenarioSpec):
             return self.engine
-        if getattr(spec, "store_kind", None) == "service":
-            if self._service_engine is None:
-                from ..service import ServiceEngine  # deferred: service imports scenarios
+        # deferred: fleet and service import scenarios
+        from ..fleet import FleetEngine, FleetSpec, PlanSpec
+        from ..service import ServiceEngine, ServiceSpec
 
+        if isinstance(spec, FleetSpec):
+            if self._fleet_engine is None:
+                self._fleet_engine = FleetEngine(sessions=self.engine, store=self.store)
+            return self._fleet_engine
+        if isinstance(spec, ServiceSpec):
+            if self._service_engine is None:
                 self._service_engine = ServiceEngine(sessions=self.engine, store=self.store)
             return self._service_engine
-        if self._fleet_engine is None:
-            from ..fleet import HybridFleetEngine  # deferred: fleet imports scenarios
-
-            self._fleet_engine = HybridFleetEngine(sessions=self.engine, store=self.store)
-        return self._fleet_engine
+        hint = "; run a PlanSpec with repro.plan(...)" if isinstance(spec, PlanSpec) else ""
+        raise ConfigurationError(
+            f"a sweep runs ScenarioSpec, FleetSpec or ServiceSpec values, got {type(spec).__name__}{hint}"
+        )
 
     def _run_unit(self, specs: list) -> list:
         """Run one work unit (see :func:`_work_units`) through the right engine."""
@@ -320,16 +326,17 @@ class SweepExecutor:
         indistinguishable from a cold serial run, hits included.
         """
         specs = list(specs)
+        engines = [self._engine_for(spec) for spec in specs]
         keys = [spec.spec_hash() for spec in specs]
         rows: list = [None] * len(specs)
         first: dict[str, int] = {}
         loaded: set[str] = set()
         pending: list[tuple[int, ScenarioSpec]] = []
-        for index, (spec, key) in enumerate(zip(specs, keys)):
+        for index, (spec, key, engine) in enumerate(zip(specs, keys, engines)):
             if key in first:
                 continue
             first[key] = index
-            rows[index], stored = self._engine_for(spec).memo.lookup(spec)
+            rows[index], stored = engine.memo.lookup(spec)
             if stored:
                 loaded.add(key)
             elif rows[index] is None:

@@ -14,9 +14,10 @@ incremental health metrics.
   ``utilization-threshold`` (instantaneous load balancing) and
   ``forecast-aware`` (placement by Forecaster-predicted per-AP
   utilisation);
-* :mod:`repro.service.engine` — the :class:`ServiceEngine`: a
-  :mod:`repro.des` virtual-clock admission pass per repetition followed by
-  one batched fleet-machinery execution of the admitted sessions;
+* :mod:`repro.service.engine` — the :class:`ServiceEngine`: the fleet's
+  admission pass (:func:`repro.fleet.engine.admit_arrivals`) under the
+  policy, followed by one batched fleet-machinery execution of the
+  admitted sessions;
   :class:`ServiceResult` carries drop/migration counts, the service-level
   metric tuples and the incremental :class:`ServiceSnapshot` stream;
 * :mod:`repro.service.pacing` — the optional wall-clock display shim
@@ -35,6 +36,7 @@ specs alongside scenario and fleet specs.
 from __future__ import annotations
 
 from ..errors import StoreError
+from ..fleet import _FLEET_METRICS
 from ..scenarios.store import _metric_tuples, register_store_codec
 from .compare import DEFAULT_RECOVERY_SLO, PolicyComparison, compare_policies, policy_score
 from .engine import ServiceEngine, ServiceResult, ServiceSnapshot
@@ -57,15 +59,6 @@ from .registry import (
 )
 from .spec import POLICY_KIND_SUMMARIES, POLICY_KINDS, ServiceSpec
 
-_SERVICE_METRICS = (
-    "rmse_no_forecast_mm",
-    "rmse_foreco_mm",
-    "late_fraction",
-    "recovery_fraction",
-    "completion_time_s",
-)
-
-
 def _encode_service(result: ServiceResult) -> dict:
     """Kind-specific payload fields for a service record (snapshots included)."""
     payload = {
@@ -77,7 +70,7 @@ def _encode_service(result: ServiceResult) -> dict:
         "ap_utilization": [float(u) for u in result.ap_utilization],
         "snapshots": [snapshot.to_dict() for snapshot in result.snapshots],
     }
-    for metric in _SERVICE_METRICS:
+    for metric in _FLEET_METRICS:
         payload[metric] = [float(v) for v in getattr(result, metric)]
     return payload
 
@@ -92,11 +85,11 @@ def _decode_service(spec: ServiceSpec, key: str, payload: dict) -> ServiceResult
         raise StoreError("ap_utilization does not match the spec's AP count")
     admitted = int(payload["admitted"])
     if admitted > 0:
-        metrics = _metric_tuples(payload, _SERVICE_METRICS)
+        metrics = _metric_tuples(payload, _FLEET_METRICS)
     else:
         # A policy may legitimately admit nothing; _metric_tuples treats an
         # empty list as corruption, so the empty case decodes explicitly.
-        metrics = {metric: () for metric in _SERVICE_METRICS}
+        metrics = {metric: () for metric in _FLEET_METRICS}
     raw_snapshots = payload.get("snapshots")
     if not isinstance(raw_snapshots, list):
         raise StoreError("service record has no snapshot stream")

@@ -3,19 +3,20 @@
 The engine turns the fleet layer's *batch* pipeline into an *operated*
 service.  Arrivals still come from the fleet arrival processes and sessions
 still execute through the batched scenario kernel, but admission is no
-longer the fleet's fixed rule: each arrival fires as a discrete event on the
-:class:`repro.des.engine.Simulator` virtual clock, and the spec's
-:class:`~repro.service.policies.AdmissionPolicy` decides — at that virtual
-instant, seeing exactly the state an online controller would see — whether
-the session is admitted at its home AP, migrated to another AP, or dropped.
+longer the fleet's fixed rule: the spec's
+:class:`~repro.service.policies.AdmissionPolicy` rules on each arrival, in
+virtual-time order and seeing exactly the state an online controller would
+see, whether the session is admitted at its home AP, migrated to another
+AP, or dropped.
 
 Two-phase execution keeps live semantics and batch speed at once:
 
-1. **Admission phase (online).**  One DES pass per repetition schedules
-   every arrival at its virtual time and asks the policy for a placement in
-   strict event order.  Policies only ever see already-made decisions, so
-   the loop is causally faithful to a real controller.  ``until_s`` bounds
-   the virtual clock: arrivals past the horizon stay unprocessed.
+1. **Admission phase (online).**  The fleet's admission pass,
+   :func:`~repro.fleet.engine.admit_arrivals`, offers every arrival to the
+   policy in (slot, operator) order, one repetition at a time.  Policies
+   only ever see already-made decisions, so the pass is causally faithful
+   to a real controller.  ``until_s`` bounds the virtual clock: arrivals
+   past the horizon stay unprocessed.
 2. **Execution phase (batch).**  The admitted sessions — with their
    possibly-migrated AP assignments — go through
    :meth:`~repro.fleet.FleetEngine.execute`, the one fleet pipeline:
@@ -29,9 +30,9 @@ wall time, a "live" run is replayable bit for bit — the pacing shim in
 :mod:`repro.service.pacing` exists only to *display* the snapshot stream in
 real time and never touches engine state.
 
-The incremental :class:`ServiceSnapshot` stream is derived from the same
-admitted/dropped/completed events the DES pass produced, sampled every
-``snapshot_every_slots`` command slots on the virtual clock.
+The incremental :class:`ServiceSnapshot` stream is derived from the
+admitted, dropped and completed sessions of the admission pass, sampled
+every ``snapshot_every_slots`` command slots on the virtual clock.
 """
 
 from __future__ import annotations
@@ -44,15 +45,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
-from ..des.engine import Event, Simulator
-from ..fleet.engine import FleetColumns, FleetEngine, _Session
-from ..fleet.spec import sample_arrival_times
+from ..fleet.engine import FleetColumns, FleetEngine, _Session, admit_arrivals
 from ..scenarios.engine import (
     ResultMemo,
     SessionEngine,
     sample_channel_delays_batch,  # noqa: F401 - a binding perfbench/layers.py patches
 )
-from .policies import AdmissionPolicy, ServiceState, make_policy
+from .policies import ServiceState, make_policy
 from .spec import ServiceSpec
 
 
@@ -194,16 +193,6 @@ class ServiceResult(FleetColumns):
         return "\n".join(lines)
 
 
-# ------------------------------------------------------------------ admission
-@dataclass
-class _AdmissionLog:
-    """Outcome of the online admission phase for one repetition."""
-
-    admitted: list[_Session]
-    dropped_offsets: list[int]
-    migrated_offsets: list[int]
-
-
 # --------------------------------------------------------------------- engine
 class ServiceEngine:
     """Resolves service specs into live admission runs, with caching.
@@ -238,78 +227,15 @@ class ServiceEngine:
         """Run one service (all repetitions) through its admission policy."""
         return self.memo.fetch(spec, self._compute)
 
-    # ----------------------------------------------------- admission (online)
-    def _serve_repetition(
-        self,
-        spec: ServiceSpec,
-        repetition: int,
-        n_commands: int,
-        policy: AdmissionPolicy,
-    ) -> _AdmissionLog:
-        """One online admission pass on the virtual clock.
-
-        Every arrival is scheduled at its arrival-process time and the
-        policy rules on it when the event fires.  Scheduling happens in
-        nondecreasing-slot order with ties broken by operator index (the
-        DES tie-break is insertion order), which reproduces the fleet
-        planner's processing order exactly — so the ``static-cap`` policy
-        admits the very same sessions :class:`FleetEngine` would.
-        """
-        fleet = spec.fleet
-        period_s = fleet.template.foreco.command_period_ms / 1000.0
-        arrivals = sample_arrival_times(fleet, repetition)
-        offsets = np.floor(arrivals / period_s).astype(int)
-        order = np.argsort(offsets, kind="stable")
-
-        state = ServiceState(spec, n_commands)
-        log = _AdmissionLog(admitted=[], dropped_offsets=[], migrated_offsets=[])
-
-        def on_arrival(sim: Simulator, event: Event) -> None:
-            operator, offset = event.payload
-            home_ap = operator % fleet.aps
-            placed = policy.admit(state, home_ap, offset)
-            if placed is None:
-                log.dropped_offsets.append(offset)
-                return
-            state.admit(placed, offset)
-            if placed != home_ap:
-                log.migrated_offsets.append(offset)
-            log.admitted.append(
-                _Session(operator=operator, repetition=repetition, offset_slots=offset, ap=placed)
-            )
-
-        sim = Simulator()
-        for operator in order:
-            operator = int(operator)
-            offset = int(offsets[operator])
-            sim.schedule_at(
-                offset * period_s,
-                Event(name=f"arrival:op{operator}", callback=on_arrival, payload=(operator, offset)),
-            )
-        # An arrival exactly at the horizon is still processed (run() stops
-        # strictly past `until`); later arrivals never enter the service.
-        sim.run(until=spec.until_s)
-        return log
-
     # --------------------------------------------------------------- compute
     def _compute(self, spec: ServiceSpec) -> ServiceResult:
         """Admit online, then execute the admitted sessions in one batch."""
         fleet = spec.fleet
         n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
-        policy = make_policy(spec)
-
-        # 1. Online admission, one DES pass per repetition.
-        plans: list[list[_Session]] = []
-        admitted_offsets: list[int] = []
-        dropped_offsets: list[int] = []
-        migrated_offsets: list[int] = []
-        for repetition in range(fleet.template.repetitions):
-            log = self._serve_repetition(spec, repetition, n_commands, policy)
-            log.admitted.sort(key=lambda session: session.operator)
-            plans.append(log.admitted)
-            admitted_offsets.extend(session.offset_slots for session in log.admitted)
-            dropped_offsets.extend(log.dropped_offsets)
-            migrated_offsets.extend(log.migrated_offsets)
+        # 1. Online admission: the fleet's admission pass under the policy.
+        plans, dropped_offsets, migrated_offsets = admit_arrivals(
+            fleet, n_commands, make_policy(spec).admit, lambda: ServiceState(spec, n_commands), spec.until_s
+        )
 
         # 2. The fleet pipeline on the admitted (possibly migrated) sessions —
         # the same one FleetEngine runs, so a static-cap service is
@@ -333,7 +259,7 @@ class ServiceEngine:
                 n_commands,
                 run.sessions,
                 tuple(zip(run.completion_time_s, run.outcomes.recovery_fraction)),
-                admitted_offsets,
+                [session.offset_slots for plan in plans for session in plan],
                 dropped_offsets,
                 migrated_offsets,
             ),

@@ -10,8 +10,9 @@ never holds more than ``ap_capacity`` concurrent sessions — and differ only
 in how (and whether) they place an arrival below that ceiling:
 
 ``static-cap``
-    The fleet layer's rule verbatim: home AP only, admit while it has a free
-    slot.  This is the anchor policy — a ``static-cap`` service reproduces
+    The fleet layer's rule itself (:func:`repro.fleet.engine.static_cap`):
+    home AP only, admit while it has a free slot.  This is the anchor
+    policy — a ``static-cap`` service reproduces
     :class:`~repro.fleet.FleetEngine` admissions exactly, which the test
     suite pins.
 ``utilization-threshold``
@@ -31,53 +32,35 @@ no RNG and never look at wall time, so live replays stay bit-identical.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right, insort
 from collections.abc import Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
+from ..fleet.engine import AdmissionState, static_cap
 from .spec import POLICY_KINDS, ServiceSpec
 
 
-class ServiceState:
-    """Mutable per-repetition admission bookkeeping the policies read.
+class ServiceState(AdmissionState):
+    """The fleet admission state, plus the air-time load the balancing policies read.
 
-    Tracks, per AP, the (nondecreasing) arrival offsets of admitted
-    sessions.  Because every session occupies exactly ``n_commands``
-    consecutive command slots, the number of sessions active on an AP at
-    slot ``offset`` is a pure window count over those offsets — the same
-    arithmetic the fleet planning helper :func:`repro.fleet.engine._plan`
-    applies per repetition, which keeps the ``static-cap`` policy
-    bit-for-bit aligned with the fleet engine.
+    :class:`~repro.fleet.engine.AdmissionState` counts each AP's active
+    sessions from its admitted offsets; this adds each session's per-slot
+    load and the utilisation (current and per elapsed slot) built on it.
     """
 
     def __init__(self, spec: ServiceSpec, n_commands: int) -> None:
         fleet = spec.fleet
-        self.n_commands = int(n_commands)
-        self.capacity = fleet.ap_capacity
-        self.aps = fleet.aps
+        super().__init__(fleet, n_commands)
         #: Per-slot air-time cost of one active session, as a fraction of the
         #: command period (the fleet coupling constant).
         self.session_load = float(fleet.ap_service_ms) / float(
             fleet.template.foreco.command_period_ms
         )
-        self._admitted: list[list[int]] = [[] for _ in range(fleet.aps)]
-
-    def active(self, ap: int, offset: int) -> int:
-        """Sessions active on ``ap`` at command slot ``offset``."""
-        offsets = self._admitted[ap]
-        return len(offsets) - bisect_right(offsets, offset - self.n_commands)
 
     def utilization(self, ap: int, offset: int, extra: int = 0) -> float:
         """Air-time utilisation of ``ap`` at ``offset``, with ``extra`` more sessions."""
         return min(1.0, (self.active(ap, offset) + extra) * self.session_load)
-
-    def admit(self, ap: int, offset: int) -> None:
-        """Record an admitted session on ``ap`` starting at ``offset``."""
-        # Arrivals are processed in nondecreasing-offset order, but insort
-        # keeps the window arithmetic valid even for same-slot ties.
-        insort(self._admitted[ap], offset)
 
     def utilization_history(self, ap: int, offset: int) -> np.ndarray:
         """Per-slot utilisation samples of ``ap`` over slots ``[0, offset)``.
@@ -97,9 +80,10 @@ class ServiceState:
 class AdmissionPolicy(ABC):
     """Decide AP placement for each arriving session.
 
-    Subclasses implement :meth:`admit`; the service engine calls it once per
-    arrival, in virtual-time order, and records the admitted offset into the
-    shared :class:`ServiceState` on the policy's behalf.
+    Subclasses implement :meth:`admit`; the admission pass
+    (:func:`repro.fleet.engine.admit_arrivals`) calls it once per arrival,
+    in virtual-time order, and records the admitted offset into the shared
+    :class:`ServiceState` on the policy's behalf.
     """
 
     #: Registry name; subclasses override.
@@ -139,9 +123,7 @@ class StaticCapPolicy(AdmissionPolicy):
     kind = "static-cap"
 
     def admit(self, state: ServiceState, home_ap: int, offset: int) -> int | None:
-        if state.active(home_ap, offset) < state.capacity:
-            return home_ap
-        return None
+        return static_cap(state, home_ap, offset)
 
 
 class UtilizationThresholdPolicy(AdmissionPolicy):

@@ -47,7 +47,8 @@ import numpy as np
 
 from .._validation import rng_from
 from ..errors import ConfigurationError
-from ..fleet.hybrid import HybridFleetEngine, cold_draw_seed
+from ..fleet.engine import FleetEngine
+from ..fleet.hybrid import cold_draw_seed
 from ..fleet.spec import FleetSpec
 from ..scenarios.engine import (
     SessionEngine,
@@ -337,13 +338,13 @@ def _cold_fleet_spec(repetitions: int, run_seconds: float) -> FleetSpec:
 def cold_fleet_oracle(
     repetitions: int = 4,
     run_seconds: float = 10.0,
-    engine: HybridFleetEngine | None = None,
+    engine: FleetEngine | None = None,
     completion_bias_ms: float = 0.0,
 ) -> OracleReport:
     """Cross-check the hybrid tier's cold path against the superposition model.
 
     Runs the all-cold validation fleet (see :func:`_cold_fleet_spec`)
-    through :class:`~repro.fleet.hybrid.HybridFleetEngine` and re-derives
+    through :class:`~repro.fleet.engine.FleetEngine` and re-derives
     the analytic expectation independently from the spec: the solo
     template's channel realisations (same per-repetition seeds the engine
     uses) give the last-delivery times ``base_last_ms[r]``, and each
@@ -378,7 +379,7 @@ def cold_fleet_oracle(
     """
     fleet = _cold_fleet_spec(repetitions, run_seconds)
     if engine is None:
-        engine = HybridFleetEngine()
+        engine = FleetEngine()
     result = engine.run(fleet)
 
     template = fleet.template
@@ -461,7 +462,7 @@ def cold_fleet_oracle(
     )
 
 
-def run_validation(engine: HybridFleetEngine | None = None) -> list[OracleReport]:
+def run_validation(engine: FleetEngine | None = None) -> list[OracleReport]:
     """Run every standing oracle at its default parameters.
 
     Returns the three reports (Bianchi, superposition, cold fleet) without

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetEngine, get_fleet, operator_channel_spec
-from repro.fleet.engine import _lindley_backlog, _plan
+from repro.fleet.engine import _lindley_backlog, _plan, admit_arrivals
 from repro.scenarios import SessionEngine, repetition_seed, sample_channel_delays_batch
-from repro.service import ServiceEngine, get_service
+from repro.service import ServiceState, get_service
 from repro.service.policies import make_policy
 
 
@@ -99,13 +99,10 @@ def test_migrated_service_admissions(engine):
     )
     fleet = spec.fleet
     n_commands = int(engine.sessions.test_commands(fleet.template).shape[0])
-    policy = make_policy(spec)
-    # The service engine's own admission pass, per repetition, in its order.
-    service = ServiceEngine(sessions=engine.sessions)
-    plans = []
-    for repetition in range(fleet.template.repetitions):
-        admitted = service._serve_repetition(spec, repetition, n_commands, policy).admitted
-        plans.append(sorted(admitted, key=lambda session: session.operator))
+    # The admission pass the service engine runs, under the spec's policy.
+    plans, _, _ = admit_arrivals(
+        fleet, n_commands, make_policy(spec).admit, lambda: ServiceState(spec, n_commands), None
+    )
     sessions = [session for plan in plans for session in plan]
     assert any(session.ap != session.operator % fleet.aps for session in sessions)
     _assert_matches_reference(engine, fleet, plans)

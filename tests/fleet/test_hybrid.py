@@ -21,13 +21,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiments
 from repro.fleet import (
     FleetEngine,
     FleetSpec,
-    HybridFleetEngine,
-    classify_aps,
     cold_draw_seed,
     get_fleet,
 )
@@ -45,9 +42,9 @@ LATE_TOL = 0.05  # mean late fraction, absolute
 
 @pytest.fixture(scope="module")
 def engines():
-    """One shared SessionEngine + HybridFleetEngine pair for the module."""
+    """One shared SessionEngine + FleetEngine pair for the module."""
     sessions = SessionEngine()
-    return sessions, HybridFleetEngine(sessions=sessions)
+    return sessions, FleetEngine(sessions=sessions)
 
 
 def _crossover_fleet() -> FleetSpec:
@@ -114,7 +111,7 @@ class TestDegeneracy:
         """Every AP hot => the hybrid tier IS the exact computation."""
         sessions, _ = engines
         base = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        hybrid = HybridFleetEngine(sessions=sessions).run(base.with_(tier="hybrid", hot_threshold=1e-9))
+        hybrid = FleetEngine(sessions=sessions).run(base.with_(tier="hybrid", hot_threshold=1e-9))
         exact = FleetEngine(sessions=sessions).run(base)
         assert hybrid.tier == "hybrid"
         assert (hybrid.hot_aps, hybrid.cold_aps) == (1, 0)
@@ -129,18 +126,15 @@ class TestDegeneracy:
         assert np.array_equal(hybrid.delays_ms, exact.delays_ms)
 
     def test_exact_tier_spec_takes_the_plain_path(self, engines):
+        """An exact-tier spec runs every AP hot and classifies nothing."""
         sessions, _ = engines
         base = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        via_hybrid = HybridFleetEngine(sessions=sessions).run(base)
-        via_plain = FleetEngine(sessions=sessions).run(base)
-        assert via_hybrid.to_dict() == via_plain.to_dict()
-        assert via_hybrid.tier == "exact"
-
-    def test_plain_engine_refuses_hybrid_specs(self, engines):
-        sessions, _ = engines
-        fleet = _crossover_fleet()
-        with pytest.raises(ConfigurationError):
-            FleetEngine(sessions=sessions).run(fleet)
+        first = FleetEngine(sessions=sessions).run(base)
+        again = FleetEngine(sessions=sessions).run(base)
+        assert first.to_dict() == again.to_dict()
+        assert first.tier == "exact"
+        assert (first.hot_aps, first.cold_aps) == (base.aps, 0)
+        assert (first.exact_sessions, first.analytic_sessions) == (first.admitted, 0)
 
 
 class TestAccuracy:
@@ -150,7 +144,7 @@ class TestAccuracy:
     def pair(self, engines):
         sessions, _ = engines
         fleet = _crossover_fleet()
-        hybrid = HybridFleetEngine(sessions=sessions).run(fleet)
+        hybrid = FleetEngine(sessions=sessions).run(fleet)
         exact = FleetEngine(sessions=sessions).run(fleet.with_(tier="exact"))
         return hybrid, exact
 
@@ -218,8 +212,8 @@ class TestDeterminism:
     def test_fresh_engine_reproduces_bit_for_bit(self, engines):
         sessions, _ = engines
         fleet = _crossover_fleet()
-        a = HybridFleetEngine(sessions=sessions).run(fleet)
-        b = HybridFleetEngine(sessions=SessionEngine()).run(fleet)
+        a = FleetEngine(sessions=sessions).run(fleet)
+        b = FleetEngine(sessions=SessionEngine()).run(fleet)
         assert a.to_dict() == b.to_dict()
 
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -240,7 +234,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        computed = HybridFleetEngine(sessions=sessions, store=store).run(fleet)
+        computed = FleetEngine(sessions=sessions, store=store).run(fleet)
         loaded = ResultStore(tmp_path / "store").get(fleet)
         assert loaded is not None
         assert loaded.tier == "hybrid"
@@ -253,7 +247,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        HybridFleetEngine(sessions=sessions, store=store).run(fleet)
+        FleetEngine(sessions=sessions, store=store).run(fleet)
         assert ResultStore(tmp_path / "store").get(fleet.with_(tier="exact")) is None
 
     def test_tier_mismatched_shard_is_a_miss(self, tmp_path, engines):
@@ -261,7 +255,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        HybridFleetEngine(sessions=sessions, store=store).run(fleet)
+        FleetEngine(sessions=sessions, store=store).run(fleet)
         path = store.shard_path(fleet.spec_hash())
         record = json.loads(path.read_text(encoding="utf-8"))
         record["tier"] = "exact"

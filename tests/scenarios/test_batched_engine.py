@@ -28,7 +28,7 @@ from repro.experiments.common import (
     FIG8_ROBOT_COUNTS,
     base_scenario,
 )
-from repro.fleet import FleetEngine, FleetSpec, HybridFleetEngine
+from repro.fleet import FleetEngine, FleetSpec
 from repro.forecasting import Forecaster, register_forecaster
 from repro.scenarios import (
     ResultStore,
@@ -209,7 +209,7 @@ def test_kept_session_fleet_and_hybrid_rows_own_their_arrays(use_pid):
 
     fleet = FleetSpec(name="custom", template=spec, operators=3, aps=1, ap_capacity=3, ap_service_ms=4.0)
     _assert_kept_row_owns_its_arrays(FleetEngine(sessions=sessions).run(fleet), spec)
-    hybrid = HybridFleetEngine(sessions=sessions).run(fleet.with_(tier="hybrid", hot_threshold=1e-9))
+    hybrid = FleetEngine(sessions=sessions).run(fleet.with_(tier="hybrid", hot_threshold=1e-9))
     assert hybrid.cold_aps == 0  # so the last admitted session is hot and kept
     _assert_kept_row_owns_its_arrays(hybrid, spec)
 

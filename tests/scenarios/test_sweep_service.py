@@ -1,16 +1,19 @@
 """SweepExecutor routing for mixed scenario/fleet/service sweeps.
 
-The executor dispatches rows by ``store_kind``: plain scenario specs go to
-the session engine, ``FleetSpec`` values to the (hybrid-capable) fleet
-engine and ``ServiceSpec`` values to the live-service engine — all three
-sharing one session engine and one store, for any worker count.
+The executor dispatches rows by spec type: plain scenario specs go to the
+session engine, ``FleetSpec`` values to the fleet engine (both tiers) and
+``ServiceSpec`` values to the live-service engine — all three sharing one
+session engine and one store, for any worker count.  Anything else is a
+``ConfigurationError`` before the store is read.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fleet import FleetResult, get_fleet
+import repro
+from repro.errors import ConfigurationError
+from repro.fleet import FleetResult, get_fleet, get_plan
 from repro.scenarios import ResultStore, SessionResult, SweepExecutor, get_scenario
 from repro.scenarios.engine import kernel_group_key
 from repro.service import ServiceResult, get_service
@@ -70,3 +73,23 @@ def test_fanned_out_sweep_leaves_every_memo_as_an_inline_run_would(tmp_path):
     inline_store = ResultStore(tmp_path / "inline")
     SweepExecutor(jobs=1, store=inline_store).run(specs)
     assert inline_store.stats().writes == distinct
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (get_plan("plan-shared-ap"), r"got PlanSpec; run a PlanSpec with repro\.plan"),
+        ("clean", "got str"),
+        (42, "got int"),
+    ],
+    ids=["plan-spec", "preset-name", "int"],
+)
+def test_a_non_spec_row_is_a_configuration_error_before_any_store_read(bad, match, tmp_path, monkeypatch):
+    store = ResultStore(tmp_path / "store")
+    reads = []
+    monkeypatch.setattr(ResultStore, "get", lambda self, *args, **kwargs: reads.append(args))
+    with pytest.raises(ConfigurationError, match=match):
+        SweepExecutor(store=store).run([get_scenario("clean"), bad])
+    assert reads == []
+    with pytest.raises(ConfigurationError, match="ScenarioSpec, FleetSpec or ServiceSpec"):
+        repro.sweep([bad])

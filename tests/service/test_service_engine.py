@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import repro
 from oracles.service import snapshots_per_slot
-from repro.fleet import FleetEngine, get_fleet
+from repro.fleet import FleetEngine, get_fleet, sample_arrival_times
 from repro.fleet.engine import _Session
 from repro.scenarios import ResultStore, SessionEngine, SweepExecutor
 from repro.service import (
@@ -105,6 +105,19 @@ class TestAccounting:
         unbounded = ServiceEngine().run(spec.with_(until_s=1e6))
         assert unbounded.admitted == result.admitted
         assert unbounded.recovery_fraction == result.recovery_fraction
+
+    def test_an_arrival_exactly_at_the_horizon_is_offered(self, spec):
+        """The horizon cut is strict: an arrival at ``until_s`` is still ruled on."""
+        single = spec.with_template(repetitions=1)
+        fleet = single.fleet
+        period_s = fleet.template.foreco.command_period_ms / 1000.0
+        offsets = np.sort(np.floor(sample_arrival_times(fleet, 0) / period_s).astype(int))
+        until_s = int(offsets[3]) * period_s
+        assert offsets[4] > offsets[3]
+        assert until_s == pytest.approx(15.38)
+        engine = ServiceEngine()
+        assert engine.run(single.with_(until_s=until_s)).offered == 4
+        assert engine.run(single.with_(until_s=float(np.nextafter(until_s, 0)))).offered == 3
 
 
 class TestSnapshots:
