@@ -51,26 +51,47 @@ class RecoveryDecision:
 class BatchedRecoveryResult:
     """Output of :meth:`ForecoRecovery.process_stream_batch`.
 
+    Row ``b`` executes the command stream except at its lost slots, so the
+    result keeps the stream once and the lost slots' values, never a
+    ``(B, n, d)`` array.
+
     Attributes
     ----------
-    executed:
-        ``(B, n, d)`` — per-repetition executed commands (real or forecast),
-        row-for-row bit-identical to ``B`` one-session runs of the serial
-        oracle's slot loop (``process_stream`` in ``tests/oracles/serial.py``,
-        one :meth:`ForecoRecovery.process_slot` call per slot).  It is the view
-        ``ext[:, 1:]`` of the kernel's seeded ``(B, n + 1, d)`` array, so
-        each ``executed[b]`` is contiguous but the whole array is not.
+    commands:
+        ``(n, d)`` — the defined command stream every row shares.
     on_time:
         ``(B, n)`` boolean — which commands met the ``Ω + τ`` deadline.
     forecasted:
         ``(B, n)`` boolean — which missing slots were filled by a forecast.
         Row ``b``'s counts are ``forecasted[b].sum()`` and
         ``(~on_time[b]).sum()``.
+    lost_rows / lost_slots:
+        ``(L,)`` int — the missing ``(row, slot)`` pairs in row-major order,
+        ``np.nonzero(~on_time)``; row ``b``'s pairs are one contiguous
+        slice, found by ``np.searchsorted(lost_rows, (b, b + 1))``.
+    lost_values:
+        ``(L, d)`` — the command executed at each missing slot (a forecast
+        or the held last command).
     """
 
-    executed: np.ndarray
+    commands: np.ndarray
     on_time: np.ndarray
     forecasted: np.ndarray
+    lost_rows: np.ndarray
+    lost_slots: np.ndarray
+    lost_values: np.ndarray
+
+    @property
+    def executed(self) -> np.ndarray:
+        """``(B, n, d)`` executed commands (real or forecast), built on each access.
+
+        Row ``b`` is bit-identical to one session of the serial oracle's
+        slot loop (``process_stream`` in ``tests/oracles/serial.py``, one
+        :meth:`ForecoRecovery.process_slot` call per slot).
+        """
+        executed = np.repeat(self.commands[None], self.on_time.shape[0], axis=0)
+        executed[self.lost_rows, self.lost_slots] = self.lost_values
+        return executed
 
 
 @dataclass
@@ -287,9 +308,10 @@ class ForecoRecovery:
 
         This is the vectorized core of the batched session kernel: all ``B``
         repetitions share the command stream but experience different channel
-        delays.  Every row starts as the command stream, and the missing
-        commands are filled one dependency wave per Python iteration: a
-        wave's forecasts read only earlier waves' results.
+        delays.  A row executes the command stream except at its missing
+        slots, so only those are computed, one dependency wave per Python
+        iteration (a wave's forecasts read only earlier waves' results), and
+        only those are returned: no ``(B, n, d)`` array is allocated.
 
         Parameters
         ----------
@@ -344,34 +366,56 @@ class ForecoRecovery:
         missing = ~on_time
         # From slot ``record - 1`` on windows are full: a ready model forecasts every loss.
         forecasted = missing & (np.arange(n_slots) >= record - 1) & self.forecaster.is_fitted
-        # A row's window before slot ``t`` is rows ``t + 1 - record`` to ``t``
-        # of ``feedback``: its effective commands behind the ``commands[0]``
-        # seed, or the seeded command stream itself under oracle feedback.
-        seeded = np.concatenate((commands[:1], commands))
-        ext = np.repeat(seeded[None], n_batch, axis=0)
-        feedback = np.broadcast_to(seeded, ext.shape) if self.config.feedback == "oracle" else ext
+        lost_rows, lost_slots = np.nonzero(missing)
+        # One stream: rows ``0..n`` are the ``commands[0]`` seed and the command
+        # stream (``ext`` indices), then every lost slot's executed command in
+        # row-major order.  ``rows_of[b, e]`` is the stream row of row ``b``'s
+        # effective command at ``ext`` index ``e``; under oracle feedback windows
+        # read the seeded command stream instead.  A window before slot ``t`` is
+        # ``ext`` indices ``t + 1 - record`` to ``t``.
+        stream = np.empty((n_slots + 1 + lost_rows.size, commands.shape[1]))
+        stream[0], stream[1 : n_slots + 1] = commands[0], commands
+        lost_values = stream[n_slots + 1 :]
+        index_type = np.int32 if stream.shape[0] <= np.iinfo(np.int32).max else np.intp
+        rows_of = np.broadcast_to(np.arange(n_slots + 1, dtype=index_type), (n_batch, n_slots + 1))
+        if self.config.feedback != "oracle":
+            rows_of = rows_of.copy()
+            rows_of[lost_rows, lost_slots + 1] = np.arange(n_slots + 1, stream.shape[0])
         # Slots before ``record - 1`` have short windows and hold, in slot order.
+        early = np.flatnonzero(lost_slots < record - 1)
         for slot in range(min(record - 1, n_slots)):
-            rows = np.flatnonzero(missing[:, slot])
-            ext[rows, slot + 1] = self._recover(feedback[rows, : slot + 1], predict)[0]
+            at = early[lost_slots[early] == slot]
+            history = stream.take(rows_of[lost_rows[at], : slot + 1], axis=0)
+            lost_values[at] = self._recover(history, predict)[0]
+
         # Later losses split into row clusters at gaps ``> record``; a forecast reads
         # only earlier losses of its cluster, so each wave (place in the cluster; slot
-        # for copies) is one call.  ``windows[b, s]`` precedes slot ``s + record - 1``.
-        rows, slots = np.nonzero(missing[:, record - 1 :])
-        span = min(record, n_slots + 1)  # a shorter stream has no later losses
-        windows = np.lib.stride_tricks.sliding_window_view(feedback, span, axis=1).swapaxes(2, 3)
-        new = (np.diff(rows, prepend=-1) != 0) | (np.diff(slots, prepend=-record - 1) > record)
-        index = np.arange(rows.size)
-        waves = index - np.maximum.accumulate(new * index) if batched else slots
-        order = np.argsort(waves, kind="stable")
-        bounds = np.flatnonzero(np.diff(waves[order], prepend=-1, append=-1)).tolist()
-        for start, end in zip(bounds, bounds[1:]):
-            r, s = rows[order[start:end]], slots[order[start:end]]
-            if not batched:
-                predict = partial(_predict_each_row, self.forecaster, row_forecasters, r)
-            ext[r, s + record] = self._recover(windows[r, s], predict)[0]
+        # for copies) is one call.  ``key`` orders the losses and keeps rows apart.
+        late = np.flatnonzero(lost_slots >= record - 1)
+        if late.size:
+            key = lost_rows[late] * (n_slots + record + 1) + lost_slots[late]
+            new = np.diff(key, prepend=-record - 1) > record
+            index = np.arange(late.size)
+            waves = index - np.maximum.accumulate(new * index) if batched else lost_slots[late]
+            order = np.argsort(waves, kind="stable")
+            bounds = np.flatnonzero(np.diff(waves[order], prepend=-1, append=-1)).tolist()
+            windows = np.lib.stride_tricks.sliding_window_view(rows_of, record, axis=1)
+            rows, starts = lost_rows[late], lost_slots[late] + 1 - record
+            for start, end in zip(bounds, bounds[1:]):
+                wave = order[start:end]
+                if not batched:
+                    predict = partial(_predict_each_row, self.forecaster, row_forecasters, rows[wave])
+                history = stream.take(windows[rows[wave], starts[wave]], axis=0)
+                lost_values[late[wave]] = self._recover(history, predict)[0]
 
-        return BatchedRecoveryResult(executed=ext[:, 1:], on_time=on_time, forecasted=forecasted)
+        return BatchedRecoveryResult(
+            commands=commands,
+            on_time=on_time,
+            forecasted=forecasted,
+            lost_rows=lost_rows,
+            lost_slots=lost_slots,
+            lost_values=lost_values,
+        )
 
 
 def _predict_each_row(

@@ -24,6 +24,7 @@ helper the figures, examples and benchmarks use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class SimulationOutcome:
     defined / baseline / foreco:
         The three joint trajectories (for plotting Figs. 9/10-style curves).
         Built by :meth:`SimulationBatch.outcome`, each holds an ``(n, d)``
-        array of its own, never a view into the kernel's ``(B, n, d)`` stacks.
+        array of its own, never a view into the kernel pass's arrays.
     recovery_fraction:
         Fraction of missing slots FoReCo managed to fill with a forecast.
     """
@@ -132,9 +133,10 @@ class SimulationBatch(MetricColumns):
     """One session-kernel pass: per-row metric columns, trajectories on demand.
 
     The metric tuples hold one entry per row, in delay-trace order.  The
-    pass's ``(B, n, d)`` arrays stay here and :meth:`outcome` copies one row
-    out of them, so an outcome a caller keeps does not pin the batch.
-    ``SimulationBatch()`` is the empty batch.
+    pass's arrays stay here and :meth:`outcome` builds one row out of them,
+    so an outcome a caller keeps does not pin the batch.  A kinematic pass
+    keeps no ``(B, n, d)`` array: its rows execute the clipped stream except
+    at their lost slots.  ``SimulationBatch()`` is the empty batch.
     """
 
     rmse_no_forecast_mm: tuple[float, ...] = ()
@@ -142,21 +144,31 @@ class SimulationBatch(MetricColumns):
     late_fraction: tuple[float, ...] = ()
     recovery_fraction: tuple[float, ...] = ()
     #: Slot times ``(n,)``, the defined and clipped streams ``(n, d)``, the
-    #: baseline's source slots ``(B, n)`` and the executed baseline (PID mode
-    #: only: kinematic mode executes ``clipped[baseline_sources]``) and FoReCo.
+    #: baseline's source slots ``(B, n)`` and FoReCo's clipped targets at its
+    #: missing slots: ``lost_targets[i]`` ``(L, d)`` at the row-major pair
+    #: ``(lost_rows[i], lost_slots[i])``.  Kinematic mode executes the targets
+    #: as they are: ``clipped[baseline_sources]`` and ``clipped`` with the lost
+    #: slots set.  PID mode also keeps both executed ``(B, n, d)`` stacks.
     times_s: np.ndarray | None = field(default=None, repr=False)
     commands: np.ndarray | None = field(default=None, repr=False)
     clipped: np.ndarray | None = field(default=None, repr=False)
     baseline_sources: np.ndarray | None = field(default=None, repr=False)
+    lost_rows: np.ndarray | None = field(default=None, repr=False)
+    lost_slots: np.ndarray | None = field(default=None, repr=False)
+    lost_targets: np.ndarray | None = field(default=None, repr=False)
     baseline_executed: np.ndarray | None = field(default=None, repr=False)
     foreco_executed: np.ndarray | None = field(default=None, repr=False)
 
     def outcome(self, row: int) -> SimulationOutcome:
         """Row ``row`` as an outcome whose three trajectories own ``(n, d)`` copies."""
-        if self.baseline_executed is None:
+        if self.foreco_executed is None:
             baseline = self.clipped[self.baseline_sources[row]]
+            foreco = self.clipped.copy()
+            lost = slice(*np.searchsorted(self.lost_rows, (row, row + 1)))
+            foreco[self.lost_slots[lost]] = self.lost_targets[lost]
         else:
             baseline = self.baseline_executed[row].copy()
+            foreco = self.foreco_executed[row].copy()
         return SimulationOutcome(
             rmse_no_forecast_mm=self.rmse_no_forecast_mm[row],
             rmse_foreco_mm=self.rmse_foreco_mm[row],
@@ -164,7 +176,7 @@ class SimulationBatch(MetricColumns):
             recovery_fraction=self.recovery_fraction[row],
             defined=JointTrajectory(self.times_s, self.commands.copy(), label="defined"),
             baseline=JointTrajectory(self.times_s, baseline, label="no-forecast"),
-            foreco=JointTrajectory(self.times_s, self.foreco_executed[row].copy(), label="foreco"),
+            foreco=JointTrajectory(self.times_s, foreco, label="foreco"),
         )
 
 
@@ -202,24 +214,24 @@ def baseline_target_indices(delays_ms: np.ndarray, command_period_ms: float) -> 
     period = float(command_period_ms)
     n_batch, n = delays_ms.shape
     slot_index = np.arange(n)
-    arrival_times = slot_index * period + delays_ms
     # Slot s spans (s*Ω, (s+1)*Ω]; command i is usable in slot s once it
     # has arrived by the end of the slot, i.e. from slot
-    # ceil(arrival_i / Ω) - 1 onwards (and never before its own slot).
-    first_usable_slot = np.full((n_batch, n), n, dtype=int)
-    delivered = np.isfinite(arrival_times)
-    slots = np.ceil(arrival_times[delivered] / period).astype(int) - 1
-    command_index = np.broadcast_to(slot_index, (n_batch, n))
-    first_usable_slot[delivered] = np.maximum(command_index[delivered], np.maximum(slots, 0))
-    # newest_at[b, s] = largest command index usable at slot s of session b
-    # (-1 if none yet); each session's slots sit at offset b * n of the
-    # flattened array, so one maximum.at scatters every session at once.
-    newest_at = np.full(n_batch * n, -1, dtype=int)
-    usable = first_usable_slot < n
-    row_offset = np.arange(n_batch)[:, None] * n
-    np.maximum.at(newest_at, (row_offset + first_usable_slot)[usable], command_index[usable])
-    newest_at = np.maximum.accumulate(newest_at.reshape(n_batch, n), axis=1)
-    indices = np.where(newest_at >= 0, newest_at, 0)
+    # ceil(arrival_i / Ω) - 1 onwards (and never before its own slot, nor
+    # for a non-finite arrival).  newest_at[b, s] is the largest command
+    # index first usable at slot s of session b (0 if none).  A command
+    # usable in its own slot is the newest there, so only late-but-delivered
+    # commands need the scatter; each session's slots sit at offset b * n of
+    # the flattened array, so one maximum.at scatters every session at once.
+    arrival = slot_index * period + delays_ms
+    first_usable = np.ceil(arrival / period) - 1.0
+    newest_at = np.where((first_usable <= slot_index) & (arrival > -np.inf), slot_index, 0)
+    late_rows, late_slots = np.nonzero((first_usable > slot_index) & (first_usable < n))
+    np.maximum.at(
+        newest_at.reshape(-1),
+        late_rows * n + first_usable[late_rows, late_slots].astype(int),
+        late_slots,
+    )
+    indices = np.maximum.accumulate(newest_at, axis=1)
     return indices[0] if one_session else indices
 
 
@@ -234,14 +246,22 @@ def _row_blocks(n_batch: int, n_slots: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, n_batch, rows)]
 
 
-def _fresh_rows(executed: np.ndarray, source_bits: np.ndarray) -> np.ndarray:
-    """Mask of ``executed`` rows whose bits differ from their source rows."""
-    return (executed.view(np.uint64) != source_bits).any(axis=-1)
+#: Per block of rows, the slots a pass executes off the clipped stream:
+#: block-relative rows, slots and the executed joints, in row-major order.
+_Changes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _refresh(errors: np.ndarray, mask: np.ndarray, positions_mm: np.ndarray, defined_mm: np.ndarray) -> None:
-    """Set ``errors[mask]`` to the distance of ``positions_mm`` from their slots' defined positions."""
-    errors[mask] = np.linalg.norm(positions_mm - defined_mm[np.nonzero(mask)[1]], axis=-1)
+def _fresh_changes(executed: np.ndarray, source_bits: np.ndarray) -> _Changes:
+    """The slots of ``executed`` whose bits differ from their source rows."""
+    rows, slots = np.nonzero((executed.view(np.uint64) != source_bits).any(axis=-1))
+    return rows, slots, executed[rows, slots]
+
+
+def _scatter(
+    errors: np.ndarray, rows: np.ndarray, slots: np.ndarray, positions_mm: np.ndarray, defined_mm: np.ndarray
+) -> None:
+    """Set ``errors[rows, slots]`` to the distance of ``positions_mm`` from their slots' defined positions."""
+    errors[rows, slots] = np.linalg.norm(positions_mm - defined_mm[slots], axis=-1)
 
 
 class BatchedRemoteControlSimulation:
@@ -330,36 +350,49 @@ class BatchedRemoteControlSimulation:
         # Both executions start from the raw first defined command, the
         # first row of the FoReCo stream and of the baseline stream.
         # ``np.clip`` is elementwise, so the baseline gathers the clipped
-        # stream, and the FoReCo targets need clipping only where they can
-        # differ from it: at missing slots and at slots whose command is
-        # outside the limits (on-time slots hold the raw command).
+        # stream, and FoReCo executes it too except at its lost slots, whose
+        # recovered commands are clipped on their own.
         limits = self.arm.limits
         clipped = np.clip(commands, limits.position_min, limits.position_max)
-        unclipped = (clipped.view(np.uint64) != commands.view(np.uint64)).any(axis=-1)
-        if not unclipped.any():
+        if (clipped.view(np.uint64) == commands.view(np.uint64)).all():
             clipped = commands
         late_fraction = tuple((1.0 - batch.on_time.mean(axis=1)).tolist())
-        foreco_targets = batch.executed
         # A row with nothing missing forecast nothing, so it reads 0 / 1.
         n_missing = np.maximum(n_slots - batch.on_time.sum(axis=1), 1)
         recovery_fraction = tuple((batch.forecasted.sum(axis=1) / n_missing).tolist())
-        # The rest of the batch is released before the ``(B, n, d)`` passes.
-        missing = np.logical_not(batch.on_time, out=batch.on_time)
+        lost_rows, lost_slots = batch.lost_rows, batch.lost_slots
+        lost_targets = np.clip(
+            batch.lost_values, limits.position_min, limits.position_max, out=batch.lost_values
+        )
         del batch
-        clip_rows = np.nonzero(missing | unclipped)
-        foreco_targets[clip_rows] = np.clip(
-            foreco_targets[clip_rows], limits.position_min, limits.position_max
-        )
-        # Kinematic mode executes the targets as they are, so only PID mode
-        # materialises the ``(B, n, d)`` baseline gather.
-        baseline_executed, foreco_executed = None, foreco_targets
-        if self.use_pid:
-            baseline_executed = self._execute_batch(clipped[baseline_sources], initial=commands[0])
-            foreco_executed = self._execute_batch(foreco_targets, initial=commands[0])
 
-        baseline_rmse, foreco_rmse = self._rmse_mm(
-            commands, clipped, blocks, baseline_sources, baseline_executed, foreco_executed, missing
-        )
+        # Kinematic mode executes the targets as they are: its only fresh
+        # slots are the lost ones, a contiguous slice per block of rows.
+        # PID mode steps dense ``(B, n, d)`` targets through the controller
+        # and finds its fresh slots by a bitwise compare.
+        baseline_executed = foreco_executed = None
+        if self.use_pid:
+            targets = np.repeat(clipped[None], n_batch, axis=0)
+            targets[lost_rows, lost_slots] = lost_targets
+            baseline_executed = self._execute_batch(clipped[baseline_sources], initial=commands[0])
+            foreco_executed = self._execute_batch(targets, initial=commands[0])
+            del targets
+            clipped_bits = clipped.view(np.uint64)
+
+            def changes(block: slice) -> tuple[_Changes, _Changes]:
+                return (
+                    _fresh_changes(baseline_executed[block], clipped_bits[baseline_sources[block]]),
+                    _fresh_changes(foreco_executed[block], clipped_bits),
+                )
+
+        else:
+            unchanged = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, commands.shape[1])))
+
+            def changes(block: slice) -> tuple[_Changes, _Changes]:
+                lo, hi = np.searchsorted(lost_rows, (block.start, block.stop))
+                return unchanged, (lost_rows[lo:hi] - block.start, lost_slots[lo:hi], lost_targets[lo:hi])
+
+        baseline_rmse, foreco_rmse = self._rmse_mm(commands, clipped, blocks, baseline_sources, changes)
         return SimulationBatch(
             rmse_no_forecast_mm=baseline_rmse,
             rmse_foreco_mm=foreco_rmse,
@@ -369,6 +402,9 @@ class BatchedRemoteControlSimulation:
             times_s=np.arange(n_slots) * period_ms / 1000.0,
             clipped=clipped,
             baseline_sources=baseline_sources,
+            lost_rows=lost_rows,
+            lost_slots=lost_slots,
+            lost_targets=lost_targets,
             baseline_executed=baseline_executed,
             foreco_executed=foreco_executed,
         )
@@ -380,9 +416,7 @@ class BatchedRemoteControlSimulation:
         clipped: np.ndarray,
         blocks: list[slice],
         baseline_sources: np.ndarray,
-        baseline_executed: np.ndarray | None,
-        foreco_executed: np.ndarray,
-        missing: np.ndarray,
+        changes: Callable[[slice], tuple[_Changes, _Changes]],
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-repetition baseline and FoReCo RMSE (mm) against ``commands``.
 
@@ -390,21 +424,18 @@ class BatchedRemoteControlSimulation:
         no command leaves the limits).  Slot ``s`` of every row starts from
         the distance between the clipped and the defined command ``s``, which
         is what an on-time FoReCo slot and an up-to-date baseline slot
-        execute.  Only two kinds of slot get
-        a fresh distance: lagged baseline slots, which gather the position of
-        their source row, and *fresh* rows, which differ from their source
-        and get their own forward kinematics.  In kinematic mode
-        (``baseline_executed`` is ``None``) the fresh rows are FoReCo's
-        missing slots; PID states are found by a bitwise (``uint64``)
-        compare, which keeps ``-0.0`` and ``0.0`` apart.
-        ``positions`` and the per-row norm are row-pure, so every distance is
-        bit-identical to evaluating the whole executed trajectory, as
-        :func:`~repro.robot.trajectory.trajectory_rmse_mm` does.
+        execute.  Only two kinds of slot get a fresh distance, scattered by
+        ``(row, slot)``: lagged baseline slots, which gather the position of
+        their source row, and the slots ``changes(block)`` lists for the
+        baseline and for FoReCo, which get their own forward kinematics, one
+        call per block.  ``positions`` and the per-row norm are row-pure, so
+        every distance is bit-identical to evaluating the whole executed
+        trajectory, as :func:`~repro.robot.trajectory.trajectory_rmse_mm`
+        does.
         """
         kinematics = self.arm.kinematics
         defined_mm = kinematics.positions(commands) * 1000.0
         source_mm = defined_mm if clipped is commands else kinematics.positions(clipped) * 1000.0
-        clipped_bits = clipped.view(np.uint64)
         source_errors = np.linalg.norm(source_mm - defined_mm, axis=-1)
         slot_index = np.arange(commands.shape[0])
 
@@ -412,24 +443,20 @@ class BatchedRemoteControlSimulation:
         foreco_rmse: list[float] = []
         for block in blocks:
             sources = baseline_sources[block]
-            foreco_block = foreco_executed[block]
-            if baseline_executed is None:
-                baseline_fresh = np.zeros(sources.shape, dtype=bool)
-                foreco_fresh = missing[block]
-                fresh = foreco_block[foreco_fresh]
-            else:
-                baseline_block = baseline_executed[block]
-                baseline_fresh = _fresh_rows(baseline_block, clipped_bits[sources])
-                foreco_fresh = _fresh_rows(foreco_block, clipped_bits)
-                fresh = np.concatenate((baseline_block[baseline_fresh], foreco_block[foreco_fresh]))
+            baseline_fresh, foreco_fresh = changes(block)
+            n_baseline_fresh = baseline_fresh[0].size
+            # Kinematic mode has no fresh baseline slots: its lost targets go to FK uncopied.
+            fresh = foreco_fresh[2]
+            if n_baseline_fresh:
+                fresh = np.concatenate((baseline_fresh[2], fresh))
             fresh_mm = kinematics.positions(fresh) * 1000.0
-            n_baseline_fresh = int(np.count_nonzero(baseline_fresh))
             baseline_errors = np.repeat(source_errors[None], sources.shape[0], axis=0)
             foreco_errors = baseline_errors.copy()
-            lagged = sources != slot_index
-            _refresh(baseline_errors, lagged, source_mm[sources[lagged]], defined_mm)
-            _refresh(baseline_errors, baseline_fresh, fresh_mm[:n_baseline_fresh], defined_mm)
-            _refresh(foreco_errors, foreco_fresh, fresh_mm[n_baseline_fresh:], defined_mm)
+            lag_rows, lag_slots = np.nonzero(sources != slot_index)
+            lagged_mm = source_mm[sources[lag_rows, lag_slots]]
+            _scatter(baseline_errors, lag_rows, lag_slots, lagged_mm, defined_mm)
+            _scatter(baseline_errors, *baseline_fresh[:2], fresh_mm[:n_baseline_fresh], defined_mm)
+            _scatter(foreco_errors, *foreco_fresh[:2], fresh_mm[n_baseline_fresh:], defined_mm)
             baseline_rmse += np.sqrt(np.mean(baseline_errors ** 2, axis=-1)).tolist()
             foreco_rmse += np.sqrt(np.mean(foreco_errors ** 2, axis=-1)).tolist()
         return tuple(baseline_rmse), tuple(foreco_rmse)

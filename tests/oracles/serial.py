@@ -15,6 +15,8 @@ module is the one-repetition-at-a-time path, kept as their reference:
   the reference for the block draws of
   :meth:`~repro.wireless.WirelessChannel._draw_queue_randomness`, which
   every AP-queue sample, serial or batched, goes through;
+* :func:`baseline_indices` applies the stock stack's "newest arrived
+  command" rule slot by slot;
 * :func:`process_stream` runs the recovery engine over one session, one
   :meth:`~repro.core.ForecoRecovery.process_slot` call per slot;
 * :class:`RemoteControlSimulation` runs one session through
@@ -33,11 +35,13 @@ against this code, which shares none of the kernel's stacking.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from oracles.driver import DriverConfig, RobotDriver
 
-from repro.core.recovery import ForecoRecovery
-from repro.core.simulation import SimulationBatch, SimulationOutcome, baseline_target_indices
+from repro.core.recovery import ForecoRecovery, RecoveryDecision
+from repro.core.simulation import SimulationBatch, SimulationOutcome
 from repro.errors import ConfigurationError, DimensionError
 from repro.fleet import FleetEngine
 from repro.robot.niryo import NiryoOneArm
@@ -140,12 +144,40 @@ def draw_queue_randomness(channel, rng: np.random.Generator, n_commands: int):
     return intervals, work, blocked, base_lost, interference_lost
 
 
-def process_stream(recovery: ForecoRecovery, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
+def baseline_indices(delays_ms, command_period_ms: float) -> list[int]:
+    """The stock stack's command at each slot of one session, slot by slot.
+
+    At slot ``s`` it feeds the newest command ``i <= s`` that has arrived by
+    the slot's end, ``i * Ω + Δ(c_i) <= (s + 1) * Ω`` (a non-finite delay
+    never arrives), else the initial command 0.  The reference for
+    :func:`~repro.core.simulation.baseline_target_indices`, which decides
+    the same comparison through ``ceil(arrival / Ω)``: the two agree
+    wherever the slot ends ``(s + 1) * Ω`` are exact, as at Ω = 20 ms.
+    """
+    period = float(command_period_ms)
+    delays = [float(delay) for delay in delays_ms]
+    indices = []
+    for slot in range(len(delays)):
+        end = (slot + 1) * period
+        arrived = (
+            i for i in range(slot, 0, -1) if math.isfinite(delays[i]) and i * period + delays[i] <= end
+        )
+        indices.append(next(arrived, 0))
+    return indices
+
+
+def process_stream(
+    recovery: ForecoRecovery,
+    commands: np.ndarray,
+    delays_ms: np.ndarray,
+    decisions: list[RecoveryDecision] | None = None,
+) -> np.ndarray:
     """Process a full command stream slot by slot and return the executed commands.
 
     ``commands`` has shape ``(n, d)`` and ``delays_ms`` length ``n`` (``inf``
     marks lost commands).  The first command is assumed to arrive on time and
-    also seeds the history window; ``recovery.stats`` counts the session.
+    also seeds the history window; ``recovery.stats`` counts the session, and
+    ``decisions``, when given, receives every slot's decision.
     """
     commands = np.asarray(commands, dtype=float)
     delays_ms = np.asarray(delays_ms, dtype=float).ravel()
@@ -154,7 +186,10 @@ def process_stream(recovery: ForecoRecovery, commands: np.ndarray, delays_ms: np
     recovery.reset(commands.shape[1], seed_history=commands[:1])
     executed = np.empty_like(commands)
     for index in range(commands.shape[0]):
-        executed[index] = recovery.process_slot(commands[index], float(delays_ms[index])).executed_command
+        decision = recovery.process_slot(commands[index], float(delays_ms[index]))
+        executed[index] = decision.executed_command
+        if decisions is not None:
+            decisions.append(decision)
     return executed
 
 
@@ -229,7 +264,7 @@ class RemoteControlSimulation:
     def _baseline_targets(self, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
         """Per-slot targets executed by the stock (no-forecast) robot stack."""
         period = self.recovery.config.command_period_ms
-        return commands[baseline_target_indices(delays_ms, period)]
+        return commands[baseline_indices(delays_ms, period)]
 
 
 def _as_batch(commands: np.ndarray, outcomes: list[SimulationOutcome]) -> SimulationBatch:
